@@ -1,8 +1,8 @@
 """Tunable tolerances and bounds.
 
-All numeric thresholds used by the library live here so they can be
-adjusted in one place.  The enumeration bound may also be overridden with
-the ``GERBE_MAX_N`` environment variable.
+The thresholds of the numeric stages, the width of certified root intervals
+and the enumeration bound live here (the exact stages need no tolerance).
+The enumeration bound may also be overridden with ``GERBE_MAX_N``.
 """
 
 import os
@@ -15,9 +15,6 @@ COLINEAR_TOL = 1e-8
 ISOMETRY_TOL = 1e-8
 PIVOT_TOL = 1e-10
 ROOT_INTERVAL_WIDTH = 1e-12
-
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_TOL = 1e-13
 
 
 def enumeration_bound() -> int:

@@ -1,9 +1,11 @@
 """Exact integer polynomial arithmetic.
 
 Provides the characteristic polynomial det(S(1, x)) of a sign matrix as an
-exact integer polynomial, its square-free decomposition, and its real roots
-with multiplicities.  Everything here is exact except the final float
-approximation attached to irrational roots.
+exact integer polynomial (Faddeev–LeVerrier), its square-free decomposition
+(a gcd modulo a prime, else Yun's scheme), and its real roots with
+multiplicities: float seeds cut the line into cells that exact integer signs
+certify, with Sturm chains as the fallback.  Everything here is exact except
+the float approximation attached to each root.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import config
 from .graph import SignMatrix
@@ -143,53 +147,27 @@ def bareiss_determinant(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def eval_char_matrix_det(m: SignMatrix, t: int) -> int:
-    """det of the matrix with unit diagonal and (i,j) entry epsilon_ij * t."""
-    n = m.n
-    rows = [
-        [1 if i == j else m[i, j] * t for j in range(n)]
-        for i in range(n)
-    ]
-    return bareiss_determinant(rows)
-
-
 def char_poly(m: SignMatrix) -> IntPolynomial:
     """det(S(1, x)) as an exact integer polynomial.
 
-    Evaluated at n+1 integer points by fraction-free elimination, then
-    interpolated over the rationals; the interpolant must come out integral.
+    S(1, x) = I + x·A with A = ε − I the Seidel matrix, so χ is the
+    characteristic polynomial of −A with its coefficients reversed.
+    Faddeev–LeVerrier builds it over the integers, one matrix product per
+    degree; each of its divisions by k must come out exact.
     """
     n = m.n
-    points = list(range(n + 1))
-    values = [eval_char_matrix_det(m, t) for t in points]
-    coeffs = _lagrange_interpolate(points, values)
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError(f"interpolated coefficient {c} is not an integer")
-    return IntPolynomial.from_coeffs([c.numerator for c in coeffs])
-
-
-def _lagrange_interpolate(xs, ys):
-    """Coefficients (ascending, Fractions) of the interpolating polynomial."""
-    k = len(xs)
-    coeffs = [Fraction(0)] * k
-    for i in range(k):
-        # basis polynomial prod_{j != i} (x - x_j) / (x_i - x_j)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(k):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xs[j]
-                new[d + 1] += c
-            basis = new
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    return coeffs
+    minus_a = (np.eye(n, dtype=np.int64) - m.entries).astype(object)
+    ident = np.eye(n, dtype=np.int64).astype(object)
+    coeffs = [1]
+    mk = ident
+    for k in range(1, n + 1):
+        prod = minus_a @ mk
+        c, r = divmod(-int(prod.trace()), k)
+        if r:
+            raise AssertionError(f"Faddeev-LeVerrier trace is not divisible by {k}")
+        coeffs.append(c)
+        mk = prod + c * ident
+    return IntPolynomial.from_coeffs(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +249,27 @@ def _primitive(fracs) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# square-free decomposition (Yun's derivative-gcd scheme)
+# square-free decomposition
+
+# A repeated factor g^2 of p over the rationals, taken primitive, keeps its
+# degree modulo a prime that does not divide lead(p), and there it divides
+# both p and p'.  So a unit gcd(p, p') modulo such a prime proves p
+# square-free.  When the prime divides lead(p), or the gcd is not a unit,
+# Yun's scheme decides.
+_GCD_PRIME = 2**61 - 1
+
+
+def _gcd_degree_mod(a, b, q: int) -> int:
+    """Degree of gcd(a, b) over GF(q); a, b ascending integer coefficients."""
+    a, b = _ftrim(c % q for c in a), _ftrim(c % q for c in b)
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            factor, shift = a[-1] * inv % q, len(a) - len(b)
+            a = _ftrim(a[:shift] + [(x - factor * y) % q for x, y in zip(a[shift:], b)])
+        a, b = b, a
+    return len(a) - 1
+
 
 def squarefree_decomposition(p: IntPolynomial) -> list:
     """Write p as lead * prod f_k^{e_k} with the f_k square-free and coprime.
@@ -283,6 +281,14 @@ def squarefree_decomposition(p: IntPolynomial) -> list:
         raise ValueError("zero polynomial has no square-free decomposition")
     if p.degree == 0:
         return []
+    if (p.coeffs[-1] % _GCD_PRIME
+            and _gcd_degree_mod(p.coeffs, p.derivative().coeffs, _GCD_PRIME) == 0):
+        return [(_primitive(p.coeffs), 1)]
+    return _yun(p)
+
+
+def _yun(p: IntPolynomial) -> list:
+    """Yun's derivative-gcd scheme over the rationals (p of degree >= 1)."""
     f = _fpoly(p)
     fp = _fderiv(f)
     a = _fgcd(f, fp)
@@ -318,119 +324,127 @@ def reconstruct(factors, lead: Fraction) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # real roots
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-    return sorted(set(out))
+# Half-width of the first cuts around a float seed, relative to max(1, |seed|).
+_SEED_WINDOW = 2.0**-32
 
 
-def _rational_roots(f: IntPolynomial) -> list:
-    """All rational roots of f (f square-free, so all are simple)."""
-    if f.degree < 1:
-        return []
-    roots = []
-    coeffs = list(f.coeffs)
-    # strip zero roots
-    if coeffs[0] == 0:
-        roots.append(Fraction(0))
-        while coeffs[0] == 0:
-            coeffs = coeffs[1:]
-        f = IntPolynomial.from_coeffs(coeffs)
-    if f.degree < 1:
-        return roots
-    a0, lead = f.coeffs[0], f.coeffs[-1]
-    for p in _divisors(a0):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if f(cand) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Sign of the integer polynomial with these coefficients at rational x,
+    evaluated in integers as its homogenization at (numerator, denominator)."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
-def _deflate(f: IntPolynomial, root: Fraction) -> IntPolynomial:
-    q = _fdiv_exact(_fpoly(f), [-root, Fraction(1)])
-    return _primitive(q)
+def _root_bound(f: IntPolynomial) -> int:
+    """An integer beyond the modulus of every complex root (Cauchy)."""
+    return 2 + max(abs(c) for c in f.coeffs[:-1]) // abs(f.coeffs[-1])
+
+
+def _seeded_cells(f: IntPolynomial):
+    """One cell (lo, hi, seed) per real root of the square-free f, or None.
+
+    The cuts are ± the root bound and the float midpoints (exact dyadic
+    Fractions) between the sorted real parts of ``numpy.roots``.  When the
+    exact signs of f alternate over these d + 1 nondecreasing cuts, each of
+    the d cells holds a root, and f has no more.  Complex or clustered seeds
+    fail the test.
+    """
+    seeds = np.sort(np.roots([float(c) for c in reversed(f.coeffs)]).real)
+    bound = _root_bound(f)
+    cuts = [Fraction(-bound)]
+    cuts += [Fraction((a + b) / 2) for a, b in zip(seeds, seeds[1:])]
+    cuts.append(Fraction(bound))
+    signs = [_sign_at(f.coeffs, x) for x in cuts]
+    if any(s * t != -1 for s, t in zip(signs, signs[1:])):
+        return None
+    return [(lo, hi, float(seed)) for lo, hi, seed in zip(cuts, cuts[1:], seeds)]
 
 
 def _sturm_chain(f: IntPolynomial) -> list:
-    chain = [_fpoly(f)]
-    chain.append(_fderiv(chain[0]))
-    while _ftrim(chain[-1]):
-        _, r = _fdivmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if _ftrim(c)]
-
-
-def _feval(fracs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(fracs):
-        acc = acc * x + c
-    return acc
+    """Sturm sequence of f, each member scaled by a positive rational to a
+    primitive integer polynomial, which keeps its signs and its size small."""
+    chain = [list(f.coeffs)]
+    r = _fderiv(_fpoly(f))
+    while r:
+        g = list(_primitive(r).coeffs)
+        chain.append(g if r[-1] > 0 else [-c for c in g])
+        a, b = ([Fraction(c) for c in poly] for poly in chain[-2:])
+        _, rem = _fdivmod(a, b)
+        r = [-c for c in rem]
+    return chain
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = _feval(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign_at(poly, x) for poly in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _root_bound(f: IntPolynomial) -> Fraction:
-    lead = abs(f.coeffs[-1])
-    m = max(abs(c) for c in f.coeffs[:-1]) if f.degree >= 1 else 0
-    return Fraction(1) + Fraction(m, lead)
-
-
-def _isolate_irrational(f: IntPolynomial, width: float) -> list:
-    """Isolating intervals (lo, hi) for the real roots of a square-free f
-    with no rational roots, refined to the requested width by bisection."""
-    if f.degree < 1:
-        return []
+def _sturm_cells(f: IntPolynomial) -> list:
+    """One cell (lo, hi, None) per real root of the square-free f, by
+    Sturm counts over bisections of the root bound's interval.  Split
+    points that hit a root are moved, so no cell endpoint is a root."""
     chain = _sturm_chain(f)
     bound = _root_bound(f)
-    stack = [(-bound, bound)]
-    isolated = []
+    stack = [(Fraction(-bound), Fraction(bound))]
+    cells = []
     while stack:
         lo, hi = stack.pop()
         count = _sign_variations(chain, lo) - _sign_variations(chain, hi)
-        if count == 0:
-            continue
         if count == 1:
-            isolated.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    refined = []
-    for lo, hi in isolated:
-        # endpoints are rational, roots are not, so f never vanishes there
-        slo = 1 if f(lo) > 0 else -1
-        while hi - lo > width:
+            cells.append((lo, hi, None))
+        elif count > 1:
             mid = (lo + hi) / 2
-            smid = 1 if f(mid) > 0 else -1
-            if smid == slo:
-                lo = mid
-            else:
-                hi = mid
-        refined.append((lo, hi))
-    refined.sort()
-    return refined
+            while _sign_at(f.coeffs, mid) == 0:
+                mid = (lo + mid) / 2
+            stack.append((lo, mid))
+            stack.append((mid, hi))
+    return cells
+
+
+def _refine(f: IntPolynomial, lo: Fraction, hi: Fraction, seed, width: Fraction):
+    """The root of the square-free f in the cell (lo, hi), whose endpoints
+    are not roots, by bisection that first cuts either side of the seed:
+    (exact, None) when it is rational, else (None, (lo, hi)) narrower than
+    width.  A rational root's denominator divides L = |lead f|, and such
+    rationals lie 1/L^2 apart, so below width 1/(2 L^2) the midpoint's
+    ``limit_denominator(L)`` is the only candidate.
+    """
+    lead = abs(f.coeffs[-1])
+    fine = min(width, Fraction(1, 2 * lead * lead))
+    sign_lo = _sign_at(f.coeffs, lo)
+    guesses = []
+    if seed is not None:
+        delta = _SEED_WINDOW * max(1.0, abs(seed))
+        guesses = [Fraction(seed - delta), Fraction(seed + delta)]
+    while hi - lo >= fine:
+        x = guesses.pop() if guesses else (lo + hi) / 2
+        if not lo < x < hi:
+            continue
+        s = _sign_at(f.coeffs, x)
+        if s == 0:
+            return x, None
+        if s == sign_lo:
+            lo = x
+        else:
+            hi = x
+    cand = ((lo + hi) / 2).limit_denominator(lead)
+    if lo < cand < hi and _sign_at(f.coeffs, cand) == 0:
+        return cand, None
+    return None, (lo, hi)
 
 
 def real_roots_with_multiplicity(p: IntPolynomial, interval_width=None) -> list:
     """Every real root of p, once each, with its exact multiplicity.
 
-    Rational roots are found exactly on each square-free factor; irrational
-    roots get a certified isolating interval bisected down to
-    ``interval_width`` (default from config) plus a float approximation.
+    Each square-free factor's roots are isolated from float seeds, or by
+    Sturm chains when the seeds do not certify, then refined exactly:
+    rational roots come out exact, irrational roots with a certified
+    isolating interval narrower than ``interval_width`` (default from
+    config) plus a float approximation.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -438,14 +452,11 @@ def real_roots_with_multiplicity(p: IntPolynomial, interval_width=None) -> list:
     width = Fraction(width).limit_denominator(10**18)
     records = []
     for factor, mult in squarefree_decomposition(p):
-        remaining = factor
-        for r in _rational_roots(factor):
-            records.append(RootRecord(value=float(r), multiplicity=mult, exact=r))
-            remaining = _deflate(remaining, r)
-        for lo, hi in _isolate_irrational(remaining, width):
-            mid = (lo + hi) / 2
+        for lo, hi, seed in _seeded_cells(factor) or _sturm_cells(factor):
+            exact, interval = _refine(factor, lo, hi, seed, width)
+            value = exact if interval is None else (interval[0] + interval[1]) / 2
             records.append(
-                RootRecord(value=float(mid), multiplicity=mult, interval=(lo, hi))
+                RootRecord(float(value), mult, exact=exact, interval=interval)
             )
     records.sort(key=lambda rec: rec.value)
     return records

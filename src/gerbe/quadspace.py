@@ -4,13 +4,12 @@ Gram factorization of symmetric matrices into diagonal ±1 forms, numeric
 rank, representations of graphs at parameters (omega, c) and the basic
 operations on them (sum, reduction, isometry recovery).
 
-The eigendecomposition is a self-contained cyclic Jacobi sweep; nothing
-here depends on an external solver for the factorization itself.
+The eigendecomposition behind factorization and rank is LAPACK's symmetric
+solver (``numpy.linalg.eigh``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,51 +49,18 @@ class QuadraticSpace:
         return (v * np.array(self.signs, dtype=float)) @ v.T
 
 
-def jacobi_eigh(s, max_sweeps=None, off_tol=None):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(s):
+    """Eigendecomposition of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
-    Returns (eigenvalues, Q) with columns of Q the eigenvectors.  Sweeps stop
-    once the off-diagonal mass drops below off_tol relative to the matrix
-    scale.
+    Returns (eigenvalues, Q) with eigenvalues ascending and the columns of Q
+    orthonormal eigenvectors.
     """
-    sweeps = max_sweeps if max_sweeps is not None else config.JACOBI_MAX_SWEEPS
-    tol = off_tol if off_tol is not None else config.JACOBI_OFF_TOL
     a = np.array(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0):
         raise ValueError("matrix must be symmetric")
-    n = a.shape[0]
-    q = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), q
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(sweeps):
-        off = math.sqrt(sum(a[i, j] ** 2 for i in range(n) for j in range(i + 1, n)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= 1e-300:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                for k in range(n):
-                    akp, akr = a[k, p], a[k, r]
-                    a[k, p] = c * akp - sn * akr
-                    a[k, r] = sn * akp + c * akr
-                for k in range(n):
-                    apk, ark = a[p, k], a[r, k]
-                    a[p, k] = c * apk - sn * ark
-                    a[r, k] = sn * apk + c * ark
-                for k in range(n):
-                    qkp, qkr = q[k, p], q[k, r]
-                    q[k, p] = c * qkp - sn * qkr
-                    q[k, r] = sn * qkp + c * qkr
-    return np.diag(a).copy(), q
+    return np.linalg.eigh(a)
 
 
 def build_S(m: SignMatrix, omega: float, c: float) -> np.ndarray:

@@ -1,8 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gerbe import exactpoly
 from gerbe.exactpoly import (
     IntPolynomial,
     bareiss_determinant,
@@ -25,6 +30,27 @@ def random_sign_matrix(rng, n):
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     )
     return epsilon_matrix(g)
+
+
+def scaled_det(m, a, b):
+    """det(b I + a (eps - I)) = b^n chi(a/b), by fraction-free elimination."""
+    n = m.n
+    return bareiss_determinant(
+        [[b if i == j else m[i, j] * a for j in range(n)] for i in range(n)]
+    )
+
+
+def spy(monkeypatch, name):
+    """Wrap exactpoly.<name>, recording each call's first argument."""
+    calls = []
+    real = getattr(exactpoly, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactpoly, name, wrapper)
+    return calls
 
 
 class TestIntPolynomial:
@@ -86,22 +112,17 @@ class TestCharPoly:
             m = random_sign_matrix(rng, rng.randint(1, 7))
             assert char_poly(m)(0) == 1
 
-    def test_random_rational_points_against_determinant(self):
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_rational_points_against_determinant(self, n, seed):
         # chi(a/b) must equal det(S(1, a/b)), computed exactly by scaling
         # the matrix by b and dividing the integer determinant by b^n
-        rng = random.Random(19)
-        for _ in range(15):
-            n = rng.randint(2, 6)
-            m = random_sign_matrix(rng, n)
-            chi = char_poly(m)
-            for _ in range(20):
-                a, b = rng.randint(-9, 9), rng.randint(1, 9)
-                q = Fraction(a, b)
-                scaled = [
-                    [b if i == j else m[i, j] * a for j in range(n)]
-                    for i in range(n)
-                ]
-                assert chi(q) == Fraction(bareiss_determinant(scaled), b**n)
+        rng = random.Random(seed)
+        m = random_sign_matrix(rng, n)
+        chi = char_poly(m)
+        for _ in range(8):
+            a, b = rng.randint(-9, 9), rng.randint(1, 9)
+            assert chi(Fraction(a, b)) == Fraction(scaled_det(m, a, b), b**n)
 
 
 class TestSquarefree:
@@ -122,6 +143,34 @@ class TestSquarefree:
 
     def test_constant(self):
         assert squarefree_decomposition(P(7,)) == []
+
+    def test_modular_test_agrees_with_yun(self, monkeypatch):
+        # a square-free chi is proved so by the gcd modulo 2^61 - 1, and
+        # Yun's scheme does not run for it, yet both give the same answer
+        rng = random.Random(41)
+        chis = [char_poly(random_sign_matrix(rng, rng.randint(5, 14)))
+                for _ in range(20)]
+        yun = [exactpoly._yun(chi) for chi in chis]
+        calls = spy(monkeypatch, "_yun")
+        assert [squarefree_decomposition(chi) for chi in chis] == yun
+        repeated = [chi for chi, f in zip(chis, yun) if [e for _, e in f] != [1]]
+        assert calls == repeated
+        assert len(repeated) < len(chis) // 2
+
+    def test_repeated_factor_goes_through_yun(self, monkeypatch):
+        chi = P(*POINTED_HEXAGON.chi_coeffs)
+        calls = spy(monkeypatch, "_yun")
+        factors = squarefree_decomposition(chi)
+        assert calls == [chi]
+        assert [e for _, e in factors] == [3]
+        lead = Fraction(chi.coeffs[-1], factors[0][0].coeffs[-1] ** 3)
+        assert reconstruct(factors, lead) == chi
+
+    def test_prime_dividing_lead_goes_through_yun(self):
+        # modulo 2^61 - 1 this square reduces to the constant 1, which the
+        # modular test would wrongly call square-free
+        f = P(-1, 2**61 - 1)
+        assert squarefree_decomposition(f * f) == [(f, 2)]
 
     def test_reconstruction_random(self):
         rng = random.Random(23)
@@ -178,6 +227,12 @@ class TestRealRoots:
         roots = real_roots_with_multiplicity(P(0, 0, 1))  # x^2
         assert [(r.exact, r.multiplicity) for r in roots] == [(Fraction(0), 2)]
 
+    def test_rational_candidate_outside_cell_rejected(self):
+        # x (x^2 + 3x - 1): the integer nearest the irrational root 0.30...
+        # is the root 0, which lies in another cell
+        roots = real_roots_with_multiplicity(P(0, -1, 3, 1))
+        assert [r.exact for r in roots] == [None, Fraction(0), None]
+
     def test_interval_brackets_root(self):
         roots = real_roots_with_multiplicity(P(-2, 0, 1))  # x^2 - 2
         for r in roots:
@@ -188,3 +243,68 @@ class TestRealRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             real_roots_with_multiplicity(IntPolynomial(()))
+
+    def test_sturm_fallback(self, monkeypatch):
+        # the complex pair +-i gives two equal real seeds, so the seeded
+        # cells cannot certify and Sturm isolation takes over
+        f = P(1, 0, 1) * P(-1, 3) * P(-2, 0, 1)
+        calls = spy(monkeypatch, "_sturm_cells")
+        roots = real_roots_with_multiplicity(f)
+        assert calls == [f]
+        assert [(r.exact, r.multiplicity) for r in roots] == [
+            (None, 1), (Fraction(1, 3), 1), (None, 1)
+        ]
+        (lo0, hi0), (lo2, hi2) = roots[0].interval, roots[2].interval
+        assert lo0 < hi0 < 0 < lo2 < hi2
+        assert lo0 * lo0 > 2 > hi0 * hi0 and lo2 * lo2 < 2 < hi2 * hi2
+        assert hi0 - lo0 < Fraction(1, 10**12) and hi2 - lo2 < Fraction(1, 10**12)
+
+    def test_sturm_cells_agree_with_seeded_cells(self):
+        rng = random.Random(43)
+        for _ in range(10):
+            chi = char_poly(random_sign_matrix(rng, rng.randint(6, 16)))
+            f = squarefree_decomposition(chi)[-1][0]
+            seeded = exactpoly._seeded_cells(f)
+            assert seeded is not None
+            width = Fraction(1, 10**12)
+            via_seeds = [exactpoly._refine(f, lo, hi, s, width) for lo, hi, s in seeded]
+            via_sturm = [exactpoly._refine(f, lo, hi, s, width)
+                         for lo, hi, s in sorted(exactpoly._sturm_cells(f))]
+            assert [e for e, _ in via_seeds] == [e for e, _ in via_sturm]
+            for (_, a), (_, b) in zip(via_seeds, via_sturm):
+                assert a is None or max(a[0], b[0]) < min(a[1], b[1])
+
+    def test_rational_root_with_huge_denominator(self):
+        # a trial division over the divisors of the leading coefficient
+        # would take about 1.5e9 steps here
+        p = 2**61 - 1
+        t0 = time.perf_counter()
+        roots = real_roots_with_multiplicity(P(-1, p) * P(-2, 0, 1))
+        assert time.perf_counter() - t0 < 1.0
+        assert [r.exact for r in roots] == [None, Fraction(1, p), None]
+
+
+class TestSpectralOracle:
+    """chi(x) = prod (1 + x lambda) over the eigenvalues lambda of the
+    Seidel matrix eps - I, so its roots are -1/lambda for the nonzero
+    lambda, with the same multiplicities, and a root is rational exactly
+    when its lambda is an integer."""
+
+    @given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_roots_are_minus_inverse_eigenvalues(self, n, seed):
+        m = random_sign_matrix(random.Random(seed), n)
+        lams = np.linalg.eigvalsh(m.entries - np.eye(n))
+        lams = sorted((lam for lam in lams if abs(lam) > 1e-9),
+                      key=lambda lam: -1 / lam)
+        roots = real_roots_with_multiplicity(char_poly(m))
+        got = [r for r in roots for _ in range(r.multiplicity)]
+        assert len(got) == len(lams)
+        for r, lam in zip(got, lams):
+            assert r.value == pytest.approx(-1 / lam, rel=1e-8, abs=1e-8)
+            k = round(lam)
+            # det(k I - (eps - I)) == 0 exactly when k is an eigenvalue
+            integral = abs(lam - k) < 1e-6 and scaled_det(m, -1, k) == 0
+            assert (r.exact is not None) == integral
+            if integral:
+                assert r.exact == Fraction(-1, k)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -26,6 +27,16 @@ def random_graph(rng, n):
     )
 
 
+def triangular_graph(k):
+    """T(k), the line graph of K_k: 2-subsets linked when they meet."""
+    verts = list(itertools.combinations(range(k), 2))
+    return Graph.from_edges(
+        len(verts),
+        [(a, b) for a, b in itertools.combinations(range(len(verts)), 2)
+         if set(verts[a]) & set(verts[b])],
+    )
+
+
 class TestJacobi:
     def test_diagonal_input(self):
         evals, q = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
@@ -45,6 +56,15 @@ class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_degenerate_spectrum(self):
+        # the Seidel matrix J - I of the edgeless graph on 8 vertices has
+        # eigenvalue -1 with multiplicity 7, and eigenvalue 7 once
+        s = epsilon_matrix(Graph.from_edges(8, [])).entries - np.eye(8)
+        evals, q = jacobi_eigh(s)
+        assert evals == pytest.approx([-1.0] * 7 + [7.0])
+        assert np.abs(q.T @ q - np.eye(8)).max() < 1e-12
+        assert np.abs(q @ np.diag(evals) @ q.T - s).max() < 1e-12
 
 
 class TestBuildS:
@@ -133,6 +153,15 @@ class TestGramFactorize:
             space2, _ = gram_factorize(q @ s @ q.T)
             # signature is a congruence invariant; q s qT is congruent to s
             assert sorted(space2.signs) == base
+
+    def test_triangular_graph_roots(self):
+        # chi of T(8) is (9x - 1)^7 (3x + 1)^21: 28 lines in R^7 at c = -1/3
+        m = epsilon_matrix(triangular_graph(8))
+        for c, dim in ((-1 / 3, 7), (1 / 9, 21)):
+            s = build_S(m, 1.0, c)
+            space, vectors = gram_factorize(s)
+            assert space.dim == dim and space.signs == (1,) * dim
+            assert np.abs(space.gram(vectors) - s).max() < 1e-12
 
     def test_rank_zero(self):
         space, vectors = gram_factorize(np.zeros((3, 3)))
