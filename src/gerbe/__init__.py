@@ -2,8 +2,8 @@
 
 Construct the representations of a finite simple graph in quadratic
 spaces, compute the exact characteristic polynomial controlling their
-degrees, and enumerate the signed-permutation group of isometries
-stabilizing the associated sheaf of lines.
+degrees, and build the signed-permutation group of isometries
+stabilizing the associated sheaf of lines from a stabilizer chain.
 """
 
 from ._backend import backend_name

@@ -7,13 +7,13 @@ is mainly useful for benchmarking and debugging.
 
 import os
 
+from . import _kernels_py
+
 _forced = os.environ.get("GERBE_BACKEND", "").lower()
 
-if _forced == "python":
-    from . import _kernels_py as _impl
-
-    BACKEND = "python"
-else:
+_impl = _kernels_py
+BACKEND = "python"
+if _forced != "python":
     try:
         from . import _speedups as _impl
 
@@ -21,11 +21,10 @@ else:
     except ImportError:
         if _forced == "c":
             raise
-        from . import _kernels_py as _impl
 
-        BACKEND = "python"
-
-signed_stabilizer = _impl.signed_stabilizer
+# the stabilizer chain runs many small prefix-pinned, first-solution
+# searches, which only the Python kernel offers
+signed_stabilizer = _kernels_py.signed_stabilizer
 naive_signed_elements = _impl.naive_signed_elements
 linking_check = _impl.linking_check
 linking_sweep = _impl.linking_sweep

@@ -1,9 +1,10 @@
 """Pure-Python compute kernels.
 
-Hot loops of the package: enumeration of sign-compatible permutations and
+Hot loops of the package: the search for sign-compatible permutations and
 the exhaustive linking sweep over all labeled graphs of a given size.  The
-compiled twin in ``_speedups`` implements the same interface; either one is
-selected at import time by ``_backend``.
+compiled twin in ``_speedups`` implements the same interface, except that
+its ``signed_stabilizer`` has only the full search; ``_backend`` selects
+one at import time.
 
 Graphs are passed around as row bitmasks: bit j of mask i is set when the
 sign-matrix entry (i, j) is -1.  Sign vectors use bits too: bit value 1
@@ -15,13 +16,16 @@ from __future__ import annotations
 import itertools
 
 
-def signed_stabilizer(masks):
+def signed_stabilizer(masks, prefix=(), first=False, signed=True):
     """All pairs (sigma, sbits) with sbits[0] = 0 such that the signs
     (-1)**sbits[i] make sigma compatible with the sign matrix.
 
     Backtracking over partial injective maps: once two indices are placed
     the remaining sign bits are forced, and every later placement is checked
-    against all earlier ones, pruning dead branches immediately.
+    against all earlier ones, pruning dead branches immediately.  Only maps
+    with sigma[i] = prefix[i] for i < len(prefix) are searched; ``first``
+    stops at the first solution; ``signed=False`` pins every sign to +1, so
+    the solutions are the automorphisms of the graph the masks describe.
     """
     n = len(masks)
     e = [[(masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
@@ -33,12 +37,14 @@ def signed_stabilizer(masks):
     def rec(t):
         if t == n:
             out.append((tuple(sigma), tuple(s)))
-            return
-        for cand in range(n):
+            return first
+        for cand in (prefix[t],) if t < len(prefix) else range(n):
             if used[cand]:
                 continue
             if t > 0:
                 st = e[0][t] ^ e[sigma[0]][cand]
+                if st and not signed:
+                    continue
                 ok = True
                 for i in range(1, t):
                     if (s[i] ^ st ^ e[sigma[i]][cand]) != e[i][t]:
@@ -49,8 +55,11 @@ def signed_stabilizer(masks):
                 s[t] = st
             sigma[t] = cand
             used[cand] = True
-            rec(t + 1)
+            done = rec(t + 1)
             used[cand] = False
+            if done:
+                return True
+        return False
 
     rec(0)
     return out

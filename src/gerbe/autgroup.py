@@ -2,19 +2,22 @@
 
 Elements are pairs (sigma, nu) of a permutation and a ±1 sign vector
 compatible with the ambient sign matrix; they act on the representation
-vectors by u_i -> nu_i * u_{sigma(i)}.  The group is small at the scales
-this package targets, so it is stored fully enumerated.
+vectors by u_i -> nu_i * u_{sigma(i)}.  G -> S_n has kernel {±id}, so G is
+fixed by a stabilizer chain on the base 0..n-1 (Sims 1970): one coset
+representative per point of each basic orbit.  The order, the orbits and
+2-transitivity on lines and membership come from the chain; the elements
+are listed only on request.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend, config
-from .errors import BoundExceededError
-from .graph import Permutation, SignMatrix
+from . import _backend
+from .graph import Permutation, SignMatrix, chain_products, check_bound, stabilizer_chain
 from .quadspace import Representation, isometry_between
 from .sheaf import LinePartition
 
@@ -94,53 +97,81 @@ def extend_signs(s: Permutation, m: SignMatrix):
     return [tuple(nu), tuple(-v for v in nu)]
 
 
-@dataclass(frozen=True)
-class SheafGroup:
-    """Fully enumerated group of sign-compatible permutations."""
+def _from_bits(sigma, sbits) -> SignedPermutation:
+    return SignedPermutation(Permutation(sigma), tuple(-1 if b else 1 for b in sbits))
 
-    ambient: SignMatrix
-    elements: tuple  # sorted SignedPermutation instances
+
+class SheafGroup:
+    """The group of sign-compatible signed permutations of a sign matrix.
+
+    Held either as the coset representatives of a stabilizer chain on the
+    base 0..n-1 (``levels``, as returned by ``graph.stabilizer_chain``) or as
+    an explicit tuple of elements.  The group always contains ±id, the
+    kernel of its map to S_n, so |G| = 2 * n_sigma.
+    """
+
+    def __init__(self, ambient: SignMatrix, elements=None, levels=None):
+        if (elements is None) == (levels is None):
+            raise ValueError("give either the elements or the chain levels")
+        self.ambient = ambient
+        self.levels = levels
+        self._elements = elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        if self.levels is None:
+            return len(self._elements)
+        return 2 * math.prod(len(level) for level in self.levels)
 
     @property
     def n_sigma(self) -> int:
         """Number of distinct underlying permutations."""
-        return len({el.sigma.images for el in self.elements})
+        return self.order // 2
+
+    @property
+    def generators(self) -> tuple:
+        """Elements that generate the group together with -id: the coset
+        representatives, or every listed element."""
+        if self.levels is None:
+            return self._elements
+        return tuple(_from_bits(*u) for level in self.levels for u in level)
+
+    @property
+    def elements(self) -> tuple:
+        """Every element, sorted; built on first use from ± each product of
+        coset representatives."""
+        if self._elements is None:
+            signed = []
+            for sigma, sbits in chain_products(self.levels):
+                nu = tuple(-1 if b else 1 for b in sbits)
+                signed.append((sigma, nu))
+                signed.append((sigma, tuple(-v for v in nu)))
+            signed.sort()
+            self._elements = tuple(
+                SignedPermutation(Permutation(sigma), nu) for sigma, nu in signed
+            )
+        return self._elements
 
     def __contains__(self, el: SignedPermutation) -> bool:
-        return el in set(self.elements)
+        if self.levels is None:
+            return el in set(self._elements)
+        return el.is_valid(self.ambient)
 
 
 def enumerate_group(m: SignMatrix, max_n=None, naive=False) -> SheafGroup:
-    """All sign-compatible pairs for the given matrix.
+    """The sheaf group of the given matrix.
 
-    The default path backtracks over partial permutations with incremental
-    sign pruning; ``naive=True`` sweeps every (permutation, signs) pair and
-    serves as the oracle for the pruned search.
+    The default path builds the stabilizer chain, one exhaustive
+    first-solution search per candidate coset, without listing the group;
+    ``naive=True`` lists every valid (permutation, signs) pair by brute
+    force and serves as the oracle for the chain.
     """
-    n = m.n
-    bound = max_n if max_n is not None else config.enumeration_bound()
-    if n < 1:
+    if m.n < 1:
         raise ValueError("group enumeration requires n >= 1")
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds enumeration bound {bound}")
-    masks = m.linked_masks()
-    elements = []
-    # sign forcing in the pruned search needs n >= 3; below that the full
-    # sweep is only a handful of candidates anyway
-    if naive or n < 3:
-        for sigma_imgs, sbits in _backend.naive_signed_elements(masks):
-            nu = tuple(1 if b == 0 else -1 for b in sbits)
-            elements.append(SignedPermutation(Permutation(tuple(sigma_imgs)), nu))
-    else:
-        for sigma_imgs, sbits in _backend.signed_stabilizer(masks):
-            nu = tuple(1 if b == 0 else -1 for b in sbits)
-            sigma = Permutation(tuple(sigma_imgs))
-            elements.append(SignedPermutation(sigma, nu))
-            elements.append(SignedPermutation(sigma, tuple(-v for v in nu)))
+    if not naive:
+        return SheafGroup(m, levels=stabilizer_chain(m, max_n=max_n))
+    check_bound(m.n, max_n)
+    elements = [_from_bits(*el) for el in _backend.naive_signed_elements(m.linked_masks())]
     elements.sort(key=SignedPermutation.sort_key)
     return SheafGroup(m, tuple(elements))
 
@@ -175,11 +206,12 @@ def line_action(a: SignedPermutation, p: LinePartition) -> tuple:
 def orbits_on_lines(grp: SheafGroup, p: LinePartition) -> OrbitStructure:
     """Orbit partition of the line classes, plus transitivity flags.
 
-    2-transitivity is decided directly: one orbit on ordered pairs of
-    distinct lines.
+    Union-find over the images of the generators only, which -id joins
+    without moving a line.  2-transitivity is decided directly: one orbit on
+    ordered pairs of distinct lines.
     """
     m = p.m
-    actions = [line_action(el, p) for el in grp.elements]
+    actions = [line_action(el, p) for el in grp.generators]
     parent = list(range(m))
 
     def find(x):

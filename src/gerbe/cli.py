@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, poly, represent, classes, group, demo.  Exit codes:
-0 success, 1 verification/fixture failure, 2 input error, 3 enumeration
-bound exceeded.
+0 success, 1 verification/fixture failure or internal invariant violated,
+2 input error, 3 enumeration bound exceeded.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 
 from . import fixtures
 from .autgroup import enumerate_group, orbits_on_lines, realize_isometry
-from .errors import BoundExceededError, GerbeError, ParseError
+from .errors import BoundExceededError, GerbeError, InvariantError, ParseError
 from .exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
-from .graph import epsilon_matrix, graph_automorphisms, parse_graph
+from .graph import automorphism_order, epsilon_matrix, parse_graph
 from .quadspace import Representation, build_S, rank
 from .sheaf import (
     LinePartition,
@@ -91,7 +91,7 @@ def _chi_section(g):
     eps = epsilon_matrix(g)
     chi = char_poly(eps)
     factors = squarefree_decomposition(chi)
-    roots = real_roots_with_multiplicity(chi)
+    roots = real_roots_with_multiplicity(chi, factors=factors)
     return eps, chi, factors, roots
 
 
@@ -216,7 +216,7 @@ def cmd_classes(args) -> int:
 
 
 def _group_on_lines(g, c):
-    """Enumerate the sheaf group, passing to the restricted graph when
+    """Build the sheaf group, passing to the restricted graph when
     lines coincide, and return (restricted graph, partition, group)."""
     u = Representation.build(g, 1.0, float(c))
     if _exact_unit(c):
@@ -237,13 +237,12 @@ def cmd_group(args) -> int:
     if float(c) == 0.0:
         raise ValueError("c must be nonzero")
     gy, v, grp = _group_on_lines(g, c)
-    auts = graph_automorphisms(g)
     orbit_info = orbits_on_lines(grp, LinePartition.trivial(gy.n))
     payload = {
         "c": float(c),
         "n": g.n,
         "lines": gy.n,
-        "aut_graph_order": len(auts),
+        "aut_graph_order": automorphism_order(g),
         "group_order": grp.order,
         "n_sigma": grp.n_sigma,
         "group_order_mod_center": grp.order // 2,
@@ -304,8 +303,7 @@ def cmd_analyze(args) -> int:
             entry["partition"] = _partition_json(p)
             entry["linking_ok"] = lr.ok
         report["roots"].append(entry)
-    auts = graph_automorphisms(g)
-    report["aut_graph_order"] = len(auts)
+    report["aut_graph_order"] = automorphism_order(g)
     if g.n >= 3:
         grp = enumerate_group(eps)
         orbit_info = orbits_on_lines(grp, LinePartition.trivial(g.n))
@@ -319,7 +317,7 @@ def cmd_analyze(args) -> int:
     # internal consistency: rank = n - multiplicity for every root
     for entry in report["roots"]:
         if entry["rank"] != g.n - entry["multiplicity"]:
-            raise AssertionError("rank law violated in report")
+            raise InvariantError("rank law violated in report")
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -361,7 +359,7 @@ def run_demo(corrupt=None):
             roots_ok = roots_ok and rec.multiplicity == mult
             r = rank(build_S(eps, 1.0, float(val)))
             ranks_ok = ranks_ok and r == expected_rank
-        aut_ok = len(graph_automorphisms(g)) == fx.aut_order
+        aut_ok = automorphism_order(g) == fx.aut_order
         grp = enumerate_group(eps)
         group_ok = grp.order == fx.group_order
         orbit_info = orbits_on_lines(grp, LinePartition.trivial(g.n))
@@ -456,6 +454,9 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except InvariantError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, OSError, GerbeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,7 +18,8 @@ ROOT_INTERVAL_WIDTH = 1e-12
 
 
 def enumeration_bound() -> int:
-    """Maximum vertex count for group enumerations (env: GERBE_MAX_N)."""
+    """Maximum vertex count for group analysis and element listing
+    (env: GERBE_MAX_N)."""
     raw = os.environ.get("GERBE_MAX_N")
     if raw is None:
         return DEFAULT_MAX_N

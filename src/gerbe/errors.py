@@ -5,6 +5,11 @@ class GerbeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvariantError(GerbeError):
+    """A result failed an internal consistency check: a defect in the
+    package, not in its input."""
+
+
 class ParseError(GerbeError):
     """Malformed graph file input."""
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
+from .errors import InvariantError
 from .graph import SignMatrix
 
 
@@ -164,7 +165,7 @@ def char_poly(m: SignMatrix) -> IntPolynomial:
         prod = minus_a @ mk
         c, r = divmod(-int(prod.trace()), k)
         if r:
-            raise AssertionError(f"Faddeev-LeVerrier trace is not divisible by {k}")
+            raise InvariantError(f"Faddeev-LeVerrier trace is not divisible by {k}")
         coeffs.append(c)
         mk = prod + c * ident
     return IntPolynomial.from_coeffs(coeffs)
@@ -437,21 +438,24 @@ def _refine(f: IntPolynomial, lo: Fraction, hi: Fraction, seed, width: Fraction)
     return None, (lo, hi)
 
 
-def real_roots_with_multiplicity(p: IntPolynomial, interval_width=None) -> list:
+def real_roots_with_multiplicity(p: IntPolynomial, interval_width=None, factors=None) -> list:
     """Every real root of p, once each, with its exact multiplicity.
 
     Each square-free factor's roots are isolated from float seeds, or by
     Sturm chains when the seeds do not certify, then refined exactly:
     rational roots come out exact, irrational roots with a certified
     isolating interval narrower than ``interval_width`` (default from
-    config) plus a float approximation.
+    config) plus a float approximation.  ``factors``, when given, must be
+    ``squarefree_decomposition(p)``; it saves computing it again.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     width = interval_width if interval_width is not None else config.ROOT_INTERVAL_WIDTH
     width = Fraction(width).limit_denominator(10**18)
     records = []
-    for factor, mult in squarefree_decomposition(p):
+    if factors is None:
+        factors = squarefree_decomposition(p)
+    for factor, mult in factors:
         for lo, hi, seed in _seeded_cells(factor) or _sturm_cells(factor):
             exact, interval = _refine(factor, lo, hi, seed, width)
             value = exact if interval is None else (interval[0] + interval[1]) / 2

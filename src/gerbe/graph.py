@@ -1,4 +1,5 @@
-"""Graph data model, sign matrices and graph automorphisms.
+"""Graph data model, sign matrices, and the stabilizer chains of graph
+automorphisms and of sign-compatible signed permutations.
 
 Vertices are 0-based everywhere inside the library; the 1-based convention
 of the file format and the CLI is translated at the parse/print boundary.
@@ -6,11 +7,12 @@ of the file format and the CLI is translated at the parse/print boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
+from . import _backend, config
 from .errors import BoundExceededError, ParseError
 
 
@@ -41,13 +43,6 @@ class Graph:
         if i == j:
             return False
         return (min(i, j), max(i, j)) in self.edges
-
-    def degrees(self) -> list:
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
@@ -215,41 +210,84 @@ def conjugate_matrix(s: Permutation, m: SignMatrix) -> SignMatrix:
     return SignMatrix(out)
 
 
-def graph_automorphisms(g: Graph, max_n=None) -> list:
-    """All permutations preserving the edge set, by backtracking search.
-
-    Degree-sequence pruning plus incremental adjacency checks; fine for the
-    desk-scale graphs this library targets.
-    """
+def check_bound(n, max_n=None):
+    """Refuse a group search or listing on more than ``max_n`` vertices
+    (default: the configured enumeration bound)."""
     bound = max_n if max_n is not None else config.enumeration_bound()
-    if g.n > bound:
-        raise BoundExceededError(f"n={g.n} exceeds enumeration bound {bound}")
-    n = g.n
-    deg = g.degrees()
-    adj = [[g.linked(i, j) for j in range(n)] for i in range(n)]
-    images = [-1] * n
-    used = [False] * n
-    found = []
+    if n > bound:
+        raise BoundExceededError(f"n={n} exceeds enumeration bound {bound}")
 
-    def rec(v):
-        if v == n:
-            found.append(Permutation(tuple(images)))
-            return
-        for cand in range(n):
-            if used[cand] or deg[cand] != deg[v]:
-                continue
-            ok = True
-            for w in range(v):
-                if adj[v][w] != adj[cand][images[w]]:
-                    ok = False
-                    break
-            if ok:
-                images[v] = cand
-                used[cand] = True
-                rec(v + 1)
-                used[cand] = False
-        images[v] = -1
 
-    rec(0)
-    found.sort(key=lambda p: p.images)
-    return found
+def stabilizer_chain(m: SignMatrix, signed=True, max_n=None) -> list:
+    """Coset representatives of a stabilizer chain on the base 0..n-1.
+
+    The group is that of the sign-compatible signed permutations of m or,
+    with ``signed=False``, the automorphism group of the graph of m.  Level
+    t holds one kernel solution (sigma, sbits) for each point b of the basic
+    orbit Delta_t: sigma fixes 0..t-1 and sends t to b.  Each b > t whose
+    vertex invariants match those of t costs one exhaustive first-solution
+    search, so Delta_t is exactly the set of b that succeed; the identity
+    stands for b = t.  The group order is prod |Delta_t|, twice that in the
+    signed case, where G -> S_n has kernel {±id}.
+    """
+    n = m.n
+    check_bound(n, max_n)
+    masks = m.linked_masks()
+    inv = _vertex_invariants(masks, signed)
+    base = tuple(range(n))
+    levels = []
+    for t in range(n):
+        level = [(base, (0,) * n)]
+        for b in range(t + 1, n):
+            if inv[b] != inv[t]:
+                continue  # no element sends t to b
+            level += _backend.signed_stabilizer(
+                masks, base[:t] + (b,), first=True, signed=signed
+            )
+        levels.append(level)
+    return levels
+
+
+def _vertex_invariants(masks, signed) -> list:
+    """Per-vertex values that every group element preserves: the number of
+    triangles {i, j, k} through i with e_ij e_ik e_jk = -1, which switching
+    leaves alone, and in the unsigned case also the degree."""
+    n = len(masks)
+    full = (1 << n) - 1
+    out = []
+    for i, mi in enumerate(masks):
+        odd = 0
+        for j in range(n):
+            if j != i:
+                row = masks[j] ^ mi ^ (full if (mi >> j) & 1 else 0)
+                odd += (row & ~(1 << i) & ~(1 << j)).bit_count()
+        out.append((odd // 2, 0 if signed else mi.bit_count()))
+    return out
+
+
+def chain_products(levels) -> list:
+    """The products u_0 u_1 ... u_{n-1}, one u_t from each level of a
+    stabilizer chain, as (sigma, sbits) pairs.  Each element of the group
+    (one of each ± pair, in the signed case) arises exactly once."""
+    n = len(levels)
+    out = [(tuple(range(n)), (0,) * n)]
+    for level in reversed(levels):
+        out = [
+            (tuple(us[j] for j in hs), tuple(ub[j] ^ hb[i] for i, j in enumerate(hs)))
+            for us, ub in level
+            for hs, hb in out
+        ]
+    return out
+
+
+def automorphism_order(g: Graph, max_n=None) -> int:
+    """|Aut g|, the product of the basic orbit lengths, without listing."""
+    levels = stabilizer_chain(epsilon_matrix(g), signed=False, max_n=max_n)
+    return math.prod(len(level) for level in levels)
+
+
+def graph_automorphisms(g: Graph, max_n=None) -> list:
+    """All permutations preserving the edge set, sorted by their images:
+    the products of the unsigned stabilizer chain's coset representatives."""
+    levels = stabilizer_chain(epsilon_matrix(g), signed=False, max_n=max_n)
+    return [Permutation(s) for s in sorted(s for s, _ in chain_products(levels))]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .errors import TrivialRepresentationError
+from .errors import InvariantError, TrivialRepresentationError
 from .graph import Graph, SignMatrix, epsilon_matrix
 from .quadspace import Representation
 
@@ -108,7 +108,7 @@ def line_classes(u: Representation, tol=None) -> LinePartition:
             epsilon_matrix(u.graph), int(u.c)
         )
         if combinatorial != part:
-            raise AssertionError(
+            raise InvariantError(
                 "numeric line partition disagrees with the exact sign-matrix partition"
             )
     return part
@@ -164,7 +164,7 @@ def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
     # the restricted system must carry the same set of lines
     _check_same_lines(u, v)
     if not v.is_reduced():
-        raise AssertionError("restriction lost rank; input was not reduced")
+        raise InvariantError("restriction lost rank; input was not reduced")
     return gy, v
 
 
@@ -182,7 +182,7 @@ def _check_same_lines(u: Representation, v: Representation, tol=None):
                 matched = True
                 break
         if not matched:
-            raise AssertionError(f"line of vertex {i} missing after restriction")
+            raise InvariantError(f"line of vertex {i} missing after restriction")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 import itertools
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gerbe import _kernels_py, cli
 from gerbe.autgroup import (
     SheafGroup,
     SignedPermutation,
@@ -18,7 +22,15 @@ from gerbe.autgroup import (
 )
 from gerbe.errors import BoundExceededError
 from gerbe.fixtures import PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
-from gerbe.graph import Graph, Permutation, epsilon_matrix, graph_automorphisms
+from gerbe.graph import (
+    Graph,
+    Permutation,
+    SignMatrix,
+    automorphism_order,
+    conjugate_matrix,
+    epsilon_matrix,
+    graph_automorphisms,
+)
 from gerbe.quadspace import Representation
 from gerbe.sheaf import LinePartition
 
@@ -258,3 +270,93 @@ class TestGroupLawMatchesIsometries:
             for other in seen:
                 assert np.abs(f - other).max() > 1e-6
             seen.append(f)
+
+
+def clebsch():
+    """Folded 5-cube: 4-bit words linked at Hamming distance 1 or 4."""
+    return Graph.from_edges(16, [(a, b) for a, b in itertools.combinations(range(16), 2)
+                                 if bin(a ^ b).count("1") in (1, 4)])
+
+
+def triangular(k):
+    """T(k): the 2-subsets of a k-set, linked when they meet."""
+    verts = list(itertools.combinations(range(k), 2))
+    return Graph.from_edges(len(verts), [
+        (a, b) for a, b in itertools.combinations(range(len(verts)), 2)
+        if set(verts[a]) & set(verts[b])
+    ])
+
+
+class TestStabilizerChain:
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_naive_enumeration(self, n, seed):
+        g = random_graph(random.Random(seed), n)
+        m = epsilon_matrix(g)
+        chain, naive = enumerate_group(m), enumerate_group(m, naive=True)
+        assert chain.order == naive.order
+        assert chain.n_sigma == len({el.sigma.images for el in naive.elements})
+        p = LinePartition.trivial(n)
+        assert orbits_on_lines(chain, p) == orbits_on_lines(naive, p)
+        auts = [s for s in itertools.permutations(range(n))
+                if all(g.linked(s[i], s[j]) == g.linked(i, j)
+                       for i, j in itertools.combinations(range(n), 2))]
+        assert automorphism_order(g) == len(auts)
+        assert [a.images for a in graph_automorphisms(g)] == auts
+
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_switching_and_relabelling_invariance(self, n, seed):
+        rng = random.Random(seed)
+        m = epsilon_matrix(random_graph(rng, n))
+        d = np.array([rng.choice((-1, 1)) for _ in range(n)])
+        images = list(range(n))
+        rng.shuffle(images)
+        m2 = conjugate_matrix(Permutation(tuple(images)),
+                              SignMatrix(m.entries * np.outer(d, d)))
+        g1, g2 = enumerate_group(m), enumerate_group(m2)
+        assert g1.order == g2.order
+        p = LinePartition.trivial(n)
+        o1, o2 = orbits_on_lines(g1, p), orbits_on_lines(g2, p)
+        assert sorted(map(len, o1.orbits)) == sorted(map(len, o2.orbits))
+        assert o1.is_2_transitive == o2.is_2_transitive
+
+    @pytest.mark.parametrize("g, order", [(clebsch(), 23040), (triangular(8), 2903040)])
+    def test_lemmens_seidel_systems(self, g, order):
+        grp = enumerate_group(epsilon_matrix(g), max_n=g.n)
+        assert grp.order == order
+        assert grp.n_sigma == order // 2
+        info = orbits_on_lines(grp, LinePartition.trivial(g.n))
+        assert info.is_2_transitive
+
+    def test_kernel_modes(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            masks = epsilon_matrix(random_graph(rng, n)).linked_masks()
+            full = _kernels_py.signed_stabilizer(masks)
+            for prefix in itertools.permutations(range(n), min(n, 2)):
+                want = [sol for sol in full if sol[0][:len(prefix)] == prefix]
+                assert _kernels_py.signed_stabilizer(masks, prefix) == want
+                assert _kernels_py.signed_stabilizer(masks, prefix, first=True) == want[:1]
+            assert _kernels_py.signed_stabilizer(masks, signed=False) == [
+                sol for sol in full if not any(sol[1])
+            ]
+
+    def test_membership_and_listing(self):
+        grp = enumerate_group(epsilon_matrix(triangular(4)))
+        assert len(grp.elements) == grp.order == len(set(grp.elements))
+        assert all(el in grp for el in grp.elements)
+        outside = SignedPermutation(Permutation((1, 0, 2, 3, 4, 5)), (1,) * 6)
+        assert not outside.is_valid(grp.ambient)
+        assert outside not in grp
+
+    def test_cli_edgeless_ten(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GERBE_MAX_N", raising=False)
+        p = tmp_path / "edgeless10.txt"
+        p.write_text("10\n")
+        assert cli.main(["group", str(p), "--c=-1/9", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["group_order"] == 7257600
+        assert payload["aut_graph_order"] == 3628800
+        assert payload["is_2_transitive"] is True

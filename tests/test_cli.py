@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gerbe import cli
+from gerbe import cli, exactpoly
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
 PENTAGON_TXT = "5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
@@ -202,6 +202,28 @@ class TestAnalyze:
         code, out, _ = run(["analyze", pentagon_file], capsys)
         assert code == 0
         assert "|G| = 20" in out
+
+    def test_rank_law_violation_exits_one(self, square_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "rank", lambda *args, **kwargs: -1)
+        code, _, err = run(["analyze", square_file, "--json"], capsys)
+        assert code == 1
+        assert "internal invariant violated" in err
+        assert "Traceback" not in err
+
+    def test_squarefree_decomposition_runs_once(self, pentagon_file, capsys, monkeypatch):
+        # chi of the pentagon is (5x^2 - 1)^2, so the decomposition runs Yun
+        calls = []
+        original = exactpoly.squarefree_decomposition
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(exactpoly, "squarefree_decomposition", counted)
+        monkeypatch.setattr(cli, "squarefree_decomposition", counted)
+        code, _, _ = run(["analyze", pentagon_file, "--json"], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestDemo:
