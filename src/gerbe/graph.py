@@ -280,9 +280,9 @@ def chain_products(levels) -> list:
     return out
 
 
-def automorphism_order(g: Graph, max_n=None) -> int:
+def automorphism_order(g: Graph) -> int:
     """|Aut g|, the product of the basic orbit lengths, without listing."""
-    levels = stabilizer_chain(epsilon_matrix(g), signed=False, max_n=max_n)
+    levels = stabilizer_chain(epsilon_matrix(g), signed=False)
     return math.prod(len(level) for level in levels)
 
 
