@@ -1,15 +1,5 @@
-from setuptools import Extension, setup
+"""Build script: the package is pure Python, declared in pyproject.toml."""
 
-# The compiled kernel is optional: the package falls back to the pure-Python
-# implementation in gerbe._kernels_py when the extension is absent.
-try:
-    from Cython.Build import cythonize
+from setuptools import setup
 
-    ext_modules = cythonize(
-        [Extension("gerbe._speedups", ["src/gerbe/_speedups.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

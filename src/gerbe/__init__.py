@@ -4,6 +4,7 @@ Construct the representations of a finite simple graph in quadratic
 spaces, compute the exact characteristic polynomial controlling their
 degrees, and build the signed-permutation group of isometries
 stabilizing the associated sheaf of lines from a stabilizer chain.
+Pure Python on numpy: ``backend_name()`` is always ``"python"``.
 """
 
 from ._backend import backend_name

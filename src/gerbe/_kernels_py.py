@@ -1,19 +1,21 @@
-"""Pure-Python compute kernels.
+"""Compute kernels: the hot loops of the package.
 
-Hot loops of the package: the search for sign-compatible permutations and
-the exhaustive linking sweep over all labeled graphs of a given size.  The
-compiled twin in ``_speedups`` implements the same interface, except that
-its ``signed_stabilizer`` has only the full search; ``_backend`` selects
-one at import time.
-
-Graphs are passed around as row bitmasks: bit j of mask i is set when the
-sign-matrix entry (i, j) is -1.  Sign vectors use bits too: bit value 1
-stands for the sign -1.
+The search for sign-compatible permutations and its brute-force oracle
+take a graph as row bitmasks: bit j of mask i is set when the sign-matrix
+entry (i, j) is -1.  Sign vectors use bits too: bit value 1 stands for the
+sign -1.  The exhaustive linking sweep works on chunks of graphs at once,
+as boolean adjacency tensors ``A[B, n, n]``.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
+# graphs per chunk of the linking sweep: about 2 MB of tables at n = 7;
+# 2^15 takes 14 MB and is no faster, 2^10 is slower by its per-chunk cost
+_CHUNK = 1 << 12
 
 
 def signed_stabilizer(masks, prefix=(), first=False, signed=True):
@@ -90,121 +92,80 @@ def naive_signed_elements(masks):
     return out
 
 
-def _partition_masks(masks, n, cbit):
-    """Line partition at c = ±1 from row bitmasks.
+def _batch_graphs(n, start, stop):
+    """Adjacency tensors [B, n, n] of the graphs with edge masks
+    start..stop-1: bit b of a mask is the b-th pair (i, j), i < j, in
+    row-major order."""
+    iu, ju = np.triu_indices(n, 1)
+    em = np.arange(start, stop, dtype=np.min_scalar_type(stop))
+    bits = (em[:, None] >> np.arange(len(iu), dtype=em.dtype)) & 1
+    a = np.zeros((len(em), n, n), dtype=bool)
+    a[:, iu, ju] = bits
+    a[:, ju, iu] = bits
+    return a
 
-    cbit is 0 for c = +1 and 1 for c = -1.  Returns (reps, pi, sbits).
+
+def _row_bits(n):
+    """The bits 1 << k, k < n, in the smallest unsigned dtype holding n
+    bits; ``a @ bits`` turns adjacency rows into row bitmasks."""
+    return (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+
+
+def _batch_partition(a, cbit):
+    """Line partition at c = ±1 of each graph in a batch.
+
+    cbit is 0 for c = +1 and 1 for c = -1.  Returns (rep, sbit), both
+    [B, n]: the representative of each vertex, the least r whose row agrees
+    with the vertex's row away from the two of them up to the sign bit
+    a[r, i] ^ cbit, and that sign bit.  Proportional rows of S(1, c) form an
+    equivalence relation, so the least such r is the least vertex of the
+    class.
     """
-    full = (1 << n) - 1
-    pi = [-1] * n
-    sbits = [0] * n
-    reps = []
-    for i in range(n):
-        assigned = False
-        for j, r in enumerate(reps):
-            sb = ((masks[r] >> i) & 1) ^ cbit  # 0 for +, 1 for -
-            rest = full & ~(1 << r) & ~(1 << i)
-            diff = (masks[r] ^ masks[i]) & rest
-            if (sb == 0 and diff == 0) or (sb == 1 and diff == rest):
-                pi[i] = j
-                sbits[i] = sb
-                assigned = True
-                break
-        if not assigned:
-            pi[i] = len(reps)
-            reps.append(i)
-    return reps, pi, sbits
+    n = a.shape[1]
+    eye = np.eye(n, dtype=bool)
+    sb = a ^ (bool(cbit) & ~eye)  # a vertex is its own representative, sign +
+    bit = _row_bits(n)
+    rows = a @ bit
+    away = bit.sum(dtype=bit.dtype) - (bit[:, None] | bit[None, :])  # k not in {r, i}
+    diff = (rows[:, :, None] ^ rows[:, None, :]) & away  # [B, r, i]
+    match = diff == away * sb
+    match &= np.triu(~eye)  # r < i only
+    match |= eye
+    rep = match.argmax(axis=1)
+    sbit = np.take_along_axis(sb, rep[:, None, :], axis=1)[:, 0, :]
+    return rep, sbit
 
 
-def linking_check(masks, n, c) -> bool:
-    """Verify the all-or-nothing/cross-class/within-class linking rules for
-    one graph at c = ±1.  True when every rule holds."""
-    cbit = 0 if c == 1 else 1
-    reps, pi, sbits = _partition_masks(masks, n, cbit)
-    m = len(reps)
-    # signed block bitmasks, indexed 2*j + sbit
-    blocks = [0] * (2 * m)
-    for i in range(n):
-        blocks[2 * pi[i] + sbits[i]] |= 1 << i
+def _batch_rules(a, rep, sbit, cbit):
+    """Per-graph verdicts of the three linking rules at c = ±1.
 
-    def status(a, b):
-        # 2 = all, 0 = none, -1 = mixed, None = no pairs
-        seen_all = seen_none = False
-        x = a
-        while x:
-            lo = x & (-x)
-            i = lo.bit_length() - 1
-            x ^= lo
-            bb = b & ~lo
-            if bb == 0:
-                continue
-            v = masks[i] & bb
-            if v == bb:
-                seen_all = True
-            elif v == 0:
-                seen_none = True
-            else:
-                return -1
-        if seen_all and seen_none:
-            return -1
-        if seen_all:
-            return 2
-        if seen_none:
-            return 0
-        return None
-
-    stat = {}
-    for a in range(2 * m):
-        if blocks[a] == 0:
-            continue
-        for b in range(a, 2 * m):
-            if blocks[b] == 0:
-                continue
-            st = status(blocks[a], blocks[b])
-            if st == -1:
-                return False
-            stat[(a, b)] = st
-            stat[(b, a)] = st
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            props = []
-            for (sa, sb, want) in ((0, 0, 2), (0, 1, 0), (1, 0, 0), (1, 1, 2)):
-                st = stat.get((2 * i + sa, 2 * j + sb))
-                if st is not None:
-                    props.append(st == want)
-            if props and any(props) and not all(props):
-                return False
-
-    same = 0 if c == 1 else 2
-    opposite = 2 if c == 1 else 0
-    for j in range(m):
-        for sb in (0, 1):
-            st = stat.get((2 * j + sb, 2 * j + sb))
-            if st is not None and st != same:
-                return False
-        st = stat.get((2 * j, 2 * j + 1))
-        if st is not None and st != opposite:
-            return False
-    return True
+    With t = a ^ s_x ^ s_y, the all-or-nothing, cross-class and
+    within-class rules together say: t[x, y] = cbit for x != y in one
+    class, and t[x, y] = t[rep x, rep y] for x, y in different classes.
+    As t is symmetric, the second is row x of t agreeing with row rep x
+    outside the class of x; both are checked on row bitmasks.
+    """
+    n = a.shape[1]
+    bit = _row_bits(n)
+    full = bit.sum(dtype=bit.dtype)
+    t = (a @ bit) ^ (sbit @ bit)[:, None] ^ (sbit * full)  # rows of t
+    cls = (rep[:, :, None] == rep[:, None, :]) @ bit  # the class of x
+    within = (t ^ (full * cbit)) & cls & ~bit
+    cross = (t ^ np.take_along_axis(t, rep, axis=1)) & ~cls
+    return ~(within | cross).any(axis=1)
 
 
 def linking_sweep(n, c):
-    """Run linking_check over every labeled graph on n vertices.
+    """Check the linking rules at c = ±1 on every labeled graph on n >= 1
+    vertices, a chunk of graphs at a time.
 
     Returns (graph_count, failure_count).
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    npairs = len(pairs)
+    cbit = 0 if c == 1 else 1
+    total = 1 << (n * (n - 1) // 2)
     failures = 0
-    total = 1 << npairs
-    for em in range(total):
-        masks = [0] * n
-        for b in range(npairs):
-            if (em >> b) & 1:
-                i, j = pairs[b]
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-        if not linking_check(masks, n, c):
-            failures += 1
+    for start in range(0, total, _CHUNK):
+        a = _batch_graphs(n, start, min(start + _CHUNK, total))
+        rep, sbit = _batch_partition(a, cbit)
+        failures += int(np.count_nonzero(~_batch_rules(a, rep, sbit, cbit)))
     return total, failures

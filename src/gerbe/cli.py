@@ -2,7 +2,7 @@
 
 Subcommands: analyze, poly, represent, classes, group, demo.  Exit codes:
 0 success, 1 verification/fixture failure or internal invariant violated,
-2 input error, 3 enumeration bound exceeded.
+2 input error, 3 vertex, enumeration or listing bound exceeded.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fixtures
+from . import config, fixtures
 from .autgroup import enumerate_group, orbits_on_lines, realize_isometry
 from .errors import BoundExceededError, GerbeError, InvariantError, ParseError
 from .exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
@@ -237,6 +237,11 @@ def cmd_group(args) -> int:
     if float(c) == 0.0:
         raise ValueError("c must be nonzero")
     gy, v, grp = _group_on_lines(g, c)
+    if args.realize and grp.order > config.MAX_REALIZE_ORDER:
+        raise BoundExceededError(
+            f"|G| = {grp.order} exceeds the --realize listing bound "
+            f"{config.MAX_REALIZE_ORDER}"
+        )
     orbit_info = orbits_on_lines(grp, LinePartition.trivial(gy.n))
     payload = {
         "c": float(c),
@@ -433,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--omega", default="1", help="parameter omega (default 1)")
     pr.add_argument("--csv", help="write vectors to this CSV file")
     pg.add_argument("--realize", action="store_true",
-                    help="also emit the isometry matrices")
+                    help="also emit the isometry matrices "
+                         f"(|G| at most {config.MAX_REALIZE_ORDER})")
     pg.add_argument("--csv", help="write realized matrices to this CSV file")
 
     pd = sub.add_parser("demo", help="run the built-in regression fixtures")

@@ -134,8 +134,8 @@ def parse_graph(text: str) -> Graph:
     """Parse the text graph format.
 
     Lines starting with '#' are comments.  The first significant line is the
-    vertex count n; every following significant line is an edge "i j" with
-    1-based endpoints.
+    vertex count n, at most ``config.MAX_VERTICES``; every following
+    significant line is an edge "i j" with 1-based endpoints.
     """
     lines = []
     for raw in text.splitlines():
@@ -151,6 +151,8 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"vertex count is not an integer: {lines[0]!r}") from None
     if n < 1:
         raise ParseError(f"vertex count must be >= 1, got {n}")
+    if n > config.MAX_VERTICES:
+        raise BoundExceededError(f"n={n} exceeds the vertex bound {config.MAX_VERTICES}")
     edges = set()
     for line in lines[1:]:
         parts = line.split()

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -360,3 +361,18 @@ class TestStabilizerChain:
         assert payload["group_order"] == 7257600
         assert payload["aut_graph_order"] == 3628800
         assert payload["is_2_transitive"] is True
+
+    def test_cli_realize_capped(self, tmp_path, capsys, monkeypatch):
+        # |G| = 7,257,600 is known from the chain; --realize must refuse it
+        # before listing a single element
+        def refuse(self):
+            raise AssertionError("group listed")
+
+        monkeypatch.delenv("GERBE_MAX_N", raising=False)
+        monkeypatch.setattr(SheafGroup, "elements", property(refuse))
+        p = tmp_path / "edgeless10.txt"
+        p.write_text("10\n")
+        t0 = time.perf_counter()
+        assert cli.main(["group", str(p), "--c=-1/9", "--realize"]) == 3
+        assert time.perf_counter() - t0 < 10.0
+        assert "--realize listing bound" in capsys.readouterr().err

@@ -264,6 +264,18 @@ class TestInputErrors:
         code, _, _ = run(["poly", str(p)], capsys)
         assert code == 2
 
+    def test_vertex_bound_exits_three(self, tmp_path, capsys, monkeypatch):
+        # refused at parse time: nothing of size n or n^2 is built
+        def refuse(g):
+            raise AssertionError("epsilon_matrix reached")
+
+        monkeypatch.setattr(cli, "epsilon_matrix", refuse)
+        p = tmp_path / "huge.txt"
+        p.write_text("1000000000\n")
+        code, _, err = run(["poly", str(p)], capsys)
+        assert code == 3
+        assert "vertex bound" in err
+
     def test_bad_rational(self, square_file, capsys):
         code, _, err = run(["classes", square_file, "--c", "abc"], capsys)
         assert code == 2

@@ -17,7 +17,7 @@ from gerbe.exactpoly import (
     squarefree_decomposition,
 )
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
-from gerbe.graph import Graph, SignMatrix, epsilon_matrix
+from gerbe.graph import Graph, Permutation, SignMatrix, conjugate_matrix, epsilon_matrix
 
 
 def P(*coeffs):
@@ -123,6 +123,20 @@ class TestCharPoly:
         for _ in range(8):
             a, b = rng.randint(-9, 9), rng.randint(1, 9)
             assert chi(Fraction(a, b)) == Fraction(scaled_det(m, a, b), b**n)
+
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_switching_and_relabelling_invariance(self, n, seed):
+        # switching a vertex set is the similarity D S D, relabelling is
+        # P S P^T; neither changes det S(1, x)
+        rng = random.Random(seed)
+        m = random_sign_matrix(rng, n)
+        d = np.array([rng.choice((-1, 1)) for _ in range(n)])
+        images = list(range(n))
+        rng.shuffle(images)
+        m2 = conjugate_matrix(Permutation(tuple(images)),
+                              SignMatrix(m.entries * np.outer(d, d)))
+        assert char_poly(m2).coeffs == char_poly(m).coeffs
 
 
 class TestSquarefree:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerbe import config
 from gerbe.errors import BoundExceededError, ParseError
 from gerbe.graph import (
     Graph,
@@ -78,6 +79,13 @@ class TestParse:
     def test_roundtrip(self):
         g = parse_graph(SQUARE)
         assert parse_graph(format_graph(g)) == g
+
+    def test_vertex_bound(self):
+        assert parse_graph(f"{config.MAX_VERTICES}\n").n == config.MAX_VERTICES
+        with pytest.raises(BoundExceededError, match="vertex bound"):
+            parse_graph(f"{config.MAX_VERTICES + 1}\n")
+        with pytest.raises(BoundExceededError):
+            parse_graph("1000000000\n")
 
 
 class TestEpsilonMatrix:
