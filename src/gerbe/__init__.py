@@ -16,6 +16,7 @@ from .autgroup import (
     extend_signs,
     inverse,
     orbits_on_lines,
+    realize_isometries,
     realize_isometry,
 )
 from .exactpoly import (

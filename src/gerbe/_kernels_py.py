@@ -161,6 +161,8 @@ def linking_sweep(n, c):
 
     Returns (graph_count, failure_count).
     """
+    if c not in (1, -1):
+        raise ValueError("linking rules apply only at c = ±1")
     cbit = 0 if c == 1 else 1
     total = 1 << (n * (n - 1) // 2)
     failures = 0

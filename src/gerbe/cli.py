@@ -15,8 +15,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import config, fixtures
-from .autgroup import enumerate_group, orbits_on_lines, realize_isometry
-from .errors import BoundExceededError, GerbeError, InvariantError, ParseError
+from .autgroup import enumerate_group, orbits_on_lines, realize_isometries
+from .errors import (
+    BoundExceededError,
+    DeficientSpanError,
+    GerbeError,
+    GramMismatchError,
+    InvariantError,
+    ParseError,
+)
 from .exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from .graph import automorphism_order, epsilon_matrix, parse_graph
 from .quadspace import Representation, build_S, rank
@@ -256,7 +263,12 @@ def cmd_group(args) -> int:
         "is_2_transitive": orbit_info.is_2_transitive,
     }
     if args.realize:
-        mats = [realize_isometry(el, v) for el in grp.elements]
+        try:
+            mats = realize_isometries(grp.elements, v).tolist()
+        except (GramMismatchError, DeficientSpanError) as exc:
+            # the elements come from the group's own chain: a failure here
+            # is a defect, not bad input
+            raise InvariantError(f"sheaf group element is not an isometry: {exc}") from exc
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 for mat in mats:
@@ -264,9 +276,7 @@ def cmd_group(args) -> int:
                         fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
                     fh.write("\n")
         else:
-            payload["isometries"] = [
-                [[float(x) for x in row] for row in mat] for mat in mats
-            ]
+            payload["isometries"] = mats
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -277,6 +287,10 @@ def cmd_group(args) -> int:
         print(f"orbits on lines: {payload['orbits']}")
         print(f"transitive: {payload['is_transitive']}  "
               f"2-transitive: {payload['is_2_transitive']}")
+        for k, mat in enumerate(payload.get("isometries", ()), 1):
+            print(f"isometry {k}:")
+            for row in mat:
+                print("  " + " ".join(f"{x + 0.0:.12g}" for x in row))  # no -0
     return EXIT_OK
 
 

@@ -202,21 +202,30 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     """The linear map f with f(u_i) = v_i, given equal Gram matrices.
 
     Both systems must be reduced (their vectors span the spaces, which have
-    equal dimension).  Returns the dim x dim matrix of f; raises
-    GramMismatchError or DeficientSpanError otherwise.
+    equal dimension).  ``u_vectors`` is n x r.  ``v_vectors`` is one n x r
+    target system, or a stack of k of them (k x n x r); a stack shares the
+    Gram matrix of u, its pivot basis and one batched solve, and each of its
+    targets passes the same checks as a single one.  Returns the r x r
+    matrix of f, or the k x r x r stack of them; raises GramMismatchError or
+    DeficientSpanError if any target fails.
     """
     t = tol if tol is not None else config.ISOMETRY_TOL
     u_vectors = np.asarray(u_vectors, dtype=float)
     v_vectors = np.asarray(v_vectors, dtype=float)
+    single = v_vectors.ndim == 2
+    v = v_vectors[None] if single else v_vectors
     gu = space_u.gram(u_vectors)
-    gv = space_v.gram(v_vectors)
-    if gu.shape != gv.shape or np.abs(gu - gv).max() > t:
+    gv = np.einsum("kis,kjs->kij", v * np.array(space_v.signs, dtype=float), v)
+    if gv.shape[1:] != gu.shape:
+        raise GramMismatchError("input systems have different Gram matrices")
+    gv -= gu  # in place: the k x n x n stack is the largest array here
+    if np.abs(gv, out=gv).max(initial=0.0) > t:
         raise GramMismatchError("input systems have different Gram matrices")
     r = space_u.dim
     if space_v.dim != r:
         raise DeficientSpanError("spaces have different dimensions")
     if r == 0:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0) if single else (len(v), 0, 0))
     pivots = _pivot_rows(gu, config.PIVOT_TOL)
     if len(pivots) < r:
         raise DeficientSpanError(
@@ -224,13 +233,15 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
         )
     pivots = pivots[:r]
     basis_u = u_vectors[pivots]  # r x r
-    basis_v = v_vectors[pivots]
     try:
-        f = np.linalg.solve(basis_u, basis_v).T
+        sol = np.linalg.solve(basis_u[None], v[:, pivots, :])  # k x r x r
     except np.linalg.LinAlgError:
         raise DeficientSpanError("selected basis is numerically singular") from None
-    scale = max(1.0, float(np.abs(v_vectors).max()))
-    residual = np.abs(u_vectors @ f.T - v_vectors).max()
-    if residual > t * scale * 10:
-        raise GramMismatchError(f"isometry residual too large: {residual:.3g}")
-    return f
+    scale = np.maximum(1.0, np.abs(v).max(axis=(1, 2), initial=0.0))
+    diff = u_vectors @ sol
+    diff -= v
+    residual = np.abs(diff, out=diff).max(axis=(1, 2), initial=0.0)
+    if (residual > t * scale * 10).any():
+        raise GramMismatchError(f"isometry residual too large: {residual.max():.3g}")
+    f = sol.transpose(0, 2, 1)
+    return f[0] if single else f

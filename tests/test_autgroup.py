@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbe import _kernels_py, cli
+from gerbe import _kernels_py, cli, quadspace
 from gerbe.autgroup import (
+    REALIZE_CHUNK,
     SheafGroup,
     SignedPermutation,
     compose,
@@ -19,9 +20,10 @@ from gerbe.autgroup import (
     inverse,
     line_action,
     orbits_on_lines,
+    realize_isometries,
     realize_isometry,
 )
-from gerbe.errors import BoundExceededError
+from gerbe.errors import BoundExceededError, GramMismatchError
 from gerbe.fixtures import PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import (
     Graph,
@@ -32,7 +34,7 @@ from gerbe.graph import (
     epsilon_matrix,
     graph_automorphisms,
 )
-from gerbe.quadspace import Representation
+from gerbe.quadspace import Representation, isometry_between
 from gerbe.sheaf import LinePartition
 
 
@@ -205,6 +207,86 @@ class TestRealize:
         for a in grp.elements:
             for b in grp.elements:
                 assert np.abs(mats[a] @ mats[b] - mats[compose(a, b)]).max() < 1e-7
+
+
+def petersen():
+    """Kneser graph K(5,2): 2-subsets of a 5-set, linked when disjoint."""
+    verts = list(itertools.combinations(range(5), 2))
+    return Graph.from_edges(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
+                                 if not set(verts[a]) & set(verts[b])])
+
+
+REALIZED = [
+    (petersen(), 1 / 3),  # 1440 elements: two chunks
+    (POINTED_HEXAGON.graph, -1 / 5 ** 0.5),  # the smallest root of chi
+    (POINTED_HEXAGON.graph, -1 / 2),  # signature (3, 3)
+    (SQUARE.graph, -1 / 2),  # signature (3, 1)
+]
+
+
+def group_and_representation(g, c):
+    return enumerate_group(epsilon_matrix(g)), Representation.build(g, 1.0, c)
+
+
+class TestRealizeBatched:
+    @pytest.mark.parametrize("g, c", REALIZED)
+    def test_chunks_equal_single_calls_bitwise(self, g, c):
+        grp, u = group_and_representation(g, c)
+        mats = realize_isometries(grp.elements, u)
+        single = np.array([
+            isometry_between(u.vectors, [el.nu[i] * u.vectors[el.sigma(i)] for i in range(u.n)],
+                             u.space, u.space)
+            for el in grp.elements
+        ])
+        assert mats.shape == (grp.order, u.degree, u.degree)
+        assert mats.tobytes() == single.tobytes()
+        assert realize_isometry(grp.elements[-1], u).tobytes() == mats[-1].tobytes()
+
+    @pytest.mark.parametrize("g, c", REALIZED)
+    def test_defining_property_and_form(self, g, c):
+        grp, u = group_and_representation(g, c)
+        mats = realize_isometries(grp.elements, u)
+        j = np.diag(u.space.signs).astype(float)
+        for el, f in zip(grp.elements, mats):
+            targets = np.array([el.nu[i] * u.vectors[el.sigma(i)] for i in range(u.n)])
+            assert np.abs(u.vectors @ f.T - targets).max() < 1e-8
+            assert np.abs(f.T @ j @ f - j).max() < 1e-8
+
+    def test_morphism_on_random_petersen_pairs(self):
+        grp, u = group_and_representation(petersen(), 1 / 3)
+        mats = dict(zip(grp.elements, realize_isometries(grp.elements, u)))
+        rng = random.Random(41)
+        for _ in range(200):
+            a, b = rng.choice(grp.elements), rng.choice(grp.elements)
+            assert np.abs(mats[a] @ mats[b] - mats[compose(a, b)]).max() < 1e-8
+
+    def test_invalid_element_in_second_chunk(self):
+        grp, u = group_and_representation(petersen(), 1 / 3)
+        assert REALIZE_CHUNK < grp.order < 2 * REALIZE_CHUNK  # two chunks
+        swap = SignedPermutation(Permutation((1, 0) + tuple(range(2, 10))), (1,) * 10)
+        assert not swap.is_valid(grp.ambient)
+        elements = list(grp.elements)
+        elements.insert(REALIZE_CHUNK + 5, swap)
+        with pytest.raises(GramMismatchError):
+            realize_isometries(elements, u)
+        assert len(realize_isometries(elements[:REALIZE_CHUNK], u)) == REALIZE_CHUNK
+
+    def test_cli_realize_one_pivot_basis_per_chunk(self, tmp_path, capsys, monkeypatch):
+        # structural guard, not a timing: the pivot basis of u is computed
+        # once per chunk of elements, not once per element
+        calls = []
+        original = quadspace._pivot_rows
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(quadspace, "_pivot_rows", counted)
+        p = tmp_path / "petersen.txt"
+        p.write_text("10\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in petersen().sorted_edges()))
+        assert cli.main(["group", str(p), "--c=1/3", "--realize", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["isometries"]) == 1440
+        assert 1 <= len(calls) <= math.ceil(1440 / REALIZE_CHUNK)
 
 
 class TestOrbits:

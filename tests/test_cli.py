@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from gerbe import cli, exactpoly
+from gerbe.autgroup import SheafGroup, SignedPermutation, enumerate_group
+from gerbe.fixtures import SQUARE
+from gerbe.graph import Permutation, epsilon_matrix
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
 PENTAGON_TXT = "5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
@@ -173,6 +176,31 @@ class TestGroup:
         assert code == 0
         blocks = csv.read_text().strip().split("\n\n")
         assert len(blocks) == 48
+
+    def test_realize_text_prints_matrices(self, square_file, capsys):
+        code, out, _ = run(["group", square_file, "--c=-1/3", "--realize"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        heads = [k for k, line in enumerate(lines) if line.startswith("isometry ")]
+        assert [lines[k] for k in heads] == [f"isometry {k}:" for k in range(1, 49)]
+        assert heads[0] > 0 and lines[0].startswith("|H(graph)| = ")
+        assert len(lines) == heads[0] + 48 * 4
+        for k in heads:
+            m = np.array([[float(x) for x in lines[k + i].split()] for i in (1, 2, 3)])
+            assert m.shape == (3, 3)
+            assert np.abs(m.T @ m - np.eye(3)).max() < 1e-10
+
+    def test_realize_failure_exits_one(self, square_file, capsys, monkeypatch):
+        # an element of the group's own listing that is not an isometry is a
+        # defect in gerbe, not bad input
+        good = enumerate_group(epsilon_matrix(SQUARE.graph)).elements
+        bad = SignedPermutation(Permutation((1, 0, 2, 3)), (1, 1, 1, 1))
+        monkeypatch.setattr(SheafGroup, "elements", property(lambda self: good + (bad,)))
+        code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal invariant violated: ")
+        assert "Traceback" not in err
 
     def test_bound_exceeded(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("GERBE_MAX_N", raising=False)

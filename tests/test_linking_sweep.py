@@ -65,6 +65,12 @@ def test_python_sweep_counts_graphs():
     assert failures == 0
 
 
+@pytest.mark.parametrize("c", [0, 7, 2, -3, 0.5])
+def test_sweep_refuses_c_other_than_unit(c):
+    with pytest.raises(ValueError):
+        _kernels_py.linking_sweep(4, c)
+
+
 def test_batch_graphs_enumerate_edge_masks():
     for n in range(1, 6):
         a = _kernels_py._batch_graphs(n, 0, 1 << (n * (n - 1) // 2))

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from gerbe.autgroup import enumerate_group
 from gerbe.errors import DeficientSpanError, GramMismatchError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity
-from gerbe.fixtures import ALL, SQUARE, TRIANGLE
+from gerbe.fixtures import ALL, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import Graph, epsilon_matrix
 from gerbe.quadspace import (
     QuadraticSpace,
@@ -35,6 +36,22 @@ def triangular_graph(k):
         [(a, b) for a, b in itertools.combinations(range(len(verts)), 2)
          if set(verts[a]) & set(verts[b])],
     )
+
+
+def petersen_graph():
+    """Kneser graph K(5,2): 2-subsets of a 5-set, linked when disjoint."""
+    verts = list(itertools.combinations(range(5), 2))
+    return Graph.from_edges(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
+                                 if not set(verts[a]) & set(verts[b])])
+
+
+def group_targets(g, c):
+    """The representation of g at (1, c) and the stack of its images
+    nu_i * u_{sigma(i)} under every element of the sheaf group."""
+    u = Representation.build(g, 1.0, c)
+    els = enumerate_group(epsilon_matrix(g)).elements
+    return u, np.array([[el.nu[i] * u.vectors[el.sigma(i)] for i in range(g.n)]
+                        for el in els])
 
 
 class TestJacobi:
@@ -279,3 +296,66 @@ class TestIsometry:
         vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DeficientSpanError):
             isometry_between(vecs, vecs, space, space)
+
+
+class TestIsometryStack:
+    @pytest.mark.parametrize("g, c", [
+        (petersen_graph(), 1 / 3),
+        (POINTED_HEXAGON.graph, -1 / 5 ** 0.5),  # the smallest root of chi
+    ])
+    def test_stack_equals_single_calls_bitwise(self, g, c):
+        u, targets = group_targets(g, c)
+        stack = isometry_between(u.vectors, targets, u.space, u.space)
+        single = np.array([isometry_between(u.vectors, t, u.space, u.space)
+                           for t in targets])
+        assert stack.shape == single.shape == (len(targets), u.degree, u.degree)
+        assert stack.tobytes() == single.tobytes()
+
+    def test_single_call_keeps_its_shape(self):
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        assert isometry_between(u.vectors, u.vectors, u.space, u.space).shape == (3, 3)
+        stack = isometry_between(u.vectors, np.stack([u.vectors, -u.vectors]),
+                                 u.space, u.space)
+        assert np.abs(stack - [np.eye(3), -np.eye(3)]).max() < 1e-9
+
+    def test_one_bad_target_fails_the_stack(self):
+        u, targets = group_targets(SQUARE.graph, -1 / 3)
+        bad = targets.copy()
+        bad[7, [0, 1]] = bad[7, [1, 0]]  # swap two images: not an isometry
+        with pytest.raises(GramMismatchError):
+            isometry_between(u.vectors, bad, u.space, u.space)
+        # a linear map that is no isometry leaves no residual: only the
+        # Gram check of that target sees it
+        scaled = targets.copy()
+        scaled[7] *= 1.5
+        with pytest.raises(GramMismatchError, match="Gram"):
+            isometry_between(u.vectors, scaled, u.space, u.space)
+        isometry_between(u.vectors, targets, u.space, u.space)
+
+    def test_residual_check_per_target(self):
+        # three nearly parallel vectors in the plane: moving the third by 1e-6
+        # orthogonally to the others keeps every inner product within the
+        # Gram tolerance, and only the residual check sees it
+        space = QuadraticSpace((1, 1))
+        u = np.array([[1.0, 0.0], [1.0, 1e-3], [1.0, -1e-3]])
+        moved = u.copy()
+        moved[2, 1] += 1e-6
+        stack = np.stack([u, -u, moved])
+        gram_dev = np.abs(space.gram(moved) - space.gram(u)).max()
+        assert gram_dev < 1e-8  # below ISOMETRY_TOL: the Gram check passes
+        assert isometry_between(u, stack[:2], space, space).shape == (2, 2, 2)
+        with pytest.raises(GramMismatchError, match="residual"):
+            isometry_between(u, stack, space, space)
+        with pytest.raises(GramMismatchError, match="residual"):
+            isometry_between(u, moved, space, space)
+
+    def test_deficient_span_on_a_stack(self):
+        space = QuadraticSpace((1, 1, 1))
+        vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
+        with pytest.raises(DeficientSpanError):
+            isometry_between(vecs, np.stack([vecs, -vecs]), space, space)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        padded = QuadraticSpace((1, 1, 1, 1))
+        with pytest.raises(DeficientSpanError):
+            isometry_between(u.vectors, np.stack([np.hstack([u.vectors, np.zeros((4, 1))])] * 2),
+                             u.space, padded)
