@@ -13,12 +13,15 @@ import itertools
 
 import numpy as np
 
+from . import config
+from .errors import BoundExceededError
+
 # graphs per chunk of the linking sweep: about 2 MB of tables at n = 7;
 # 2^15 takes 14 MB and is no faster, 2^10 is slower by its per-chunk cost
 _CHUNK = 1 << 12
 
 
-def signed_stabilizer(masks, prefix=(), first=False, signed=True):
+def signed_stabilizer(masks, prefix=(), first=False, signed=True, budget=None):
     """All pairs (sigma, sbits) with sbits[0] = 0 such that the signs
     (-1)**sbits[i] make sigma compatible with the sign matrix.
 
@@ -28,6 +31,9 @@ def signed_stabilizer(masks, prefix=(), first=False, signed=True):
     with sigma[i] = prefix[i] for i < len(prefix) are searched; ``first``
     stops at the first solution; ``signed=False`` pins every sign to +1, so
     the solutions are the automorphisms of the graph the masks describe.
+    ``budget``, a one-element list shared by the searches of one chain, holds
+    the nodes left of ``config.MAX_SEARCH_NODES``; each node takes one, and
+    the search raises BoundExceededError when none is left.
     """
     n = len(masks)
     e = [[(masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
@@ -37,6 +43,12 @@ def signed_stabilizer(masks, prefix=(), first=False, signed=True):
     out = []
 
     def rec(t):
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise BoundExceededError("group search passed its budget of "
+                                         f"{config.MAX_SEARCH_NODES:,} backtracking "
+                                         "nodes (config.MAX_SEARCH_NODES)")
         if t == n:
             out.append((tuple(sigma), tuple(s)))
             return first

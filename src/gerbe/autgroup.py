@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend
-from .graph import Permutation, SignMatrix, chain_products, check_bound, stabilizer_chain
+from .errors import BoundExceededError
+from .graph import Permutation, SignMatrix, chain_products, stabilizer_chain
 from .quadspace import Representation, isometry_between
 from .sheaf import LinePartition
 
@@ -158,19 +159,21 @@ class SheafGroup:
         return el.is_valid(self.ambient)
 
 
-def enumerate_group(m: SignMatrix, max_n=None, naive=False) -> SheafGroup:
+def enumerate_group(m: SignMatrix, naive=False) -> SheafGroup:
     """The sheaf group of the given matrix.
 
     The default path builds the stabilizer chain, one exhaustive
     first-solution search per candidate coset, without listing the group;
     ``naive=True`` lists every valid (permutation, signs) pair by brute
-    force and serves as the oracle for the chain.
+    force, n! 2^n candidates, and serves as the oracle for the chain up to
+    n = 8.
     """
     if m.n < 1:
         raise ValueError("group enumeration requires n >= 1")
     if not naive:
-        return SheafGroup(m, levels=stabilizer_chain(m, max_n=max_n))
-    check_bound(m.n, max_n)
+        return SheafGroup(m, levels=stabilizer_chain(m))
+    if m.n > 8:
+        raise BoundExceededError(f"n={m.n} exceeds the brute-force bound 8")
     elements = [_from_bits(*el) for el in _backend.naive_signed_elements(m.linked_masks())]
     elements.sort(key=SignedPermutation.sort_key)
     return SheafGroup(m, tuple(elements))
@@ -181,7 +184,7 @@ def enumerate_group(m: SignMatrix, max_n=None, naive=False) -> SheafGroup:
 REALIZE_CHUNK = 1024
 
 
-def realize_isometries(elements, u: Representation, tol=None) -> np.ndarray:
+def realize_isometries(elements, u: Representation) -> np.ndarray:
     """Matrices of the isometries sending each u_i to nu_i * u_{sigma(i)},
     one per element, as a len(elements) x r x r array.
 
@@ -199,14 +202,14 @@ def realize_isometries(elements, u: Representation, tol=None) -> np.ndarray:
         nu = np.array([a.nu for a in chunk], dtype=float)
         targets = nu[:, :, None] * u.vectors[sigma]
         out[start:start + len(chunk)] = isometry_between(
-            u.vectors, targets, u.space, u.space, tol)
+            u.vectors, targets, u.space, u.space)
     return out
 
 
-def realize_isometry(a: SignedPermutation, u: Representation, tol=None) -> np.ndarray:
+def realize_isometry(a: SignedPermutation, u: Representation) -> np.ndarray:
     """Matrix of the isometry sending each u_i to nu_i * u_{sigma(i)}: the
     one-element case of ``realize_isometries``."""
-    return realize_isometries((a,), u, tol)[0]
+    return realize_isometries((a,), u)[0]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Subcommands: analyze, poly, represent, classes, group, demo.  Exit codes:
 0 success, 1 verification/fixture failure or internal invariant violated,
-2 input error, 3 vertex, enumeration or listing bound exceeded.
+2 input error, 3 a bound of ``config`` exceeded: vertices, search nodes or
+listed group order.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import config, fixtures
 from .autgroup import enumerate_group, orbits_on_lines, realize_isometries
@@ -183,17 +182,22 @@ def _exact_unit(c) -> bool:
     return isinstance(c, Fraction) and abs(c) == 1
 
 
+def _lines(g, c):
+    """The representation at (1, c) and its partition into lines: exact
+    from the sign matrix when c is exactly ±1, from the vectors otherwise."""
+    u = Representation.build(g, 1.0, float(c))
+    if _exact_unit(c):
+        return u, partition_from_sign_matrix(epsilon_matrix(g), int(c))
+    return u, line_classes(u)
+
+
 def cmd_classes(args) -> int:
     g = _read_graph(args.file)
     c = _pick_c(args, g)
     if float(c) == 0.0:
         raise ValueError("c must be nonzero")
-    u = Representation.build(g, 1.0, float(c))
-    p = line_classes(u)
-    report = None
-    if _exact_unit(c):
-        p = partition_from_sign_matrix(epsilon_matrix(g), int(c))
-        report = check_class_linking(g, p, int(c))
+    _, p = _lines(g, c)
+    report = check_class_linking(g, p, int(c)) if _exact_unit(c) else None
     if args.json:
         payload = {"c": float(c), "partition": _partition_json(p)}
         if report is not None:
@@ -224,18 +228,10 @@ def cmd_classes(args) -> int:
 
 def _group_on_lines(g, c):
     """Build the sheaf group, passing to the restricted graph when
-    lines coincide, and return (restricted graph, partition, group)."""
-    u = Representation.build(g, 1.0, float(c))
-    if _exact_unit(c):
-        p = partition_from_sign_matrix(epsilon_matrix(g), int(c))
-    else:
-        p = line_classes(u)
-    if p.is_all_singletons():
-        gy, v = g, u
-    else:
-        gy, v = restrict_to_Y(g, u, p)
-    grp = enumerate_group(epsilon_matrix(gy))
-    return gy, v, grp
+    lines coincide, and return (restricted graph, its vectors, group)."""
+    u, p = _lines(g, c)
+    gy, v = (g, u) if p.is_all_singletons() else restrict_to_Y(g, u, p)
+    return gy, v, enumerate_group(epsilon_matrix(gy))
 
 
 def cmd_group(args) -> int:
@@ -244,10 +240,10 @@ def cmd_group(args) -> int:
     if float(c) == 0.0:
         raise ValueError("c must be nonzero")
     gy, v, grp = _group_on_lines(g, c)
-    if args.realize and grp.order > config.MAX_REALIZE_ORDER:
+    if args.realize and grp.order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
             f"|G| = {grp.order} exceeds the --realize listing bound "
-            f"{config.MAX_REALIZE_ORDER}"
+            f"{config.MAX_LISTED_ORDER}"
         )
     orbit_info = orbits_on_lines(grp, LinePartition.trivial(gy.n))
     payload = {
@@ -453,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--csv", help="write vectors to this CSV file")
     pg.add_argument("--realize", action="store_true",
                     help="also emit the isometry matrices "
-                         f"(|G| at most {config.MAX_REALIZE_ORDER})")
+                         f"(|G| at most {config.MAX_LISTED_ORDER})")
     pg.add_argument("--csv", help="write realized matrices to this CSV file")
 
     pd = sub.add_parser("demo", help="run the built-in regression fixtures")

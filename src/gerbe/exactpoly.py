@@ -438,20 +438,19 @@ def _refine(f: IntPolynomial, lo: Fraction, hi: Fraction, seed, width: Fraction)
     return None, (lo, hi)
 
 
-def real_roots_with_multiplicity(p: IntPolynomial, interval_width=None, factors=None) -> list:
+def real_roots_with_multiplicity(p: IntPolynomial, factors=None) -> list:
     """Every real root of p, once each, with its exact multiplicity.
 
     Each square-free factor's roots are isolated from float seeds, or by
     Sturm chains when the seeds do not certify, then refined exactly:
     rational roots come out exact, irrational roots with a certified
-    isolating interval narrower than ``interval_width`` (default from
-    config) plus a float approximation.  ``factors``, when given, must be
+    isolating interval narrower than ``config.ROOT_INTERVAL_WIDTH`` plus a
+    float approximation.  ``factors``, when given, must be
     ``squarefree_decomposition(p)``; it saves computing it again.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    width = interval_width if interval_width is not None else config.ROOT_INTERVAL_WIDTH
-    width = Fraction(width).limit_denominator(10**18)
+    width = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
     records = []
     if factors is None:
         factors = squarefree_decomposition(p)

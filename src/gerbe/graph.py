@@ -212,15 +212,7 @@ def conjugate_matrix(s: Permutation, m: SignMatrix) -> SignMatrix:
     return SignMatrix(out)
 
 
-def check_bound(n, max_n=None):
-    """Refuse a group search or listing on more than ``max_n`` vertices
-    (default: the configured enumeration bound)."""
-    bound = max_n if max_n is not None else config.enumeration_bound()
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds enumeration bound {bound}")
-
-
-def stabilizer_chain(m: SignMatrix, signed=True, max_n=None) -> list:
+def stabilizer_chain(m: SignMatrix, signed=True) -> list:
     """Coset representatives of a stabilizer chain on the base 0..n-1.
 
     The group is that of the sign-compatible signed permutations of m or,
@@ -230,10 +222,12 @@ def stabilizer_chain(m: SignMatrix, signed=True, max_n=None) -> list:
     vertex invariants match those of t costs one exhaustive first-solution
     search, so Delta_t is exactly the set of b that succeed; the identity
     stands for b = t.  The group order is prod |Delta_t|, twice that in the
-    signed case, where G -> S_n has kernel {±id}.
+    signed case, where G -> S_n has kernel {±id}.  The searches share a
+    budget of ``config.MAX_SEARCH_NODES`` backtracking nodes; past it the
+    chain raises BoundExceededError.
     """
     n = m.n
-    check_bound(n, max_n)
+    budget = [config.MAX_SEARCH_NODES]
     masks = m.linked_masks()
     inv = _vertex_invariants(masks, signed)
     base = tuple(range(n))
@@ -244,7 +238,7 @@ def stabilizer_chain(m: SignMatrix, signed=True, max_n=None) -> list:
             if inv[b] != inv[t]:
                 continue  # no element sends t to b
             level += _backend.signed_stabilizer(
-                masks, base[:t] + (b,), first=True, signed=signed
+                masks, base[:t] + (b,), first=True, signed=signed, budget=budget
             )
         levels.append(level)
     return levels
@@ -288,8 +282,13 @@ def automorphism_order(g: Graph) -> int:
     return math.prod(len(level) for level in levels)
 
 
-def graph_automorphisms(g: Graph, max_n=None) -> list:
+def graph_automorphisms(g: Graph) -> list:
     """All permutations preserving the edge set, sorted by their images:
-    the products of the unsigned stabilizer chain's coset representatives."""
-    levels = stabilizer_chain(epsilon_matrix(g), signed=False, max_n=max_n)
+    the products of the unsigned stabilizer chain's coset representatives.
+    Refuses before listing when |Aut g| exceeds ``config.MAX_LISTED_ORDER``."""
+    levels = stabilizer_chain(epsilon_matrix(g), signed=False)
+    order = math.prod(len(level) for level in levels)
+    if order > config.MAX_LISTED_ORDER:
+        raise BoundExceededError(
+            f"|Aut| = {order} exceeds the listing bound {config.MAX_LISTED_ORDER}")
     return [Permutation(s) for s in sorted(s for s, _ in chain_products(levels))]

@@ -80,19 +80,18 @@ def rank(s, tol=None) -> int:
     return int(np.sum(np.abs(evals) > thr))
 
 
-def gram_factorize(s, tol=None):
+def gram_factorize(s):
     """Realize a symmetric matrix as a Gram matrix in a diagonal ±1 form.
 
     Returns (space, vectors) with vectors an n x r array whose Gram under
     the space's form reproduces s; r is the numeric rank, so the realization
     is reduced.
     """
-    t = tol if tol is not None else config.RANK_TOL
     s = np.asarray(s, dtype=float)
     evals, q = jacobi_eigh(s)
     if len(evals) == 0:
         raise ValueError("empty matrix")
-    thr = t * max(1.0, float(np.abs(evals).max()))
+    thr = config.RANK_TOL * max(1.0, float(np.abs(evals).max()))
     keep = [k for k in range(len(evals)) if abs(evals[k]) > thr]
     keep.sort(key=lambda k: -evals[k])  # positive eigenvalues first
     signs = tuple(1 if evals[k] > 0 else -1 for k in keep)
@@ -138,11 +137,11 @@ class Representation:
             )
 
     @classmethod
-    def build(cls, graph: Graph, omega, c, tol=None) -> "Representation":
+    def build(cls, graph: Graph, omega, c) -> "Representation":
         """Construct the reduced representation at (omega, c) by factorizing
         the parameter matrix."""
         s = build_S(epsilon_matrix(graph), omega, c)
-        space, vectors = gram_factorize(s, tol)
+        space, vectors = gram_factorize(s)
         return cls(graph, omega, c, space, vectors, gram=s)
 
     @property
@@ -153,8 +152,8 @@ class Representation:
     def degree(self) -> int:
         return self.space.dim
 
-    def is_reduced(self, tol=None) -> bool:
-        return self.space.dim == rank(self.gram, tol)
+    def is_reduced(self) -> bool:
+        return self.space.dim == rank(self.gram)
 
     def is_trivial(self) -> bool:
         return self.c == 0.0
@@ -198,7 +197,7 @@ def _pivot_rows(gram: np.ndarray, pivot_tol: float) -> list:
 
 
 def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
-                     space_v: QuadraticSpace, tol=None) -> np.ndarray:
+                     space_v: QuadraticSpace) -> np.ndarray:
     """The linear map f with f(u_i) = v_i, given equal Gram matrices.
 
     Both systems must be reduced (their vectors span the spaces, which have
@@ -209,7 +208,6 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     matrix of f, or the k x r x r stack of them; raises GramMismatchError or
     DeficientSpanError if any target fails.
     """
-    t = tol if tol is not None else config.ISOMETRY_TOL
     u_vectors = np.asarray(u_vectors, dtype=float)
     v_vectors = np.asarray(v_vectors, dtype=float)
     single = v_vectors.ndim == 2
@@ -219,7 +217,7 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     if gv.shape[1:] != gu.shape:
         raise GramMismatchError("input systems have different Gram matrices")
     gv -= gu  # in place: the k x n x n stack is the largest array here
-    if np.abs(gv, out=gv).max(initial=0.0) > t:
+    if np.abs(gv, out=gv).max(initial=0.0) > config.ISOMETRY_TOL:
         raise GramMismatchError("input systems have different Gram matrices")
     r = space_u.dim
     if space_v.dim != r:
@@ -241,7 +239,7 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     diff = u_vectors @ sol
     diff -= v
     residual = np.abs(diff, out=diff).max(axis=(1, 2), initial=0.0)
-    if (residual > t * scale * 10).any():
+    if (residual > config.ISOMETRY_TOL * scale * 10).any():
         raise GramMismatchError(f"isometry residual too large: {residual.max():.3g}")
     f = sol.transpose(0, 2, 1)
     return f[0] if single else f

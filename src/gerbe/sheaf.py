@@ -60,14 +60,14 @@ class LinePartition:
         return self.m == self.n
 
 
-def line_classes(u: Representation, tol=None) -> LinePartition:
+def line_classes(u: Representation) -> LinePartition:
     """Group vertices whose vectors span the same line.
 
     Directions are normalized with the first significant coordinate made
     positive, so the coincidence test is a plain comparison and the induced
     relation is transitive by construction.
     """
-    t = tol if tol is not None else config.COLINEAR_TOL
+    t = config.COLINEAR_TOL
     if u.c == 0.0:
         raise TrivialRepresentationError("line classes undefined for c = 0")
     n = u.n
@@ -168,8 +168,7 @@ def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
     return gy, v
 
 
-def _check_same_lines(u: Representation, v: Representation, tol=None):
-    t = tol if tol is not None else config.COLINEAR_TOL
+def _check_same_lines(u: Representation, v: Representation):
     for i in range(u.n):
         ui = u.vectors[i]
         nu = float(np.linalg.norm(ui))
@@ -178,7 +177,7 @@ def _check_same_lines(u: Representation, v: Representation, tol=None):
             vk = v.vectors[k]
             nv = float(np.linalg.norm(vk))
             cross = abs(float(np.dot(ui, vk)))
-            if abs(cross - nu * nv) <= t * max(1.0, nu * nv):
+            if abs(cross - nu * nv) <= config.COLINEAR_TOL * max(1.0, nu * nv):
                 matched = True
                 break
         if not matched:

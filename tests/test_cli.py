@@ -1,9 +1,10 @@
 import json
+from math import comb
 
 import numpy as np
 import pytest
 
-from gerbe import cli, exactpoly
+from gerbe import cli, config, exactpoly
 from gerbe.autgroup import SheafGroup, SignedPermutation, enumerate_group
 from gerbe.fixtures import SQUARE
 from gerbe.graph import Permutation, epsilon_matrix
@@ -203,13 +204,19 @@ class TestGroup:
         assert "Traceback" not in err
 
     def test_bound_exceeded(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("GERBE_MAX_N", raising=False)
+        # a group search past its node budget exits 3 from group and from
+        # analyze, with the budget named and no traceback
+        monkeypatch.setattr(config, "MAX_SEARCH_NODES", 5)
         lines = ["11"] + [f"{i} {i + 1}" for i in range(1, 11)]
         p = tmp_path / "big.txt"
         p.write_text("\n".join(lines) + "\n")
-        code, _, err = run(["group", str(p), "--c", "1"], capsys)
-        assert code == 3
-        assert "bound" in err.lower()
+        for argv in (["group", str(p), "--c", "1"], ["analyze", str(p), "--json"]):
+            code, out, err = run(argv, capsys)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("bound exceeded: ")
+            assert "budget of 5 backtracking nodes (config.MAX_SEARCH_NODES)" in err
+            assert "Traceback" not in err
 
 
 class TestAnalyze:
@@ -225,6 +232,28 @@ class TestAnalyze:
         unit_root = next(r for r in payload["roots"] if r["exact"] == "1")
         assert unit_root["linking_ok"] is True
         assert unit_root["partition"]["m"] == 1
+
+    @pytest.mark.parametrize("q", [13, 17])
+    def test_paley_two_graph(self, q, tmp_path, capsys):
+        # Paley(q) plus an isolated point: q + 1 equiangular lines in
+        # dimension (q + 1)/2, chi = (1 - q x^2)^((q + 1)/2), and a
+        # 2-transitive group of order q(q^2 - 1)
+        squares = {x * x % q for x in range(1, q)}
+        edges = [f"{i + 1} {j + 1}" for i in range(q) for j in range(i + 1, q)
+                 if (j - i) % q in squares]
+        p = tmp_path / "paley.txt"
+        p.write_text("\n".join([str(q + 1)] + edges) + "\n")
+        code, out, _ = run(["analyze", str(p), "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        k = (q + 1) // 2
+        chi = [0] * (2 * k + 1)
+        for j in range(k + 1):
+            chi[2 * j] = comb(k, j) * (-q) ** j
+        assert payload["chi"]["coefficients"] == [str(a) for a in chi]
+        assert payload["aut_graph_order"] == q * (q - 1) // 2
+        assert payload["group"]["order"] == q * (q * q - 1)
+        assert payload["group"]["is_2_transitive"] is True
 
     def test_text_mode(self, pentagon_file, capsys):
         code, out, _ = run(["analyze", pentagon_file], capsys)

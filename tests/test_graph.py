@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbe import config
+from gerbe import _backend, config, graph
 from gerbe.errors import BoundExceededError, ParseError
 from gerbe.graph import (
     Graph,
     Permutation,
     SignMatrix,
+    automorphism_order,
     conjugate_matrix,
     epsilon_matrix,
     format_graph,
     graph_automorphisms,
     graph_from_sign_matrix,
     parse_graph,
+    stabilizer_chain,
 )
 
 TRIANGLE = "3\n1 2\n2 3\n1 3"
@@ -161,14 +163,49 @@ class TestAutomorphisms:
     def test_edgeless_full_symmetric(self, n):
         assert len(graph_automorphisms(Graph(n, frozenset()))) == math.factorial(n)
 
-    def test_bound(self):
-        with pytest.raises(BoundExceededError):
-            graph_automorphisms(Graph(11, frozenset()), max_n=10)
+    def test_bound(self, monkeypatch):
+        # |Aut| = 10! = 3,628,800 is known from the chain; the listing must
+        # be refused before a single product of representatives is formed
+        def refuse(levels):
+            raise AssertionError("automorphisms listed")
 
-    def test_env_bound(self, monkeypatch):
-        monkeypatch.setenv("GERBE_MAX_N", "4")
-        with pytest.raises(BoundExceededError):
-            graph_automorphisms(Graph(5, frozenset()))
+        monkeypatch.setattr(graph, "chain_products", refuse)
+        with pytest.raises(BoundExceededError, match="listing bound 10000"):
+            graph_automorphisms(Graph(10, frozenset()))
+        assert automorphism_order(Graph(10, frozenset())) == math.factorial(10)
+
+    def test_search_budget(self, monkeypatch):
+        # the chain may visit exactly MAX_SEARCH_NODES backtracking nodes,
+        # summed over its searches; the signed and the unsigned chain each
+        # get the whole budget
+        spent = []
+
+        def kernel(*args, budget, **kwargs):
+            spent.append(budget)
+            return signed_stabilizer(*args, budget=budget, **kwargs)
+
+        signed_stabilizer = _backend.signed_stabilizer
+        monkeypatch.setattr(_backend, "signed_stabilizer", kernel)
+        g = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                             + [(i, i + 5) for i in range(5)])  # Petersen
+        m = epsilon_matrix(g)
+        used = {}
+        for signed in (True, False):
+            stabilizer_chain(m, signed=signed)
+            used[signed] = config.MAX_SEARCH_NODES - spent[-1][0]
+        assert used == {True: 358, False: 288}
+
+        monkeypatch.setattr(config, "MAX_SEARCH_NODES", 358)
+        assert len(stabilizer_chain(m)) == 10
+        assert automorphism_order(g) == 120
+        monkeypatch.setattr(config, "MAX_SEARCH_NODES", 357)
+        with pytest.raises(BoundExceededError, match="budget of 357 backtracking nodes"):
+            stabilizer_chain(m)
+        assert automorphism_order(g) == 120
+        monkeypatch.setattr(config, "MAX_SEARCH_NODES", 287)
+        with pytest.raises(BoundExceededError, match="MAX_SEARCH_NODES"):
+            automorphism_order(g)
 
     @given(graphs(max_n=5))
     @settings(max_examples=40)
