@@ -178,16 +178,9 @@ def cmd_represent(args) -> int:
     return EXIT_OK
 
 
-def _exact_unit(c) -> bool:
-    return isinstance(c, Fraction) and abs(c) == 1
-
-
 def _lines(g, c):
-    """The representation at (1, c) and its partition into lines: exact
-    from the sign matrix when c is exactly ±1, from the vectors otherwise."""
+    """The representation at (1, c) and its partition into lines."""
     u = Representation.build(g, 1.0, float(c))
-    if _exact_unit(c):
-        return u, partition_from_sign_matrix(epsilon_matrix(g), int(c))
     return u, line_classes(u)
 
 
@@ -196,8 +189,9 @@ def cmd_classes(args) -> int:
     c = _pick_c(args, g)
     if float(c) == 0.0:
         raise ValueError("c must be nonzero")
-    _, p = _lines(g, c)
-    report = check_class_linking(g, p, int(c)) if _exact_unit(c) else None
+    u, p = _lines(g, c)
+    # the linking rules hold where line_classes took the sign-matrix partition
+    report = check_class_linking(g, p, int(u.c)) if abs(u.c) == 1.0 else None
     if args.json:
         payload = {"c": float(c), "partition": _partition_json(p)}
         if report is not None:

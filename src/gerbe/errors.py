@@ -15,7 +15,9 @@ class ParseError(GerbeError):
 
 
 class BoundExceededError(GerbeError):
-    """An enumeration was requested beyond the configured vertex bound."""
+    """A resource bound was passed: the vertex bound, the group search's
+    node budget, the cap on a listed group order, or n > 8 for the
+    brute-force group oracle."""
 
 
 class GramMismatchError(GerbeError):

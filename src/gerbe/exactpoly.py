@@ -115,10 +115,6 @@ class RootRecord:
     exact: Fraction | None = None
     interval: tuple | None = None
 
-    @property
-    def is_rational(self) -> bool:
-        return self.exact is not None
-
 
 # ---------------------------------------------------------------------------
 # exact determinant and char_poly

@@ -89,10 +89,3 @@ POINTED_HEXAGON = Fixture(
 )
 
 ALL = (TRIANGLE, SQUARE, PENTAGON, POINTED_HEXAGON)
-
-
-def by_name(name: str) -> Fixture:
-    for f in ALL:
-        if f.name == name:
-            return f
-    raise KeyError(name)

@@ -1,19 +1,19 @@
 """Line coincidence structure of a representation.
 
-A representation's sheaf is the set of lines spanned by its vectors.  When
-|omega| = |c| several vertices can land on the same line; this module
-computes that partition, restricts a representation to one vertex per
-line, and verifies the all-or-nothing linking rules that govern the
-signed blocks of the partition.
+A representation's sheaf is the set of lines spanned by its vectors.  For
+a reduced system at (omega, c) the partition into lines is exact: vertices
+i and j share a line only if omega = ±epsilon_ij*c, so the lines are all
+distinct unless |omega| = |c|, and then they are read off the sign matrix
+at c/omega.  No float tolerance enters.  This module computes that
+partition, restricts a representation to one vertex per line, and
+verifies the all-or-nothing linking rules that govern the signed blocks
+of the partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import config
 from .errors import InvariantError, TrivialRepresentationError
 from .graph import Graph, SignMatrix, epsilon_matrix
 from .quadspace import Representation
@@ -61,57 +61,24 @@ class LinePartition:
 
 
 def line_classes(u: Representation) -> LinePartition:
-    """Group vertices whose vectors span the same line.
+    """Group the vertices of a reduced representation by the lines their
+    vectors span, read off exactly from (epsilon, omega, c).
 
-    Directions are normalized with the first significant coordinate made
-    positive, so the coincidence test is a plain comparison and the induced
-    relation is transitive by construction.
+    In a reduced system the form is nondegenerate on the span of the
+    vectors, so u_i = s*u_j exactly when rows i and j of the Gram matrix
+    S(omega, c) agree up to the factor s.  At entries i and j that forces
+    omega = s*epsilon_ij*c, so the lines are all distinct unless
+    |omega| = |c|, and then they are the sign-matrix partition at c/omega.
+    A system that is not reduced is refused: a padded one can have equal
+    Gram rows but different vectors.
     """
-    t = config.COLINEAR_TOL
-    if u.c == 0.0:
+    if u.is_trivial():
         raise TrivialRepresentationError("line classes undefined for c = 0")
-    n = u.n
-    dirs = []
-    flips = []
-    for i in range(n):
-        v = u.vectors[i]
-        norm = float(np.linalg.norm(v))
-        if norm <= t:
-            raise ValueError(f"vector {i} is numerically zero")
-        d = v / norm
-        flip = 1
-        for coord in d:
-            if abs(coord) > t:
-                if coord < 0:
-                    flip = -1
-                break
-        dirs.append(d * flip)
-        flips.append(flip)
-    pi = [-1] * n
-    sign = [0] * n
-    reps = []
-    for i in range(n):
-        for j, r in enumerate(reps):
-            if np.abs(dirs[i] - dirs[r]).max() <= t:
-                pi[i] = j
-                sign[i] = flips[i] * flips[r]
-                break
-        else:
-            pi[i] = len(reps)
-            sign[i] = 1
-            reps.append(i)
-    part = LinePartition(len(reps), tuple(reps), tuple(pi), tuple(sign))
-    # at omega = 1, c = ±1 the partition is forced combinatorially; use that
-    # as an exact cross-check of the floating-point coincidence test
-    if u.omega == 1.0 and u.c in (1.0, -1.0) and u.is_reduced():
-        combinatorial = partition_from_sign_matrix(
-            epsilon_matrix(u.graph), int(u.c)
-        )
-        if combinatorial != part:
-            raise InvariantError(
-                "numeric line partition disagrees with the exact sign-matrix partition"
-            )
-    return part
+    if not u.is_reduced():
+        raise ValueError("line classes need a reduced representation")
+    if abs(u.c) != abs(u.omega):
+        return LinePartition.trivial(u.n)
+    return partition_from_sign_matrix(epsilon_matrix(u.graph), int(u.c / u.omega))
 
 
 def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
@@ -145,13 +112,16 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
 def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
     """Restrict to one vertex per line: the graph induced on the class
     representatives (relabeled 0..m-1) and the corresponding sub-system of
-    vectors, which is again reduced and non-trivial."""
+    vectors, which is again reduced and non-trivial.  ``p`` must be the
+    partition ``line_classes(u)``; any other is refused."""
     if u.is_trivial():
         raise TrivialRepresentationError("cannot restrict a trivial representation")
     if not u.is_reduced():
         raise ValueError("representation must be reduced")
     if g != u.graph:
         raise ValueError("graph does not match the representation")
+    if p != line_classes(u):
+        raise ValueError("partition is not the line partition of the representation")
     reps = list(p.rep_index)
     m = p.m
     edges = set()
@@ -161,27 +131,9 @@ def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
                 edges.add((a, b))
     gy = Graph(m, frozenset(edges))
     v = Representation(gy, u.omega, u.c, u.space, u.vectors[reps])
-    # the restricted system must carry the same set of lines
-    _check_same_lines(u, v)
     if not v.is_reduced():
         raise InvariantError("restriction lost rank; input was not reduced")
     return gy, v
-
-
-def _check_same_lines(u: Representation, v: Representation):
-    for i in range(u.n):
-        ui = u.vectors[i]
-        nu = float(np.linalg.norm(ui))
-        matched = False
-        for k in range(v.n):
-            vk = v.vectors[k]
-            nv = float(np.linalg.norm(vk))
-            cross = abs(float(np.dot(ui, vk)))
-            if abs(cross - nu * nv) <= config.COLINEAR_TOL * max(1.0, nu * nv):
-                matched = True
-                break
-        if not matched:
-            raise InvariantError(f"line of vertex {i} missing after restriction")
 
 
 @dataclass(frozen=True)

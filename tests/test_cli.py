@@ -118,8 +118,11 @@ class TestClasses:
         assert part["classes"][0]["minus"] == [2, 4]
         assert payload["linking"]["ok"] is True
 
-    def test_generic_c_skips_linking(self, square_file, capsys):
-        code, out, _ = run(["classes", square_file, "--c=-1/3", "--json"], capsys)
+    # lines coincide only at c = ±1 exactly: 10^-9 away from 1 the square's
+    # four lines are as distinct as at -1/3, and no linking block is reported
+    @pytest.mark.parametrize("c", ["-1/3", "1000000001/1000000000", "999999999/1000000000"])
+    def test_generic_c_skips_linking(self, square_file, c, capsys):
+        code, out, _ = run(["classes", square_file, f"--c={c}", "--json"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["partition"]["m"] == 4
@@ -157,6 +160,28 @@ class TestGroup:
         code, out, _ = run(["group", square_file, "--c", "1", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["lines"] == 1
+
+    @pytest.mark.parametrize("text, c, lines, order, two_transitive", [
+        (SQUARE_TXT, "1000000001/1000000000", 4, 48, True),
+        (SQUARE_TXT, "999999999/1000000000", 4, 48, True),
+        (TRIANGLE_TXT, "-1000000001/1000000000", 3, 12, True),
+        (TRIANGLE_TXT, "-999999999/1000000000", 3, 12, True),
+        (SQUARE_TXT, "1", 1, 2, False),
+        (TRIANGLE_TXT, "-1", 1, 2, False),
+    ], ids=["square-above", "square-below", "triangle-above", "triangle-below",
+            "square-at-1", "triangle-at-minus-1"])
+    def test_lines_near_unit_c(self, text, c, lines, order, two_transitive,
+                               tmp_path, capsys):
+        # lines coincide only at c = ±1 exactly; 10^-9 away they are as
+        # distinct as at c = 1/3
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        code, out, _ = run(["group", str(p), f"--c={c}", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lines"] == lines
+        assert payload["group_order"] == order
+        assert payload["is_2_transitive"] is two_transitive
 
     def test_realize_json(self, square_file, capsys):
         code, out, _ = run(

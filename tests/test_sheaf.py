@@ -6,7 +6,7 @@ import pytest
 from gerbe.errors import TrivialRepresentationError
 from gerbe.fixtures import PENTAGON, SQUARE, TRIANGLE
 from gerbe.graph import Graph, epsilon_matrix
-from gerbe.quadspace import Representation
+from gerbe.quadspace import Representation, reduce_representation, sum_representations
 from gerbe.sheaf import (
     LinePartition,
     check_class_linking,
@@ -20,6 +20,21 @@ def random_graph(rng, n):
     return Graph.from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     )
+
+
+def assert_lines_of_vectors(u, p, tol=1e-8):
+    """Check a partition against the vectors themselves, independently of
+    the exact rule: every vertex is sign times its representative, and no
+    two representatives span the same line."""
+    vecs = u.vectors
+    for i in range(u.n):
+        r = p.rep_index[p.pi[i]]
+        assert np.abs(vecs[i] - p.sign[i] * vecs[r]).max() <= tol, (i, r)
+    dirs = [vecs[r] / np.linalg.norm(vecs[r]) for r in p.rep_index]
+    for a in range(p.m):
+        for b in range(a + 1, p.m):
+            gap = min(np.abs(dirs[a] - dirs[b]).max(), np.abs(dirs[a] + dirs[b]).max())
+            assert gap > tol, (p.rep_index[a], p.rep_index[b])
 
 
 class TestLineClasses:
@@ -59,7 +74,38 @@ class TestLineClasses:
             if abs(c) < 1e-3:
                 c = 0.5
             u = Representation.build(g, 1.0, c)
-            assert line_classes(u).is_all_singletons()
+            p = line_classes(u)
+            assert p.is_all_singletons()
+            assert_lines_of_vectors(u, p)
+
+    @pytest.mark.parametrize("graph, c", [
+        (SQUARE.graph, 1 + 1e-9), (SQUARE.graph, 1 - 1e-9),
+        (TRIANGLE.graph, -1 + 1e-9), (TRIANGLE.graph, -1 - 1e-9),
+    ], ids=["square-above", "square-below", "triangle-above", "triangle-below"])
+    def test_near_unit_c_all_singletons(self, graph, c):
+        # lines coincide only where |c| = |omega| exactly
+        u = Representation.build(graph, 1.0, c)
+        assert line_classes(u).is_all_singletons()
+
+    @pytest.mark.parametrize("omega, c", [(2.0, 2.0), (-1.0, 1.0), (0.5, -0.5)])
+    def test_partition_at_c_over_omega(self, omega, c):
+        rng = random.Random(67)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(2, 7))
+            u = Representation.build(g, omega, c)
+            p = line_classes(u)
+            assert p == partition_from_sign_matrix(epsilon_matrix(g), int(c / omega))
+            assert_lines_of_vectors(u, p)
+
+    def test_padded_rejected(self):
+        # at (1, 1) the padded square has the Gram rows of the reduced one,
+        # but its vectors are distinct
+        pad = sum_representations(Representation.build(SQUARE.graph, 1.0, 0.5),
+                                  Representation.build(SQUARE.graph, 0.0, 0.5))
+        with pytest.raises(ValueError, match="reduced"):
+            line_classes(pad)
+        u = reduce_representation(pad)
+        assert line_classes(u) == line_classes(Representation.build(SQUARE.graph, 1.0, 1.0))
 
 
 class TestCombinatorialPartition:
@@ -69,7 +115,9 @@ class TestCombinatorialPartition:
             g = random_graph(rng, rng.randint(2, 7))
             for c in (1, -1):
                 u = Representation.build(g, 1.0, float(c))
-                assert line_classes(u) == partition_from_sign_matrix(epsilon_matrix(g), c)
+                p = line_classes(u)
+                assert p == partition_from_sign_matrix(epsilon_matrix(g), c)
+                assert_lines_of_vectors(u, p)
 
     def test_rejects_other_c(self):
         with pytest.raises(ValueError):
@@ -106,13 +154,28 @@ class TestRestrictToY:
             c = rng.choice([1.0, -1.0])
             u = Representation.build(g, 1.0, c)
             p = line_classes(u)
+            assert_lines_of_vectors(u, p)
             gy, v = restrict_to_Y(g, u, p)
             assert line_classes(v).is_all_singletons()
+            assert_lines_of_vectors(v, LinePartition.trivial(gy.n))
 
     def test_trivial_rejected(self):
         u = Representation.build(SQUARE.graph, 1.0, 0.0)
         with pytest.raises(TrivialRepresentationError):
             restrict_to_Y(SQUARE.graph, u, LinePartition.trivial(4))
+
+    @pytest.mark.parametrize("c, p", [
+        # too fine: the square's four vertices share one line at c = 1
+        (1.0, LinePartition.trivial(4)),
+        # too coarse: distinct lines at c = -1/3 merged
+        (-1 / 3, LinePartition(3, (0, 1, 3), (0, 1, 0, 2), (1, 1, 1, 1))),
+        # right blocks, wrong signs: vertices 2 and 4 are -u_1 at c = 1
+        (1.0, LinePartition(1, (0,), (0, 0, 0, 0), (1, 1, 1, 1))),
+    ], ids=["too-fine", "too-coarse", "wrong-signs"])
+    def test_wrong_partition_rejected(self, c, p):
+        u = Representation.build(SQUARE.graph, 1.0, c)
+        with pytest.raises(ValueError, match="not the line partition"):
+            restrict_to_Y(SQUARE.graph, u, p)
 
 
 class TestClassLinking:
