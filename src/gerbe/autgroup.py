@@ -189,8 +189,8 @@ def realize_isometries(elements, u: Representation) -> np.ndarray:
     one per element, as a len(elements) x r x r array.
 
     The targets of a chunk of REALIZE_CHUNK elements are built by fancy
-    indexing and solved against one pivot basis of u
-    (``isometry_between`` on a stack); raises GramMismatchError if an
+    indexing and solved with one SVD of u (``isometry_between`` on a
+    stack); raises GramMismatchError if an
     element is not an isometry of u, and DeficientSpanError if u is not
     reduced.
     """

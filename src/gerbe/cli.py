@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import config, fixtures
@@ -48,7 +50,11 @@ def _read_graph(path: str):
 
 
 def parse_rational(text: str, allow_approx=False) -> Fraction:
-    """Parse an exact 'p/q' or integer string; decimals only with consent."""
+    """Parse an exact 'p/q' or integer string; decimals only with consent.
+
+    The numeric stages take the value as a float, so a value whose float
+    overflows, or underflows to 0 while the value is not 0, is refused.
+    """
     text = text.strip()
     if "." in text or "e" in text.lower():
         if not allow_approx:
@@ -56,11 +62,24 @@ def parse_rational(text: str, allow_approx=False) -> Fraction:
                 f"{text!r} looks like a decimal; pass --approx to accept "
                 "inexact input, or use an exact p/q form"
             )
-        return Fraction(float(text)).limit_denominator(10**12)
+        value = float(text)
+        _check_float_range(text, value, Decimal(text) != 0)
+        return Fraction(value).limit_denominator(10**12)
     try:
-        return Fraction(text)
+        exact = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse rational {text!r}") from None
+    try:
+        value = float(exact)
+    except OverflowError:
+        value = math.inf
+    _check_float_range(text, value, exact != 0)
+    return exact
+
+
+def _check_float_range(text: str, value: float, nonzero: bool):
+    if not math.isfinite(value) or (value == 0 and nonzero):
+        raise ValueError(f"{text!r} is outside the range of a float")
 
 
 def _root_json(rec, n):

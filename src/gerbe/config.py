@@ -1,10 +1,11 @@
 """Tolerances and resource bounds.
 
-The thresholds of the numeric stages (Gram factorization, rank, isometry
-recovery), the width of certified root intervals and the resource bounds
-live here.  The exact stages need no tolerance: chi, its rational roots,
-the line partition and the group are decided in integers.  None of these
-values is read from the environment.
+The thresholds of the numeric stages (Gram factorization, rank, the
+isometry residual), the width of certified root intervals and the resource
+bounds live here.  The exact stages need no tolerance: chi, its rational
+roots, the line partition and the group are decided in integers.  Nor does
+the span test of isometry recovery, which takes numpy's ``matrix_rank``
+cut.  None of these values is read from the environment.
 """
 
 # largest vertex count parse_graph accepts: the sign matrix and chi take
@@ -20,5 +21,4 @@ MAX_LISTED_ORDER = 10_000
 GRAM_TOL = 1e-9
 RANK_TOL = 1e-9
 ISOMETRY_TOL = 1e-8
-PIVOT_TOL = 1e-10
 ROOT_INTERVAL_WIDTH = 1e-12

@@ -4,8 +4,12 @@ Provides the characteristic polynomial det(S(1, x)) of a sign matrix as an
 exact integer polynomial (Faddeev–LeVerrier), its square-free decomposition
 (a gcd modulo a prime, else Yun's scheme), and its real roots with
 multiplicities: float seeds cut the line into cells that exact integer signs
-certify, with Sturm chains as the fallback.  Everything here is exact except
-the float approximation attached to each root.
+certify, with Sturm chains as the fallback.  The polynomial arithmetic is
+over the integers: by Gauss's lemma a primitive divisor of an integer
+polynomial divides it over Z, so Yun's scheme divides exactly by primitive
+gcds, and the Sturm chain takes pseudo-remainders.  Fractions appear only
+as the rational points where signs are taken.  Everything here is exact
+except the float approximation attached to each root.
 """
 
 from __future__ import annotations
@@ -51,11 +55,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial.from_coeffs(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -168,81 +167,70 @@ def char_poly(m: SignMatrix) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (internal)
+# integer polynomial helpers (internal): ascending int lists, trimmed
 
-def _fpoly(p: IntPolynomial) -> list:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _ftrim(a):
+def _trim(a):
     a = list(a)
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _fsub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
+def _deriv(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
-    return _ftrim(out)
+    return _trim(out)
 
 
-def _fderiv(a):
-    return _ftrim([k * c for k, c in enumerate(a)][1:])
+def _primitive(a) -> list:
+    """a divided by its content, signed so that the lead is positive."""
+    if not a:
+        return []
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
 
 
-def _fdivmod(a, b):
-    """Polynomial division over the rationals."""
-    a = list(a)
-    if not _ftrim(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    b = _ftrim(b)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = _ftrim(a)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        factor = r[-1] / b[-1]
-        q[shift] = factor
+def _div_exact(a, b):
+    """The quotient a / b, which must be an integer polynomial.  A step
+    whose division is inexact leaves a residue in a coefficient that no
+    later step touches, so the final check on r catches it."""
+    r, n = list(a), len(b)
+    q = [0] * max(0, len(r) - n + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        q[shift] = r[shift + n - 1] // b[-1]
         for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r = _ftrim(r)
-    return _ftrim(q), r
-
-
-def _fdiv_exact(a, b):
-    q, r = _fdivmod(a, b)
-    if r:
+            r[shift + i] -= q[shift] * c
+    if any(r):
         raise ArithmeticError("inexact polynomial division")
     return q
 
 
-def _fgcd(a, b):
-    """Monic gcd over the rationals."""
-    a, b = _ftrim(a), _ftrim(b)
+def _prem(a, b):
+    """Remainder of |lead b|^(deg a - deg b + 1) * a by b: an integer
+    polynomial, and a positive multiple of the remainder over the rationals."""
+    r, n = list(a), len(b)
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    for shift in range(len(r) - n, -1, -1):
+        top = sign * r.pop()
+        r = [scale * c for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= top * c
+    return _trim(r)
+
+
+def _gcd(a, b):
+    """Primitive gcd with positive lead, by primitive remainder sequences."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        _, r = _fdivmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _primitive(fracs) -> IntPolynomial:
-    """Primitive integer polynomial with positive lead, proportional to input."""
-    fracs = _ftrim(fracs)
-    if not fracs:
-        return IntPolynomial(())
-    denom = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * denom) for c in fracs]
-    g = math.gcd(*(abs(c) for c in ints))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(tuple(ints))
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +246,12 @@ _GCD_PRIME = 2**61 - 1
 
 def _gcd_degree_mod(a, b, q: int) -> int:
     """Degree of gcd(a, b) over GF(q); a, b ascending integer coefficients."""
-    a, b = _ftrim(c % q for c in a), _ftrim(c % q for c in b)
+    a, b = _trim(c % q for c in a), _trim(c % q for c in b)
     while b:
         inv = pow(b[-1], -1, q)
         while len(a) >= len(b):
             factor, shift = a[-1] * inv % q, len(a) - len(b)
-            a = _ftrim(a[:shift] + [(x - factor * y) % q for x, y in zip(a[shift:], b)])
+            a = _trim(a[:shift] + [(x - factor * y) % q for x, y in zip(a[shift:], b)])
         a, b = b, a
     return len(a) - 1
 
@@ -279,30 +267,30 @@ def squarefree_decomposition(p: IntPolynomial) -> list:
     if p.degree == 0:
         return []
     if (p.coeffs[-1] % _GCD_PRIME
-            and _gcd_degree_mod(p.coeffs, p.derivative().coeffs, _GCD_PRIME) == 0):
-        return [(_primitive(p.coeffs), 1)]
+            and _gcd_degree_mod(p.coeffs, _deriv(p.coeffs), _GCD_PRIME) == 0):
+        return [(IntPolynomial(tuple(_primitive(p.coeffs))), 1)]
     return _yun(p)
 
 
 def _yun(p: IntPolynomial) -> list:
-    """Yun's derivative-gcd scheme over the rationals (p of degree >= 1)."""
-    f = _fpoly(p)
-    fp = _fderiv(f)
-    a = _fgcd(f, fp)
-    if len(a) <= 1:
-        return [(_primitive(f), 1)]
-    b = _fdiv_exact(f, a)
-    c = _fdiv_exact(fp, a)
-    d = _fsub(c, _fderiv(b))
+    """Yun's derivative-gcd scheme over the integers (p of degree >= 1).
+
+    Every gcd is taken primitive, so by Gauss's lemma each division by one
+    is exact over Z, and no rational number is ever formed.
+    """
+    f = list(p.coeffs)
+    fp = _deriv(f)
+    a = _gcd(f, fp)
+    b = _div_exact(f, a)
+    d = _sub(_div_exact(fp, a), _deriv(b))
     out = []
     i = 1
     while len(b) > 1:
-        g = _fgcd(b, d)
+        g = _gcd(b, d)
         if len(g) > 1:
-            out.append((_primitive(g), i))
-        b = _fdiv_exact(b, g)
-        c = _fdiv_exact(d, g)
-        d = _fsub(c, _fderiv(b))
+            out.append((IntPolynomial(tuple(g)), i))
+        b = _div_exact(b, g)
+        d = _sub(_div_exact(d, g), _deriv(b))
         i += 1
     return out
 
@@ -362,16 +350,16 @@ def _seeded_cells(f: IntPolynomial):
 
 
 def _sturm_chain(f: IntPolynomial) -> list:
-    """Sturm sequence of f, each member scaled by a positive rational to a
-    primitive integer polynomial, which keeps its signs and its size small."""
+    """Sturm sequence of f over the integers: each member is minus the
+    pseudo-remainder of the two before it, which is a positive multiple of
+    the remainder over the rationals, divided by its positive content, so
+    it keeps its signs and its size small."""
     chain = [list(f.coeffs)]
-    r = _fderiv(_fpoly(f))
+    r = _deriv(chain[0])
     while r:
-        g = list(_primitive(r).coeffs)
-        chain.append(g if r[-1] > 0 else [-c for c in g])
-        a, b = ([Fraction(c) for c in poly] for poly in chain[-2:])
-        _, rem = _fdivmod(a, b)
-        r = [-c for c in rem]
+        content = math.gcd(*r)
+        chain.append([c // content for c in r])
+        r = [-c for c in _prem(chain[-2], chain[-1])]
     return chain
 
 

@@ -5,7 +5,8 @@ rank, representations of graphs at parameters (omega, c) and the basic
 operations on them (sum, reduction, isometry recovery).
 
 The eigendecomposition behind factorization and rank is LAPACK's symmetric
-solver (``numpy.linalg.eigh``).
+solver (``numpy.linalg.eigh``); isometry recovery takes one SVD
+(``numpy.linalg.svd``).
 """
 
 from __future__ import annotations
@@ -174,28 +175,6 @@ def reduce_representation(u: Representation) -> Representation:
     return Representation(u.graph, u.omega, u.c, space, vectors, gram=u.gram)
 
 
-def _pivot_rows(gram: np.ndarray, pivot_tol: float) -> list:
-    """Indices of a maximal independent set of rows, by row-pivoted
-    elimination on a copy of the Gram matrix."""
-    a = np.array(gram, dtype=float)
-    n = a.shape[0]
-    used = [False] * n
-    selected = []
-    for col in range(n):
-        best, best_val = -1, pivot_tol
-        for r in range(n):
-            if not used[r] and abs(a[r, col]) > best_val:
-                best, best_val = r, abs(a[r, col])
-        if best < 0:
-            continue
-        selected.append(best)
-        used[best] = True
-        for r in range(n):
-            if not used[r] and a[r, col] != 0.0:
-                a[r] -= (a[r, col] / a[best, col]) * a[best]
-    return sorted(selected)
-
-
 def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
                      space_v: QuadraticSpace) -> np.ndarray:
     """The linear map f with f(u_i) = v_i, given equal Gram matrices.
@@ -203,10 +182,12 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     Both systems must be reduced (their vectors span the spaces, which have
     equal dimension).  ``u_vectors`` is n x r.  ``v_vectors`` is one n x r
     target system, or a stack of k of them (k x n x r); a stack shares the
-    Gram matrix of u, its pivot basis and one batched solve, and each of its
-    targets passes the same checks as a single one.  Returns the r x r
-    matrix of f, or the k x r x r stack of them; raises GramMismatchError or
-    DeficientSpanError if any target fails.
+    Gram matrix of u, one SVD of u and one batched product with its
+    pseudo-inverse, and each of its targets passes the same checks as a
+    single one.  u spans r dimensions when its smallest singular value is
+    above numpy's ``matrix_rank`` cut, sigma_max * max(n, r) * machine
+    epsilon.  Returns the r x r matrix of f, or the k x r x r stack of them;
+    raises GramMismatchError or DeficientSpanError if any target fails.
     """
     u_vectors = np.asarray(u_vectors, dtype=float)
     v_vectors = np.asarray(v_vectors, dtype=float)
@@ -224,17 +205,12 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
         raise DeficientSpanError("spaces have different dimensions")
     if r == 0:
         return np.zeros((0, 0) if single else (len(v), 0, 0))
-    pivots = _pivot_rows(gu, config.PIVOT_TOL)
-    if len(pivots) < r:
-        raise DeficientSpanError(
-            f"vectors span only {len(pivots)} of {r} dimensions"
-        )
-    pivots = pivots[:r]
-    basis_u = u_vectors[pivots]  # r x r
-    try:
-        sol = np.linalg.solve(basis_u[None], v[:, pivots, :])  # k x r x r
-    except np.linalg.LinAlgError:
-        raise DeficientSpanError("selected basis is numerically singular") from None
+    left, sigma, right_t = np.linalg.svd(u_vectors, full_matrices=False)
+    cut = sigma.max(initial=0.0) * max(u_vectors.shape) * np.finfo(float).eps
+    span = int(np.sum(sigma > cut))
+    if span < r:
+        raise DeficientSpanError(f"vectors span only {span} of {r} dimensions")
+    sol = ((right_t.T / sigma) @ left.T) @ v  # k x r x r
     scale = np.maximum(1.0, np.abs(v).max(axis=(1, 2), initial=0.0))
     diff = u_vectors @ sol
     diff -= v

@@ -113,14 +113,12 @@ def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
     """Restrict to one vertex per line: the graph induced on the class
     representatives (relabeled 0..m-1) and the corresponding sub-system of
     vectors, which is again reduced and non-trivial.  ``p`` must be the
-    partition ``line_classes(u)``; any other is refused."""
-    if u.is_trivial():
-        raise TrivialRepresentationError("cannot restrict a trivial representation")
-    if not u.is_reduced():
-        raise ValueError("representation must be reduced")
+    partition ``line_classes(u)``; any other is refused, and so is a
+    trivial or non-reduced u, by ``line_classes``."""
+    lines = line_classes(u)
     if g != u.graph:
         raise ValueError("graph does not match the representation")
-    if p != line_classes(u):
+    if p != lines:
         raise ValueError("partition is not the line partition of the representation")
     reps = list(p.rep_index)
     m = p.m

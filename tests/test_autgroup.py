@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbe import _kernels_py, cli, quadspace
+from gerbe import _kernels_py, cli
 from gerbe.autgroup import (
     REALIZE_CHUNK,
     SheafGroup,
@@ -274,17 +274,17 @@ class TestRealizeBatched:
             realize_isometries(elements, u)
         assert len(realize_isometries(elements[:REALIZE_CHUNK], u)) == REALIZE_CHUNK
 
-    def test_cli_realize_one_pivot_basis_per_chunk(self, tmp_path, capsys, monkeypatch):
-        # structural guard, not a timing: the pivot basis of u is computed
-        # once per chunk of elements, not once per element
+    def test_cli_realize_one_svd_per_chunk(self, tmp_path, capsys, monkeypatch):
+        # structural guard, not a timing: u is factorized once per chunk of
+        # elements, not once per element
         calls = []
-        original = quadspace._pivot_rows
+        original = np.linalg.svd
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(quadspace, "_pivot_rows", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         p = tmp_path / "petersen.txt"
         p.write_text("10\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in petersen().sorted_edges()))
         assert cli.main(["group", str(p), "--c=1/3", "--realize", "--json"]) == 0

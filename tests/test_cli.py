@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gerbe import cli, config, exactpoly
+from gerbe import cli, config, exactpoly, quadspace
 from gerbe.autgroup import SheafGroup, SignedPermutation, enumerate_group
 from gerbe.fixtures import SQUARE
 from gerbe.graph import Permutation, epsilon_matrix
@@ -182,6 +182,22 @@ class TestGroup:
         assert payload["lines"] == lines
         assert payload["group_order"] == order
         assert payload["is_2_transitive"] is two_transitive
+
+    def test_at_one_ranks_three_times(self, square_file, capsys, monkeypatch):
+        # structural guard: line_classes in cli._lines and in restrict_to_Y, and
+        # the restricted system's own check, each take one rank (one eigh)
+        calls = []
+        original = quadspace.rank
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quadspace, "rank", counted)
+        code, out, _ = run(["group", square_file, "--c=1", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["lines"] == 1
+        assert len(calls) == 3
 
     def test_realize_json(self, square_file, capsys):
         code, out, _ = run(
@@ -361,3 +377,19 @@ class TestInputErrors:
     def test_bad_rational(self, square_file, capsys):
         code, _, err = run(["classes", square_file, "--c", "abc"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("cmd, args", [
+        ("group", ["--c=1" + "0" * 400]),
+        ("represent", ["--c", "1e400", "--approx"]),
+        ("represent", ["--c", "1e-400", "--approx"]),
+        ("classes", ["--c=1/1" + "0" * 400]),
+        ("represent", ["--c=1/3", "--omega=-1" + "0" * 400]),
+    ], ids=["c-overflow", "c-approx-overflow", "c-approx-underflow",
+            "c-underflow", "omega-overflow"])
+    def test_rational_outside_float_range(self, square_file, cmd, args, capsys):
+        code, out, err = run([cmd, square_file, *args], capsys)
+        assert code == 2
+        assert out == ""
+        assert "outside the range of a float" in err
+        assert "Traceback" not in err
+

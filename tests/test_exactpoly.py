@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -200,6 +202,91 @@ class TestSquarefree:
             assert reconstruct(factors, lead) == chi
             # factors pairwise coprime: no shared roots among small rationals
             assert prod.degree == chi.degree
+
+
+def paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q)
+                                if (j - i) % q in squares])
+
+
+def triangular(k):
+    verts = list(itertools.combinations(range(k), 2))
+    return Graph.from_edges(len(verts), [
+        (a, b) for a, b in itertools.combinations(range(len(verts)), 2)
+        if set(verts[a]) & set(verts[b])])
+
+
+def rational_remainder(a, b):
+    """Remainder of a by b over the rationals, by long division."""
+    r = [Fraction(c) for c in a]
+    while len(r) >= len(b):
+        factor, shift = r[-1] / b[-1], len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= factor * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def assert_squarefree_factors(chi):
+    factors = squarefree_decomposition(chi)
+    for f, _ in factors:
+        assert f.coeffs[-1] > 0 and math.gcd(*f.coeffs) == 1
+    prod = IntPolynomial((1,))
+    for f, e in factors:
+        prod = prod * (f ** e)
+    assert reconstruct(factors, Fraction(chi.coeffs[-1], prod.coeffs[-1])) == chi
+    # a gcd of degree 0 modulo a prime dividing no lead is one over Q
+    q = next(q for q in (2**61 - 1, 2**31 - 1)
+             if all(f.coeffs[-1] % q for f, _ in factors))
+    for k, (f, _) in enumerate(factors):
+        assert exactpoly._gcd_degree_mod(f.coeffs, exactpoly._deriv(f.coeffs), q) == 0
+        for g, _ in factors[k + 1:]:
+            assert exactpoly._gcd_degree_mod(f.coeffs, g.coeffs, q) == 0
+
+
+class TestIntegerArithmetic:
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_chi_factors(self, n, seed):
+        assert_squarefree_factors(char_poly(random_sign_matrix(random.Random(seed), n)))
+
+    @pytest.mark.parametrize("g", [Graph.from_edges(8, []), triangular(8), paley(13)],
+                             ids=["edgeless-8", "T8", "paley-13"])
+    def test_known_chi_factors(self, g):
+        assert_squarefree_factors(char_poly(epsilon_matrix(g)))
+
+    def test_yun_on_squarefree_chi(self):
+        rng = random.Random(17)
+        checked = 0
+        while checked < 5:
+            chi = char_poly(random_sign_matrix(rng, rng.randint(4, 12)))
+            if [e for _, e in squarefree_decomposition(chi)] != [1]:
+                continue
+            content = math.gcd(*chi.coeffs) * (1 if chi.coeffs[-1] > 0 else -1)
+            assert exactpoly._yun(chi) == [(P(*(c // content for c in chi.coeffs)), 1)]
+            checked += 1
+
+    def test_div_exact(self):
+        assert exactpoly._div_exact([-1, 0, 1], [-1, 1]) == [1, 1]
+        with pytest.raises(ArithmeticError):
+            exactpoly._div_exact([1, 0, 1], [1, 1])  # remainder 2
+        with pytest.raises(ArithmeticError):
+            exactpoly._div_exact([1, 3], [1, 2])  # quotient 3/2
+
+    @pytest.mark.parametrize("a, b", [
+        ([1, 0, 1], [1, -2]),  # remainder 5/4
+        ([1, 0, 0, 1], [1, -2]),  # remainder 9/8, scaled by 2^3
+        ([-3, 0, 0, 1], [1, -2]),  # remainder -23/8
+        ([4, -1, 7, 0, -3], [5, 1, -3]),
+        ([2, 0, -6, 1, 3], [-1, 4, 0, -2]),
+    ])
+    def test_prem_keeps_remainder_sign(self, a, b):
+        # lead(b) < 0: scaling by |lead b|, not lead b, keeps the
+        # remainder's sign also when deg a - deg b + 1 is odd
+        scale = abs(b[-1]) ** (len(a) - len(b) + 1)
+        assert exactpoly._prem(a, b) == [scale * c for c in rational_remainder(a, b)]
 
 
 class TestRealRoots:
