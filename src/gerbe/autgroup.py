@@ -20,7 +20,6 @@ from . import _backend
 from .errors import BoundExceededError
 from .graph import Permutation, SignMatrix, chain_products, stabilizer_chain
 from .quadspace import Representation, isometry_between
-from .sheaf import LinePartition
 
 
 @dataclass(frozen=True)
@@ -219,27 +218,17 @@ class OrbitStructure:
     is_2_transitive: bool
 
 
-def line_action(a: SignedPermutation, p: LinePartition) -> tuple:
-    """Induced map on line classes; raises if the permutation does not
-    permute the classes consistently."""
-    image = tuple(p.pi[a.sigma(r)] for r in p.rep_index)
-    for i in range(p.n):
-        if p.pi[a.sigma(i)] != image[p.pi[i]]:
-            raise ValueError("permutation does not act on the line classes")
-    if sorted(image) != list(range(p.m)):
-        raise ValueError("induced class map is not a bijection")
-    return image
+def orbits_on_lines(grp: SheafGroup) -> OrbitStructure:
+    """Orbit partition of the lines, plus transitivity flags.
 
-
-def orbits_on_lines(grp: SheafGroup, p: LinePartition) -> OrbitStructure:
-    """Orbit partition of the line classes, plus transitivity flags.
-
-    Union-find over the images of the generators only, which -id joins
-    without moving a line.  2-transitivity is decided directly: one orbit on
-    ordered pairs of distinct lines.
+    The group acts on the lines of its sign matrix through the underlying
+    permutations, one vertex per line (callers pass the group of the
+    restricted graph).  Union-find over the images of the generators only,
+    which -id joins without moving a line.  2-transitivity is decided
+    directly: one orbit on ordered pairs of distinct lines.
     """
-    m = p.m
-    actions = [line_action(el, p) for el in grp.generators]
+    m = grp.ambient.n
+    actions = [el.sigma.images for el in grp.generators]
     parent = list(range(m))
 
     def find(x):

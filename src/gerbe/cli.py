@@ -64,7 +64,7 @@ def parse_rational(text: str, allow_approx=False) -> Fraction:
             )
         value = float(text)
         _check_float_range(text, value, Decimal(text) != 0)
-        return Fraction(value).limit_denominator(10**12)
+        return Fraction(value)
     try:
         exact = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -116,7 +116,7 @@ def _chi_section(g):
     eps = epsilon_matrix(g)
     chi = char_poly(eps)
     factors = squarefree_decomposition(chi)
-    roots = real_roots_with_multiplicity(chi, factors=factors)
+    roots = real_roots_with_multiplicity(eps, factors)
     return eps, chi, factors, roots
 
 
@@ -258,7 +258,7 @@ def cmd_group(args) -> int:
             f"|G| = {grp.order} exceeds the --realize listing bound "
             f"{config.MAX_LISTED_ORDER}"
         )
-    orbit_info = orbits_on_lines(grp, LinePartition.trivial(gy.n))
+    orbit_info = orbits_on_lines(grp)
     payload = {
         "c": float(c),
         "n": g.n,
@@ -334,7 +334,7 @@ def cmd_analyze(args) -> int:
     report["aut_graph_order"] = automorphism_order(g)
     if g.n >= 3:
         grp = enumerate_group(eps)
-        orbit_info = orbits_on_lines(grp, LinePartition.trivial(g.n))
+        orbit_info = orbits_on_lines(grp)
         report["group"] = {
             "order": grp.order,
             "n_sigma": grp.n_sigma,
@@ -376,7 +376,7 @@ def run_demo(corrupt=None):
         if corrupt == fx.name:
             expected_chi = tuple(c + 1 for c in expected_chi)
         chi_ok = chi.coeffs == expected_chi
-        roots = real_roots_with_multiplicity(chi)
+        roots = real_roots_with_multiplicity(eps, squarefree_decomposition(chi))
         roots_ok = len(roots) == len(fx.roots)
         ranks_ok = True
         for rec, (val, mult, expected_rank) in zip(roots, fx.roots):
@@ -390,7 +390,7 @@ def run_demo(corrupt=None):
         aut_ok = automorphism_order(g) == fx.aut_order
         grp = enumerate_group(eps)
         group_ok = grp.order == fx.group_order
-        orbit_info = orbits_on_lines(grp, LinePartition.trivial(g.n))
+        orbit_info = orbits_on_lines(grp)
         trans_ok = orbit_info.is_2_transitive == fx.two_transitive
         row = {
             "fixture": fx.name,

@@ -3,13 +3,14 @@
 Provides the characteristic polynomial det(S(1, x)) of a sign matrix as an
 exact integer polynomial (Faddeev–LeVerrier), its square-free decomposition
 (a gcd modulo a prime, else Yun's scheme), and its real roots with
-multiplicities: float seeds cut the line into cells that exact integer signs
-certify, with Sturm chains as the fallback.  The polynomial arithmetic is
-over the integers: by Gauss's lemma a primitive divisor of an integer
-polynomial divides it over Z, so Yun's scheme divides exactly by primitive
-gcds, and the Sturm chain takes pseudo-remainders.  Fractions appear only
-as the rational points where signs are taken.  Everything here is exact
-except the float approximation attached to each root.
+multiplicities: seeds -1/lam from the Seidel spectrum cut the line into
+cells that exact integer signs certify, with Sturm chains as the fallback,
+and a rational root is found by testing the points -1/k.  The polynomial
+arithmetic is over the integers: by Gauss's lemma a primitive divisor of an
+integer polynomial divides it over Z, so Yun's scheme divides exactly by
+primitive gcds, and the Sturm chain takes pseudo-remainders.  Fractions
+appear only as the rational points where signs are taken.  Everything here
+is exact except the float approximation attached to each root.
 """
 
 from __future__ import annotations
@@ -329,26 +330,6 @@ def _root_bound(f: IntPolynomial) -> int:
     return 2 + max(abs(c) for c in f.coeffs[:-1]) // abs(f.coeffs[-1])
 
 
-def _seeded_cells(f: IntPolynomial):
-    """One cell (lo, hi, seed) per real root of the square-free f, or None.
-
-    The cuts are ± the root bound and the float midpoints (exact dyadic
-    Fractions) between the sorted real parts of ``numpy.roots``.  When the
-    exact signs of f alternate over these d + 1 nondecreasing cuts, each of
-    the d cells holds a root, and f has no more.  Complex or clustered seeds
-    fail the test.
-    """
-    seeds = np.sort(np.roots([float(c) for c in reversed(f.coeffs)]).real)
-    bound = _root_bound(f)
-    cuts = [Fraction(-bound)]
-    cuts += [Fraction((a + b) / 2) for a, b in zip(seeds, seeds[1:])]
-    cuts.append(Fraction(bound))
-    signs = [_sign_at(f.coeffs, x) for x in cuts]
-    if any(s * t != -1 for s, t in zip(signs, signs[1:])):
-        return None
-    return [(lo, hi, float(seed)) for lo, hi, seed in zip(cuts, cuts[1:], seeds)]
-
-
 def _sturm_chain(f: IntPolynomial) -> list:
     """Sturm sequence of f over the integers: each member is minus the
     pseudo-remainder of the two before it, which is a positive multiple of
@@ -391,21 +372,20 @@ def _sturm_cells(f: IntPolynomial) -> list:
 
 
 def _refine(f: IntPolynomial, lo: Fraction, hi: Fraction, seed, width: Fraction):
-    """The root of the square-free f in the cell (lo, hi), whose endpoints
-    are not roots, by bisection that first cuts either side of the seed:
-    (exact, None) when it is rational, else (None, (lo, hi)) narrower than
-    width.  A rational root's denominator divides L = |lead f|, and such
-    rationals lie 1/L^2 apart, so below width 1/(2 L^2) the midpoint's
-    ``limit_denominator(L)`` is the only candidate.
+    """The root of the square-free factor f of chi in the cell (lo, hi),
+    whose endpoints are not roots, by bisection that first cuts either side
+    of the seed: (exact, None) when it is rational, else (None, (lo, hi))
+    narrower than width.  By Gauss's lemma f divides chi over Z, so f(0)
+    divides chi(0) = 1, and a rational root of f is -1/k for an integer k:
+    the final cell is tested at each such point inside it.  That cell does
+    not hold 0, as every root -1/lam of chi has modulus at least 1/(n - 1).
     """
-    lead = abs(f.coeffs[-1])
-    fine = min(width, Fraction(1, 2 * lead * lead))
     sign_lo = _sign_at(f.coeffs, lo)
     guesses = []
     if seed is not None:
         delta = _SEED_WINDOW * max(1.0, abs(seed))
         guesses = [Fraction(seed - delta), Fraction(seed + delta)]
-    while hi - lo >= fine:
+    while hi - lo >= width:
         x = guesses.pop() if guesses else (lo + hi) / 2
         if not lo < x < hi:
             continue
@@ -416,30 +396,48 @@ def _refine(f: IntPolynomial, lo: Fraction, hi: Fraction, seed, width: Fraction)
             lo = x
         else:
             hi = x
-    cand = ((lo + hi) / 2).limit_denominator(lead)
-    if lo < cand < hi and _sign_at(f.coeffs, cand) == 0:
-        return cand, None
+    for k in range(math.floor(-1 / lo) + 1, math.ceil(-1 / hi)):
+        if _sign_at(f.coeffs, Fraction(-1, k)) == 0:
+            return Fraction(-1, k), None
     return None, (lo, hi)
 
 
-def real_roots_with_multiplicity(p: IntPolynomial, factors=None) -> list:
-    """Every real root of p, once each, with its exact multiplicity.
+def real_roots_with_multiplicity(m: SignMatrix, factors) -> list:
+    """Every real root of chi = char_poly(m), once each, with its exact
+    multiplicity; ``factors`` is ``squarefree_decomposition(chi)``.
 
-    Each square-free factor's roots are isolated from float seeds, or by
-    Sturm chains when the seeds do not certify, then refined exactly:
-    rational roots come out exact, irrational roots with a certified
-    isolating interval narrower than ``config.ROOT_INTERVAL_WIDTH`` plus a
-    float approximation.  ``factors``, when given, must be
-    ``squarefree_decomposition(p)``; it saves computing it again.
+    chi(x) = prod (1 + x lam) over the eigenvalues lam of eps - I, and
+    deg chi = rank(eps - I), so the roots are -1/lam for the deg chi
+    eigenvalues of largest modulus.  Sorted, these seeds split at their
+    D - 1 widest gaps into D = sum deg f clusters, one per distinct root.
+    The cuts are the midpoints of those gaps (exact dyadic Fractions) and
+    one point beyond each end.  A factor f's cells are those between
+    consecutive cuts over which f changes sign: when there are deg f of
+    them, each holds one root of f and f has no other; else Sturm chains
+    isolate its roots.  Each root is then refined exactly: rational roots
+    come out exact, irrational roots with a certified isolating interval
+    narrower than ``config.ROOT_INTERVAL_WIDTH`` plus a float approximation.
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
+    if not factors:
+        return []
+    n = m.n
+    lams = np.linalg.eigvalsh(m.entries - np.eye(n))
+    degree = sum(f.degree * e for f, e in factors)
+    seeds = np.sort(-1 / lams[np.argsort(np.abs(lams))[n - degree:]])
+    distinct = sum(f.degree for f, _ in factors)
+    splits = np.sort(np.argsort(np.diff(seeds))[degree - distinct:]) + 1
+    means = [float(cluster.mean()) for cluster in np.split(seeds, splits)]
+    cuts = [Fraction(x) for x in (
+        seeds[0] - 1, *((seeds[i - 1] + seeds[i]) / 2 for i in splits), seeds[-1] + 1)]
     width = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
     records = []
-    if factors is None:
-        factors = squarefree_decomposition(p)
     for factor, mult in factors:
-        for lo, hi, seed in _seeded_cells(factor) or _sturm_cells(factor):
+        signs = [_sign_at(factor.coeffs, x) for x in cuts]
+        cells = [(lo, hi, seed) for lo, hi, seed, s, t
+                 in zip(cuts, cuts[1:], means, signs, signs[1:]) if s * t == -1]
+        if len(cells) != factor.degree:
+            cells = _sturm_cells(factor)
+        for lo, hi, seed in cells:
             exact, interval = _refine(factor, lo, hi, seed, width)
             value = exact if interval is None else (interval[0] + interval[1]) / 2
             records.append(

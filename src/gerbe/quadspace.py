@@ -71,13 +71,12 @@ def build_S(m: SignMatrix, omega: float, c: float) -> np.ndarray:
     return s
 
 
-def rank(s, tol=None) -> int:
-    """Numeric rank: eigenvalues above tol relative to the spectral radius."""
-    t = tol if tol is not None else config.RANK_TOL
+def rank(s) -> int:
+    """Numeric rank: eigenvalues above RANK_TOL relative to the spectral radius."""
     evals, _ = jacobi_eigh(s)
     if len(evals) == 0:
         return 0
-    thr = t * max(1.0, float(np.abs(evals).max()))
+    thr = config.RANK_TOL * max(1.0, float(np.abs(evals).max()))
     return int(np.sum(np.abs(evals) > thr))
 
 

@@ -18,7 +18,6 @@ from gerbe.autgroup import (
     enumerate_group,
     extend_signs,
     inverse,
-    line_action,
     orbits_on_lines,
     realize_isometries,
     realize_isometry,
@@ -35,7 +34,6 @@ from gerbe.graph import (
     graph_automorphisms,
 )
 from gerbe.quadspace import Representation, isometry_between
-from gerbe.sheaf import LinePartition
 
 
 def random_graph(rng, n):
@@ -295,42 +293,35 @@ class TestRealizeBatched:
 class TestOrbits:
     def test_pointed_hexagon_two_transitive(self):
         grp = enumerate_group(epsilon_matrix(POINTED_HEXAGON.graph))
-        info = orbits_on_lines(grp, LinePartition.trivial(6))
+        info = orbits_on_lines(grp)
         assert info.is_transitive
         assert info.is_2_transitive
         assert info.orbits == ((0, 1, 2, 3, 4, 5),)
 
     def test_square_transitive(self):
         grp = enumerate_group(epsilon_matrix(SQUARE.graph))
-        info = orbits_on_lines(grp, LinePartition.trivial(4))
+        info = orbits_on_lines(grp)
         assert info.is_transitive
         assert info.is_2_transitive
 
     def test_pentagon_not_two_transitive(self):
         grp = enumerate_group(epsilon_matrix(PENTAGON.graph))
-        info = orbits_on_lines(grp, LinePartition.trivial(5))
+        info = orbits_on_lines(grp)
         assert info.is_transitive
         assert not info.is_2_transitive
 
     def test_center_only_group_not_transitive(self):
         m = epsilon_matrix(PENTAGON.graph)
         tiny = SheafGroup(m, (SignedPermutation.identity(5), SignedPermutation.central(5)))
-        info = orbits_on_lines(tiny, LinePartition.trivial(5))
+        info = orbits_on_lines(tiny)
         assert not info.is_transitive
         assert len(info.orbits) == 5
-
-    def test_line_action_on_collapsed_partition(self):
-        # square at c = 1: one line; every element must act trivially
-        p = LinePartition(1, (0,), (0, 0, 0, 0), (1, -1, 1, -1))
-        grp = enumerate_group(epsilon_matrix(SQUARE.graph))
-        for el in grp.elements:
-            assert line_action(el, p) == (0,)
 
     def test_disconnected_two_orbits(self):
         # two disjoint edges: lines cannot mix between non-isomorphic pieces
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         grp = enumerate_group(epsilon_matrix(g))
-        info = orbits_on_lines(grp, LinePartition.trivial(5))
+        info = orbits_on_lines(grp)
         assert not info.is_2_transitive
 
 
@@ -382,8 +373,7 @@ class TestStabilizerChain:
         chain, naive = enumerate_group(m), enumerate_group(m, naive=True)
         assert chain.order == naive.order
         assert chain.n_sigma == len({el.sigma.images for el in naive.elements})
-        p = LinePartition.trivial(n)
-        assert orbits_on_lines(chain, p) == orbits_on_lines(naive, p)
+        assert orbits_on_lines(chain) == orbits_on_lines(naive)
         auts = [s for s in itertools.permutations(range(n))
                 if all(g.linked(s[i], s[j]) == g.linked(i, j)
                        for i, j in itertools.combinations(range(n), 2))]
@@ -402,8 +392,7 @@ class TestStabilizerChain:
                               SignMatrix(m.entries * np.outer(d, d)))
         g1, g2 = enumerate_group(m), enumerate_group(m2)
         assert g1.order == g2.order
-        p = LinePartition.trivial(n)
-        o1, o2 = orbits_on_lines(g1, p), orbits_on_lines(g2, p)
+        o1, o2 = orbits_on_lines(g1), orbits_on_lines(g2)
         assert sorted(map(len, o1.orbits)) == sorted(map(len, o2.orbits))
         assert o1.is_2_transitive == o2.is_2_transitive
 
@@ -412,7 +401,7 @@ class TestStabilizerChain:
         grp = enumerate_group(epsilon_matrix(g))
         assert grp.order == order
         assert grp.n_sigma == order // 2
-        info = orbits_on_lines(grp, LinePartition.trivial(g.n))
+        info = orbits_on_lines(grp)
         assert info.is_2_transitive
 
     def test_kernel_modes(self):

@@ -106,6 +106,19 @@ class TestRepresent:
         assert code == 0
         assert json.loads(out)["c"] == pytest.approx(0.25)
 
+    def test_small_decimal_kept_with_approx(self, square_file, capsys):
+        code, out, _ = run(
+            ["represent", square_file, "--c", "1e-13", "--approx", "--json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["c"] == 1e-13
+        code, out, _ = run(
+            ["group", square_file, "--c", "1e-13", "--approx", "--json"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["group_order"], payload["lines"]) == (48, 4)
+
 
 class TestClasses:
     def test_square_at_one(self, square_file, capsys):

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -289,23 +288,31 @@ class TestIntegerArithmetic:
         assert exactpoly._prem(a, b) == [scale * c for c in rational_remainder(a, b)]
 
 
+def roots_of(m):
+    return real_roots_with_multiplicity(m, squarefree_decomposition(char_poly(m)))
+
+
+# one edge on five vertices: chi = (8x^3 + 7x^2 - 2x - 1)(x - 1)^2
+ONE_EDGE = epsilon_matrix(Graph.from_edges(5, [(1, 2)]))
+
+
 class TestRealRoots:
     def test_triangle(self):
-        roots = real_roots_with_multiplicity(P(*TRIANGLE.chi_coeffs))
+        roots = roots_of(epsilon_matrix(TRIANGLE.graph))
         assert [(r.exact, r.multiplicity) for r in roots] == [
             (Fraction(-1), 2),
             (Fraction(1, 2), 1),
         ]
 
     def test_square(self):
-        roots = real_roots_with_multiplicity(P(*SQUARE.chi_coeffs))
+        roots = roots_of(epsilon_matrix(SQUARE.graph))
         assert [(r.exact, r.multiplicity) for r in roots] == [
             (Fraction(-1, 3), 1),
             (Fraction(1), 3),
         ]
 
     def test_pentagon_irrational(self):
-        roots = real_roots_with_multiplicity(P(*PENTAGON.chi_coeffs))
+        roots = roots_of(epsilon_matrix(PENTAGON.graph))
         assert len(roots) == 2
         target = 5 ** -0.5
         assert roots[0].exact is None and roots[1].exact is None
@@ -315,74 +322,72 @@ class TestRealRoots:
         for r in roots:
             lo, hi = r.interval
             assert hi - lo <= Fraction(1, 10**12) * 2
-            assert lo < Fraction(r.value).limit_denominator(10**15) < hi or True
+            assert lo < Fraction(r.value) < hi
 
     def test_pointed_hexagon_multiplicity(self):
-        roots = real_roots_with_multiplicity(P(*POINTED_HEXAGON.chi_coeffs))
+        roots = roots_of(epsilon_matrix(POINTED_HEXAGON.graph))
         assert [r.multiplicity for r in roots] == [3, 3]
 
     def test_constant_no_roots(self):
-        assert real_roots_with_multiplicity(P(1,)) == []
-
-    def test_zero_root(self):
-        roots = real_roots_with_multiplicity(P(0, 0, 1))  # x^2
-        assert [(r.exact, r.multiplicity) for r in roots] == [(Fraction(0), 2)]
-
-    def test_rational_candidate_outside_cell_rejected(self):
-        # x (x^2 + 3x - 1): the integer nearest the irrational root 0.30...
-        # is the root 0, which lies in another cell
-        roots = real_roots_with_multiplicity(P(0, -1, 3, 1))
-        assert [r.exact for r in roots] == [None, Fraction(0), None]
+        # one vertex: eps - I = 0, so chi = 1
+        assert roots_of(epsilon_matrix(Graph.from_edges(1, []))) == []
 
     def test_interval_brackets_root(self):
-        roots = real_roots_with_multiplicity(P(-2, 0, 1))  # x^2 - 2
-        for r in roots:
+        roots = roots_of(ONE_EDGE)
+        # 8x^3 + 7x^2 - 2x - 1 = (x + 1)(8x^2 - x - 1)
+        assert [(r.exact, r.multiplicity) for r in roots] == [
+            (Fraction(-1), 1), (None, 1), (None, 1), (Fraction(1), 2)
+        ]
+        f = P(-1, -1, 8)
+        for r in roots[1:3]:
             lo, hi = r.interval
-            f = P(-2, 0, 1)
             assert f(lo) * f(hi) < 0
 
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            real_roots_with_multiplicity(IntPolynomial(()))
-
     def test_sturm_fallback(self, monkeypatch):
-        # the complex pair +-i gives two equal real seeds, so the seeded
-        # cells cannot certify and Sturm isolation takes over
-        f = P(1, 0, 1) * P(-1, 3) * P(-2, 0, 1)
-        calls = spy(monkeypatch, "_sturm_cells")
-        roots = real_roots_with_multiplicity(f)
-        assert calls == [f]
-        assert [(r.exact, r.multiplicity) for r in roots] == [
-            (None, 1), (Fraction(1, 3), 1), (None, 1)
-        ]
-        (lo0, hi0), (lo2, hi2) = roots[0].interval, roots[2].interval
-        assert lo0 < hi0 < 0 < lo2 < hi2
-        assert lo0 * lo0 > 2 > hi0 * hi0 and lo2 * lo2 < 2 < hi2 * hi2
-        assert hi0 - lo0 < Fraction(1, 10**12) and hi2 - lo2 < Fraction(1, 10**12)
+        # seeds far beyond every root leave no cell with a sign change, so
+        # every factor goes to Sturm isolation, with the same roots
+        for m in (epsilon_matrix(SQUARE.graph), ONE_EDGE):
+            want = roots_of(m)
+            factors = squarefree_decomposition(char_poly(m))
+            with monkeypatch.context() as patch:
+                calls = spy(patch, "_sturm_cells")
+                patch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), 1e-9))
+                got = roots_of(m)
+            assert calls == [f for f, _ in factors]
+            assert [(r.exact, r.multiplicity) for r in got] == [
+                (r.exact, r.multiplicity) for r in want]
+            for a, b in zip(got, want):
+                assert a.interval is None or max(a.interval[0], b.interval[0]) < min(
+                    a.interval[1], b.interval[1])
 
     def test_sturm_cells_agree_with_seeded_cells(self):
         rng = random.Random(43)
+        width = Fraction(1, 10**12)
         for _ in range(10):
-            chi = char_poly(random_sign_matrix(rng, rng.randint(6, 16)))
-            f = squarefree_decomposition(chi)[-1][0]
-            seeded = exactpoly._seeded_cells(f)
-            assert seeded is not None
-            width = Fraction(1, 10**12)
-            via_seeds = [exactpoly._refine(f, lo, hi, s, width) for lo, hi, s in seeded]
-            via_sturm = [exactpoly._refine(f, lo, hi, s, width)
-                         for lo, hi, s in sorted(exactpoly._sturm_cells(f))]
-            assert [e for e, _ in via_seeds] == [e for e, _ in via_sturm]
-            for (_, a), (_, b) in zip(via_seeds, via_sturm):
+            m = random_sign_matrix(rng, rng.randint(6, 16))
+            factors = squarefree_decomposition(char_poly(m))
+            via_seeds = real_roots_with_multiplicity(m, factors)
+            # (left end, exact, interval, multiplicity), in root order
+            via_sturm = sorted(
+                (exact if interval is None else interval[0], exact, interval, e)
+                for f, e in factors for lo, hi, s in exactpoly._sturm_cells(f)
+                for exact, interval in [exactpoly._refine(f, lo, hi, s, width)])
+            assert [(r.exact, r.multiplicity) for r in via_seeds] == [
+                (exact, e) for _, exact, _, e in via_sturm]
+            for r, (_, _, b, _) in zip(via_seeds, via_sturm):
+                a = r.interval
                 assert a is None or max(a[0], b[0]) < min(a[1], b[1])
 
-    def test_rational_root_with_huge_denominator(self):
-        # a trial division over the divisors of the leading coefficient
-        # would take about 1.5e9 steps here
-        p = 2**61 - 1
-        t0 = time.perf_counter()
-        roots = real_roots_with_multiplicity(P(-1, p) * P(-2, 0, 1))
-        assert time.perf_counter() - t0 < 1.0
-        assert [r.exact for r in roots] == [None, Fraction(1, p), None]
+    @pytest.mark.parametrize("n", [40, 48, 64])
+    def test_large_random_graphs_need_no_sturm(self, n, monkeypatch):
+        m = random_sign_matrix(random.Random(n), n)
+        calls = spy(monkeypatch, "_sturm_cells")
+        roots = roots_of(m)
+        assert calls == []
+        got = [r.value for r in roots for _ in range(r.multiplicity)]
+        lams = np.linalg.eigvalsh(m.entries - np.eye(n))
+        want = sorted(-1 / lam for lam in lams if abs(lam) > 1e-9)
+        assert got == pytest.approx(want, rel=1e-8)
 
 
 class TestSpectralOracle:
@@ -398,7 +403,7 @@ class TestSpectralOracle:
         lams = np.linalg.eigvalsh(m.entries - np.eye(n))
         lams = sorted((lam for lam in lams if abs(lam) > 1e-9),
                       key=lambda lam: -1 / lam)
-        roots = real_roots_with_multiplicity(char_poly(m))
+        roots = roots_of(m)
         got = [r for r in roots for _ in range(r.multiplicity)]
         assert len(got) == len(lams)
         for r, lam in zip(got, lams):

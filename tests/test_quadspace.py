@@ -6,7 +6,7 @@ import pytest
 
 from gerbe.autgroup import enumerate_group
 from gerbe.errors import DeficientSpanError, GramMismatchError
-from gerbe.exactpoly import char_poly, real_roots_with_multiplicity
+from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import ALL, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import Graph, epsilon_matrix
 from gerbe.quadspace import (
@@ -115,7 +115,7 @@ class TestRank:
     def test_rank_law_on_fixtures(self, fx):
         m = epsilon_matrix(fx.graph)
         chi = char_poly(m)
-        for rec in real_roots_with_multiplicity(chi):
+        for rec in real_roots_with_multiplicity(m, squarefree_decomposition(chi)):
             c = rec.exact if rec.exact is not None else rec.value
             assert rank(build_S(m, 1.0, float(c))) == fx.graph.n - rec.multiplicity
 
