@@ -124,14 +124,14 @@ def _factored_text(chi, factors):
     prod = 1
     for f, e in factors:
         prod *= f.coeffs[-1] ** e
-    lead = Fraction(chi.coeffs[-1], prod) if factors else Fraction(chi.coeffs[-1] if chi.coeffs else 0)
+    lead = Fraction(chi.coeffs[-1], prod)
     parts = []
     if lead != 1 or not factors:
         parts.append(str(lead))
     for f, e in factors:
         body = f"({f.pretty()})"
         parts.append(body if e == 1 else f"{body}^{e}")
-    return " ".join(parts) if parts else "1"
+    return " ".join(parts)
 
 
 def cmd_poly(args) -> int:

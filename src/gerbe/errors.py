@@ -15,9 +15,9 @@ class ParseError(GerbeError):
 
 
 class BoundExceededError(GerbeError):
-    """A resource bound was passed: the vertex bound, the group search's
-    node budget, the cap on a listed group order, or n > 8 for the
-    brute-force group oracle."""
+    """A resource bound was passed: the vertex bound, the sizes chi's prime
+    table serves, the group search's node budget, the cap on a listed group
+    order, or n > 8 for the brute-force group oracle."""
 
 
 class GramMismatchError(GerbeError):

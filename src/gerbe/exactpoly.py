@@ -1,16 +1,19 @@
 """Exact integer polynomial arithmetic.
 
 Provides the characteristic polynomial det(S(1, x)) of a sign matrix as an
-exact integer polynomial (Faddeev–LeVerrier), its square-free decomposition
-(a gcd modulo a prime, else Yun's scheme), and its real roots with
-multiplicities: seeds -1/lam from the Seidel spectrum cut the line into
-cells that exact integer signs certify, with Sturm chains as the fallback,
-and a rational root is found by testing the points -1/k.  The polynomial
-arithmetic is over the integers: by Gauss's lemma a primitive divisor of an
-integer polynomial divides it over Z, so Yun's scheme divides exactly by
-primitive gcds, and the Sturm chain takes pseudo-remainders.  Fractions
-appear only as the rational points where signs are taken.  Everything here
-is exact except the float approximation attached to each root.
+exact integer polynomial (Faddeev–LeVerrier modulo primes below 2^45, one
+stacked float64 product per step, rebuilt by the Chinese remainder theorem
+past Hadamard's bound 2^n n^(n/2) and checked modulo one more prime), its
+square-free decomposition (a gcd modulo a prime, else Yun's scheme), and
+its real roots with multiplicities: seeds -1/lam from the Seidel spectrum
+cut the line into cells that exact integer signs certify, with Sturm
+chains as the fallback, and a rational root is found by testing the
+points -1/k.  The polynomial arithmetic is over the integers: by Gauss's
+lemma a primitive divisor of an integer polynomial divides it over Z, so
+Yun's scheme divides exactly by primitive gcds, and the Sturm chain takes
+pseudo-remainders.  Fractions appear only as the rational points where
+signs are taken.  Everything here is exact except the float approximation
+attached to each root.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .errors import InvariantError
+from .errors import BoundExceededError, InvariantError
 from .graph import SignMatrix
 
 
@@ -144,26 +147,79 @@ def bareiss_determinant(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+# The seven largest primes below 2^45.  chi of an n-vertex graph needs the
+# first k of them, with k the fewest whose product exceeds twice the bound
+# on its coefficients, and the next one as a check: six suffice up to
+# n = 66, so the table serves config.MAX_VERTICES = 64.
+_CHI_PRIMES = (
+    35184372088777, 35184372088763, 35184372088751, 35184372088739,
+    35184372088711, 35184372088699, 35184372088693,
+)
+
+
+def _chi_residues(m: SignMatrix, primes) -> list:
+    """Faddeev-LeVerrier for chi modulo each prime at once: row k holds the
+    residues in [0, p) of the coefficient of x^k, one per prime.
+
+    The residues of M_k modulo every prime sit side by side in one
+    n x (len(primes) n) float array, so each step is one BLAS product by
+    -A = I - eps, whose entries are 0 and +-1.  The entries of M_k lie in
+    (-p, 2p), so every partial sum of a product entry is an integer of
+    modulus below n * 2p < 2^53 for n < 128 and p < 2^45 (the prime table
+    stops at n = 66): float64 holds it exactly in any summation order.
+    Rounding x * (1/p), which is within 2^-44 of x / p, gives a quotient q
+    with |x - q p| below p/2 + 2, and x - q p is computed exactly; so each
+    entry lands in (-p, p), and the diagonal update adds the new
+    coefficient in [0, p).
+    """
+    n, k = m.n, len(primes)
+    minus_a = np.eye(n) - m.entries
+    mk = np.tile(np.eye(n), k)
+    moduli = np.repeat(np.array(primes, dtype=float), n)
+    inverses = 1 / moduli
+    # flat index of the diagonal entry (i, j n + i) of block j
+    diag = np.arange(n)[:, None] * (k * n + 1) + np.arange(k) * n
+    rows = [[1] * k]
+    for step in range(1, n + 1):
+        mk = minus_a @ mk
+        mk -= np.rint(mk * inverses) * moduli
+        flat = mk.reshape(-1)
+        traces = flat[diag].sum(axis=0)
+        coeffs = [-int(t) * pow(step, -1, p) % p for t, p in zip(traces, primes)]
+        rows.append(coeffs)
+        flat[diag] += coeffs
+    return rows
+
+
 def char_poly(m: SignMatrix) -> IntPolynomial:
     """det(S(1, x)) as an exact integer polynomial.
 
     S(1, x) = I + x·A with A = ε − I the Seidel matrix, so χ is the
     characteristic polynomial of −A with its coefficients reversed.
-    Faddeev–LeVerrier builds it over the integers, one matrix product per
-    degree; each of its divisions by k must come out exact.
+    The coefficient of x^k sums C(n, k) principal minors of A, each at
+    most n^(n/2) by Hadamard's bound, so |coef| <= 2^n n^(n/2).
+    Faddeev–LeVerrier runs modulo the fewest primes whose product P
+    exceeds twice that bound (``_chi_residues``), and the Chinese
+    remainder theorem rebuilds each coefficient in (−P/2, P/2].  One
+    more prime checks the result: its residues must agree with it.
     """
     n = m.n
-    minus_a = (np.eye(n, dtype=np.int64) - m.entries).astype(object)
-    ident = np.eye(n, dtype=np.int64).astype(object)
-    coeffs = [1]
-    mk = ident
-    for k in range(1, n + 1):
-        prod = minus_a @ mk
-        c, r = divmod(-int(prod.trace()), k)
-        if r:
-            raise InvariantError(f"Faddeev-LeVerrier trace is not divisible by {k}")
+    bound_sq = 4 ** (n + 1) * n ** n  # (2 * 2^n * n^(n/2))^2
+    k, modulus = 1, _CHI_PRIMES[0]
+    while modulus * modulus <= bound_sq:
+        if k + 1 >= len(_CHI_PRIMES):
+            raise BoundExceededError(f"chi at n = {n} needs more primes than the table holds")
+        modulus *= _CHI_PRIMES[k]
+        k += 1
+    primes, check = _CHI_PRIMES[:k], _CHI_PRIMES[k]
+    basis = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    coeffs = []
+    for row in _chi_residues(m, _CHI_PRIMES[:k + 1]):
+        c = sum(r * b for r, b in zip(row, basis)) % modulus
+        c = c - modulus if 2 * c > modulus else c
+        if (c - row[k]) % check:
+            raise InvariantError(f"chi modulo the check prime {check} disagrees with its CRT value")
         coeffs.append(c)
-        mk = prod + c * ident
     return IntPolynomial.from_coeffs(coeffs)
 
 

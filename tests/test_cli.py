@@ -59,6 +59,32 @@ class TestPoly:
         assert code == 0
         assert "-2x^3" in out
 
+    def test_one_vertex_json(self, tmp_path, capsys):
+        # chi = 1 has no factors, and its factored text is the lead alone
+        p = tmp_path / "point.txt"
+        p.write_text("1\n")
+        code, out, _ = run(["poly", str(p), "--json"], capsys)
+        assert code == 0
+        assert out == (
+            '{\n  "coefficients": [\n    "1"\n  ],\n  "factored": "1",\n'
+            '  "factors": [],\n  "n": 1,\n  "roots": [],\n  "text": "1"\n}\n'
+        )
+
+    def test_corrupted_chi_residue_exits_one(self, square_file, capsys, monkeypatch):
+        real = exactpoly._chi_residues
+
+        def corrupted(m, primes):
+            rows = real(m, primes)
+            rows[1][0] = (rows[1][0] + 1) % primes[0]
+            return rows
+
+        monkeypatch.setattr(exactpoly, "_chi_residues", corrupted)
+        code, out, err = run(["poly", square_file], capsys)
+        assert code == 1
+        assert out == ""
+        assert "internal invariant violated" in err and "check prime" in err
+        assert "Traceback" not in err
+
 
 class TestRepresent:
     def test_json_vectors_unit(self, square_file, capsys):

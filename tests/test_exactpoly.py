@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbe import exactpoly
+from gerbe import config, exactpoly
+from gerbe.errors import BoundExceededError, InvariantError
 from gerbe.exactpoly import (
     IntPolynomial,
     bareiss_determinant,
@@ -286,6 +287,107 @@ class TestIntegerArithmetic:
         # remainder's sign also when deg a - deg b + 1 is odd
         scale = abs(b[-1]) ** (len(a) - len(b) + 1)
         assert exactpoly._prem(a, b) == [scale * c for c in rational_remainder(a, b)]
+
+
+def faddeev_leverrier(m):
+    """chi over Python ints, the reference for char_poly: Faddeev–LeVerrier
+    on object arrays, one exact product per degree, each division by k
+    checked to come out exact."""
+    n = m.n
+    minus_a = (np.eye(n, dtype=np.int64) - m.entries).astype(object)
+    ident = np.eye(n, dtype=np.int64).astype(object)
+    coeffs = [1]
+    mk = ident
+    for k in range(1, n + 1):
+        prod = minus_a @ mk
+        c, r = divmod(-int(prod.trace()), k)
+        assert r == 0
+        coeffs.append(c)
+        mk = prod + c * ident
+    return IntPolynomial.from_coeffs(coeffs)
+
+
+def is_prime(q):
+    """Deterministic Miller–Rabin: the prime bases up to 41 decide every
+    q below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if q < 2 or any(q % b == 0 for b in bases):
+        return q in bases
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def paley_point(q):
+    """Paley(q) plus an isolated vertex: for q = 1 mod 4 its Seidel matrix
+    is a conference matrix, whose minors meet Hadamard's bound."""
+    return Graph.from_edges(q + 1, paley(q).edges)
+
+
+# 150 graphs: every n = 3..32 four or five times, then the largest n that
+# five and six primes serve, and the vertex bound
+ORACLE_SIZES = [3 + i % 30 for i in range(146)] + [37, 47, 57, 64]
+
+
+class TestMultimodularChi:
+    def test_random_graphs_match_big_int_oracle(self):
+        rng = random.Random(10)
+        for n in ORACLE_SIZES:
+            m = random_sign_matrix(rng, n)
+            assert char_poly(m) == faddeev_leverrier(m), n
+
+    @pytest.mark.parametrize("g, chi", [
+        (Graph.from_edges(64, []), P(1, -1) ** 63 * P(1, 63)),
+        (Graph.from_edges(66, []), P(1, -1) ** 65 * P(1, 65)),
+        (triangular(8), P(1, 3) ** 21 * P(1, -9) ** 7),
+        *((paley_point(q), P(1, 0, -q) ** ((q + 1) // 2)) for q in (5, 13, 37, 61)),
+    ], ids=["edgeless-64", "edgeless-66", "T8", "paley-5+pt", "paley-13+pt",
+            "paley-37+pt", "paley-61+pt"])
+    def test_closed_forms(self, g, chi):
+        # edgeless: eps - I = J - I; T(8): Seidel spectrum 3^21, -9^7;
+        # Paley(q) + point: S^2 = q I, so chi = (1 - q x^2)^((q + 1)/2)
+        assert char_poly(epsilon_matrix(g)) == chi
+
+    def test_prime_table_covers_the_vertex_bound(self):
+        assert [q for q in range(200) if is_prime(q)] == [
+            q for q in range(2, 200) if all(q % d for d in range(2, q))]
+        assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+        primes = exactpoly._CHI_PRIMES
+        assert len(set(primes)) == len(primes)
+        assert all(is_prime(p) and p < 2**45 for p in primes)
+        # all but the check prime exceed twice Hadamard's bound 2^n n^(n/2) ...
+        n = config.MAX_VERTICES
+        assert math.prod(primes[:-1]) ** 2 > 4 ** (n + 1) * n ** n
+        # ... and the stacked float product stays exact: n * 2p < 2^53
+        assert n * 2 * max(primes) < 2**53
+
+    def test_beyond_the_prime_table_is_refused(self):
+        with pytest.raises(BoundExceededError):
+            char_poly(epsilon_matrix(Graph.from_edges(67, [])))
+
+    @pytest.mark.parametrize("column", [0, -1], ids=["crt-prime", "check-prime"])
+    def test_corrupted_residue_is_caught(self, column, monkeypatch):
+        real = exactpoly._chi_residues
+
+        def corrupted(m, primes):
+            rows = real(m, primes)
+            rows[2][column] = (rows[2][column] + 1) % primes[column]
+            return rows
+
+        monkeypatch.setattr(exactpoly, "_chi_residues", corrupted)
+        with pytest.raises(InvariantError):
+            char_poly(epsilon_matrix(SQUARE.graph))
 
 
 def roots_of(m):
