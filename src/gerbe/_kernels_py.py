@@ -1,15 +1,15 @@
 """Compute kernels: the hot loops of the package.
 
-The search for sign-compatible permutations and its brute-force oracle
-take a graph as row bitmasks: bit j of mask i is set when the sign-matrix
-entry (i, j) is -1.  Sign vectors use bits too: bit value 1 stands for the
-sign -1.  The exhaustive linking sweep works on chunks of graphs at once,
-as boolean adjacency tensors ``A[B, n, n]``.
+The search for sign-compatible permutations takes a graph as row
+bitmasks: bit j of mask i is set when the sign-matrix entry (i, j) is -1.
+Sign vectors use bits too: bit value 1 stands for the sign -1.  The line
+partition at c = ±1 and its linking rules work on batches of graphs, as
+boolean adjacency tensors ``A[B, n, n]`` and row bitmasks of up to 64 bits:
+``sheaf`` calls them on a batch of one, the exhaustive linking sweep on
+chunks of graphs.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -79,31 +79,6 @@ def signed_stabilizer(masks, prefix=(), first=False, signed=True, budget=None):
     return out
 
 
-def naive_signed_elements(masks):
-    """Brute force over all (sigma, sbits) pairs; the oracle for
-    signed_stabilizer.  Returns every valid pair, both sign choices."""
-    n = len(masks)
-    e = [[(masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
-    out = []
-    for sigma in itertools.permutations(range(n)):
-        for bits in range(1 << n):
-            s = [(bits >> i) & 1 for i in range(n)]
-            ok = True
-            for i in range(n - 1):
-                si = s[i]
-                ei = e[i]
-                esi = e[sigma[i]]
-                for j in range(i + 1, n):
-                    if (si ^ s[j] ^ esi[sigma[j]]) != ei[j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((sigma, tuple(s)))
-    return out
-
-
 def _batch_graphs(n, start, stop):
     """Adjacency tensors [B, n, n] of the graphs with edge masks
     start..stop-1: bit b of a mask is the b-th pair (i, j), i < j, in
@@ -148,23 +123,49 @@ def _batch_partition(a, cbit):
     return rep, sbit
 
 
-def _batch_rules(a, rep, sbit, cbit):
-    """Per-graph verdicts of the three linking rules at c = ±1.
-
-    With t = a ^ s_x ^ s_y, the all-or-nothing, cross-class and
-    within-class rules together say: t[x, y] = cbit for x != y in one
-    class, and t[x, y] = t[rep x, rep y] for x, y in different classes.
-    As t is symmetric, the second is row x of t agreeing with row rep x
-    outside the class of x; both are checked on row bitmasks.
-    """
-    n = a.shape[1]
-    bit = _row_bits(n)
+def _signed_rows(a, sbit):
+    """Rows of t = a ^ s_x ^ s_y, the adjacency switched by the sign bits
+    of a partition, as bitmasks [B, n]; with the bits 1 << k and the full
+    mask."""
+    bit = _row_bits(a.shape[1])
     full = bit.sum(dtype=bit.dtype)
-    t = (a @ bit) ^ (sbit @ bit)[:, None] ^ (sbit * full)  # rows of t
+    t = (a @ bit) ^ (sbit @ bit)[:, None] ^ (sbit * full)
+    return t, bit, full
+
+
+def _batch_rules(a, rep, sbit, cbit):
+    """Per-graph verdicts (within, across) of the linking rules at c = ±1.
+
+    With t = a ^ s_x ^ s_y, the within-class rule is t[x, y] = cbit for
+    x != y in one class, and the cross-class rule is t[x, y] =
+    t[rep x, rep y] for x, y in different classes.  As t is symmetric, the
+    second is row x of t agreeing with row rep x outside the class of x;
+    both are checked on row bitmasks.  Together they imply the
+    all-or-nothing rule.
+    """
+    t, bit, full = _signed_rows(a, sbit)
     cls = (rep[:, :, None] == rep[:, None, :]) @ bit  # the class of x
-    within = (t ^ (full * cbit)) & cls & ~bit
-    cross = (t ^ np.take_along_axis(t, rep, axis=1)) & ~cls
-    return ~(within | cross).any(axis=1)
+    within = ~((t ^ (full * cbit)) & cls & ~bit).any(axis=1)
+    across = ~((t ^ np.take_along_axis(t, rep, axis=1)) & ~cls).any(axis=1)
+    return within, across
+
+
+def _batch_all_or_nothing(a, rep, sbit):
+    """Per-graph verdict of the all-or-nothing rule: between two signed
+    blocks (the vertices of one class and one sign), or within one, the
+    edges are all present or all absent.
+
+    On t that reads: with b(x) the least vertex of x's block, rows x and
+    b(x) of t agree outside the block, and row x is 0 or full inside it
+    (away from x).  As t is symmetric, the first makes t constant on every
+    pair of distinct blocks.
+    """
+    t, bit, _ = _signed_rows(a, sbit)
+    same = (rep[:, :, None] == rep[:, None, :]) & (sbit[:, :, None] == sbit[:, None, :])
+    blk = same @ bit  # the block of x
+    outside = (t ^ np.take_along_axis(t, same.argmax(axis=2), axis=1)) & ~blk
+    inside = t & blk & ~bit
+    return ~outside.any(axis=1) & ((inside == 0) | (inside == (blk & ~bit))).all(axis=1)
 
 
 def linking_sweep(n, c):
@@ -181,5 +182,6 @@ def linking_sweep(n, c):
     for start in range(0, total, _CHUNK):
         a = _batch_graphs(n, start, min(start + _CHUNK, total))
         rep, sbit = _batch_partition(a, cbit)
-        failures += int(np.count_nonzero(~_batch_rules(a, rep, sbit, cbit)))
+        within, across = _batch_rules(a, rep, sbit, cbit)
+        failures += int(np.count_nonzero(~(within & across)))
     return total, failures

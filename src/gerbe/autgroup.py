@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
-from .errors import BoundExceededError
 from .graph import Permutation, SignMatrix, chain_products, stabilizer_chain
 from .quadspace import Representation, isometry_between
 
@@ -104,23 +102,19 @@ def _from_bits(sigma, sbits) -> SignedPermutation:
 class SheafGroup:
     """The group of sign-compatible signed permutations of a sign matrix.
 
-    Held either as the coset representatives of a stabilizer chain on the
-    base 0..n-1 (``levels``, as returned by ``graph.stabilizer_chain``) or as
-    an explicit tuple of elements.  The group always contains ±id, the
-    kernel of its map to S_n, so |G| = 2 * n_sigma.
+    Held as the coset representatives of a stabilizer chain on the base
+    0..n-1 (``levels``, as returned by ``graph.stabilizer_chain``).  The
+    group always contains ±id, the kernel of its map to S_n, so
+    |G| = 2 * n_sigma.
     """
 
-    def __init__(self, ambient: SignMatrix, elements=None, levels=None):
-        if (elements is None) == (levels is None):
-            raise ValueError("give either the elements or the chain levels")
+    def __init__(self, ambient: SignMatrix, levels):
         self.ambient = ambient
         self.levels = levels
-        self._elements = elements
+        self._elements = None
 
     @property
     def order(self) -> int:
-        if self.levels is None:
-            return len(self._elements)
         return 2 * math.prod(len(level) for level in self.levels)
 
     @property
@@ -130,10 +124,8 @@ class SheafGroup:
 
     @property
     def generators(self) -> tuple:
-        """Elements that generate the group together with -id: the coset
-        representatives, or every listed element."""
-        if self.levels is None:
-            return self._elements
+        """The coset representatives, which generate the group together
+        with -id."""
         return tuple(_from_bits(*u) for level in self.levels for u in level)
 
     @property
@@ -153,29 +145,16 @@ class SheafGroup:
         return self._elements
 
     def __contains__(self, el: SignedPermutation) -> bool:
-        if self.levels is None:
-            return el in set(self._elements)
         return el.is_valid(self.ambient)
 
 
-def enumerate_group(m: SignMatrix, naive=False) -> SheafGroup:
-    """The sheaf group of the given matrix.
-
-    The default path builds the stabilizer chain, one exhaustive
-    first-solution search per candidate coset, without listing the group;
-    ``naive=True`` lists every valid (permutation, signs) pair by brute
-    force, n! 2^n candidates, and serves as the oracle for the chain up to
-    n = 8.
-    """
+def enumerate_group(m: SignMatrix) -> SheafGroup:
+    """The sheaf group of the given matrix: its stabilizer chain, one
+    exhaustive first-solution search per candidate coset, without listing
+    the group."""
     if m.n < 1:
         raise ValueError("group enumeration requires n >= 1")
-    if not naive:
-        return SheafGroup(m, levels=stabilizer_chain(m))
-    if m.n > 8:
-        raise BoundExceededError(f"n={m.n} exceeds the brute-force bound 8")
-    elements = [_from_bits(*el) for el in _backend.naive_signed_elements(m.linked_masks())]
-    elements.sort(key=SignedPermutation.sort_key)
-    return SheafGroup(m, tuple(elements))
+    return SheafGroup(m, stabilizer_chain(m))
 
 
 # elements realized per batched solve: the k x n x n Gram stack of a chunk

@@ -19,6 +19,8 @@ MAX_SEARCH_NODES = 1_000_000
 # for graph_automorphisms): Petersen's 1440 fits, edgeless 10's 7,257,600 not
 MAX_LISTED_ORDER = 10_000
 
+# the Gram checks are relative to max(1, max|S|), the rank cut to the
+# spectral radius: the error of eigh grows with the norm
 GRAM_TOL = 1e-9
 RANK_TOL = 1e-9
 ISOMETRY_TOL = 1e-8

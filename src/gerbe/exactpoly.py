@@ -120,32 +120,7 @@ class RootRecord:
 
 
 # ---------------------------------------------------------------------------
-# exact determinant and char_poly
-
-def bareiss_determinant(rows) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
+# char_poly
 
 # The seven largest primes below 2^45.  chi of an n-vertex graph needs the
 # first k of them, with k the fewest whose product exceeds twice the bound
@@ -350,17 +325,6 @@ def _yun(p: IntPolynomial) -> list:
         d = _sub(_div_exact(d, g), _deriv(b))
         i += 1
     return out
-
-
-def reconstruct(factors, lead: Fraction) -> IntPolynomial:
-    """prod f_k^{e_k} scaled by lead; helper for checking decompositions."""
-    prod = IntPolynomial((1,))
-    for f, e in factors:
-        prod = prod * (f ** e)
-    scaled = [lead * c for c in prod.coeffs]
-    if any(s.denominator != 1 for s in scaled):
-        raise ArithmeticError("reconstruction scale is not integral")
-    return IntPolynomial.from_coeffs([s.numerator for s in scaled])
 
 
 # ---------------------------------------------------------------------------

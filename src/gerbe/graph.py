@@ -173,14 +173,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def format_graph(g: Graph) -> str:
-    """Inverse of parse_graph (1-based output)."""
-    out = [str(g.n)]
-    for i, j in g.sorted_edges():
-        out.append(f"{i + 1} {j + 1}")
-    return "\n".join(out) + "\n"
-
-
 def epsilon_matrix(g: Graph) -> SignMatrix:
     """The graph's sign matrix: -1 exactly at linked pairs, +1 elsewhere."""
     a = np.ones((g.n, g.n), dtype=np.int64)
@@ -188,16 +180,6 @@ def epsilon_matrix(g: Graph) -> SignMatrix:
         a[i, j] = -1
         a[j, i] = -1
     return SignMatrix(a)
-
-
-def graph_from_sign_matrix(m: SignMatrix) -> Graph:
-    """Inverse of epsilon_matrix."""
-    edges = set()
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if m[i, j] == -1:
-                edges.add((i, j))
-    return Graph(m.n, frozenset(edges))
 
 
 def conjugate_matrix(s: Permutation, m: SignMatrix) -> SignMatrix:

@@ -128,12 +128,14 @@ class Representation:
         self._validate()
 
     def _validate(self):
+        """The Gram matrix must match S(omega, c) to GRAM_TOL relative to
+        max(1, max|S|): the error of a factorization grows with the norm."""
         expected = build_S(epsilon_matrix(self.graph), self.omega, self.c)
-        actual = self.space.gram(self.vectors)
-        if np.abs(actual - expected).max() > config.GRAM_TOL:
+        deviation = np.abs(self.space.gram(self.vectors) - expected).max(initial=0.0)
+        if deviation > config.GRAM_TOL * max(1.0, np.abs(expected).max(initial=0.0)):
             raise GramMismatchError(
                 "vectors do not realize the stated parameters: "
-                f"max deviation {np.abs(actual - expected).max():.3g}"
+                f"max deviation {deviation:.3g}"
             )
 
     @classmethod
@@ -187,6 +189,7 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     above numpy's ``matrix_rank`` cut, sigma_max * max(n, r) * machine
     epsilon.  Returns the r x r matrix of f, or the k x r x r stack of them;
     raises GramMismatchError or DeficientSpanError if any target fails.
+    The Gram matrices must agree to ISOMETRY_TOL relative to max(1, max|G_u|).
     """
     u_vectors = np.asarray(u_vectors, dtype=float)
     v_vectors = np.asarray(v_vectors, dtype=float)
@@ -197,7 +200,8 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     if gv.shape[1:] != gu.shape:
         raise GramMismatchError("input systems have different Gram matrices")
     gv -= gu  # in place: the k x n x n stack is the largest array here
-    if np.abs(gv, out=gv).max(initial=0.0) > config.ISOMETRY_TOL:
+    gram_tol = config.ISOMETRY_TOL * max(1.0, np.abs(gu).max(initial=0.0))
+    if np.abs(gv, out=gv).max(initial=0.0) > gram_tol:
         raise GramMismatchError("input systems have different Gram matrices")
     r = space_u.dim
     if space_v.dim != r:

@@ -7,13 +7,18 @@ distinct unless |omega| = |c|, and then they are read off the sign matrix
 at c/omega.  No float tolerance enters.  This module computes that
 partition, restricts a representation to one vertex per line, and
 verifies the all-or-nothing linking rules that govern the signed blocks
-of the partition.
+of the partition.  The partition and the rules are the batched kernels of
+``_kernels_py`` called on a batch of one graph, the same code the
+exhaustive linking sweep runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
+
+from ._kernels_py import _batch_all_or_nothing, _batch_partition, _batch_rules
 from .errors import InvariantError, TrivialRepresentationError
 from .graph import Graph, SignMatrix, epsilon_matrix
 from .quadspace import Representation
@@ -89,24 +94,10 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
     """
     if c not in (1, -1):
         raise ValueError("combinatorial partition requires c = ±1")
-    n = m.n
-    pi = [-1] * n
-    sign = [0] * n
-    reps = []
-    for i in range(n):
-        assigned = False
-        for j, r in enumerate(reps):
-            s = m[r, i] * c
-            if all(m[r, k] == s * m[i, k] for k in range(n) if k != r and k != i):
-                pi[i] = j
-                sign[i] = s
-                assigned = True
-                break
-        if not assigned:
-            pi[i] = len(reps)
-            sign[i] = 1
-            reps.append(i)
-    return LinePartition(len(reps), tuple(reps), tuple(pi), tuple(sign))
+    rep, sbit = _batch_partition((m.entries == -1)[None], 0 if c == 1 else 1)
+    reps, pi = np.unique(rep[0], return_inverse=True)
+    return LinePartition(len(reps), tuple(reps.tolist()), tuple(pi.tolist()),
+                         tuple(-1 if s else 1 for s in sbit[0].tolist()))
 
 
 def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
@@ -136,35 +127,25 @@ def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
 
 @dataclass(frozen=True)
 class LinkingReport:
-    """Outcome of the linking-structure verification at c = ±1."""
+    """Outcome of the linking-structure verification at c = ±1.
+
+    With t[x, y] the edge bit of x and y flipped by each of their sign
+    bits: all-or-nothing means t is constant between any two signed blocks
+    and within one; cross-class means t[x, y] = t[rep x, rep y] between
+    classes, and is False wherever all-or-nothing fails; within-class means
+    t[x, y] = 0 at c = +1 and 1 at c = -1 inside a class.  ``failures``
+    names the rules that failed; no partition of a real graph reaches it.
+    """
 
     c: int
     all_or_nothing_ok: bool
     cross_class_ok: bool
     within_class_ok: bool
-    failures: tuple = field(default_factory=tuple)
+    failures: tuple = ()
 
     @property
     def ok(self) -> bool:
         return self.all_or_nothing_ok and self.cross_class_ok and self.within_class_ok
-
-
-def _block_link_status(g: Graph, a: list, b: list):
-    """'all', 'none' or 'mixed' edge status between two vertex blocks
-    (which may be the same block)."""
-    statuses = set()
-    for x in a:
-        for y in b:
-            if x == y:
-                continue
-            statuses.add(g.linked(x, y))
-    if not statuses:
-        return None
-    if statuses == {True}:
-        return "all"
-    if statuses == {False}:
-        return "none"
-    return "mixed"
 
 
 def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
@@ -178,55 +159,12 @@ def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
     """
     if c not in (1, -1):
         raise ValueError("linking rules apply only at c = ±1")
-    failures = []
-    blocks = {}
-    for j in range(p.m):
-        blocks[(j, 1)] = p.plus_block(j)
-        blocks[(j, -1)] = p.minus_block(j)
-
-    aon_ok = True
-    keys = sorted(blocks, key=lambda k: (k[0], -k[1]))
-    status = {}
-    for ai in range(len(keys)):
-        for bi in range(ai, len(keys)):
-            ka, kb = keys[ai], keys[bi]
-            st = _block_link_status(g, blocks[ka], blocks[kb])
-            status[(ka, kb)] = st
-            status[(kb, ka)] = st
-            if st == "mixed":
-                aon_ok = False
-                failures.append(f"mixed edges between blocks {ka} and {kb}")
-
-    def linked(ka, kb):
-        return status.get((ka, kb))
-
-    cross_ok = True
-    for i in range(p.m):
-        for j in range(i + 1, p.m):
-            # the four propositions of the cross-class rule; skip the
-            # ones involving an empty block
-            props = []
-            for (sa, sb, want) in ((1, 1, "all"), (1, -1, "none"),
-                                   (-1, 1, "none"), (-1, -1, "all")):
-                st = linked((i, sa), (j, sb))
-                if st in ("all", "none"):
-                    props.append(st == want)
-            if props and len(set(props)) > 1:
-                cross_ok = False
-                failures.append(f"inconsistent linking between classes {i} and {j}")
-
-    within_ok = True
-    for j in range(p.m):
-        same = "none" if c == 1 else "all"
-        opposite = "all" if c == 1 else "none"
-        for s in (1, -1):
-            st = linked((j, s), (j, s))
-            if st is not None and st != same:
-                within_ok = False
-                failures.append(f"within-block rule broken for class {j} sign {s:+d}")
-        st = linked((j, 1), (j, -1))
-        if st is not None and st != opposite:
-            within_ok = False
-            failures.append(f"between-sign rule broken for class {j}")
-
-    return LinkingReport(c, aon_ok, cross_ok, within_ok, tuple(failures))
+    a = (epsilon_matrix(g).entries == -1)[None]
+    rep = np.array([[p.rep_index[j] for j in p.pi]])
+    sbit = np.array([[s == -1 for s in p.sign]])
+    aon = bool(_batch_all_or_nothing(a, rep, sbit)[0])
+    within, across = (bool(v[0]) for v in _batch_rules(a, rep, sbit, 0 if c == 1 else 1))
+    cross = aon and across
+    failures = tuple(f"{rule} rule broken" for rule, ok in (
+        ("all-or-nothing", aon), ("cross-class", cross), ("within-class", within)) if not ok)
+    return LinkingReport(c, aon, cross, within, failures)

@@ -34,6 +34,7 @@ from gerbe.graph import (
     graph_automorphisms,
 )
 from gerbe.quadspace import Representation, isometry_between
+from oracles import naive_group_elements, naive_orbits
 
 
 def random_graph(rng, n):
@@ -151,7 +152,7 @@ class TestEnumerateGroup:
         for _ in range(25):
             g = random_graph(rng, rng.randint(3, 5))
             m = epsilon_matrix(g)
-            assert enumerate_group(m).elements == enumerate_group(m, naive=True).elements
+            assert enumerate_group(m).elements == naive_group_elements(m)
 
     def test_all_elements_valid(self):
         m = epsilon_matrix(PENTAGON.graph)
@@ -162,7 +163,7 @@ class TestEnumerateGroup:
         # the brute-force oracle stops at n = 8; the chain goes on
         m = epsilon_matrix(Graph(9, frozenset()))
         with pytest.raises(BoundExceededError, match="brute-force bound 8"):
-            enumerate_group(m, naive=True)
+            naive_group_elements(m)
         assert enumerate_group(m).order == 2 * math.factorial(9)
 
     def test_tiny_n(self):
@@ -312,7 +313,9 @@ class TestOrbits:
 
     def test_center_only_group_not_transitive(self):
         m = epsilon_matrix(PENTAGON.graph)
-        tiny = SheafGroup(m, (SignedPermutation.identity(5), SignedPermutation.central(5)))
+        # a chain whose every level holds only the identity: the group {±id}
+        tiny = SheafGroup(m, [[(tuple(range(5)), (0,) * 5)]] * 5)
+        assert tiny.elements == (SignedPermutation.central(5), SignedPermutation.identity(5))
         info = orbits_on_lines(tiny)
         assert not info.is_transitive
         assert len(info.orbits) == 5
@@ -370,10 +373,10 @@ class TestStabilizerChain:
     def test_matches_naive_enumeration(self, n, seed):
         g = random_graph(random.Random(seed), n)
         m = epsilon_matrix(g)
-        chain, naive = enumerate_group(m), enumerate_group(m, naive=True)
-        assert chain.order == naive.order
-        assert chain.n_sigma == len({el.sigma.images for el in naive.elements})
-        assert orbits_on_lines(chain) == orbits_on_lines(naive)
+        chain, naive = enumerate_group(m), naive_group_elements(m)
+        assert chain.order == len(naive)
+        assert chain.n_sigma == len({el.sigma.images for el in naive})
+        assert orbits_on_lines(chain) == naive_orbits(naive, n)
         auts = [s for s in itertools.permutations(range(n))
                 if all(g.linked(s[i], s[j]) == g.linked(i, j)
                        for i, j in itertools.combinations(range(n), 2))]

@@ -299,6 +299,34 @@ class TestGroup:
             assert "Traceback" not in err
 
 
+PETERSEN_TXT = "10\n" + "".join(f"{i} {j}\n" for i, j in (
+    (1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
+    (6, 8), (8, 10), (7, 10), (7, 9), (6, 9)))
+
+
+class TestLargeC:
+    # the Gram checks scale with max|S|, as eigh's error does: at |c| = 10^7
+    # an absolute 1e-9 refused these valid representations
+    @pytest.mark.parametrize("text, n, order", [(SQUARE_TXT, 4, 48), (PETERSEN_TXT, 10, 1440)],
+                             ids=["square", "petersen"])
+    @pytest.mark.parametrize("c", ["10000000", "-10000000/3", "1000000000000",
+                                   "-1000000000000"])
+    def test_valid_large_c_accepted(self, text, n, order, c, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        code, out, _ = run(["represent", str(p), f"--c={c}", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["dim"] == n
+        code, out, _ = run(["classes", str(p), f"--c={c}", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["partition"]["m"] == n
+        code, out, _ = run(["group", str(p), f"--c={c}", "--realize", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["group_order"] == order
+        assert len(payload["isometries"]) == order
+
+
 class TestAnalyze:
     def test_square_report(self, square_file, capsys):
         code, out, _ = run(["analyze", square_file, "--json"], capsys)

@@ -24,3 +24,25 @@ def test_every_constant_has_a_reader():
     unread = [name for name in names
               if not any(re.search(rf"\bconfig\.{name}\b", src) for src in sources)]
     assert unread == []
+
+
+def test_every_definition_has_a_reader():
+    # a top-level function or class that nothing in the package reads and
+    # gerbe/__init__.py does not export is test-only code: it belongs in
+    # tests/oracles.py.  A read in the defining module counts, since the
+    # CLI's subcommands are reached only from its own parser.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defined) > 50
+    assert [(module, name) for module, name in defined if name not in read] == []

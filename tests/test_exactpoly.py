@@ -12,14 +12,13 @@ from gerbe import config, exactpoly
 from gerbe.errors import BoundExceededError, InvariantError
 from gerbe.exactpoly import (
     IntPolynomial,
-    bareiss_determinant,
     char_poly,
     real_roots_with_multiplicity,
-    reconstruct,
     squarefree_decomposition,
 )
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import Graph, Permutation, SignMatrix, conjugate_matrix, epsilon_matrix
+from oracles import bareiss_determinant, reconstruct
 
 
 def P(*coeffs):

@@ -15,12 +15,11 @@ from gerbe.graph import (
     automorphism_order,
     conjugate_matrix,
     epsilon_matrix,
-    format_graph,
     graph_automorphisms,
-    graph_from_sign_matrix,
     parse_graph,
     stabilizer_chain,
 )
+from oracles import format_graph, graph_from_sign_matrix
 
 TRIANGLE = "3\n1 2\n2 3\n1 3"
 SQUARE = "4\n1 2\n2 3\n3 4\n1 4"

@@ -1,9 +1,11 @@
-"""The batched linking sweep against the per-graph reference in sheaf.
+"""The batched partition and linking kernels against the per-graph
+reference in ``oracles``.
 
-The kernel's partitions must equal ``partition_from_sign_matrix`` and its
-verdicts ``check_class_linking``, on every small graph, on seeded larger
-ones, and on wrong partitions, where the rules must fail exactly where the
-reference says they do.
+The sweep runs the kernels on chunks of graphs, ``sheaf`` on a batch of
+one.  Their partitions must equal the reference's and their verdicts its
+reports, on every small graph, on seeded larger ones up to n = 64, and on
+wrong partitions, where the rules must fail exactly where the reference
+says they do.
 """
 
 import itertools
@@ -12,9 +14,10 @@ import random
 import numpy as np
 import pytest
 
-from gerbe import _kernels_py
+import oracles
+from gerbe import _kernels_py, sheaf
 from gerbe.graph import Graph, epsilon_matrix
-from gerbe.sheaf import LinePartition, check_class_linking, partition_from_sign_matrix
+from gerbe.sheaf import LinePartition
 
 
 def all_graphs(n):
@@ -49,14 +52,30 @@ def to_partition(rep, sbit) -> LinePartition:
 
 
 def verdicts(graphs, parts, c):
-    """The kernel's rules on the given partitions."""
+    """The kernel's rules on the given partitions, as the sweep runs them."""
     rep = np.array([[p.rep_index[p.pi[i]] for i in range(p.n)] for p in parts])
     sbit = np.array([[s == -1 for s in p.sign] for p in parts])
-    return _kernels_py._batch_rules(adjacency(graphs), rep, sbit, 0 if c == 1 else 1).tolist()
+    return sweep_ok(adjacency(graphs), rep, sbit, 0 if c == 1 else 1)
 
 
-def reference(graphs, parts, c):
-    return [check_class_linking(g, p, c).ok for g, p in zip(graphs, parts)]
+def sweep_ok(a, rep, sbit, cbit):
+    within, across = _kernels_py._batch_rules(a, rep, sbit, cbit)
+    return (within & across).tolist()
+
+
+def compare_reports(graphs, parts, c):
+    """``sheaf.check_class_linking`` against the reference, field by field:
+    the cross-class field must match wherever all-or-nothing holds and be
+    False elsewhere.  Returns the package's reports."""
+    reports = [sheaf.check_class_linking(g, p, c) for g, p in zip(graphs, parts)]
+    for got, g, p in zip(reports, graphs, parts):
+        want = oracles.check_class_linking(g, p, c)
+        assert got.all_or_nothing_ok == want.all_or_nothing_ok
+        assert got.within_class_ok == want.within_class_ok
+        assert got.cross_class_ok == (want.cross_class_ok and want.all_or_nothing_ok)
+        assert got.ok == want.ok
+        assert (got.failures == ()) == got.ok
+    return reports
 
 
 def test_python_sweep_counts_graphs():
@@ -83,10 +102,12 @@ def test_partitions_and_verdicts_match_sheaf(c):
     for graphs in graph_sets():
         a = adjacency(graphs)
         rep, sbit = _kernels_py._batch_partition(a, cbit)
-        parts = [partition_from_sign_matrix(epsilon_matrix(g), c) for g in graphs]
+        parts = [oracles.partition_from_sign_matrix(epsilon_matrix(g), c) for g in graphs]
         assert [to_partition(r, s) for r, s in zip(rep, sbit)] == parts
-        ok = _kernels_py._batch_rules(a, rep, sbit, cbit).tolist()
-        assert ok == reference(graphs, parts, c)
+        assert [sheaf.partition_from_sign_matrix(epsilon_matrix(g), c)
+                for g in graphs] == parts
+        assert sweep_ok(a, rep, sbit, cbit) == [
+            oracles.check_class_linking(g, p, c).ok for g, p in zip(graphs, parts)]
 
 
 @pytest.mark.parametrize("c", [1, -1])
@@ -99,9 +120,20 @@ def test_negative_control_partition_at_minus_c(c):
         graphs = list(all_graphs(n)) if n in expected else random_graphs(7, 7, 2000)
         a = adjacency(graphs)
         rep, sbit = _kernels_py._batch_partition(a, 1 - cbit)
-        ok = _kernels_py._batch_rules(a, rep, sbit, cbit).tolist()
-        parts = [partition_from_sign_matrix(epsilon_matrix(g), -c) for g in graphs]
-        assert ok == reference(graphs, parts, c)
+        parts = [oracles.partition_from_sign_matrix(epsilon_matrix(g), -c) for g in graphs]
+        want = [oracles.check_class_linking(g, p, c) for g, p in zip(graphs, parts)]
+        # the three fields as check_class_linking reads them off the kernels
+        aon = _kernels_py._batch_all_or_nothing(a, rep, sbit)
+        within, across = _kernels_py._batch_rules(a, rep, sbit, cbit)
+        assert aon.tolist() == [w.all_or_nothing_ok for w in want]
+        assert within.tolist() == [w.within_class_ok for w in want]
+        assert (aon & across).tolist() == [w.cross_class_ok and w.all_or_nothing_ok
+                                           for w in want]
+        ok = sweep_ok(a, rep, sbit, cbit)
+        assert ok == [w.ok for w in want]
+        # and check_class_linking itself, one graph at a time, on a sample
+        sample = random.Random(n).sample(range(len(graphs)), min(500, len(graphs)))
+        compare_reports([graphs[i] for i in sample], [parts[i] for i in sample], c)
         if n in expected:
             assert ok.count(False) == expected[n]
 
@@ -119,9 +151,52 @@ def test_rules_on_random_partitions(c):
     # arbitrary partitions exercise each rule on its own, including the
     # cross-class rule, which no partition of a real graph breaks
     rng = random.Random(97)
+    reports = []
     for n in range(2, 8):
         graphs = random_graphs(n, n, 300)
         parts = [random_partition(rng, n) for _ in graphs]
         ok = verdicts(graphs, parts, c)
-        assert ok == reference(graphs, parts, c)
         assert 0 < sum(ok) < len(ok)
+        reports += compare_reports(graphs, parts, c)
+        assert [r.ok for r in reports[-len(ok):]] == ok
+    # each rule fails on its own somewhere
+    assert any(not r.all_or_nothing_ok for r in reports)
+    assert any(r.all_or_nothing_ok and not r.cross_class_ok for r in reports)
+    assert any(r.all_or_nothing_ok and r.cross_class_ok and not r.within_class_ok
+               for r in reports)
+
+
+def twin_class_graph(rng, n, c):
+    """A graph on n vertices whose lines at c coincide in classes: a random
+    graph on k classes blown up into twins, unlinked at c = 1 and linked at
+    c = -1, then switched at a random vertex set."""
+    k = rng.randint(2, n // 3)
+    label = [rng.randrange(k) for _ in range(n)]
+    base = {pair: rng.random() < 0.5 for pair in itertools.combinations(range(k), 2)}
+    switched = [rng.random() < 0.5 for _ in range(n)]
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = sorted((label[i], label[j]))
+        if ((c == -1) if a == b else base[(a, b)]) ^ switched[i] ^ switched[j]:
+            edges.append((i, j))
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("c", [1, -1])
+def test_batch_of_one_on_twin_classes_up_to_64(c):
+    # n = 33..64 takes the row bitmasks past 32 bits, up to uint64
+    rng = random.Random(101 + c)
+    graphs = [twin_class_graph(rng, n, c) for n in range(33, 65)]
+    parts = [sheaf.partition_from_sign_matrix(epsilon_matrix(g), c) for g in graphs]
+    assert parts == [oracles.partition_from_sign_matrix(epsilon_matrix(g), c)
+                     for g in graphs]
+    assert all(p.m < p.n and -1 in p.sign for p in parts)
+    assert all(r.ok for r in compare_reports(graphs, parts, c))
+    # flipping the sign of one twin breaks the within-class rule
+    wrong = []
+    for p in parts:
+        x = p.sign.index(-1)
+        wrong.append(LinePartition(p.m, p.rep_index, p.pi,
+                                   p.sign[:x] + (1,) + p.sign[x + 1:]))
+    reports = compare_reports(graphs, wrong, c)
+    assert not any(r.within_class_ok for r in reports)

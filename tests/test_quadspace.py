@@ -197,6 +197,16 @@ class TestRepresentation:
         with pytest.raises(GramMismatchError):
             Representation(TRIANGLE.graph, 1.0, 0.5, space, np.eye(3))
 
+    def test_large_c_perturbation_rejected(self):
+        # the Gram tolerance is relative to max|S| = 10^7, not lost in it
+        u = Representation.build(SQUARE.graph, 1.0, 1e7)
+        with pytest.raises(GramMismatchError):
+            Representation(SQUARE.graph, 1.0, 1e7, u.space, u.vectors * (1 + 1e-6))
+        targets = np.stack([u.vectors, -u.vectors, u.vectors * (1 + 1e-6)])
+        assert isometry_between(u.vectors, targets[:2], u.space, u.space).shape == (2, 4, 4)
+        with pytest.raises(GramMismatchError, match="Gram"):
+            isometry_between(u.vectors, targets, u.space, u.space)
+
     def test_null_representation(self):
         u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
         assert u.degree == 0

@@ -201,6 +201,8 @@ class TestClassLinking:
         p = LinePartition(3, (0, 2, 3), (0, 0, 1, 2), (1, 1, 1, 1))
         report = check_class_linking(SQUARE.graph, p, 1)
         assert not report.ok
+        assert report.failures == ("all-or-nothing rule broken", "cross-class rule broken",
+                                   "within-class rule broken")
 
     def test_bad_c_rejected(self):
         p = LinePartition.trivial(4)
