@@ -9,6 +9,7 @@ listed group order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -159,22 +160,28 @@ def cmd_poly(args) -> int:
     return EXIT_OK
 
 
-def _pick_c(args, g):
-    if args.root_index is not None:
-        _, chi, _, roots = _chi_section(g)
-        if not (0 <= args.root_index < len(roots)):
-            raise ValueError(
-                f"--root-index {args.root_index} out of range; chi has {len(roots)} real roots"
-            )
-        rec = roots[args.root_index]
-        return rec.exact if rec.exact is not None else rec.value
-    return parse_rational(args.c, args.approx)
+def _pick_c(args, g, omega=1):
+    if args.root_index is None:
+        return parse_rational(args.c, args.approx)
+    if omega == 0:
+        raise ValueError("--root-index needs a nonzero --omega: at omega = 0 every c "
+                         "gives the same space")
+    eps = epsilon_matrix(g)
+    factors = squarefree_decomposition(char_poly(eps))
+    count = sum(f.degree for f, _ in factors)  # every root of chi is real
+    if not 0 <= args.root_index < count:
+        raise ValueError(f"--root-index {args.root_index} out of range; chi has {count} real roots")
+    [rec] = real_roots_with_multiplicity(eps, factors, index=args.root_index)
+    # det S(omega, c) = omega^n chi(c / omega): the k-th root x_k gives c = omega x_k
+    c = omega * (rec.exact if rec.exact is not None else rec.value)
+    _check_float_range(f"omega times root {args.root_index}", float(c), True)
+    return c
 
 
 def cmd_represent(args) -> int:
     g = _read_graph(args.file)
-    c = _pick_c(args, g)
     omega = parse_rational(args.omega, args.approx)
+    c = _pick_c(args, g, omega)
     u = Representation.build(g, float(omega), float(c))
     rows = [",".join(f"{x:.17g}" for x in u.vectors[i]) for i in range(u.n)]
     if args.csv:
@@ -431,6 +438,7 @@ def cmd_demo(args) -> int:
     return EXIT_OK if ok_all else EXIT_VERIFY
 
 
+@functools.cache  # one per process, built on first use; each parse gets a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gerbe",

@@ -11,9 +11,9 @@ chains as the fallback, and a rational root is found by testing the
 points -1/k.  The polynomial arithmetic is over the integers: by Gauss's
 lemma a primitive divisor of an integer polynomial divides it over Z, so
 Yun's scheme divides exactly by primitive gcds, and the Sturm chain takes
-pseudo-remainders.  Fractions appear only as the rational points where
-signs are taken.  Everything here is exact except the float approximation
-attached to each root.
+pseudo-remainders.  Signs are taken in integers at dyadic points a / 2^k;
+Fractions appear only in the results.  Everything here is exact except
+the float approximation attached to each root.
 """
 
 from __future__ import annotations
@@ -330,24 +330,14 @@ def _yun(p: IntPolynomial) -> list:
 # ---------------------------------------------------------------------------
 # real roots
 
-# Half-width of the first cuts around a float seed, relative to max(1, |seed|).
-_SEED_WINDOW = 2.0**-32
-
-
-def _sign_at(coeffs, x: Fraction) -> int:
-    """Sign of the integer polynomial with these coefficients at rational x,
-    evaluated in integers as its homogenization at (numerator, denominator)."""
-    num, den = x.numerator, x.denominator
-    acc, scale = 0, 1
+def _sign_at(coeffs, a: int, k: int) -> int:
+    """Sign of the integer polynomial with these coefficients at a / 2^k,
+    by Horner in integers on its homogenization 2^(k deg) f(a / 2^k)."""
+    acc, shift = 0, 0
     for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
+        acc = acc * a + (c << shift)
+        shift += k
     return (acc > 0) - (acc < 0)
-
-
-def _root_bound(f: IntPolynomial) -> int:
-    """An integer beyond the modulus of every complex root (Cauchy)."""
-    return 2 + max(abs(c) for c in f.coeffs[:-1]) // abs(f.coeffs[-1])
 
 
 def _sturm_chain(f: IntPolynomial) -> list:
@@ -364,79 +354,86 @@ def _sturm_chain(f: IntPolynomial) -> list:
     return chain
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign_at(poly, x) for poly in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain, a: int, k: int) -> int:
+    signs = [s for s in (_sign_at(poly, a, k) for poly in chain) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def _sturm_cells(f: IntPolynomial) -> list:
-    """One cell (lo, hi, None) per real root of the square-free f, by
-    Sturm counts over bisections of the root bound's interval.  Split
-    points that hit a root are moved, so no cell endpoint is a root."""
+    """One cell (lo, hi, k, sign of f at lo / 2^k) per real root of the
+    square-free f, by Sturm counts over bisections of (-b, b), b Cauchy's
+    root bound.  Split points that hit a root are moved, so no cell end is."""
     chain = _sturm_chain(f)
-    bound = _root_bound(f)
-    stack = [(Fraction(-bound), Fraction(bound))]
+    bound = 2 + max(abs(c) for c in f.coeffs[:-1]) // abs(f.coeffs[-1])
+    stack = [(-bound, bound, 0)]
     cells = []
     while stack:
-        lo, hi = stack.pop()
-        count = _sign_variations(chain, lo) - _sign_variations(chain, hi)
+        lo, hi, k = stack.pop()
+        count = _sign_variations(chain, lo, k) - _sign_variations(chain, hi, k)
         if count == 1:
-            cells.append((lo, hi, None))
+            cells.append((lo, hi, k, _sign_at(f.coeffs, lo, k)))
         elif count > 1:
-            mid = (lo + hi) / 2
-            while _sign_at(f.coeffs, mid) == 0:
-                mid = (lo + mid) / 2
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+            mid, lo, hi, k = lo + hi, 2 * lo, 2 * hi, k + 1
+            while _sign_at(f.coeffs, mid, k) == 0:
+                mid, lo, hi, k = lo + mid, 2 * lo, 2 * hi, k + 1
+            stack += [(lo, mid, k), (mid, hi, k)]
     return cells
 
 
-def _refine(f: IntPolynomial, lo: Fraction, hi: Fraction, seed, width: Fraction):
-    """The root of the square-free factor f of chi in the cell (lo, hi),
-    whose endpoints are not roots, by bisection that first cuts either side
-    of the seed: (exact, None) when it is rational, else (None, (lo, hi))
-    narrower than width.  By Gauss's lemma f divides chi over Z, so f(0)
-    divides chi(0) = 1, and a rational root of f is -1/k for an integer k:
-    the final cell is tested at each such point inside it.  That cell does
-    not hold 0, as every root -1/lam of chi has modulus at least 1/(n - 1).
+def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootRecord:
+    """The root of the square-free factor f of chi in the cell (lo, hi, k,
+    sign): between lo / 2^k and hi / 2^k, neither a root, f of that sign at
+    the first; exact when rational, else in a dyadic interval narrower than
+    width.  Bisection keeps the ends over one power of two and takes every
+    sign in integers; its first two cuts are the window's ends (integers
+    over 2^k around the root's seed).  If they bracket the root, the cell
+    shrinks to them at once; if not, bisection goes on: they cost or save
+    cuts, and the certificate rests on exact signs alone.  By Gauss's lemma
+    f(0) divides chi(0) = 1, so a rational root is -1/q for an integer q,
+    tested in the final cell (which holds no 0: every root of chi has
+    modulus at least 1/(n - 1)) as q^deg f * f(-1/q), f reversed with
+    alternating signs at q.
     """
-    sign_lo = _sign_at(f.coeffs, lo)
-    guesses = []
-    if seed is not None:
-        delta = _SEED_WINDOW * max(1.0, abs(seed))
-        guesses = [Fraction(seed - delta), Fraction(seed + delta)]
-    while hi - lo >= width:
-        x = guesses.pop() if guesses else (lo + hi) / 2
-        if not lo < x < hi:
-            continue
-        s = _sign_at(f.coeffs, x)
-        if s == 0:
-            return x, None
-        if s == sign_lo:
-            lo = x
+    lo, hi, k, sign = cell
+    guesses = list(window or ())
+    while (hi - lo) * width.denominator >= width.numerator << k:
+        if guesses:
+            x = guesses.pop()
+            if not lo < x < hi:
+                continue
         else:
-            hi = x
-    for k in range(math.floor(-1 / lo) + 1, math.ceil(-1 / hi)):
-        if _sign_at(f.coeffs, Fraction(-1, k)) == 0:
-            return Fraction(-1, k), None
-    return None, (lo, hi)
+            x, lo, hi, k = lo + hi, 2 * lo, 2 * hi, k + 1
+        s = _sign_at(f.coeffs, x, k)
+        if s == 0:
+            return RootRecord(x / (1 << k), mult, exact=Fraction(x, 1 << k))
+        lo, hi = (x, hi) if s == sign else (lo, x)
+    one, d = 1 << k, f.degree
+    for q in range(-one // lo + 1, -(one // hi)):
+        reverse = [c if (d - i) % 2 == 0 else -c for i, c in enumerate(reversed(f.coeffs))]
+        if _sign_at(reverse, q, 0) == 0:
+            return RootRecord(-1 / q, mult, exact=Fraction(-1, q))
+    return RootRecord((lo + hi) / (2 * one), mult,
+                      interval=(Fraction(lo, one), Fraction(hi, one)))
 
 
-def real_roots_with_multiplicity(m: SignMatrix, factors) -> list:
+def real_roots_with_multiplicity(m: SignMatrix, factors, index=None) -> list:
     """Every real root of chi = char_poly(m), once each, with its exact
-    multiplicity; ``factors`` is ``squarefree_decomposition(chi)``.
+    multiplicity, or with ``index`` the index-th alone (ascending, 0-based);
+    ``factors`` is ``squarefree_decomposition(chi)``.
 
     chi(x) = prod (1 + x lam) over the eigenvalues lam of eps - I, and
     deg chi = rank(eps - I), so the roots are -1/lam for the deg chi
     eigenvalues of largest modulus.  Sorted, these seeds split at their
     D - 1 widest gaps into D = sum deg f clusters, one per distinct root.
-    The cuts are the midpoints of those gaps (exact dyadic Fractions) and
-    one point beyond each end.  A factor f's cells are those between
-    consecutive cuts over which f changes sign: when there are deg f of
-    them, each holds one root of f and f has no other; else Sturm chains
-    isolate its roots.  Each root is then refined exactly: rational roots
-    come out exact, irrational roots with a certified isolating interval
-    narrower than ``config.ROOT_INTERVAL_WIDTH`` plus a float approximation.
+    The cuts are the midpoints of those gaps and one point beyond each end.
+    A factor f's cells are those between consecutive cuts over which f
+    changes sign: when there are deg f of them, each holds one root of f
+    and f has no other (else Sturm chains isolate its roots), and when no
+    two factors share a cell, ``index`` refines only its own.  A root's
+    window is its cluster's mean x +- n eps rho x^2, with eps the machine
+    epsilon and rho the spectral radius: eigvalsh is backward stable (Weyl;
+    Demmel, Applied Numerical Linear Algebra, 5.2), so each lam is off by
+    about n eps rho at most, and -1/lam by that times x^2.
     """
     if not factors:
         return []
@@ -446,22 +443,27 @@ def real_roots_with_multiplicity(m: SignMatrix, factors) -> list:
     seeds = np.sort(-1 / lams[np.argsort(np.abs(lams))[n - degree:]])
     distinct = sum(f.degree for f, _ in factors)
     splits = np.sort(np.argsort(np.diff(seeds))[degree - distinct:]) + 1
-    means = [float(cluster.mean()) for cluster in np.split(seeds, splits)]
-    cuts = [Fraction(x) for x in (
-        seeds[0] - 1, *((seeds[i - 1] + seeds[i]) / 2 for i in splits), seeds[-1] + 1)]
+    means = np.add.reduceat(seeds, np.r_[0, splits]) / np.diff(np.r_[0, splits, degree])
+    deltas = n * np.finfo(float).eps * np.abs(lams).max() * means**2
+    # the cuts and the windows' ends, all floats, over one power of two 2^k
+    ratios = [x.as_integer_ratio() for x in np.concatenate((
+        [seeds[0] - 1], (seeds[splits - 1] + seeds[splits]) / 2, [seeds[-1] + 1],
+        means - deltas, means + deltas)).tolist()]
+    den = max(d for _, d in ratios)
+    points, k = [a * (den // d) for a, d in ratios], den.bit_length() - 1
+    cuts, windows = points[:distinct + 1], list(zip(points[distinct + 1:], points[-distinct:]))
     width = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
-    records = []
+    cells = []  # (gap between cuts, or None for a Sturm cell, factor, mult, cell, window)
     for factor, mult in factors:
-        signs = [_sign_at(factor.coeffs, x) for x in cuts]
-        cells = [(lo, hi, seed) for lo, hi, seed, s, t
-                 in zip(cuts, cuts[1:], means, signs, signs[1:]) if s * t == -1]
-        if len(cells) != factor.degree:
-            cells = _sturm_cells(factor)
-        for lo, hi, seed in cells:
-            exact, interval = _refine(factor, lo, hi, seed, width)
-            value = exact if interval is None else (interval[0] + interval[1]) / 2
-            records.append(
-                RootRecord(float(value), mult, exact=exact, interval=interval)
-            )
-    records.sort(key=lambda rec: rec.value)
-    return records
+        signs = [_sign_at(factor.coeffs, a, k) for a in cuts]
+        gaps = [i for i in range(distinct) if signs[i] * signs[i + 1] == -1]
+        if len(gaps) == factor.degree:
+            cells += [(i, factor, mult, (cuts[i], cuts[i + 1], k, signs[i]), windows[i])
+                      for i in gaps]
+        else:
+            cells += [(None, factor, mult, cell, None) for cell in _sturm_cells(factor)]
+    gaps = [cell[0] for cell in cells]
+    if index is not None and set(gaps) == set(range(distinct)):
+        cells, index = [cells[gaps.index(index)]], 0
+    records = sorted((_refine(*cell[1:], width) for cell in cells), key=lambda rec: rec.value)
+    return records if index is None else [records[index]]

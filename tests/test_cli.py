@@ -1,13 +1,23 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gerbe import cli, config, exactpoly, quadspace
+import gerbe
+from gerbe import cli, config, exactpoly, fixtures, quadspace
 from gerbe.autgroup import SheafGroup, SignedPermutation, enumerate_group
+from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import SQUARE
-from gerbe.graph import Permutation, epsilon_matrix
+from gerbe.graph import Graph, Permutation, epsilon_matrix
+from oracles import format_graph
+from test_autgroup import clebsch, petersen, triangular
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
 PENTAGON_TXT = "5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
@@ -144,6 +154,130 @@ class TestRepresent:
         assert code == 0
         payload = json.loads(out)
         assert (payload["group_order"], payload["lines"]) == (48, 4)
+
+
+def random_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 18)
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < 0.5])
+
+
+class TestRootIndex:
+    """--root-index k takes c = omega x_k, x_k the k-th root of chi, since
+    det S(omega, c) = omega^n chi(c / omega); only root k is refined."""
+
+    def test_square_at_omega_two(self, square_file, capsys):
+        code, out, _ = run(["represent", square_file, "--root-index", "0", "--omega", "2"],
+                           capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "# omega=2 c=-0.666666666667 dim=3 signs=+++"
+
+    @pytest.mark.parametrize("omega", ["2", "-1/2"])
+    def test_c_is_omega_times_root(self, omega, square_file, pentagon_file, capsys):
+        for path, n in ((square_file, 4), (pentagon_file, 5)):
+            roots = json.loads(run(["poly", path, "--json"], capsys)[1])["roots"]
+            for k, root in enumerate(roots):
+                code, out, _ = run(["represent", path, "--root-index", str(k),
+                                    f"--omega={omega}", "--json"], capsys)
+                assert code == 0
+                payload = json.loads(out)
+                x = Fraction(root["exact"]) if root["exact"] else root["value"]
+                assert payload["c"] == float(Fraction(omega) * x)
+                assert payload["dim"] == n - root["multiplicity"]
+
+    def test_zero_omega_refused(self, square_file, capsys):
+        code, out, err = run(["represent", square_file, "--root-index", "0", "--omega", "0"],
+                             capsys)
+        assert code == 2
+        assert out == "" and err.count("\n") == 1 and "--root-index" in err
+        # --c at omega = 0 is still a valid request
+        assert run(["represent", square_file, "--c=1", "--omega", "0"], capsys)[0] == 0
+
+    def test_c_outside_float_range_refused(self, tmp_path, capsys):
+        # root 0 of this graph is about -3.458, so omega = 1e308 puts c beyond a float
+        path = tmp_path / "g.txt"
+        path.write_text("7\n1 3\n1 4\n1 6\n2 3\n2 4\n3 4\n3 7\n5 7\n")
+        code, _, err = run(["represent", str(path), "--root-index", "0", "--omega", "1e308",
+                            "--approx"], capsys)
+        assert code == 2 and "outside the range of a float" in err
+
+    def test_one_refinement(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(random_graph(5)))
+        calls = {"_refine": 0, "_sturm_cells": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(exactpoly, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(exactpoly, name, counted)
+        code, out, _ = run(["poly", str(path), "--json"], capsys)
+        roots = len(json.loads(out)["roots"])
+        assert code == 0 and roots > 1 and calls == {"_refine": roots, "_sturm_cells": 0}
+        for k in range(roots):
+            calls["_refine"] = 0
+            assert run(["represent", str(path), "--root-index", str(k)], capsys)[0] == 0
+            assert calls == {"_refine": 1, "_sturm_cells": 0}
+
+    @pytest.mark.parametrize("graphs", ["random", "ladder"])
+    def test_picks_the_root_poly_prints(self, graphs, tmp_path, capsys):
+        if graphs == "random":
+            cases = [random_graph(seed) for seed in range(40)]
+        else:
+            cases = [fx.graph for fx in fixtures.ALL] + [petersen(), clebsch(), triangular(8)]
+        for i, g in enumerate(cases):
+            path = tmp_path / f"g{i}.txt"
+            path.write_text(format_graph(g))
+            printed = json.loads(run(["poly", str(path), "--json"], capsys)[1])["roots"]
+            eps = epsilon_matrix(g)
+            records = real_roots_with_multiplicity(eps, squarefree_decomposition(char_poly(eps)))
+            for k, (root, rec) in enumerate(zip(printed, records)):
+                code, out, _ = run(["represent", str(path), "--root-index", str(k), "--json"],
+                                   capsys)
+                assert code == 0
+                c = json.loads(out)["c"]
+                if root["exact"] is not None:
+                    assert c == float(Fraction(root["exact"]))
+                else:
+                    assert c == root["value"]
+                    assert rec.interval[0] <= Fraction(c) <= rec.interval[1]
+
+
+class TestParserReuse:
+    """The parser is built once per process; no option of one call may
+    reach the next."""
+
+    @staticmethod
+    def fresh(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(gerbe.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "gerbe.cli", *argv], env=env,
+                              capture_output=True, check=True).stdout
+
+    def test_not_built_at_import(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "import gerbe.cli; print(gerbe.cli.build_parser.cache_info())"],
+            env=dict(os.environ, PYTHONPATH=str(Path(gerbe.__file__).parents[1])),
+            capture_output=True, check=True, text=True).stdout
+        assert "currsize=0" in out
+
+    def test_options_do_not_leak(self, square_file, tmp_path, capsys):
+        csv = tmp_path / "vecs.csv"
+        calls = [
+            ["group", square_file, "--c=-1/3", "--realize", "--json"],
+            ["group", square_file, "--c=-1/3", "--json"],
+            ["represent", square_file, "--c=-1/3", "--csv", str(csv)],
+            ["represent", square_file, "--c=-1/3"],
+        ]
+        outs = []
+        for argv in calls:
+            if csv.exists():
+                csv.unlink()
+            code, out, _ = run(argv, capsys)
+            assert code == 0 and csv.exists() == ("--csv" in argv)
+            assert out.encode() == self.fresh(argv)
+            outs.append(out)
+        assert "isometries" in outs[0] and "isometries" not in outs[1]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestClasses:

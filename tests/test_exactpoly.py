@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -468,15 +470,14 @@ class TestRealRoots:
             m = random_sign_matrix(rng, rng.randint(6, 16))
             factors = squarefree_decomposition(char_poly(m))
             via_seeds = real_roots_with_multiplicity(m, factors)
-            # (left end, exact, interval, multiplicity), in root order
             via_sturm = sorted(
-                (exact if interval is None else interval[0], exact, interval, e)
-                for f, e in factors for lo, hi, s in exactpoly._sturm_cells(f)
-                for exact, interval in [exactpoly._refine(f, lo, hi, s, width)])
+                (exactpoly._refine(f, e, cell, None, width)
+                 for f, e in factors for cell in exactpoly._sturm_cells(f)),
+                key=lambda r: r.value)
             assert [(r.exact, r.multiplicity) for r in via_seeds] == [
-                (exact, e) for _, exact, _, e in via_sturm]
-            for r, (_, _, b, _) in zip(via_seeds, via_sturm):
-                a = r.interval
+                (r.exact, r.multiplicity) for r in via_sturm]
+            for r, s in zip(via_seeds, via_sturm):
+                a, b = r.interval, s.interval
                 assert a is None or max(a[0], b[0]) < min(a[1], b[1])
 
     @pytest.mark.parametrize("n", [40, 48, 64])
@@ -515,3 +516,101 @@ class TestSpectralOracle:
             assert (r.exact is not None) == integral
             if integral:
                 assert r.exact == Fraction(-1, k)
+
+
+def evaluate(coeffs, x):
+    """f(x) in Fraction arithmetic, by Horner."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@functools.cache
+def certified_root_graphs():
+    """160 seeded G(n, 1/2), n = 3..64 (every n twice or three times), then
+    T(8), Paley(13) + point and edgeless 8: (name, matrix, factors)."""
+    out = []
+    for seed in range(160):
+        m = random_sign_matrix(random.Random(seed), 3 + seed % 62)
+        out.append((f"G{seed}", m))
+    out += [("T8", epsilon_matrix(triangular(8))),
+            ("paley-13+pt", epsilon_matrix(paley_point(13))),
+            ("edgeless-8", epsilon_matrix(Graph.from_edges(8, [])))]
+    return [(name, m, squarefree_decomposition(char_poly(m))) for name, m in out]
+
+
+def assert_certified(name, m, factors, roots):
+    """Check each root against the Seidel spectrum and, in Fractions, the
+    certificate of each irrational root: its factor changes sign between
+    the interval's dyadic ends, which are closer than the interval width."""
+    width = Fraction(config.ROOT_INTERVAL_WIDTH)
+    lams = np.linalg.eigvalsh(m.entries - np.eye(m.n))
+    lams = sorted((lam for lam in lams if abs(lam) > 1e-9), key=lambda lam: -1 / lam)
+    got = [r for r in roots for _ in range(r.multiplicity)]
+    assert len(got) == len(lams), name
+    for r, lam in zip(got, lams):
+        # the root's own square-free factor is the one of its exponent
+        [f] = [f for f, e in factors if e == r.multiplicity]
+        if r.exact is not None:
+            assert evaluate(f.coeffs, r.exact) == 0, name
+            assert abs(-1 / r.exact - lam) < 1e-9, name
+            continue
+        lo, hi = r.interval
+        assert evaluate(f.coeffs, lo) * evaluate(f.coeffs, hi) < 0, name
+        for end in (lo, hi):
+            assert end.denominator & (end.denominator - 1) == 0, name
+        assert 0 < hi - lo < width, name
+        # compared as eigenvalues: near a small lam, -1/lam carries
+        # eigvalsh's error times x^2 (x = -1232 on G35)
+        tol = Fraction(1e-9)
+        assert -1 / lo - tol <= Fraction(lam) <= -1 / hi + tol, name
+        assert lo <= Fraction(r.value) <= hi
+
+
+class TestCertifiedRoots:
+    """The refinement of each root starts from a window of half-width
+    n eps rho x^2 around its seed; exact integer signs certify the result."""
+
+    def test_about_three_sign_evaluations_per_root(self, monkeypatch):
+        signs = spy(monkeypatch, "_sign_at")
+        sturm = spy(monkeypatch, "_sturm_cells")
+        roots = sum(len(real_roots_with_multiplicity(m, factors))
+                    for _, m, factors in certified_root_graphs())
+        assert sturm == []
+        assert len(signs) / roots <= 4
+
+    def test_refined_roots_against_fraction_oracle(self):
+        for name, m, factors in certified_root_graphs():
+            assert_certified(name, m, factors, real_roots_with_multiplicity(m, factors))
+
+    def test_zero_window_gives_the_same_roots(self, monkeypatch):
+        # with delta forced to 0 both first cuts fall on the seed, so they
+        # cannot bracket the root: bisection does the work, at more cost
+        graphs = certified_root_graphs()[::4]
+        want = [real_roots_with_multiplicity(m, factors) for _, m, factors in graphs]
+        signs = spy(monkeypatch, "_sign_at")
+        monkeypatch.setattr(np, "finfo", lambda dtype: types.SimpleNamespace(eps=0.0))
+        got = [real_roots_with_multiplicity(m, factors) for _, m, factors in graphs]
+        assert len(signs) > 10 * sum(map(len, got))
+        for (name, m, factors), roots in zip(graphs, got):
+            assert_certified(name, m, factors, roots)
+        for a, b in zip(want, got):
+            assert [(r.exact, r.multiplicity) for r in a] == [
+                (r.exact, r.multiplicity) for r in b]
+            for r, s in zip(a, b):
+                assert r.interval is None or max(r.interval[0], s.interval[0]) < min(
+                    r.interval[1], s.interval[1])
+                assert abs(r.value - s.value) < config.ROOT_INTERVAL_WIDTH
+
+    def test_index_with_sturm_cells_refines_all(self, monkeypatch):
+        # seeds far beyond every root leave the cuts no sign change
+        m = ONE_EDGE
+        factors = squarefree_decomposition(char_poly(m))
+        want = roots_of(m)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), 1e-9))
+        refine = spy(monkeypatch, "_refine")
+        for k, rec in enumerate(want):
+            [got] = real_roots_with_multiplicity(m, factors, index=k)
+            assert (got.exact, got.multiplicity) == (rec.exact, rec.multiplicity)
+        assert len(refine) == len(want) ** 2
