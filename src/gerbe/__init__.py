@@ -23,6 +23,7 @@ from .exactpoly import (
     IntPolynomial,
     RootRecord,
     char_poly,
+    degree_at,
     real_roots_with_multiplicity,
     squarefree_decomposition,
 )

@@ -1,10 +1,10 @@
 """Tolerances and resource bounds.
 
-The thresholds of the numeric stages (Gram factorization, rank, the
-isometry residual), the width of certified root intervals and the resource
-bounds live here.  The exact stages need no tolerance: chi, its rational
-roots, the line partition and the group are decided in integers.  Nor does
-the span test of isometry recovery, which takes numpy's ``matrix_rank``
+The numeric thresholds (Gram checks, numeric rank, isometry residual), the
+width of certified root intervals and the resource bounds live here.  The
+exact stages need no tolerance: chi, its roots, every degree (rank law),
+the line partition and the group are decided in integers, and the span
+test of reducedness and isometry recovery takes numpy's ``matrix_rank``
 cut.  None of these values is read from the environment.
 """
 
@@ -20,7 +20,8 @@ MAX_SEARCH_NODES = 1_000_000
 MAX_LISTED_ORDER = 10_000
 
 # the Gram checks are relative to max(1, max|S|), the rank cut to the
-# spectral radius: the error of eigh grows with the norm
+# spectral radius: the error of eigh grows with the norm.  RANK_TOL is read
+# only by quadspace.rank, for matrices without an exact degree
 GRAM_TOL = 1e-9
 RANK_TOL = 1e-9
 ISOMETRY_TOL = 1e-8

@@ -4,7 +4,8 @@ Provides the characteristic polynomial det(S(1, x)) of a sign matrix as an
 exact integer polynomial (Faddeev–LeVerrier modulo primes below 2^45, one
 stacked float64 product per step, rebuilt by the Chinese remainder theorem
 past Hadamard's bound 2^n n^(n/2) and checked modulo one more prime), its
-square-free decomposition (a gcd modulo a prime, else Yun's scheme), and
+square-free decomposition (a gcd modulo a prime, else Yun's scheme), the
+degree of the representation at a rational point (``degree_at``), and
 its real roots with multiplicities: seeds -1/lam from the Seidel spectrum
 cut the line into cells that exact integer signs certify, with Sturm
 chains as the fallback, and a rational root is found by testing the
@@ -302,6 +303,23 @@ def squarefree_decomposition(p: IntPolynomial) -> list:
             and _gcd_degree_mod(p.coeffs, _deriv(p.coeffs), _GCD_PRIME) == 0):
         return [(IntPolynomial(tuple(_primitive(p.coeffs))), 1)]
     return _yun(p)
+
+
+def degree_at(m: SignMatrix, omega, c) -> int:
+    """The rank of S(omega, c) = omega I + c (eps - I), the degree of the
+    reduced representation, by the rank law: deg chi at omega = 0 (0 at
+    c = 0), else n - mu, mu the sum of e over the square-free factors f^e of
+    chi that vanish at c/omega, or else at the floats' exact ratio (S is
+    factored at the floats).  Since chi(0) = 1, a rational root is +-1/q."""
+    omega, c = Fraction(omega), Fraction(c)
+    if omega == 0:
+        return char_poly(m).degree if c else 0
+    points = [x for x in (c / omega, Fraction(float(c)) / Fraction(float(omega)))
+              if abs(x.numerator) == 1]
+    if not points:
+        return m.n
+    factors = squarefree_decomposition(char_poly(m))
+    return m.n - max(sum(e for f, e in factors if f(x) == 0) for x in points)
 
 
 def _yun(p: IntPolynomial) -> list:

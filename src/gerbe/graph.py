@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend, config
+from . import _backend, _kernels_py, config
 from .errors import BoundExceededError, ParseError
 
 
@@ -87,15 +87,7 @@ class SignMatrix:
 
     def linked_masks(self) -> list:
         """Row bitmasks: bit j of mask i set iff entry (i, j) = -1."""
-        n = self.n
-        masks = []
-        for i in range(n):
-            m = 0
-            for j in range(n):
-                if self.entries[i, j] == -1:
-                    m |= 1 << j
-            masks.append(m)
-        return masks
+        return ((self.entries == -1) @ _kernels_py._row_bits(self.n)).tolist()
 
 
 @dataclass(frozen=True)
@@ -186,11 +178,8 @@ def conjugate_matrix(s: Permutation, m: SignMatrix) -> SignMatrix:
     """Relabel m by s: result[s(i)][s(j)] = m[i][j]."""
     if s.n != m.n:
         raise ValueError(f"size mismatch: permutation on {s.n}, matrix on {m.n}")
-    n = m.n
-    out = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            out[s.images[i], s.images[j]] = m.entries[i, j]
+    out = np.empty((m.n, m.n), dtype=np.int64)
+    out[np.ix_(s.images, s.images)] = m.entries
     return SignMatrix(out)
 
 

@@ -1,12 +1,13 @@
 """Numeric quadratic-space machinery.
 
-Gram factorization of symmetric matrices into diagonal ±1 forms, numeric
-rank, representations of graphs at parameters (omega, c) and the basic
-operations on them (sum, reduction, isometry recovery).
+Gram factorization of a symmetric matrix of given rank into a diagonal ±1
+form (the rank law fixes it exactly; ``rank``, under RANK_TOL, serves where
+no exact rank is known), representations of graphs at parameters
+(omega, c) and the operations on them (sum, reduction, isometry recovery).
 
 The eigendecomposition behind factorization and rank is LAPACK's symmetric
-solver (``numpy.linalg.eigh``); isometry recovery takes one SVD
-(``numpy.linalg.svd``).
+solver (``numpy.linalg.eigh``); reducedness and isometry recovery take
+numpy's ``matrix_rank`` cut on one SVD (``numpy.linalg.svd``).
 """
 
 from __future__ import annotations
@@ -39,14 +40,9 @@ class QuadraticSpace:
         p = sum(1 for s in self.signs if s == 1)
         return (p, self.dim - p)
 
-    def inner(self, x, y) -> float:
-        return float(np.dot(np.asarray(x) * np.array(self.signs, dtype=float), np.asarray(y)))
-
     def gram(self, vectors) -> np.ndarray:
         """Gram matrix of row-vectors under the diagonal form."""
         v = np.asarray(vectors, dtype=float)
-        if self.dim == 0:
-            return np.zeros((v.shape[0], v.shape[0]))
         return (v * np.array(self.signs, dtype=float)) @ v.T
 
 
@@ -61,7 +57,10 @@ def jacobi_eigh(s):
         raise ValueError("matrix must be square")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0):
         raise ValueError("matrix must be symmetric")
-    return np.linalg.eigh(a)
+    evals, q = np.linalg.eigh(a)
+    if not np.isfinite(evals).all():
+        raise ValueError("the eigenvalues of the matrix overflow the range of a float")
+    return evals, q
 
 
 def build_S(m: SignMatrix, omega: float, c: float) -> np.ndarray:
@@ -74,32 +73,27 @@ def build_S(m: SignMatrix, omega: float, c: float) -> np.ndarray:
 def rank(s) -> int:
     """Numeric rank: eigenvalues above RANK_TOL relative to the spectral radius."""
     evals, _ = jacobi_eigh(s)
-    if len(evals) == 0:
-        return 0
-    thr = config.RANK_TOL * max(1.0, float(np.abs(evals).max()))
+    thr = config.RANK_TOL * max(1.0, float(np.abs(evals).max(initial=0.0)))
     return int(np.sum(np.abs(evals) > thr))
 
 
-def gram_factorize(s):
-    """Realize a symmetric matrix as a Gram matrix in a diagonal ±1 form.
-
-    Returns (space, vectors) with vectors an n x r array whose Gram under
-    the space's form reproduces s; r is the numeric rank, so the realization
-    is reduced.
-    """
-    s = np.asarray(s, dtype=float)
+def gram_factorize(s, rank: int):
+    """Realize a symmetric matrix of the given rank as the Gram matrix of
+    the rows of an n x rank array in a diagonal ±1 form; returns (space,
+    vectors).  The columns come from the rank eigenvalues of largest
+    modulus, in descending order (so positive first; ties in eigh's)."""
     evals, q = jacobi_eigh(s)
-    if len(evals) == 0:
-        raise ValueError("empty matrix")
-    thr = config.RANK_TOL * max(1.0, float(np.abs(evals).max()))
-    keep = [k for k in range(len(evals)) if abs(evals[k]) > thr]
-    keep.sort(key=lambda k: -evals[k])  # positive eigenvalues first
-    signs = tuple(1 if evals[k] > 0 else -1 for k in keep)
-    if keep:
-        vectors = q[:, keep] * np.sqrt(np.abs(evals[keep]))
-    else:
-        vectors = np.zeros((s.shape[0], 0))
-    return QuadraticSpace(signs), vectors
+    keep = np.sort(np.argsort(np.abs(evals))[len(evals) - rank:])
+    keep = keep[np.argsort(-evals[keep], kind="stable")]
+    signs = tuple(1 if e > 0 else -1 for e in evals[keep].tolist())
+    return QuadraticSpace(signs), q[:, keep] * np.sqrt(np.abs(evals[keep]))
+
+
+def _span(sigma, shape) -> int:
+    """The dimension spanned by the rows of a matrix of this shape with
+    singular values sigma: those above numpy's ``matrix_rank`` cut,
+    sigma_max * max(shape) * machine epsilon."""
+    return int(np.sum(sigma > sigma.max(initial=0.0) * max(shape) * np.finfo(float).eps))
 
 
 class Representation:
@@ -139,11 +133,11 @@ class Representation:
             )
 
     @classmethod
-    def build(cls, graph: Graph, omega, c) -> "Representation":
-        """Construct the reduced representation at (omega, c) by factorizing
-        the parameter matrix."""
+    def build(cls, graph: Graph, omega, c, degree: int) -> "Representation":
+        """Construct the reduced representation at (omega, c), whose degree
+        (the rank of S(omega, c)) the caller knows, by factorizing S."""
         s = build_S(epsilon_matrix(graph), omega, c)
-        space, vectors = gram_factorize(s)
+        space, vectors = gram_factorize(s, degree)
         return cls(graph, omega, c, space, vectors, gram=s)
 
     @property
@@ -155,7 +149,10 @@ class Representation:
         return self.space.dim
 
     def is_reduced(self) -> bool:
-        return self.space.dim == rank(self.gram)
+        """The form is nondegenerate, so the system is reduced exactly when
+        its vectors span the space."""
+        sigma = np.linalg.svd(self.vectors, compute_uv=False)
+        return _span(sigma, self.vectors.shape) == self.space.dim
 
     def is_trivial(self) -> bool:
         return self.c == 0.0
@@ -172,7 +169,7 @@ def sum_representations(u: Representation, v: Representation) -> Representation:
 
 def reduce_representation(u: Representation) -> Representation:
     """Drop the null summand: same graph, parameters and Gram, minimal degree."""
-    space, vectors = gram_factorize(u.gram)
+    space, vectors = gram_factorize(u.gram, rank(u.gram))
     return Representation(u.graph, u.omega, u.c, space, vectors, gram=u.gram)
 
 
@@ -185,11 +182,10 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     target system, or a stack of k of them (k x n x r); a stack shares the
     Gram matrix of u, one SVD of u and one batched product with its
     pseudo-inverse, and each of its targets passes the same checks as a
-    single one.  u spans r dimensions when its smallest singular value is
-    above numpy's ``matrix_rank`` cut, sigma_max * max(n, r) * machine
-    epsilon.  Returns the r x r matrix of f, or the k x r x r stack of them;
-    raises GramMismatchError or DeficientSpanError if any target fails.
-    The Gram matrices must agree to ISOMETRY_TOL relative to max(1, max|G_u|).
+    single one.  u must span r dimensions by ``_span``'s cut.  Returns
+    the r x r matrix of f, or the k x r x r stack of them; raises
+    GramMismatchError or DeficientSpanError if any target fails.  The Gram
+    matrices must agree to ISOMETRY_TOL relative to max(1, max|G_u|).
     """
     u_vectors = np.asarray(u_vectors, dtype=float)
     v_vectors = np.asarray(v_vectors, dtype=float)
@@ -209,8 +205,7 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     if r == 0:
         return np.zeros((0, 0) if single else (len(v), 0, 0))
     left, sigma, right_t = np.linalg.svd(u_vectors, full_matrices=False)
-    cut = sigma.max(initial=0.0) * max(u_vectors.shape) * np.finfo(float).eps
-    span = int(np.sum(sigma > cut))
+    span = _span(sigma, u_vectors.shape)
     if span < r:
         raise DeficientSpanError(f"vectors span only {span} of {r} dimensions")
     sol = ((right_t.T / sigma) @ left.T) @ v  # k x r x r

@@ -5,12 +5,16 @@ computes another way: the line partition and linking rules at c = ±1 one
 vertex pair at a time (the package runs the batched kernels of
 ``gerbe._kernels_py``), the sheaf group by trying every signed
 permutation (the package builds a stabilizer chain), the fraction-free
-determinant (the package's chi is multimodular), and the round trips of
-the graph format and of the sign matrix.
+determinant (the package's chi is multimodular), the signature of
+S(omega, c) by counting the signs of its float eigenvalues (the package
+takes the degree from chi by the rank law), and the round trips of the
+graph format and of the sign matrix.
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from gerbe.autgroup import OrbitStructure, SignedPermutation
 from gerbe.errors import BoundExceededError
@@ -180,6 +184,19 @@ def naive_orbits(elements, n) -> OrbitStructure:
     pairs = {(el.sigma(0), el.sigma(1)) for el in elements} if n >= 2 else set()
     return OrbitStructure(orbits, len(orbits) == 1,
                           n >= 2 and len(pairs) == n * (n - 1))
+
+
+# ---------------------------------------------------------------------------
+# the signature of S(omega, c)
+
+def eigenvalue_sign_counts(m: SignMatrix, omega: float, c: float, tol: float) -> tuple:
+    """(positive, negative) eigenvalues of S(omega, c) by numpy's eigvalsh,
+    an eigenvalue within tol times max(1, spectral radius) counting as 0."""
+    s = m.entries * float(c)
+    np.fill_diagonal(s, float(omega))
+    lams = np.linalg.eigvalsh(s)
+    cut = tol * max(1.0, np.abs(lams).max())
+    return int(np.sum(lams > cut)), int(np.sum(lams < -cut))
 
 
 # ---------------------------------------------------------------------------

@@ -103,13 +103,13 @@ def test_06_gram_round_trip(report):
         )
         c = float(nprng.uniform(-2, 2))
         s = build_S(epsilon_matrix(g), 1.0, c)
-        space, vectors = gram_factorize(s)
+        space, vectors = gram_factorize(s, rank(s))
         assert np.abs(space.gram(vectors) - s).max() < 1e-9
     report["ok"] = True
 
 
 def test_07_realized_cube_group(report):
-    u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+    u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
     grp = enumerate_group(epsilon_matrix(SQUARE.graph))
     mats = {el: realize_isometry(el, u) for el in grp.elements}
     assert len(mats) == 48

@@ -33,7 +33,7 @@ from gerbe.graph import (
     epsilon_matrix,
     graph_automorphisms,
 )
-from gerbe.quadspace import Representation, isometry_between
+from gerbe.quadspace import Representation, build_S, isometry_between, rank
 from oracles import naive_group_elements, naive_orbits
 
 
@@ -175,7 +175,7 @@ class TestEnumerateGroup:
 class TestRealize:
     @pytest.fixture()
     def cube(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         grp = enumerate_group(epsilon_matrix(SQUARE.graph))
         return u, grp
 
@@ -227,7 +227,9 @@ REALIZED = [
 
 
 def group_and_representation(g, c):
-    return enumerate_group(epsilon_matrix(g)), Representation.build(g, 1.0, c)
+    # c is a float near a root, so its degree is the numeric rank of S(1, c)
+    degree = rank(build_S(epsilon_matrix(g), 1.0, c))
+    return enumerate_group(epsilon_matrix(g)), Representation.build(g, 1.0, c, degree)
 
 
 class TestRealizeBatched:
@@ -275,12 +277,14 @@ class TestRealizeBatched:
 
     def test_cli_realize_one_svd_per_chunk(self, tmp_path, capsys, monkeypatch):
         # structural guard, not a timing: u is factorized once per chunk of
-        # elements, not once per element
+        # elements, not once per element.  The span test of reducedness takes
+        # singular values alone (compute_uv=False) and is not counted
         calls = []
         original = np.linalg.svd
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            if kwargs.get("compute_uv", True):
+                calls.append(1)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
@@ -331,7 +335,7 @@ class TestOrbits:
 class TestGroupLawMatchesIsometries:
     def test_product_against_isometry_oracle(self):
         # realize(a) . realize(b) must equal realize(a * b) on the 4-cycle
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         grp = enumerate_group(epsilon_matrix(SQUARE.graph))
         rng = random.Random(17)
         for _ in range(30):
@@ -342,7 +346,7 @@ class TestGroupLawMatchesIsometries:
             assert np.abs(fa @ fb - fab).max() < 1e-7
 
     def test_faithful_when_lines_distinct(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         grp = enumerate_group(epsilon_matrix(SQUARE.graph))
         seen = []
         for el in grp.elements:

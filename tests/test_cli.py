@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -356,17 +357,17 @@ class TestGroup:
         assert payload["group_order"] == order
         assert payload["is_2_transitive"] is two_transitive
 
-    def test_at_one_ranks_three_times(self, square_file, capsys, monkeypatch):
+    def test_at_one_spans_three_times(self, square_file, capsys, monkeypatch):
         # structural guard: line_classes in cli._lines and in restrict_to_Y, and
-        # the restricted system's own check, each take one rank (one eigh)
+        # the restricted system's own check, each take one span test (one SVD)
         calls = []
-        original = quadspace.rank
+        original = quadspace._span
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(quadspace, "rank", counted)
+        monkeypatch.setattr(quadspace, "_span", counted)
         code, out, _ = run(["group", square_file, "--c=1", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["lines"] == 1
@@ -461,6 +462,73 @@ class TestLargeC:
         assert len(payload["isometries"]) == order
 
 
+class TestExactDegree:
+    # the degree is n - mu(c/omega) by the rank law, read off chi: no float
+    # threshold decides it, near a root or at a small scale
+    @pytest.mark.parametrize("c, signature", [
+        ("1000000001/1000000000", (1, 3)), ("999999999/1000000000", (4, 0)),
+    ], ids=["above", "below"])
+    def test_near_root_consistent(self, square_file, c, signature, capsys):
+        code, out, _ = run(["represent", square_file, f"--c={c}", "--json"], capsys)
+        assert code == 0
+        signs = json.loads(out)["signs"]
+        assert (signs.count(1), signs.count(-1)) == signature
+        code, out, _ = run(["classes", square_file, f"--c={c}", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["partition"]["m"] == 4
+        code, out, _ = run(["group", square_file, f"--c={c}", "--realize", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["group_order"] == 48
+        form = np.diag(signs)
+        mats = np.array(payload["isometries"])
+        assert mats.shape == (48, 4, 4)
+        for m in mats:
+            assert np.abs(m.T @ form @ m - form).max() < 1e-6
+        gaps = [np.abs(a - b).max() for a, b in itertools.combinations(mats, 2)]
+        assert min(gaps) > 1e-3
+
+    @pytest.mark.parametrize("omega, c, dim", [
+        ("1/10000000000", "1/10000000000", 1),  # c/omega = 1, a triple root
+        ("0", "1/10000000000", 4),  # deg chi
+        ("1/10000000000", "-1/30000000000", 3),  # c/omega = -1/3, a simple root
+    ], ids=["root-one", "omega-zero", "root-third"])
+    def test_small_scale(self, square_file, omega, c, dim, capsys):
+        code, out, _ = run(["represent", square_file, f"--omega={omega}", f"--c={c}",
+                            "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["dim"] == dim
+
+    def test_float_of_c_is_a_root(self, square_file, capsys):
+        # 1 + 10^-17 is no root, but its float, 1.0, is: the numeric stages
+        # see c = 1, and so do the degree and the lines
+        c = ["--c", "1.00000000000000001", "--approx", "--json"]
+        code, out, _ = run(["represent", square_file, *c], capsys)
+        assert code == 0
+        assert json.loads(out)["dim"] == 1
+        code, out, _ = run(["classes", square_file, *c], capsys)
+        assert code == 0
+        assert json.loads(out)["partition"]["m"] == 1
+        code, out, _ = run(["group", square_file, *c], capsys)
+        assert code == 0
+        assert json.loads(out)["group_order"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["represent", "--omega", "1e308", "--c", "1e308"], ["group", "--c", "1e308"],
+    ], ids=["represent", "group"])
+    def test_overflowing_spectrum_refused(self, square_file, argv, capsys):
+        # each entry of S is a float, but its eigenvalues are not
+        code, out, err = run([argv[0], square_file, *argv[1:], "--approx"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the eigenvalues of the matrix overflow the range of a float\n"
+
+    def test_largest_spectrum_accepted(self, square_file, capsys):
+        code, out, _ = run(["group", square_file, "--c", "5e307", "--approx", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["group_order"] == 48
+
+
 class TestAnalyze:
     def test_square_report(self, square_file, capsys):
         code, out, _ = run(["analyze", square_file, "--json"], capsys)
@@ -501,13 +569,6 @@ class TestAnalyze:
         code, out, _ = run(["analyze", pentagon_file], capsys)
         assert code == 0
         assert "|G| = 20" in out
-
-    def test_rank_law_violation_exits_one(self, square_file, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "rank", lambda *args, **kwargs: -1)
-        code, _, err = run(["analyze", square_file, "--json"], capsys)
-        assert code == 1
-        assert "internal invariant violated" in err
-        assert "Traceback" not in err
 
     def test_squarefree_decomposition_runs_once(self, pentagon_file, capsys, monkeypatch):
         # chi of the pentagon is (5x^2 - 1)^2, so the decomposition runs Yun

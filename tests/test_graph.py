@@ -237,3 +237,10 @@ class TestSignMatrix:
     def test_linked_masks(self):
         m = epsilon_matrix(parse_graph(TRIANGLE))
         assert m.linked_masks() == [0b110, 0b101, 0b011]
+        # against the bit-by-bit loop, up to the 64-bit masks of MAX_VERTICES
+        rng = random.Random(71)
+        for n in (1, 7, 8, 9, 16, 17, 33, 63, 64):
+            m = epsilon_matrix(random_graph(rng, n))
+            masks = m.linked_masks()
+            assert all(type(mask) is int for mask in masks)
+            assert masks == [sum(1 << j for j in range(n) if m[i, j] == -1) for i in range(n)]

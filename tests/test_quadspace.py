@@ -47,8 +47,9 @@ def petersen_graph():
 
 def group_targets(g, c):
     """The representation of g at (1, c) and the stack of its images
-    nu_i * u_{sigma(i)} under every element of the sheaf group."""
-    u = Representation.build(g, 1.0, c)
+    nu_i * u_{sigma(i)} under every element of the sheaf group.  c is a
+    float near a root, so its degree is the numeric rank of S(1, c)."""
+    u = Representation.build(g, 1.0, c, rank(build_S(epsilon_matrix(g), 1.0, c)))
     els = enumerate_group(epsilon_matrix(g)).elements
     return u, np.array([[el.nu[i] * u.vectors[el.sigma(i)] for i in range(g.n)]
                         for el in els])
@@ -122,13 +123,13 @@ class TestRank:
 
 class TestGramFactorize:
     def test_identity(self):
-        space, vectors = gram_factorize(np.eye(3))
+        space, vectors = gram_factorize(np.eye(3), 3)
         assert space.signs == (1, 1, 1)
         assert np.abs(space.gram(vectors) - np.eye(3)).max() < 1e-12
 
     def test_equilateral_triangle(self):
         s = build_S(epsilon_matrix(TRIANGLE.graph), 1.0, 0.5)
-        space, vectors = gram_factorize(s)
+        space, vectors = gram_factorize(s, rank(s))
         assert space.dim == 2
         assert space.signs == (1, 1)
         for i in range(3):
@@ -137,14 +138,14 @@ class TestGramFactorize:
 
     def test_cube_diagonals(self):
         s = build_S(epsilon_matrix(SQUARE.graph), 1.0, -1 / 3)
-        space, vectors = gram_factorize(s)
+        space, vectors = gram_factorize(s, rank(s))
         assert space.dim == 3 and space.signs == (1, 1, 1)
         g = space.gram(vectors)
         assert np.abs(g - s).max() < 1e-12
 
     def test_indefinite_signature(self):
         s = build_S(epsilon_matrix(TRIANGLE.graph), 1.0, 2.0)
-        space, vectors = gram_factorize(s)
+        space, vectors = gram_factorize(s, rank(s))
         # chi(2) != 0 so full rank; the form cannot be definite at c = 2
         assert space.dim == 3
         assert -1 in space.signs
@@ -157,17 +158,17 @@ class TestGramFactorize:
             g = random_graph(rng, rng.randint(1, 6))
             c = float(nprng.uniform(-1, 1))
             s = build_S(epsilon_matrix(g), 1.0, c)
-            space, vectors = gram_factorize(s)
+            space, vectors = gram_factorize(s, rank(s))
             assert np.abs(space.gram(vectors) - s).max() < 1e-9
 
     def test_signature_stable_under_orthogonal_shuffle(self):
         s = build_S(epsilon_matrix(SQUARE.graph), 1.0, 2.0)
-        space, _ = gram_factorize(s)
+        space, _ = gram_factorize(s, rank(s))
         base = sorted(space.signs)
         rng = np.random.default_rng(8)
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            space2, _ = gram_factorize(q @ s @ q.T)
+            space2, _ = gram_factorize(q @ s @ q.T, rank(q @ s @ q.T))
             # signature is a congruence invariant; q s qT is congruent to s
             assert sorted(space2.signs) == base
 
@@ -176,19 +177,36 @@ class TestGramFactorize:
         m = epsilon_matrix(triangular_graph(8))
         for c, dim in ((-1 / 3, 7), (1 / 9, 21)):
             s = build_S(m, 1.0, c)
-            space, vectors = gram_factorize(s)
+            space, vectors = gram_factorize(s, dim)
             assert space.dim == dim and space.signs == (1,) * dim
             assert np.abs(space.gram(vectors) - s).max() < 1e-12
 
+    def test_keeps_the_largest_moduli(self):
+        # 10^-9 above the square's triple root 1, the three eigenvalues
+        # 1 - c are small but not zero: all four are kept, the positive
+        # one first, and the Gram matrix is reproduced
+        s = build_S(epsilon_matrix(SQUARE.graph), 1.0, 1 + 1e-9)
+        space, vectors = gram_factorize(s, 4)
+        assert space.signs == (1, -1, -1, -1)
+        assert np.abs(space.gram(vectors) - s).max() < 1e-12
+        assert gram_factorize(s, 1)[0].signs == (1,)
+
+    def test_overflowing_spectrum_refused(self):
+        # the entries are floats, but the eigenvalue 4e308 is not
+        s = build_S(epsilon_matrix(SQUARE.graph), 1e308, 1e308)
+        with pytest.raises(ValueError, match="range of a float"):
+            gram_factorize(s, 1)
+        assert gram_factorize(s / 4, 1)[0].dim == 1
+
     def test_rank_zero(self):
-        space, vectors = gram_factorize(np.zeros((3, 3)))
+        space, vectors = gram_factorize(np.zeros((3, 3)), 0)
         assert space.dim == 0
         assert vectors.shape == (3, 0)
 
 
 class TestRepresentation:
     def test_build_validates_gram(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5)
+        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         assert u.is_reduced()
         assert u.degree == 2
 
@@ -199,7 +217,7 @@ class TestRepresentation:
 
     def test_large_c_perturbation_rejected(self):
         # the Gram tolerance is relative to max|S| = 10^7, not lost in it
-        u = Representation.build(SQUARE.graph, 1.0, 1e7)
+        u = Representation.build(SQUARE.graph, 1.0, 1e7, 4)
         with pytest.raises(GramMismatchError):
             Representation(SQUARE.graph, 1.0, 1e7, u.space, u.vectors * (1 + 1e-6))
         targets = np.stack([u.vectors, -u.vectors, u.vectors * (1 + 1e-6)])
@@ -211,11 +229,12 @@ class TestRepresentation:
         u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
         assert u.degree == 0
         assert u.is_trivial()
+        assert u.is_reduced()
 
 
 class TestSum:
     def test_null_summand_is_neutral(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5)
+        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         null = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
         w = sum_representations(u, null)
         assert w.degree == u.degree
@@ -225,8 +244,8 @@ class TestSum:
         rng = np.random.default_rng(13)
         for _ in range(20):
             c1, c2 = rng.uniform(-1, 1, size=2)
-            u = Representation.build(TRIANGLE.graph, 1.0, c1)
-            v = Representation.build(TRIANGLE.graph, 2.0, c2)
+            u = Representation.build(TRIANGLE.graph, 1.0, c1, 3)
+            v = Representation.build(TRIANGLE.graph, 2.0, c2, 3)
             w = sum_representations(u, v)
             assert w.omega == pytest.approx(3.0)
             assert w.c == pytest.approx(c1 + c2)
@@ -235,28 +254,28 @@ class TestSum:
 
     def test_triangle_positive_combination(self):
         # rank-1 piece at c=-1 plus rank-2 piece at c=1/2 gives a rank-3 rep
-        u = Representation.build(TRIANGLE.graph, 1.0, -1.0)
-        v = Representation.build(TRIANGLE.graph, 1.0, 0.5)
+        u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
+        v = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         w = sum_representations(u, v)
         assert (w.omega, w.c) == (2.0, -0.5)
         assert w.degree == 3
 
     def test_graph_mismatch(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5)
-        v = Representation.build(SQUARE.graph, 1.0, 0.5)
+        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
+        v = Representation.build(SQUARE.graph, 1.0, 0.5, 4)
         with pytest.raises(ValueError, match="graph"):
             sum_representations(u, v)
 
 
 class TestReduce:
     def test_idempotent_on_reduced(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         v = reduce_representation(u)
         assert v.degree == u.degree
         assert np.abs(v.gram - u.gram).max() < 1e-9
 
     def test_padding_removed(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5)
+        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         padded_space = QuadraticSpace(u.space.signs + (1, -1))
         padded_vectors = np.hstack([u.vectors, np.zeros((3, 2))])
         padded = Representation(TRIANGLE.graph, 1.0, 0.5, padded_space, padded_vectors)
@@ -268,24 +287,24 @@ class TestReduce:
     def test_square_at_one_reduces_to_line(self):
         m = epsilon_matrix(SQUARE.graph)
         s = build_S(m, 1.0, 1.0)
-        space, vectors = gram_factorize(np.eye(4) * 0 + s)
+        space, vectors = gram_factorize(s, rank(s))
         u = Representation(SQUARE.graph, 1.0, 1.0, space, vectors, gram=s)
         assert reduce_representation(u).degree == 1
 
 
 class TestIsometry:
     def test_identity(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         f = isometry_between(u.vectors, u.vectors, u.space, u.space)
         assert np.abs(f - np.eye(3)).max() < 1e-9
 
     def test_global_sign(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         f = isometry_between(u.vectors, -u.vectors, u.space, u.space)
         assert np.abs(f + np.eye(3)).max() < 1e-9
 
     def test_recovers_orthogonal_shuffle(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         rng = np.random.default_rng(21)
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -295,8 +314,8 @@ class TestIsometry:
             assert np.abs(u.vectors @ f.T - v).max() < 1e-8
 
     def test_gram_mismatch_rejected(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
-        v = Representation.build(SQUARE.graph, 1.0, 0.5)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+        v = Representation.build(SQUARE.graph, 1.0, 0.5, 4)
         with pytest.raises(GramMismatchError):
             isometry_between(u.vectors, v.vectors, u.space, v.space)
 
@@ -322,7 +341,7 @@ class TestIsometryStack:
         assert stack.tobytes() == single.tobytes()
 
     def test_single_call_keeps_its_shape(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         assert isometry_between(u.vectors, u.vectors, u.space, u.space).shape == (3, 3)
         stack = isometry_between(u.vectors, np.stack([u.vectors, -u.vectors]),
                                  u.space, u.space)
@@ -364,7 +383,7 @@ class TestIsometryStack:
         vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DeficientSpanError):
             isometry_between(vecs, np.stack([vecs, -vecs]), space, space)
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         padded = QuadraticSpace((1, 1, 1, 1))
         with pytest.raises(DeficientSpanError):
             isometry_between(u.vectors, np.stack([np.hstack([u.vectors, np.zeros((4, 1))])] * 2),

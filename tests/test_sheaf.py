@@ -5,6 +5,7 @@ import pytest
 
 from gerbe.errors import TrivialRepresentationError
 from gerbe.fixtures import PENTAGON, SQUARE, TRIANGLE
+from gerbe.exactpoly import degree_at
 from gerbe.graph import Graph, epsilon_matrix
 from gerbe.quadspace import Representation, reduce_representation, sum_representations
 from gerbe.sheaf import (
@@ -39,7 +40,7 @@ def assert_lines_of_vectors(u, p, tol=1e-8):
 
 class TestLineClasses:
     def test_triangle_collapsed(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, -1.0)
+        u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         p = line_classes(u)
         assert p.m == 1
         assert p.members(0) == [0, 1, 2]
@@ -47,20 +48,20 @@ class TestLineClasses:
         assert p.sign == (1, 1, 1)
 
     def test_square_at_one(self):
-        u = Representation.build(SQUARE.graph, 1.0, 1.0)
+        u = Representation.build(SQUARE.graph, 1.0, 1.0, 1)
         p = line_classes(u)
         assert p.m == 1
         assert p.plus_block(0) == [0, 2]
         assert p.minus_block(0) == [1, 3]
 
     def test_square_generic_all_singletons(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         p = line_classes(u)
         assert p.is_all_singletons()
         assert p.sign == (1, 1, 1, 1)
 
     def test_trivial_rejected(self):
-        u = Representation.build(SQUARE.graph, 1.0, 0.0)
+        u = Representation.build(SQUARE.graph, 1.0, 0.0, 4)
         with pytest.raises(TrivialRepresentationError):
             line_classes(u)
 
@@ -73,7 +74,7 @@ class TestLineClasses:
             c = float(nprng.uniform(-0.9, 0.9))
             if abs(c) < 1e-3:
                 c = 0.5
-            u = Representation.build(g, 1.0, c)
+            u = Representation.build(g, 1.0, c, degree_at(epsilon_matrix(g), 1, c))
             p = line_classes(u)
             assert p.is_all_singletons()
             assert_lines_of_vectors(u, p)
@@ -84,7 +85,7 @@ class TestLineClasses:
     ], ids=["square-above", "square-below", "triangle-above", "triangle-below"])
     def test_near_unit_c_all_singletons(self, graph, c):
         # lines coincide only where |c| = |omega| exactly
-        u = Representation.build(graph, 1.0, c)
+        u = Representation.build(graph, 1.0, c, degree_at(epsilon_matrix(graph), 1, c))
         assert line_classes(u).is_all_singletons()
 
     @pytest.mark.parametrize("omega, c", [(2.0, 2.0), (-1.0, 1.0), (0.5, -0.5)])
@@ -92,7 +93,7 @@ class TestLineClasses:
         rng = random.Random(67)
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 7))
-            u = Representation.build(g, omega, c)
+            u = Representation.build(g, omega, c, degree_at(epsilon_matrix(g), omega, c))
             p = line_classes(u)
             assert p == partition_from_sign_matrix(epsilon_matrix(g), int(c / omega))
             assert_lines_of_vectors(u, p)
@@ -100,12 +101,12 @@ class TestLineClasses:
     def test_padded_rejected(self):
         # at (1, 1) the padded square has the Gram rows of the reduced one,
         # but its vectors are distinct
-        pad = sum_representations(Representation.build(SQUARE.graph, 1.0, 0.5),
-                                  Representation.build(SQUARE.graph, 0.0, 0.5))
+        pad = sum_representations(Representation.build(SQUARE.graph, 1.0, 0.5, 4),
+                                  Representation.build(SQUARE.graph, 0.0, 0.5, 4))
         with pytest.raises(ValueError, match="reduced"):
             line_classes(pad)
         u = reduce_representation(pad)
-        assert line_classes(u) == line_classes(Representation.build(SQUARE.graph, 1.0, 1.0))
+        assert line_classes(u) == line_classes(Representation.build(SQUARE.graph, 1.0, 1.0, 1))
 
 
 class TestCombinatorialPartition:
@@ -114,7 +115,7 @@ class TestCombinatorialPartition:
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 7))
             for c in (1, -1):
-                u = Representation.build(g, 1.0, float(c))
+                u = Representation.build(g, 1.0, float(c), degree_at(epsilon_matrix(g), 1, c))
                 p = line_classes(u)
                 assert p == partition_from_sign_matrix(epsilon_matrix(g), c)
                 assert_lines_of_vectors(u, p)
@@ -126,14 +127,14 @@ class TestCombinatorialPartition:
 
 class TestRestrictToY:
     def test_singletons_unchanged(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3)
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         p = line_classes(u)
         gy, v = restrict_to_Y(SQUARE.graph, u, p)
         assert gy == SQUARE.graph
         assert np.array_equal(v.vectors, u.vectors)
 
     def test_square_at_one(self):
-        u = Representation.build(SQUARE.graph, 1.0, 1.0)
+        u = Representation.build(SQUARE.graph, 1.0, 1.0, 1)
         p = line_classes(u)
         gy, v = restrict_to_Y(SQUARE.graph, u, p)
         assert gy.n == 1
@@ -141,7 +142,7 @@ class TestRestrictToY:
         assert v.is_reduced()
 
     def test_triangle_collapsed(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, -1.0)
+        u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         p = line_classes(u)
         gy, v = restrict_to_Y(TRIANGLE.graph, u, p)
         assert gy.n == 1 and gy.edges == frozenset()
@@ -152,7 +153,7 @@ class TestRestrictToY:
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 6))
             c = rng.choice([1.0, -1.0])
-            u = Representation.build(g, 1.0, c)
+            u = Representation.build(g, 1.0, c, degree_at(epsilon_matrix(g), 1, c))
             p = line_classes(u)
             assert_lines_of_vectors(u, p)
             gy, v = restrict_to_Y(g, u, p)
@@ -160,20 +161,20 @@ class TestRestrictToY:
             assert_lines_of_vectors(v, LinePartition.trivial(gy.n))
 
     def test_trivial_rejected(self):
-        u = Representation.build(SQUARE.graph, 1.0, 0.0)
+        u = Representation.build(SQUARE.graph, 1.0, 0.0, 4)
         with pytest.raises(TrivialRepresentationError):
             restrict_to_Y(SQUARE.graph, u, LinePartition.trivial(4))
 
-    @pytest.mark.parametrize("c, p", [
+    @pytest.mark.parametrize("c, degree, p", [
         # too fine: the square's four vertices share one line at c = 1
-        (1.0, LinePartition.trivial(4)),
+        (1.0, 1, LinePartition.trivial(4)),
         # too coarse: distinct lines at c = -1/3 merged
-        (-1 / 3, LinePartition(3, (0, 1, 3), (0, 1, 0, 2), (1, 1, 1, 1))),
+        (-1 / 3, 3, LinePartition(3, (0, 1, 3), (0, 1, 0, 2), (1, 1, 1, 1))),
         # right blocks, wrong signs: vertices 2 and 4 are -u_1 at c = 1
-        (1.0, LinePartition(1, (0,), (0, 0, 0, 0), (1, 1, 1, 1))),
+        (1.0, 1, LinePartition(1, (0,), (0, 0, 0, 0), (1, 1, 1, 1))),
     ], ids=["too-fine", "too-coarse", "wrong-signs"])
-    def test_wrong_partition_rejected(self, c, p):
-        u = Representation.build(SQUARE.graph, 1.0, c)
+    def test_wrong_partition_rejected(self, c, degree, p):
+        u = Representation.build(SQUARE.graph, 1.0, c, degree)
         with pytest.raises(ValueError, match="not the line partition"):
             restrict_to_Y(SQUARE.graph, u, p)
 
