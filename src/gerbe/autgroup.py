@@ -129,18 +129,23 @@ class SheafGroup:
         return tuple(_from_bits(*u) for level in self.levels for u in level)
 
     @property
+    def listing(self):
+        """Every element as two 2 n_sigma x n integer arrays (sigma, nu) of
+        images and ±1 signs, sorted by (sigma, nu): ± each product of coset
+        representatives, the sign vector with nu_0 = -1 first."""
+        sigma, sbits = chain_products(self.levels)
+        nu = 1 - 2 * sbits
+        nu *= -nu[:, :1]
+        return np.repeat(sigma, 2, axis=0), np.stack([nu, -nu], axis=1).reshape(-1, self.ambient.n)
+
+    @property
     def elements(self) -> tuple:
-        """Every element, sorted; built on first use from ± each product of
-        coset representatives."""
+        """Every element as a SignedPermutation, in the order of ``listing``;
+        built on first use."""
         if self._elements is None:
-            signed = []
-            for sigma, sbits in chain_products(self.levels):
-                nu = tuple(-1 if b else 1 for b in sbits)
-                signed.append((sigma, nu))
-                signed.append((sigma, tuple(-v for v in nu)))
-            signed.sort()
             self._elements = tuple(
-                SignedPermutation(Permutation(sigma), nu) for sigma, nu in signed
+                SignedPermutation(Permutation(tuple(s)), tuple(v))
+                for s, v in zip(*(a.tolist() for a in self.listing))
             )
         return self._elements
 
@@ -162,9 +167,10 @@ def enumerate_group(m: SignMatrix) -> SheafGroup:
 REALIZE_CHUNK = 1024
 
 
-def realize_isometries(elements, u: Representation) -> np.ndarray:
+def realize_isometries(sigma, nu, u: Representation) -> np.ndarray:
     """Matrices of the isometries sending each u_i to nu_i * u_{sigma(i)},
-    one per element, as a len(elements) x r x r array.
+    one per row of the k x n arrays of images ``sigma`` and signs ``nu``
+    (``SheafGroup.listing``), as a k x r x r array.
 
     The targets of a chunk of REALIZE_CHUNK elements are built by fancy
     indexing and solved with one SVD of u (``isometry_between`` on a
@@ -173,21 +179,18 @@ def realize_isometries(elements, u: Representation) -> np.ndarray:
     reduced.
     """
     r = u.space.dim
-    out = np.empty((len(elements), r, r))
-    for start in range(0, len(elements), REALIZE_CHUNK):
-        chunk = elements[start:start + REALIZE_CHUNK]
-        sigma = np.array([a.sigma.images for a in chunk], dtype=np.intp)
-        nu = np.array([a.nu for a in chunk], dtype=float)
-        targets = nu[:, :, None] * u.vectors[sigma]
-        out[start:start + len(chunk)] = isometry_between(
-            u.vectors, targets, u.space, u.space)
+    out = np.empty((len(sigma), r, r))
+    for start in range(0, len(sigma), REALIZE_CHUNK):
+        stop = start + REALIZE_CHUNK
+        targets = nu[start:stop, :, None] * u.vectors[sigma[start:stop]]
+        out[start:stop] = isometry_between(u.vectors, targets, u.space, u.space)
     return out
 
 
 def realize_isometry(a: SignedPermutation, u: Representation) -> np.ndarray:
     """Matrix of the isometry sending each u_i to nu_i * u_{sigma(i)}: the
     one-element case of ``realize_isometries``."""
-    return realize_isometries((a,), u)[0]
+    return realize_isometries(np.array([a.sigma.images]), np.array([a.nu]), u)[0]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+
 from . import config, fixtures
 from .autgroup import enumerate_group, orbits_on_lines, realize_isometries
 from .errors import (
@@ -81,6 +83,52 @@ def parse_rational(text: str, allow_approx=False) -> Fraction:
 def _check_float_range(text: str, value: float, nonzero: bool):
     if not math.isfinite(value) or (value == 0 and nonzero):
         raise ValueError(f"{text!r} is outside the range of a float")
+
+
+def _print_json(payload):
+    """Print the bytes of json.dumps(payload, indent=2, sort_keys=True)
+    with every numpy array value taken as its nested lists, the one writer
+    of every --json output.
+
+    A non-empty array value of the top level is rendered by repr of its
+    entries, joined with separators that repeat with its shape, instead of
+    the encoder's Python loop; a non-finite entry there is refused as an
+    InvariantError.
+    """
+    plain, arrays = dict(payload), {}
+    for key, a in payload.items():
+        if isinstance(a, np.ndarray):
+            if a.size:
+                plain[key], arrays[key] = f"\0{key}", a  # a placeholder, split off below
+            else:
+                plain[key] = a.tolist()
+    pieces = [json.dumps(plain, indent=2, sort_keys=True)]
+    for key in sorted(arrays):  # the order of the placeholders in the text
+        head, tail = pieces.pop().split(json.dumps(f"\0{key}"))
+        pieces += [head, _array_json(key, arrays[key]), tail]
+    print(*pieces, sep="")
+
+
+def _array_json(key, a):
+    """The indent=2 JSON of a non-empty array of one or more axes at the
+    top level of an object, whose entries sit one indent deeper per axis."""
+    if not np.isfinite(a).all():
+        raise InvariantError(f"non-finite value in the {key!r} array")
+    m = a.ndim
+    nl = ["\n" + "  " * (1 + j) for j in range(m + 1)]
+    # the rows of the last axis at the even places; the separator after a
+    # row that ends c nested lists closes those c and opens c new ones
+    parts = [None, None]
+    for c, d in enumerate(reversed(a.shape[:-1]), 1):
+        closing = "".join(nl[j] + "]" for j in range(m - 1, m - 1 - c, -1))
+        opening = "".join("[" + nl[j + 1] for j in range(m - c, m))
+        parts[-1] = closing + "," + nl[m - c] + opening
+        parts *= d
+    parts.pop()
+    inner = "," + nl[m]
+    parts[0::2] = [inner.join(map(repr, row)) for row in a.reshape(-1, a.shape[-1]).tolist()]
+    return ("".join("[" + nl[j + 1] for j in range(m)) + "".join(parts)
+            + "".join(nl[j] + "]" for j in reversed(range(m))))
 
 
 def _root_json(rec, n):
@@ -150,7 +198,7 @@ def cmd_poly(args) -> int:
             ],
             "roots": [_root_json(r, g.n) for r in roots],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"chi(x) = {chi.pretty()}")
         print(f"factored: {_factored_text(chi, factors)}")
@@ -185,7 +233,8 @@ def cmd_represent(args) -> int:
     omega = parse_rational(args.omega, args.approx)
     c, degree = _pick_c(args, g, omega)
     u = Representation.build(g, float(omega), float(c), degree)
-    rows = [",".join(f"{x:.17g}" for x in u.vectors[i]) for i in range(u.n)]
+    if args.csv or not args.json:
+        rows = [",".join(f"{x:.17g}" for x in row) for row in u.vectors.tolist()]
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
@@ -195,9 +244,9 @@ def cmd_represent(args) -> int:
             "c": float(c),
             "dim": u.space.dim,
             "signs": list(u.space.signs),
-            "vectors": [[float(x) for x in u.vectors[i]] for i in range(u.n)],
+            "vectors": u.vectors,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"# omega={float(omega):.12g} c={float(c):.12g} dim={u.space.dim} "
               f"signs={''.join('+' if s > 0 else '-' for s in u.space.signs)}")
@@ -230,7 +279,7 @@ def cmd_classes(args) -> int:
                 "within_class_ok": report.within_class_ok,
                 "failures": list(report.failures),
             }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"{p.m} distinct line(s) among {g.n} vertices at c={float(c):.12g}")
         _print_partition(p, sys.stdout)
@@ -282,21 +331,21 @@ def cmd_group(args) -> int:
     }
     if args.realize:
         try:
-            mats = realize_isometries(grp.elements, v).tolist()
+            mats = realize_isometries(*grp.listing, v)
         except (GramMismatchError, DeficientSpanError) as exc:
             # the elements come from the group's own chain: a failure here
             # is a defect, not bad input
             raise InvariantError(f"sheaf group element is not an isometry: {exc}") from exc
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                for mat in mats:
+                for mat in mats.tolist():
                     for row in mat:
                         fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
                     fh.write("\n")
         else:
             payload["isometries"] = mats
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"|H(graph)| = {payload['aut_graph_order']}")
         print(f"|G| = {payload['group_order']}  (N_sigma = {payload['n_sigma']}, "
@@ -305,7 +354,7 @@ def cmd_group(args) -> int:
         print(f"orbits on lines: {payload['orbits']}")
         print(f"transitive: {payload['is_transitive']}  "
               f"2-transitive: {payload['is_2_transitive']}")
-        for k, mat in enumerate(payload.get("isometries", ()), 1):
+        for k, mat in enumerate(payload.get("isometries", np.empty(0)).tolist(), 1):
             print(f"isometry {k}:")
             for row in mat:
                 print("  " + " ".join(f"{x + 0.0:.12g}" for x in row))  # no -0
@@ -320,7 +369,7 @@ def cmd_analyze(args) -> int:
             "n": g.n,
             "edges": [[i + 1, j + 1] for i, j in g.sorted_edges()],
         },
-        "epsilon": eps.entries.tolist(),
+        "epsilon": eps.entries,
         "chi": {
             "text": chi.pretty(),
             "factored": _factored_text(chi, factors),
@@ -349,7 +398,7 @@ def cmd_analyze(args) -> int:
             "is_2_transitive": orbit_info.is_2_transitive,
         }
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(f"graph on {g.n} vertices, {len(report['graph']['edges'])} edges")
         print(f"chi(x) = {report['chi']['text']}")
@@ -418,7 +467,7 @@ def run_demo(corrupt=None):
 def cmd_demo(args) -> int:
     rows, ok_all = run_demo(corrupt=args.corrupt)
     if args.json:
-        print(json.dumps({"fixtures": rows, "ok": ok_all}, indent=2, sort_keys=True))
+        _print_json({"fixtures": rows, "ok": ok_all})
     else:
         header = f"{'fixture':16} {'chi ok':6} {'roots':6} {'ranks':6} {'|H|':>4} {'|G|':>4} {'2-trans':8} result"
         print(header)

@@ -232,19 +232,21 @@ def _vertex_invariants(masks, signed) -> list:
     return out
 
 
-def chain_products(levels) -> list:
+def chain_products(levels):
     """The products u_0 u_1 ... u_{n-1}, one u_t from each level of a
-    stabilizer chain, as (sigma, sbits) pairs.  Each element of the group
-    (one of each ± pair, in the signed case) arises exactly once."""
+    stabilizer chain, as two k x n integer arrays (sigma, sbits) sorted by
+    sigma.  Each element of the group (one of each ± pair, in the signed
+    case) arises exactly once, so the sigma rows are distinct."""
     n = len(levels)
-    out = [(tuple(range(n)), (0,) * n)]
+    sigma = np.arange(n)[None]
+    sbits = np.zeros((1, n), dtype=np.int8)
     for level in reversed(levels):
-        out = [
-            (tuple(us[j] for j in hs), tuple(ub[j] ^ hb[i] for i, j in enumerate(hs)))
-            for us, ub in level
-            for hs, hb in out
-        ]
-    return out
+        us = np.array([u for u, _ in level])
+        ub = np.array([b for _, b in level], dtype=np.int8)
+        # u_t after each product h of the later levels, signs of u_t pulled back along h
+        sigma, sbits = us[:, sigma].reshape(-1, n), (ub[:, sigma] ^ sbits).reshape(-1, n)
+    order = np.lexsort(sigma.T[::-1])
+    return sigma[order], sbits[order]
 
 
 def automorphism_order(g: Graph) -> int:
@@ -262,4 +264,4 @@ def graph_automorphisms(g: Graph) -> list:
     if order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
             f"|Aut| = {order} exceeds the listing bound {config.MAX_LISTED_ORDER}")
-    return [Permutation(s) for s in sorted(s for s, _ in chain_products(levels))]
+    return [Permutation(tuple(s)) for s in chain_products(levels)[0].tolist()]

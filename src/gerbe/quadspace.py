@@ -123,10 +123,11 @@ class Representation:
 
     def _validate(self):
         """The Gram matrix must match S(omega, c) to GRAM_TOL relative to
-        max(1, max|S|): the error of a factorization grows with the norm."""
+        max(1, max|S|): the error of a factorization grows with the norm.
+        A non-finite deviation fails too."""
         expected = build_S(epsilon_matrix(self.graph), self.omega, self.c)
         deviation = np.abs(self.space.gram(self.vectors) - expected).max(initial=0.0)
-        if deviation > config.GRAM_TOL * max(1.0, np.abs(expected).max(initial=0.0)):
+        if not deviation <= config.GRAM_TOL * max(1.0, np.abs(expected).max(initial=0.0)):
             raise GramMismatchError(
                 "vectors do not realize the stated parameters: "
                 f"max deviation {deviation:.3g}"
@@ -185,7 +186,8 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     single one.  u must span r dimensions by ``_span``'s cut.  Returns
     the r x r matrix of f, or the k x r x r stack of them; raises
     GramMismatchError or DeficientSpanError if any target fails.  The Gram
-    matrices must agree to ISOMETRY_TOL relative to max(1, max|G_u|).
+    matrices must agree to ISOMETRY_TOL relative to max(1, max|G_u|); a
+    non-finite entry fails the comparison.
     """
     u_vectors = np.asarray(u_vectors, dtype=float)
     v_vectors = np.asarray(v_vectors, dtype=float)
@@ -197,7 +199,7 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
         raise GramMismatchError("input systems have different Gram matrices")
     gv -= gu  # in place: the k x n x n stack is the largest array here
     gram_tol = config.ISOMETRY_TOL * max(1.0, np.abs(gu).max(initial=0.0))
-    if np.abs(gv, out=gv).max(initial=0.0) > gram_tol:
+    if not np.abs(gv, out=gv).max(initial=0.0) <= gram_tol:
         raise GramMismatchError("input systems have different Gram matrices")
     r = space_u.dim
     if space_v.dim != r:
@@ -213,7 +215,7 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     diff = u_vectors @ sol
     diff -= v
     residual = np.abs(diff, out=diff).max(axis=(1, 2), initial=0.0)
-    if (residual > config.ISOMETRY_TOL * scale * 10).any():
+    if not (residual <= config.ISOMETRY_TOL * scale * 10).all():
         raise GramMismatchError(f"isometry residual too large: {residual.max():.3g}")
     f = sol.transpose(0, 2, 1)
     return f[0] if single else f

@@ -8,10 +8,13 @@ permutation (the package builds a stabilizer chain), the fraction-free
 determinant (the package's chi is multimodular), the signature of
 S(omega, c) by counting the signs of its float eigenvalues (the package
 takes the degree from chi by the rank law), and the round trips of the
-graph format and of the sign matrix.
+graph format and of the sign matrix, the products of a stabilizer chain
+as tuples (the package forms them as arrays), and the JSON text of a
+payload by ``json.dumps`` alone (the package renders its arrays itself).
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -257,3 +260,28 @@ def graph_from_sign_matrix(m: SignMatrix) -> Graph:
             if m[i, j] == -1:
                 edges.add((i, j))
     return Graph(m.n, frozenset(edges))
+
+
+# ---------------------------------------------------------------------------
+# the listing of a stabilizer chain and the JSON output
+
+def chain_products(levels) -> list:
+    """The products u_0 u_1 ... u_{n-1}, one u_t from each level, as
+    (sigma, sbits) tuples, unsorted: each u_t after every product h of
+    the later levels, with the signs of u_t pulled back along h."""
+    n = len(levels)
+    out = [(tuple(range(n)), (0,) * n)]
+    for level in reversed(levels):
+        out = [
+            (tuple(us[j] for j in hs), tuple(ub[j] ^ hb[i] for i, j in enumerate(hs)))
+            for us, ub in level
+            for hs, hb in out
+        ]
+    return out
+
+
+def json_text(payload) -> str:
+    """The --json text of a payload: json.dumps with every numpy array
+    value turned into nested lists."""
+    return json.dumps({key: v.tolist() if isinstance(v, np.ndarray) else v
+                       for key, v in payload.items()}, indent=2, sort_keys=True)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbe import _kernels_py, cli
+from gerbe import _kernels_py, cli, fixtures
 from gerbe.autgroup import (
     REALIZE_CHUNK,
     SheafGroup,
@@ -29,12 +29,15 @@ from gerbe.graph import (
     Permutation,
     SignMatrix,
     automorphism_order,
+    chain_products,
     conjugate_matrix,
     epsilon_matrix,
     graph_automorphisms,
+    stabilizer_chain,
 )
 from gerbe.quadspace import Representation, build_S, isometry_between, rank
 from oracles import naive_group_elements, naive_orbits
+from oracles import chain_products as tuple_chain_products
 
 
 def random_graph(rng, n):
@@ -236,7 +239,7 @@ class TestRealizeBatched:
     @pytest.mark.parametrize("g, c", REALIZED)
     def test_chunks_equal_single_calls_bitwise(self, g, c):
         grp, u = group_and_representation(g, c)
-        mats = realize_isometries(grp.elements, u)
+        mats = realize_isometries(*grp.listing, u)
         single = np.array([
             isometry_between(u.vectors, [el.nu[i] * u.vectors[el.sigma(i)] for i in range(u.n)],
                              u.space, u.space)
@@ -249,7 +252,7 @@ class TestRealizeBatched:
     @pytest.mark.parametrize("g, c", REALIZED)
     def test_defining_property_and_form(self, g, c):
         grp, u = group_and_representation(g, c)
-        mats = realize_isometries(grp.elements, u)
+        mats = realize_isometries(*grp.listing, u)
         j = np.diag(u.space.signs).astype(float)
         for el, f in zip(grp.elements, mats):
             targets = np.array([el.nu[i] * u.vectors[el.sigma(i)] for i in range(u.n)])
@@ -258,7 +261,7 @@ class TestRealizeBatched:
 
     def test_morphism_on_random_petersen_pairs(self):
         grp, u = group_and_representation(petersen(), 1 / 3)
-        mats = dict(zip(grp.elements, realize_isometries(grp.elements, u)))
+        mats = dict(zip(grp.elements, realize_isometries(*grp.listing, u)))
         rng = random.Random(41)
         for _ in range(200):
             a, b = rng.choice(grp.elements), rng.choice(grp.elements)
@@ -269,11 +272,12 @@ class TestRealizeBatched:
         assert REALIZE_CHUNK < grp.order < 2 * REALIZE_CHUNK  # two chunks
         swap = SignedPermutation(Permutation((1, 0) + tuple(range(2, 10))), (1,) * 10)
         assert not swap.is_valid(grp.ambient)
-        elements = list(grp.elements)
-        elements.insert(REALIZE_CHUNK + 5, swap)
+        sigma, nu = grp.listing
+        sigma = np.insert(sigma, REALIZE_CHUNK + 5, swap.sigma.images, axis=0)
+        nu = np.insert(nu, REALIZE_CHUNK + 5, swap.nu, axis=0)
         with pytest.raises(GramMismatchError):
-            realize_isometries(elements, u)
-        assert len(realize_isometries(elements[:REALIZE_CHUNK], u)) == REALIZE_CHUNK
+            realize_isometries(sigma, nu, u)
+        assert len(realize_isometries(sigma[:REALIZE_CHUNK], nu[:REALIZE_CHUNK], u)) == REALIZE_CHUNK
 
     def test_cli_realize_one_svd_per_chunk(self, tmp_path, capsys, monkeypatch):
         # structural guard, not a timing: u is factorized once per chunk of
@@ -448,10 +452,54 @@ class TestStabilizerChain:
         def refuse(self):
             raise AssertionError("group listed")
 
-        monkeypatch.setattr(SheafGroup, "elements", property(refuse))
+        monkeypatch.setattr(SheafGroup, "listing", property(refuse))
         p = tmp_path / "edgeless10.txt"
         p.write_text("10\n")
         t0 = time.perf_counter()
         assert cli.main(["group", str(p), "--c=-1/9", "--realize"]) == 3
         assert time.perf_counter() - t0 < 10.0
         assert "--realize listing bound" in capsys.readouterr().err
+
+
+def relabelled_switched_petersen():
+    rng = random.Random(7)
+    images = list(range(10))
+    rng.shuffle(images)
+    d = np.array([rng.choice((-1, 1)) for _ in range(10)])
+    m = conjugate_matrix(Permutation(tuple(images)),
+                         SignMatrix(epsilon_matrix(petersen()).entries * np.outer(d, d)))
+    return Graph.from_edges(10, np.argwhere(np.triu(m.entries) == -1).tolist())
+
+
+LISTED = [fx.graph for fx in fixtures.ALL] + [
+    petersen(), relabelled_switched_petersen(), Graph(6, frozenset())]
+
+
+class TestListing:
+    @pytest.mark.parametrize("g", LISTED)
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_array_products_match_tuple_products(self, g, signed):
+        levels = stabilizer_chain(epsilon_matrix(g), signed=signed)
+        sigma, sbits = chain_products(levels)
+        rows = list(zip(map(tuple, sigma.tolist()), map(tuple, sbits.tolist())))
+        expected = tuple_chain_products(levels)
+        assert len(rows) == len(expected) == math.prod(map(len, levels))
+        assert set(rows) == set(expected)
+        assert [s for s, _ in rows] == sorted(s for s, _ in expected)
+
+    @pytest.mark.parametrize("g", LISTED)
+    def test_elements_and_automorphisms_sorted_as_before(self, g):
+        m = epsilon_matrix(g)
+        grp = enumerate_group(m)
+        signed = sorted(
+            (sigma, nu)
+            for sigma, sbits in tuple_chain_products(grp.levels)
+            for nu in (tuple(1 - 2 * b for b in sbits), tuple(2 * b - 1 for b in sbits)))
+        assert grp.elements == tuple(
+            SignedPermutation(Permutation(sigma), nu) for sigma, nu in signed)
+        sigma, nu = grp.listing
+        assert [(el.sigma.images, el.nu) for el in grp.elements] == list(
+            zip(map(tuple, sigma.tolist()), map(tuple, nu.tolist())))
+        unsigned = stabilizer_chain(m, signed=False)
+        assert graph_automorphisms(g) == [
+            Permutation(s) for s in sorted(s for s, _ in tuple_chain_products(unsigned))]

@@ -14,10 +14,11 @@ import pytest
 import gerbe
 from gerbe import cli, config, exactpoly, fixtures, quadspace
 from gerbe.autgroup import SheafGroup, SignedPermutation, enumerate_group
+from gerbe.errors import InvariantError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import SQUARE
 from gerbe.graph import Graph, Permutation, epsilon_matrix
-from oracles import format_graph
+from oracles import format_graph, json_text
 from test_autgroup import clebsch, petersen, triangular
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
@@ -409,9 +410,11 @@ class TestGroup:
     def test_realize_failure_exits_one(self, square_file, capsys, monkeypatch):
         # an element of the group's own listing that is not an isometry is a
         # defect in gerbe, not bad input
-        good = enumerate_group(epsilon_matrix(SQUARE.graph)).elements
+        sigma, nu = enumerate_group(epsilon_matrix(SQUARE.graph)).listing
         bad = SignedPermutation(Permutation((1, 0, 2, 3)), (1, 1, 1, 1))
-        monkeypatch.setattr(SheafGroup, "elements", property(lambda self: good + (bad,)))
+        assert bad not in enumerate_group(epsilon_matrix(SQUARE.graph))
+        listing = (np.vstack([sigma, bad.sigma.images]), np.vstack([nu, bad.nu]))
+        monkeypatch.setattr(SheafGroup, "listing", property(lambda self: listing))
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
         assert code == 1
         assert out == ""
@@ -655,3 +658,69 @@ class TestInputErrors:
         assert "outside the range of a float" in err
         assert "Traceback" not in err
 
+
+
+class TestJsonWriter:
+    # every --json output is json.dumps of its payload with the arrays as
+    # nested lists, byte for byte, though the writer renders arrays itself
+    @pytest.mark.parametrize("a", [
+        np.zeros((4, 0)),
+        np.zeros((0, 3)),
+        np.array([[[-0.0]], [[1e16]], [[1e-17]], [[5e-324]], [[0.1]]]),
+        np.array([[-0.0, 1e16, 1e-17], [5e-324, 0.1, -1.5]]),
+        np.arange(24.0).reshape(2, 3, 4) / 7 - 1,
+        np.arange(2 * 1 * 3 * 2).reshape(2, 1, 3, 2) - 5,
+        np.array([[1, -1], [-1, 1]]),
+        np.array([0.1, -0.0]),
+    ], ids=["n-by-0", "0-by-r", "k-1-1", "values", "3d", "4d-int", "int", "1d"])
+    def test_arrays_match_the_oracle(self, a, capsys):
+        payload = {"vectors": a, "dim": 2, "signs": [1, -1], "c": 0.1, "epsilon": a.astype(int)}
+        cli._print_json(payload)
+        assert capsys.readouterr().out == json_text(payload) + "\n"
+
+    def test_non_finite_refused(self, capsys):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvariantError, match="non-finite"):
+                cli._print_json({"isometries": np.array([[[1.0, value]]])})
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_isometry_exits_one(self, square_file, capsys, monkeypatch):
+        def nan_matrices(sigma, nu, u):
+            return np.full((len(sigma), u.degree, u.degree), np.nan)
+
+        monkeypatch.setattr(cli, "realize_isometries", nan_matrices)
+        code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal invariant violated: ")
+        assert "Traceback" not in err
+
+    CASES = [(fx.name, format_graph(fx.graph), "--root-index=0") for fx in fixtures.ALL] + [
+        ("petersen", PETERSEN_TXT, "--c=1/3")]
+
+    @pytest.mark.parametrize("name, text, c", CASES, ids=[case[0] for case in CASES])
+    def test_cli_bytes_match_the_oracle(self, name, text, c, tmp_path, capsys, monkeypatch):
+        payloads = []
+        writer = cli._print_json
+
+        def spy(payload):
+            payloads.append(payload)
+            writer(payload)
+
+        monkeypatch.setattr(cli, "_print_json", spy)
+        p = tmp_path / f"{name}.txt"
+        p.write_text(text)
+        for argv in (["poly"], ["represent", c], ["classes", c], ["group", c, "--realize"],
+                     ["analyze"]):
+            code, out, _ = run([argv[0], str(p), *argv[1:], "--json"], capsys)
+            assert code == 0
+            assert out == json_text(payloads[-1]) + "\n"
+        arrays = [key for payload in payloads for key, v in payload.items()
+                  if isinstance(v, np.ndarray)]
+        assert arrays == ["vectors", "isometries", "epsilon"]
+
+    def test_empty_vectors_keep_their_layout(self, square_file, capsys):
+        code, out, _ = run(["represent", square_file, "--omega", "0", "--c", "0", "--json"], capsys)
+        assert code == 0
+        assert '"dim": 0' in out
+        assert '  "vectors": [\n    [],\n    [],\n    [],\n    []\n  ]\n}' in out

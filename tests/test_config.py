@@ -46,3 +46,19 @@ def test_every_definition_has_a_reader():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert len(defined) > 50
     assert [(module, name) for module, name in defined if name not in read] == []
+
+
+def test_one_json_writer():
+    # every --json command prints through cli._print_json, which keeps the
+    # bytes of json.dumps(indent=2, sort_keys=True); json.dumps anywhere
+    # else in cli.py would bypass it
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    [writer] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_print_json"]
+    inside = {id(node) for node in ast.walk(writer)}
+    uses = [node for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "dumps")
+            or (isinstance(node, ast.Name) and node.id == "dumps")
+            or (isinstance(node, ast.alias) and node.name.endswith("dumps"))]
+    assert uses
+    assert [node.lineno for node in uses if id(node) not in inside] == []

@@ -225,6 +225,13 @@ class TestRepresentation:
         with pytest.raises(GramMismatchError, match="Gram"):
             isometry_between(u.vectors, targets, u.space, u.space)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected(self, value):
+        # a NaN deviation is not larger than the tolerance, yet fails it
+        with pytest.raises(GramMismatchError, match="max deviation"):
+            Representation(Graph(3, frozenset()), 1.0, 0.5, QuadraticSpace((1, 1)),
+                           np.full((3, 2), value))
+
     def test_null_representation(self):
         u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
         assert u.degree == 0
@@ -360,6 +367,16 @@ class TestIsometryStack:
         with pytest.raises(GramMismatchError, match="Gram"):
             isometry_between(u.vectors, scaled, u.space, u.space)
         isometry_between(u.vectors, targets, u.space, u.space)
+
+    def test_non_finite_target_fails_the_stack(self):
+        u, targets = group_targets(SQUARE.graph, -1 / 3)
+        for value in (np.nan, np.inf):
+            bad = targets.copy()
+            bad[7, 2, 1] = value
+            with pytest.raises(GramMismatchError, match="Gram"):
+                isometry_between(u.vectors, bad, u.space, u.space)
+            with pytest.raises(GramMismatchError, match="Gram"):
+                isometry_between(u.vectors, bad[7], u.space, u.space)
 
     def test_residual_check_per_target(self):
         # three nearly parallel vectors in the plane: moving the third by 1e-6
