@@ -1,8 +1,7 @@
 """Compute kernels: the hot loops of the package.
 
-The search for sign-compatible permutations takes a graph as row
-bitmasks: bit j of mask i is set when the sign-matrix entry (i, j) is -1.
-Sign vectors use bits too: bit value 1 stands for the sign -1.  The line
+The search for graph isomorphisms takes each graph as row bitmasks: bit
+j of mask i is set when the sign-matrix entry (i, j) is -1.  The line
 partition at c = ±1 and its linking rules work on batches of graphs, as
 boolean adjacency tensors ``A[B, n, n]`` and row bitmasks of up to 64 bits:
 ``sheaf`` calls them on a batch of one, the exhaustive linking sweep on
@@ -21,62 +20,78 @@ from .errors import BoundExceededError
 _CHUNK = 1 << 12
 
 
-def signed_stabilizer(masks, prefix=(), first=False, signed=True, budget=None):
-    """All pairs (sigma, sbits) with sbits[0] = 0 such that the signs
-    (-1)**sbits[i] make sigma compatible with the sign matrix.
+def signed_stabilizer(src, dst=None, prefix=(), first=False, budget=None):
+    """All permutations sigma, as sorted tuples of images, with src[i][j] =
+    dst[sigma(i)][sigma(j)] for all i, j: the isomorphisms from the graph
+    of the row bitmasks ``src`` to that of ``dst`` (``src`` itself when
+    omitted, which gives its automorphisms).
 
-    Backtracking over partial injective maps: once two indices are placed
-    the remaining sign bits are forced, and every later placement is checked
-    against all earlier ones, pruning dead branches immediately.  Only maps
-    with sigma[i] = prefix[i] for i < len(prefix) are searched; ``first``
-    stops at the first solution; ``signed=False`` pins every sign to +1, so
-    the solutions are the automorphisms of the graph the masks describe.
-    ``budget``, a one-element list shared by the searches of one chain, holds
-    the nodes left of ``config.MAX_SEARCH_NODES``; each node takes one, and
-    the search raises BoundExceededError when none is left.
+    Backtracking with forward checking.  Every vertex of src not yet placed
+    keeps the mask of the vertices of dst it may still go to: at first
+    those of its degree, and of its links to 0..k-1 when the search is one
+    of automorphisms whose prefix fixes 0..k-1.  Each node places the vertex
+    with the fewest candidates, narrows every other mask to the unused
+    vertices whose link to the new image matches, and gives up the branch
+    as soon as a mask is empty.  Only maps with sigma[i] = prefix[i] for
+    i < len(prefix) are searched; ``first`` stops at the first solution
+    found.  ``budget``, a one-element list shared by the searches of one
+    chain, holds the nodes left of ``config.MAX_SEARCH_NODES``; each node
+    takes one, and the search raises BoundExceededError when none is left.
     """
-    n = len(masks)
-    e = [[(masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
-    sigma = [0] * n
-    s = [0] * n
-    used = [False] * n
+    n = len(src)
+    dst = src if dst is None else dst
+    k = 0
+    while dst is src and k < len(prefix) and prefix[k] == k:
+        k += 1
+    fixed = (1 << k) - 1
+
+    def key(row):
+        return row.bit_count(), row & fixed
+
+    if any(key(src[p]) != key(dst[prefix[p]]) for p in range(k, len(prefix))):
+        return []  # before any node
+    classes = {}
+    for v in range(k, n):
+        classes[key(dst[v])] = classes.get(key(dst[v]), 0) | 1 << v
+    cand = {p: classes.get(key(src[p]), 0) for p in range(k, n)}
+    cand.update((p, 1 << prefix[p]) for p in range(k, len(prefix)))
+    if not all(cand.values()):
+        return []
+    sigma = list(range(n))
     out = []
 
-    def rec(t):
+    def rec(cand):
         if budget is not None:
             budget[0] -= 1
             if budget[0] < 0:
                 raise BoundExceededError("group search passed its budget of "
                                          f"{config.MAX_SEARCH_NODES:,} backtracking "
                                          "nodes (config.MAX_SEARCH_NODES)")
-        if t == n:
-            out.append((tuple(sigma), tuple(s)))
+        if not cand:
+            out.append(tuple(sigma))
             return first
-        for cand in (prefix[t],) if t < len(prefix) else range(n):
-            if used[cand]:
-                continue
-            if t > 0:
-                st = e[0][t] ^ e[sigma[0]][cand]
-                if st and not signed:
-                    continue
-                ok = True
-                for i in range(1, t):
-                    if (s[i] ^ st ^ e[sigma[i]][cand]) != e[i][t]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                s[t] = st
-            sigma[t] = cand
-            used[cand] = True
-            done = rec(t + 1)
-            used[cand] = False
-            if done:
-                return True
+        p = min(cand, key=lambda q: cand[q].bit_count())
+        options = cand.pop(p)
+        row = src[p]
+        while options:
+            bit = options & -options
+            options ^= bit
+            v = bit.bit_length() - 1
+            linked, unlinked = dst[v] & ~bit, ~dst[v] & ~bit
+            narrowed = {}
+            for q, mask in cand.items():
+                mask &= linked if (row >> q) & 1 else unlinked
+                if not mask:
+                    break
+                narrowed[q] = mask
+            else:
+                sigma[p] = v
+                if rec(narrowed):
+                    return True
         return False
 
-    rec(0)
-    return out
+    rec(cand)
+    return sorted(out)
 
 
 def _batch_graphs(n, start, stop):

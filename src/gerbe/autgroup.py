@@ -2,11 +2,15 @@
 
 Elements are pairs (sigma, nu) of a permutation and a ±1 sign vector
 compatible with the ambient sign matrix; they act on the representation
-vectors by u_i -> nu_i * u_{sigma(i)}.  G -> S_n has kernel {±id}, so G is
-fixed by a stabilizer chain on the base 0..n-1 (Sims 1970): one coset
-representative per point of each basic orbit.  The order, the orbits and
-2-transitivity on lines and membership come from the chain; the elements
-are listed only on request.
+vectors by u_i -> nu_i * u_{sigma(i)}.  G -> S_n has kernel {±id}, and its
+image is read off the descendants Gamma_b, the graph switched so that b is
+isolated: sigma lies in it exactly when sigma is an isomorphism
+Gamma_0 -> Gamma_sigma(0), and nu is then forced up to the central sign
+(Seidel, *A survey of two-graphs*, 1976).  So G/{±id} is fixed by the
+stabilizer chain of these isomorphisms on the base 0..n-1 (Sims 1970): one
+coset representative per point of each basic orbit.  The order, the orbits
+and 2-transitivity on lines and membership come from the chain; the
+elements are listed only on request.
 """
 
 from __future__ import annotations
@@ -44,15 +48,11 @@ class SignedPermutation:
         return self.sigma.n
 
     def is_valid(self, m: SignMatrix) -> bool:
-        """Sign-compatibility with the ambient matrix, checked on all pairs."""
+        """Sign-compatibility with the ambient matrix: nu nu^T * e[sigma, sigma] = e."""
         if self.n != m.n:
             return False
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                si, sj = self.sigma(i), self.sigma(j)
-                if self.nu[i] * self.nu[j] * m[si, sj] != m[i, j]:
-                    return False
-        return True
+        s = self.sigma.images
+        return np.array_equal(np.outer(self.nu, self.nu) * m.entries[np.ix_(s, s)], m.entries)
 
     def sort_key(self):
         return (self.sigma.images, self.nu)
@@ -74,38 +74,39 @@ def inverse(a: SignedPermutation) -> SignedPermutation:
     return SignedPermutation(inv, nu)
 
 
-def extend_signs(s: Permutation, m: SignMatrix):
-    """The sign vectors making a permutation compatible with the matrix.
+def forced_signs(sigma, m: SignMatrix) -> np.ndarray:
+    """The sign vectors nu_j = e_0j e_sigma(0)sigma(j) of the rows of a k x n
+    array of images: with nu_0 = +1 they are the only signs that can make
+    each sigma compatible with m, and they do exactly when sigma is in the
+    image of G."""
+    e = m.entries
+    return e[0] * e[sigma[:, :1], sigma]
 
-    The first sign is pinned to +1, which forces all the others; the
-    result is the pair {nu, -nu} when the forced vector checks out on all
-    index pairs, and [] otherwise.  Needs at least three vertices.
+
+def extend_signs(s: Permutation, m: SignMatrix):
+    """The sign vectors making a permutation compatible with the matrix:
+    the pair {nu, -nu} of ``forced_signs`` when nu checks out on all index
+    pairs, and [] otherwise.  Needs at least three vertices.
     """
     n = m.n
     if n < 3:
         raise ValueError("sign extension requires n >= 3")
     if s.n != n:
         raise ValueError("size mismatch")
-    nu = [1] * n
-    for j in range(1, n):
-        nu[j] = m[0, j] * m[s(0), s(j)]
-    cand = SignedPermutation(s, tuple(nu))
-    if not cand.is_valid(m):
+    nu = forced_signs(np.array([s.images]), m)[0]
+    if not SignedPermutation(s, tuple(nu.tolist())).is_valid(m):
         return []
-    return [tuple(nu), tuple(-v for v in nu)]
-
-
-def _from_bits(sigma, sbits) -> SignedPermutation:
-    return SignedPermutation(Permutation(sigma), tuple(-1 if b else 1 for b in sbits))
+    return [tuple(nu.tolist()), tuple((-nu).tolist())]
 
 
 class SheafGroup:
     """The group of sign-compatible signed permutations of a sign matrix.
 
-    Held as the coset representatives of a stabilizer chain on the base
-    0..n-1 (``levels``, as returned by ``graph.stabilizer_chain``).  The
-    group always contains ±id, the kernel of its map to S_n, so
-    |G| = 2 * n_sigma.
+    Held as the coset representatives of a stabilizer chain of its image in
+    S_n on the base 0..n-1 (``levels``, as returned by
+    ``graph.stabilizer_chain``), permutations only: each carries the signs
+    of ``forced_signs`` and their negatives.  The group always contains
+    ±id, the kernel of its map to S_n, so |G| = 2 * n_sigma.
     """
 
     def __init__(self, ambient: SignMatrix, levels):
@@ -125,18 +126,19 @@ class SheafGroup:
     @property
     def generators(self) -> tuple:
         """The coset representatives, which generate the group together
-        with -id."""
-        return tuple(_from_bits(*u) for level in self.levels for u in level)
+        with -id, each with the signs of ``forced_signs``."""
+        sigma = np.array([u for level in self.levels for u in level])
+        return tuple(SignedPermutation(Permutation(tuple(s)), tuple(v)) for s, v in
+                     zip(sigma.tolist(), forced_signs(sigma, self.ambient).tolist()))
 
     @property
     def listing(self):
         """Every element as two 2 n_sigma x n integer arrays (sigma, nu) of
         images and ±1 signs, sorted by (sigma, nu): ± each product of coset
         representatives, the sign vector with nu_0 = -1 first."""
-        sigma, sbits = chain_products(self.levels)
-        nu = 1 - 2 * sbits
-        nu *= -nu[:, :1]
-        return np.repeat(sigma, 2, axis=0), np.stack([nu, -nu], axis=1).reshape(-1, self.ambient.n)
+        sigma = chain_products(self.levels)
+        nu = forced_signs(sigma, self.ambient)
+        return np.repeat(sigma, 2, axis=0), np.stack([-nu, nu], axis=1).reshape(-1, self.ambient.n)
 
     @property
     def elements(self) -> tuple:
@@ -154,12 +156,17 @@ class SheafGroup:
 
 
 def enumerate_group(m: SignMatrix) -> SheafGroup:
-    """The sheaf group of the given matrix: its stabilizer chain, one
-    exhaustive first-solution search per candidate coset, without listing
-    the group."""
+    """The sheaf group of the given matrix, without listing it: the
+    stabilizer chain of the isomorphisms Gamma_0 -> Gamma_b, searched only
+    for the descendants Gamma_b whose sorted degree sequence is that of
+    Gamma_0."""
     if m.n < 1:
         raise ValueError("group enumeration requires n >= 1")
-    return SheafGroup(m, stabilizer_chain(m))
+    masks = m.descendant_masks()
+    degrees = np.sort(np.bitwise_count(masks), axis=1)
+    matching = np.flatnonzero((degrees == degrees[0]).all(1)).tolist()
+    targets = {b: masks[b].tolist() for b in matching}
+    return SheafGroup(m, stabilizer_chain(targets[0], targets))
 
 
 # elements realized per batched solve: the k x n x n Gram stack of a chunk
@@ -205,50 +212,22 @@ def orbits_on_lines(grp: SheafGroup) -> OrbitStructure:
 
     The group acts on the lines of its sign matrix through the underlying
     permutations, one vertex per line (callers pass the group of the
-    restricted graph).  Union-find over the images of the generators only,
-    which -id joins without moving a line.  2-transitivity is decided
-    directly: one orbit on ordered pairs of distinct lines.
+    restricted graph), which the coset representatives generate; -id moves
+    no line.  Each line takes the least label among its images under the
+    representatives, with pointer jumping, until no label changes.  The
+    group is 2-transitive when the chain's first two basic orbits are all
+    lines and all other lines.
     """
     m = grp.ambient.n
-    actions = [el.sigma.images for el in grp.generators]
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for act in actions:
-        for j in range(m):
-            a, b = find(j), find(act[j])
-            if a != b:
-                parent[a] = b
-    groups = {}
-    for j in range(m):
-        groups.setdefault(find(j), []).append(j)
-    orbits = tuple(tuple(sorted(v)) for v in sorted(groups.values()))
-    transitive = len(orbits) == 1
-
-    two_transitive = False
-    if m >= 2 and transitive:
-        pair_ids = {(i, j): k for k, (i, j) in enumerate(
-            (i, j) for i in range(m) for j in range(m) if i != j
-        )}
-        pparent = list(range(len(pair_ids)))
-
-        def pfind(x):
-            while pparent[x] != x:
-                pparent[x] = pparent[pparent[x]]
-                x = pparent[x]
-            return x
-
-        for act in actions:
-            for (i, j), k in pair_ids.items():
-                k2 = pair_ids[(act[i], act[j])]
-                a, b = pfind(k), pfind(k2)
-                if a != b:
-                    pparent[a] = b
-        two_transitive = len({pfind(k) for k in pair_ids.values()}) == 1
-
-    return OrbitStructure(orbits, transitive, two_transitive)
+    gens = np.array([u for level in grp.levels for u in level])
+    lab = np.arange(m)
+    while True:
+        new = np.minimum(lab, lab[gens].min(0))
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    orbits = tuple(tuple(np.flatnonzero(lab == r).tolist()) for r in np.unique(lab))
+    sizes = [len(level) for level in grp.levels]
+    two_transitive = m >= 2 and sizes[0] == m and sizes[1] == m - 1
+    return OrbitStructure(orbits, len(orbits) == 1, two_transitive)

@@ -12,8 +12,9 @@ cut.  None of these values is read from the environment.
 # n^2 entries, exact chi takes about 20 ms at n = 64 (2-vCPU Xeon), and its
 # prime table (exactpoly._CHI_PRIMES) serves n <= 66
 MAX_VERTICES = 64
-# backtracking nodes of one stabilizer chain: Paley(37) + point takes 26,233,
-# the Latin-square graph of Z_6 835,778, that of Z_7 1,855,888 (refused)
+# backtracking nodes of one stabilizer chain: the chain of G takes 235 on
+# Paley(37) + point, 9,438 on the Latin-square graph of Z_6 and 304 on that
+# of Z_7
 MAX_SEARCH_NODES = 1_000_000
 # largest order listed element by element (|G| for group --realize, |Aut|
 # for graph_automorphisms): Petersen's 1440 fits, edgeless 10's 7,257,600 not

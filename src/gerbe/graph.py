@@ -1,5 +1,5 @@
-"""Graph data model, sign matrices, and the stabilizer chains of graph
-automorphisms and of sign-compatible signed permutations.
+"""Graph data model, sign matrices, and the stabilizer chain of graph
+isomorphisms that serves both Aut of a graph and the sheaf group.
 
 Vertices are 0-based everywhere inside the library; the 1-based convention
 of the file format and the CLI is translated at the parse/print boundary.
@@ -88,6 +88,14 @@ class SignMatrix:
     def linked_masks(self) -> list:
         """Row bitmasks: bit j of mask i set iff entry (i, j) = -1."""
         return ((self.entries == -1) @ _kernels_py._row_bits(self.n)).tolist()
+
+    def descendant_masks(self) -> np.ndarray:
+        """Row bitmasks of the descendants, as an n x n integer array: row b
+        holds the masks of the matrix switched so that b is isolated, with
+        entries e_bi e_bj e_ij; in bits -1 is 1 and the product an exclusive
+        or."""
+        a = self.entries == -1
+        return (a[:, :, None] ^ a[:, None, :] ^ a) @ _kernels_py._row_bits(self.n)
 
 
 @dataclass(frozen=True)
@@ -183,85 +191,75 @@ def conjugate_matrix(s: Permutation, m: SignMatrix) -> SignMatrix:
     return SignMatrix(out)
 
 
-def stabilizer_chain(m: SignMatrix, signed=True) -> list:
+def stabilizer_chain(src, targets=None) -> list:
     """Coset representatives of a stabilizer chain on the base 0..n-1.
 
-    The group is that of the sign-compatible signed permutations of m or,
-    with ``signed=False``, the automorphism group of the graph of m.  Level
-    t holds one kernel solution (sigma, sbits) for each point b of the basic
-    orbit Delta_t: sigma fixes 0..t-1 and sends t to b.  Each b > t whose
-    vertex invariants match those of t costs one exhaustive first-solution
-    search, so Delta_t is exactly the set of b that succeed; the identity
-    stands for b = t.  The group order is prod |Delta_t|, twice that in the
-    signed case, where G -> S_n has kernel {±id}.  The searches share a
-    budget of ``config.MAX_SEARCH_NODES`` backtracking nodes; past it the
-    chain raises BoundExceededError.
+    The group is that of the permutations sigma mapping the graph of the
+    row bitmasks ``src`` isomorphically onto targets[sigma(0)], a dict of
+    row bitmasks by vertex that holds src at 0; without ``targets`` it is
+    Aut of the graph of src.  Level t holds one permutation for each point
+    b of the basic orbit Delta_t: it fixes 0..t-1 and sends t to b.  The
+    levels are built from t = n-1 down to 0.  At level t the orbit of t is
+    closed under the representatives found so far, which generate a
+    subgroup of the stabilizer of 0..t-1, and each b outside it costs one
+    exhaustive first-solution search (``_backend.signed_stabilizer``) into
+    src or, at level 0, into targets[b]; a b that targets leaves out has
+    no element.  The identity stands for b = t, and the group order is
+    prod |Delta_t|.  The searches share a budget of
+    ``config.MAX_SEARCH_NODES`` backtracking nodes; past it the chain
+    raises BoundExceededError.
     """
-    n = m.n
+    n = len(src)
     budget = [config.MAX_SEARCH_NODES]
-    masks = m.linked_masks()
-    inv = _vertex_invariants(masks, signed)
-    base = tuple(range(n))
-    levels = []
-    for t in range(n):
-        level = [(base, (0,) * n)]
+    gens = []
+    levels = [None] * n
+    for t in reversed(range(n)):
+        reps = {t: tuple(range(n))}
         for b in range(t + 1, n):
-            if inv[b] != inv[t]:
-                continue  # no element sends t to b
-            level += _backend.signed_stabilizer(
-                masks, base[:t] + (b,), first=True, signed=signed, budget=budget
-            )
-        levels.append(level)
+            dst = src if t or targets is None else targets.get(b)
+            if b in reps or dst is None or dst[b].bit_count() != src[t].bit_count():
+                continue  # in the orbit already, or no element sends t to b
+            found = _backend.signed_stabilizer(
+                src, dst, tuple(range(t)) + (b,), first=True, budget=budget)
+            if found:
+                reps[b] = found[0]
+                gens.append(found[0])
+                queue = list(reps)
+                for p in queue:  # the orbit of t, with a representative per point
+                    for g in gens:
+                        if g[p] not in reps:
+                            reps[g[p]] = tuple(g[x] for x in reps[p])
+                            queue.append(g[p])
+        levels[t] = list(reps.values())
     return levels
-
-
-def _vertex_invariants(masks, signed) -> list:
-    """Per-vertex values that every group element preserves: the number of
-    triangles {i, j, k} through i with e_ij e_ik e_jk = -1, which switching
-    leaves alone, and in the unsigned case also the degree."""
-    n = len(masks)
-    full = (1 << n) - 1
-    out = []
-    for i, mi in enumerate(masks):
-        odd = 0
-        for j in range(n):
-            if j != i:
-                row = masks[j] ^ mi ^ (full if (mi >> j) & 1 else 0)
-                odd += (row & ~(1 << i) & ~(1 << j)).bit_count()
-        out.append((odd // 2, 0 if signed else mi.bit_count()))
-    return out
 
 
 def chain_products(levels):
     """The products u_0 u_1 ... u_{n-1}, one u_t from each level of a
-    stabilizer chain, as two k x n integer arrays (sigma, sbits) sorted by
-    sigma.  Each element of the group (one of each ± pair, in the signed
-    case) arises exactly once, so the sigma rows are distinct."""
+    stabilizer chain, as a k x n integer array of images sorted by rows.
+    Each element of the group arises exactly once, so the rows are
+    distinct."""
     n = len(levels)
     sigma = np.arange(n)[None]
-    sbits = np.zeros((1, n), dtype=np.int8)
     for level in reversed(levels):
-        us = np.array([u for u, _ in level])
-        ub = np.array([b for _, b in level], dtype=np.int8)
-        # u_t after each product h of the later levels, signs of u_t pulled back along h
-        sigma, sbits = us[:, sigma].reshape(-1, n), (ub[:, sigma] ^ sbits).reshape(-1, n)
-    order = np.lexsort(sigma.T[::-1])
-    return sigma[order], sbits[order]
+        # u_t after each product h of the later levels
+        sigma = np.array(level)[:, sigma].reshape(-1, n)
+    return sigma[np.lexsort(sigma.T[::-1])]
 
 
 def automorphism_order(g: Graph) -> int:
     """|Aut g|, the product of the basic orbit lengths, without listing."""
-    levels = stabilizer_chain(epsilon_matrix(g), signed=False)
+    levels = stabilizer_chain(epsilon_matrix(g).linked_masks())
     return math.prod(len(level) for level in levels)
 
 
 def graph_automorphisms(g: Graph) -> list:
     """All permutations preserving the edge set, sorted by their images:
-    the products of the unsigned stabilizer chain's coset representatives.
-    Refuses before listing when |Aut g| exceeds ``config.MAX_LISTED_ORDER``."""
-    levels = stabilizer_chain(epsilon_matrix(g), signed=False)
+    the products of the stabilizer chain's coset representatives.  Refuses
+    before listing when |Aut g| exceeds ``config.MAX_LISTED_ORDER``."""
+    levels = stabilizer_chain(epsilon_matrix(g).linked_masks())
     order = math.prod(len(level) for level in levels)
     if order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
             f"|Aut| = {order} exceeds the listing bound {config.MAX_LISTED_ORDER}")
-    return [Permutation(tuple(s)) for s in chain_products(levels)[0].tolist()]
+    return [Permutation(tuple(s)) for s in chain_products(levels).tolist()]

@@ -143,9 +143,26 @@ def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
 # ---------------------------------------------------------------------------
 # the sheaf group by brute force
 
+def naive_isomorphisms(src, dst) -> list:
+    """Every permutation sigma with src[i][j] = dst[sigma(i)][sigma(j)],
+    for graphs given as row bitmasks, in lexicographic order; the oracle
+    for the search kernel."""
+    n = len(src)
+    return [s for s in itertools.permutations(range(n))
+            if all((src[i] >> j & 1) == (dst[s[i]] >> s[j] & 1)
+                   for i in range(n) for j in range(n))]
+
+
+def sign_compatible(sigma, nu, m: SignMatrix) -> bool:
+    """nu_i nu_j m[sigma(i), sigma(j)] = m[i, j] on every pair: the loop
+    form of SignedPermutation.is_valid."""
+    return all(nu[i] * nu[j] * m[sigma[i], sigma[j]] == m[i, j]
+               for i in range(m.n) for j in range(i + 1, m.n))
+
+
 def naive_signed_elements(masks):
-    """Brute force over all (sigma, sbits) pairs; the oracle for
-    signed_stabilizer.  Returns every valid pair, both sign choices."""
+    """Brute force over all (sigma, sbits) pairs; the oracle for the
+    sheaf group.  Returns every valid pair, both sign choices."""
     n = len(masks)
     e = [[(masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
     out = []
@@ -267,16 +284,12 @@ def graph_from_sign_matrix(m: SignMatrix) -> Graph:
 
 def chain_products(levels) -> list:
     """The products u_0 u_1 ... u_{n-1}, one u_t from each level, as
-    (sigma, sbits) tuples, unsorted: each u_t after every product h of
-    the later levels, with the signs of u_t pulled back along h."""
+    tuples of images, unsorted: each u_t after every product h of the
+    later levels."""
     n = len(levels)
-    out = [(tuple(range(n)), (0,) * n)]
+    out = [tuple(range(n))]
     for level in reversed(levels):
-        out = [
-            (tuple(us[j] for j in hs), tuple(ub[j] ^ hb[i] for i, j in enumerate(hs)))
-            for us, ub in level
-            for hs, hb in out
-        ]
+        out = [tuple(u[j] for j in h) for u in level for h in out]
     return out
 
 

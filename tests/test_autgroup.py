@@ -36,7 +36,7 @@ from gerbe.graph import (
     stabilizer_chain,
 )
 from gerbe.quadspace import Representation, build_S, isometry_between, rank
-from oracles import naive_group_elements, naive_orbits
+from oracles import naive_group_elements, naive_isomorphisms, naive_orbits, sign_compatible
 from oracles import chain_products as tuple_chain_products
 
 
@@ -95,7 +95,8 @@ class TestExtendSigns:
         assert (1, 1, 1, 1) in sols and (-1, -1, -1, -1) in sols
 
     def test_brute_force_oracle(self):
-        # every permutation, checked against exhaustive sign search
+        # every permutation, checked against exhaustive sign search; is_valid
+        # agrees with the loop over all pairs
         rng = random.Random(7)
         for _ in range(30):
             n = rng.randint(3, 5)
@@ -106,7 +107,9 @@ class TestExtendSigns:
                 expected = []
                 for bits in range(1 << n):
                     nu = tuple(1 if not (bits >> i) & 1 else -1 for i in range(n))
-                    if SignedPermutation(s, nu).is_valid(m):
+                    valid = sign_compatible(images, nu, m)
+                    assert SignedPermutation(s, nu).is_valid(m) == valid
+                    if valid:
                         expected.append(nu)
                 got = extend_signs(s, m)
                 assert sorted(got) == sorted(expected)
@@ -322,7 +325,7 @@ class TestOrbits:
     def test_center_only_group_not_transitive(self):
         m = epsilon_matrix(PENTAGON.graph)
         # a chain whose every level holds only the identity: the group {±id}
-        tiny = SheafGroup(m, [[(tuple(range(5)), (0,) * 5)]] * 5)
+        tiny = SheafGroup(m, [[tuple(range(5))]] * 5)
         assert tiny.elements == (SignedPermutation.central(5), SignedPermutation.identity(5))
         info = orbits_on_lines(tiny)
         assert not info.is_transitive
@@ -416,18 +419,30 @@ class TestStabilizerChain:
         assert info.is_2_transitive
 
     def test_kernel_modes(self):
+        # every sigma with src[i][j] = dst[sigma(i)][sigma(j)], sorted, against
+        # brute force: into a relabelled copy, into an unrelated graph and
+        # into src itself, under prefixes that fix a start of the base and
+        # those that do not; ``first`` gives one of them
         rng = random.Random(23)
-        for _ in range(20):
+        for _ in range(24):
             n = rng.randint(1, 6)
-            masks = epsilon_matrix(random_graph(rng, n)).linked_masks()
-            full = _kernels_py.signed_stabilizer(masks)
-            for prefix in itertools.permutations(range(n), min(n, 2)):
-                want = [sol for sol in full if sol[0][:len(prefix)] == prefix]
-                assert _kernels_py.signed_stabilizer(masks, prefix) == want
-                assert _kernels_py.signed_stabilizer(masks, prefix, first=True) == want[:1]
-            assert _kernels_py.signed_stabilizer(masks, signed=False) == [
-                sol for sol in full if not any(sol[1])
-            ]
+            src = epsilon_matrix(random_graph(rng, n)).linked_masks()
+            images = list(range(n))
+            rng.shuffle(images)
+            copy = [0] * n
+            for i in range(n):
+                copy[images[i]] = sum(1 << images[j] for j in range(n) if src[i] >> j & 1)
+            other = epsilon_matrix(random_graph(rng, n)).linked_masks()
+            prefixes = ([()] + list(itertools.permutations(range(n), min(n, 2)))
+                        + [tuple(range(k)) + (b,) for k in range(n) for b in range(k, n)])
+            for dst in (copy, other, None):
+                full = naive_isomorphisms(src, src if dst is None else dst)
+                assert _kernels_py.signed_stabilizer(src, dst) == full
+                for prefix in prefixes:
+                    want = [s for s in full if s[:len(prefix)] == prefix]
+                    assert _kernels_py.signed_stabilizer(src, dst, prefix) == want
+                    one = _kernels_py.signed_stabilizer(src, dst, prefix, first=True)
+                    assert len(one) == min(1, len(want)) and set(one) <= set(want)
 
     def test_membership_and_listing(self):
         grp = enumerate_group(epsilon_matrix(triangular(4)))
@@ -461,6 +476,16 @@ class TestStabilizerChain:
         assert "--realize listing bound" in capsys.readouterr().err
 
 
+def latin_square_graph(m):
+    """The Latin-square graph of Z_m: the cells (i, j) of its Cayley table,
+    linked when they share a row, a column or the symbol i + j."""
+    cells = list(itertools.product(range(m), repeat=2))
+    return Graph.from_edges(m * m, [
+        (a, b) for a, b in itertools.combinations(range(m * m), 2)
+        if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+        or (sum(cells[a]) - sum(cells[b])) % m == 0])
+
+
 def relabelled_switched_petersen():
     rng = random.Random(7)
     images = list(range(10))
@@ -477,29 +502,29 @@ LISTED = [fx.graph for fx in fixtures.ALL] + [
 
 class TestListing:
     @pytest.mark.parametrize("g", LISTED)
-    @pytest.mark.parametrize("signed", [True, False])
-    def test_array_products_match_tuple_products(self, g, signed):
-        levels = stabilizer_chain(epsilon_matrix(g), signed=signed)
-        sigma, sbits = chain_products(levels)
-        rows = list(zip(map(tuple, sigma.tolist()), map(tuple, sbits.tolist())))
+    @pytest.mark.parametrize("sheaf", [True, False])  # the chain of G, that of Aut g
+    def test_array_products_match_tuple_products(self, g, sheaf):
+        m = epsilon_matrix(g)
+        levels = enumerate_group(m).levels if sheaf else stabilizer_chain(m.linked_masks())
+        sigma = chain_products(levels)
         expected = tuple_chain_products(levels)
-        assert len(rows) == len(expected) == math.prod(map(len, levels))
-        assert set(rows) == set(expected)
-        assert [s for s, _ in rows] == sorted(s for s, _ in expected)
+        assert len(sigma) == len(expected) == math.prod(map(len, levels))
+        assert list(map(tuple, sigma.tolist())) == sorted(expected)
 
     @pytest.mark.parametrize("g", LISTED)
     def test_elements_and_automorphisms_sorted_as_before(self, g):
+        # each sigma with nu_j = e_0j e_sigma(0)sigma(j) and its negative
         m = epsilon_matrix(g)
         grp = enumerate_group(m)
-        signed = sorted(
-            (sigma, nu)
-            for sigma, sbits in tuple_chain_products(grp.levels)
-            for nu in (tuple(1 - 2 * b for b in sbits), tuple(2 * b - 1 for b in sbits)))
+        forced = [(sigma, tuple(m[0, j] * m[sigma[0], sigma[j]] for j in range(g.n)))
+                  for sigma in tuple_chain_products(grp.levels)]
+        signed = sorted((sigma, sign) for sigma, nu in forced
+                        for sign in (nu, tuple(-v for v in nu)))
+        assert all(sign_compatible(sigma, nu, m) for sigma, nu in forced)
         assert grp.elements == tuple(
             SignedPermutation(Permutation(sigma), nu) for sigma, nu in signed)
         sigma, nu = grp.listing
         assert [(el.sigma.images, el.nu) for el in grp.elements] == list(
             zip(map(tuple, sigma.tolist()), map(tuple, nu.tolist())))
-        unsigned = stabilizer_chain(m, signed=False)
-        assert graph_automorphisms(g) == [
-            Permutation(s) for s in sorted(s for s, _ in tuple_chain_products(unsigned))]
+        assert graph_automorphisms(g) == [Permutation(s) for s in sorted(
+            tuple_chain_products(stabilizer_chain(m.linked_masks())))]

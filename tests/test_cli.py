@@ -19,7 +19,7 @@ from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_
 from gerbe.fixtures import SQUARE
 from gerbe.graph import Graph, Permutation, epsilon_matrix
 from oracles import format_graph, json_text
-from test_autgroup import clebsch, petersen, triangular
+from test_autgroup import clebsch, latin_square_graph, petersen, triangular
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
 PENTAGON_TXT = "5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
@@ -546,7 +546,7 @@ class TestAnalyze:
         assert unit_root["linking_ok"] is True
         assert unit_root["partition"]["m"] == 1
 
-    @pytest.mark.parametrize("q", [13, 17])
+    @pytest.mark.parametrize("q", [13, 17, 37])
     def test_paley_two_graph(self, q, tmp_path, capsys):
         # Paley(q) plus an isolated point: q + 1 equiangular lines in
         # dimension (q + 1)/2, chi = (1 - q x^2)^((q + 1)/2), and a
@@ -567,6 +567,22 @@ class TestAnalyze:
         assert payload["aut_graph_order"] == q * (q - 1) // 2
         assert payload["group"]["order"] == q * (q * q - 1)
         assert payload["group"]["is_2_transitive"] is True
+
+    @pytest.mark.parametrize("m, order", [(5, 1200), (7, 3528)])
+    def test_latin_square_graph(self, m, order, tmp_path, capsys):
+        # the Latin-square graph of Z_m: |G| = 2 |Aut| = 12 m^2 phi(m) on
+        # these rungs (observed; brute force cannot reach n = 25 or 49).  The
+        # chain of G on Z_7 takes about 300 backtracking nodes
+        g = latin_square_graph(m)
+        p = tmp_path / "latin.txt"
+        p.write_text(format_graph(g))
+        code, out, _ = run(["analyze", str(p), "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["group"]["order"] == order
+        assert payload["aut_graph_order"] == order // 2
+        eps = epsilon_matrix(g)
+        assert all(el.is_valid(eps) for el in enumerate_group(eps).generators)
 
     def test_text_mode(self, pentagon_file, capsys):
         code, out, _ = run(["analyze", pentagon_file], capsys)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerbe import _backend, config, graph
+from gerbe.autgroup import enumerate_group
 from gerbe.errors import BoundExceededError, ParseError
 from gerbe.graph import (
     Graph,
@@ -17,7 +18,6 @@ from gerbe.graph import (
     epsilon_matrix,
     graph_automorphisms,
     parse_graph,
-    stabilizer_chain,
 )
 from oracles import format_graph, graph_from_sign_matrix
 
@@ -174,9 +174,9 @@ class TestAutomorphisms:
         assert automorphism_order(Graph(10, frozenset())) == math.factorial(10)
 
     def test_search_budget(self, monkeypatch):
-        # the chain may visit exactly MAX_SEARCH_NODES backtracking nodes,
-        # summed over its searches; the signed and the unsigned chain each
-        # get the whole budget
+        # a chain may visit exactly MAX_SEARCH_NODES backtracking nodes,
+        # summed over its searches; the chain of G and that of Aut each get
+        # the whole budget
         spent = []
 
         def kernel(*args, budget, **kwargs):
@@ -188,23 +188,21 @@ class TestAutomorphisms:
         g = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                              + [(i, i + 5) for i in range(5)])  # Petersen
-        m = epsilon_matrix(g)
+        chains = {"G": lambda: enumerate_group(epsilon_matrix(g)).order,
+                  "Aut": lambda: automorphism_order(g)}
         used = {}
-        for signed in (True, False):
-            stabilizer_chain(m, signed=signed)
-            used[signed] = config.MAX_SEARCH_NODES - spent[-1][0]
-        assert used == {True: 358, False: 288}
+        for name, chain in chains.items():
+            chain()
+            used[name] = config.MAX_SEARCH_NODES - spent[-1][0]
+        assert used == {"G": 38, "Aut": 38}
 
-        monkeypatch.setattr(config, "MAX_SEARCH_NODES", 358)
-        assert len(stabilizer_chain(m)) == 10
-        assert automorphism_order(g) == 120
-        monkeypatch.setattr(config, "MAX_SEARCH_NODES", 357)
-        with pytest.raises(BoundExceededError, match="budget of 357 backtracking nodes"):
-            stabilizer_chain(m)
-        assert automorphism_order(g) == 120
-        monkeypatch.setattr(config, "MAX_SEARCH_NODES", 287)
-        with pytest.raises(BoundExceededError, match="MAX_SEARCH_NODES"):
-            automorphism_order(g)
+        for name, order in (("G", 1440), ("Aut", 120)):
+            monkeypatch.setattr(config, "MAX_SEARCH_NODES", used[name])
+            assert chains[name]() == order
+            monkeypatch.setattr(config, "MAX_SEARCH_NODES", used[name] - 1)
+            with pytest.raises(BoundExceededError,
+                               match=f"budget of {used[name] - 1} backtracking nodes"):
+                chains[name]()
 
     @given(graphs(max_n=5))
     @settings(max_examples=40)
