@@ -4,54 +4,16 @@ Construct the representations of a finite simple graph in quadratic
 spaces, compute the exact characteristic polynomial controlling their
 degrees, and build the signed-permutation group of isometries
 stabilizing the associated sheaf of lines from a stabilizer chain.
-Pure Python on numpy: ``backend_name()`` is always ``"python"``.
+The names here are those of the README's library example; the modules
+hold the rest, and the sheaf group lists its elements as arrays of rows
+(sigma, nu).  Pure Python on numpy: ``backend_name()`` is always
+``"python"``.
 """
 
 from ._backend import backend_name
-from .autgroup import (
-    SheafGroup,
-    SignedPermutation,
-    compose,
-    enumerate_group,
-    extend_signs,
-    inverse,
-    orbits_on_lines,
-    realize_isometries,
-    realize_isometry,
-)
-from .exactpoly import (
-    IntPolynomial,
-    RootRecord,
-    char_poly,
-    degree_at,
-    real_roots_with_multiplicity,
-    squarefree_decomposition,
-)
-from .graph import (
-    Graph,
-    Permutation,
-    SignMatrix,
-    conjugate_matrix,
-    epsilon_matrix,
-    graph_automorphisms,
-    parse_graph,
-)
-from .quadspace import (
-    QuadraticSpace,
-    Representation,
-    build_S,
-    gram_factorize,
-    isometry_between,
-    rank,
-    reduce_representation,
-    sum_representations,
-)
-from .sheaf import (
-    LinePartition,
-    check_class_linking,
-    line_classes,
-    partition_from_sign_matrix,
-    restrict_to_Y,
-)
+from .autgroup import enumerate_group, orbits_on_lines
+from .exactpoly import char_poly, degree_at, real_roots_with_multiplicity, squarefree_decomposition
+from .graph import epsilon_matrix, parse_graph
+from .quadspace import Representation
 
 __version__ = "0.1.0"

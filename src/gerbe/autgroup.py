@@ -1,16 +1,18 @@
 """The signed-permutation isometry group of a line sheaf.
 
 Elements are pairs (sigma, nu) of a permutation and a ±1 sign vector
-compatible with the ambient sign matrix; they act on the representation
-vectors by u_i -> nu_i * u_{sigma(i)}.  G -> S_n has kernel {±id}, and its
-image is read off the descendants Gamma_b, the graph switched so that b is
-isolated: sigma lies in it exactly when sigma is an isomorphism
-Gamma_0 -> Gamma_sigma(0), and nu is then forced up to the central sign
-(Seidel, *A survey of two-graphs*, 1976).  So G/{±id} is fixed by the
+compatible with the ambient sign matrix, nu nu^T * e[sigma, sigma] = e;
+they act on the representation vectors by u_i -> nu_i * u_{sigma(i)}.
+G -> S_n has kernel {±id}, and its image is read off the descendants
+Gamma_b, the graph switched so that b is isolated: sigma lies in it
+exactly when sigma is an isomorphism Gamma_0 -> Gamma_sigma(0), and nu is
+then forced up to the central sign (Seidel, *A survey of two-graphs*,
+1976).  So G/{±id} is fixed by the
 stabilizer chain of these isomorphisms on the base 0..n-1 (Sims 1970): one
 coset representative per point of each basic orbit.  The order, the orbits
-and 2-transitivity on lines and membership come from the chain; the
-elements are listed only on request.
+and 2-transitivity on lines come from the chain; the elements are listed
+only on request, as arrays of rows (sigma, nu), and realized as isometry
+matrices in batches.
 """
 
 from __future__ import annotations
@@ -20,58 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Permutation, SignMatrix, chain_products, stabilizer_chain
+from .graph import SignMatrix, chain_products, stabilizer_chain
 from .quadspace import Representation, isometry_between
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    sigma: Permutation
-    nu: tuple  # entries in {-1, +1}
-
-    def __post_init__(self):
-        if len(self.nu) != self.sigma.n:
-            raise ValueError("sign vector length must match the permutation")
-        if any(v not in (-1, 1) for v in self.nu):
-            raise ValueError("signs must be -1 or +1")
-
-    @classmethod
-    def identity(cls, n) -> "SignedPermutation":
-        return cls(Permutation.identity(n), (1,) * n)
-
-    @classmethod
-    def central(cls, n) -> "SignedPermutation":
-        return cls(Permutation.identity(n), (-1,) * n)
-
-    @property
-    def n(self) -> int:
-        return self.sigma.n
-
-    def is_valid(self, m: SignMatrix) -> bool:
-        """Sign-compatibility with the ambient matrix: nu nu^T * e[sigma, sigma] = e."""
-        if self.n != m.n:
-            return False
-        s = self.sigma.images
-        return np.array_equal(np.outer(self.nu, self.nu) * m.entries[np.ix_(s, s)], m.entries)
-
-    def sort_key(self):
-        return (self.sigma.images, self.nu)
-
-
-def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
-    """Group law: (a * b).sigma = a.sigma after b.sigma, and the signs of a
-    are pulled back along b.sigma before multiplying."""
-    if a.n != b.n:
-        raise ValueError("size mismatch")
-    sigma = a.sigma.compose(b.sigma)
-    nu = tuple(a.nu[b.sigma(i)] * b.nu[i] for i in range(a.n))
-    return SignedPermutation(sigma, nu)
-
-
-def inverse(a: SignedPermutation) -> SignedPermutation:
-    inv = a.sigma.inverse()
-    nu = tuple(a.nu[inv(i)] for i in range(a.n))
-    return SignedPermutation(inv, nu)
 
 
 def forced_signs(sigma, m: SignMatrix) -> np.ndarray:
@@ -81,22 +33,6 @@ def forced_signs(sigma, m: SignMatrix) -> np.ndarray:
     image of G."""
     e = m.entries
     return e[0] * e[sigma[:, :1], sigma]
-
-
-def extend_signs(s: Permutation, m: SignMatrix):
-    """The sign vectors making a permutation compatible with the matrix:
-    the pair {nu, -nu} of ``forced_signs`` when nu checks out on all index
-    pairs, and [] otherwise.  Needs at least three vertices.
-    """
-    n = m.n
-    if n < 3:
-        raise ValueError("sign extension requires n >= 3")
-    if s.n != n:
-        raise ValueError("size mismatch")
-    nu = forced_signs(np.array([s.images]), m)[0]
-    if not SignedPermutation(s, tuple(nu.tolist())).is_valid(m):
-        return []
-    return [tuple(nu.tolist()), tuple((-nu).tolist())]
 
 
 class SheafGroup:
@@ -112,7 +48,6 @@ class SheafGroup:
     def __init__(self, ambient: SignMatrix, levels):
         self.ambient = ambient
         self.levels = levels
-        self._elements = None
 
     @property
     def order(self) -> int:
@@ -124,14 +59,6 @@ class SheafGroup:
         return self.order // 2
 
     @property
-    def generators(self) -> tuple:
-        """The coset representatives, which generate the group together
-        with -id, each with the signs of ``forced_signs``."""
-        sigma = np.array([u for level in self.levels for u in level])
-        return tuple(SignedPermutation(Permutation(tuple(s)), tuple(v)) for s, v in
-                     zip(sigma.tolist(), forced_signs(sigma, self.ambient).tolist()))
-
-    @property
     def listing(self):
         """Every element as two 2 n_sigma x n integer arrays (sigma, nu) of
         images and ±1 signs, sorted by (sigma, nu): ± each product of coset
@@ -139,20 +66,6 @@ class SheafGroup:
         sigma = chain_products(self.levels)
         nu = forced_signs(sigma, self.ambient)
         return np.repeat(sigma, 2, axis=0), np.stack([-nu, nu], axis=1).reshape(-1, self.ambient.n)
-
-    @property
-    def elements(self) -> tuple:
-        """Every element as a SignedPermutation, in the order of ``listing``;
-        built on first use."""
-        if self._elements is None:
-            self._elements = tuple(
-                SignedPermutation(Permutation(tuple(s)), tuple(v))
-                for s, v in zip(*(a.tolist() for a in self.listing))
-            )
-        return self._elements
-
-    def __contains__(self, el: SignedPermutation) -> bool:
-        return el.is_valid(self.ambient)
 
 
 def enumerate_group(m: SignMatrix) -> SheafGroup:
@@ -174,7 +87,7 @@ def enumerate_group(m: SignMatrix) -> SheafGroup:
 REALIZE_CHUNK = 1024
 
 
-def realize_isometries(sigma, nu, u: Representation) -> np.ndarray:
+def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     """Matrices of the isometries sending each u_i to nu_i * u_{sigma(i)},
     one per row of the k x n arrays of images ``sigma`` and signs ``nu``
     (``SheafGroup.listing``), as a k x r x r array.
@@ -192,12 +105,6 @@ def realize_isometries(sigma, nu, u: Representation) -> np.ndarray:
         targets = nu[start:stop, :, None] * u.vectors[sigma[start:stop]]
         out[start:stop] = isometry_between(u.vectors, targets, u.space, u.space)
     return out
-
-
-def realize_isometry(a: SignedPermutation, u: Representation) -> np.ndarray:
-    """Matrix of the isometry sending each u_i to nu_i * u_{sigma(i)}: the
-    one-element case of ``realize_isometries``."""
-    return realize_isometries(np.array([a.sigma.images]), np.array([a.nu]), u)[0]
 
 
 @dataclass(frozen=True)

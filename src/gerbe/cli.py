@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config, fixtures
-from .autgroup import enumerate_group, orbits_on_lines, realize_isometries
+from .autgroup import enumerate_group, orbits_on_lines, realize_isometry
 from .errors import (
     BoundExceededError,
     DeficientSpanError,
@@ -306,6 +306,8 @@ def _group_on_lines(g, c, degree):
 
 
 def cmd_group(args) -> int:
+    if args.csv and not args.realize:
+        raise ValueError("--csv writes the realized matrices; it needs --realize")
     g = _read_graph(args.file)
     c, degree = _pick_c(args, g)
     if float(c) == 0.0:
@@ -331,7 +333,7 @@ def cmd_group(args) -> int:
     }
     if args.realize:
         try:
-            mats = realize_isometries(*grp.listing, v)
+            mats = realize_isometry(*grp.listing, v)
         except (GramMismatchError, DeficientSpanError) as exc:
             # the elements come from the group's own chain: a failure here
             # is a defect, not bad input
@@ -515,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--realize", action="store_true",
                     help="also emit the isometry matrices "
                          f"(|G| at most {config.MAX_LISTED_ORDER})")
-    pg.add_argument("--csv", help="write realized matrices to this CSV file")
+    pg.add_argument("--csv", help="write the realized matrices to this CSV file "
+                    "(needs --realize)")
 
     pd = sub.add_parser("demo", help="run the built-in regression fixtures")
     pd.add_argument("--json", action="store_true")

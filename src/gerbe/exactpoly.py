@@ -61,26 +61,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial.from_coeffs([other * c for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial.from_coeffs(out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return IntPolynomial.from_coeffs([-c for c in self.coeffs])
-
-    def __pow__(self, e: int):
-        result = IntPolynomial((1,))
-        for _ in range(e):
-            result = result * self
-        return result
-
     def pretty(self, var: str = "x") -> str:
         """Canonical text form: descending powers, explicit signs."""
         if self.is_zero():

@@ -1,5 +1,6 @@
 """Graph data model, sign matrices, and the stabilizer chain of graph
 isomorphisms that serves both Aut of a graph and the sheaf group.
+Permutations are integer arrays of images, one row per permutation.
 
 Vertices are 0-based everywhere inside the library; the 1-based convention
 of the file format and the CLI is translated at the parse/print boundary.
@@ -98,38 +99,6 @@ class SignMatrix:
         return (a[:, :, None] ^ a[:, None, :] ^ a) @ _kernels_py._row_bits(self.n)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {0..n-1}, stored as the tuple of images."""
-
-    images: tuple
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError("images do not form a bijection")
-
-    @classmethod
-    def identity(cls, n) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i) -> int:
-        return self.images[i]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, im in enumerate(self.images):
-            inv[im] = i
-        return Permutation(tuple(inv))
-
-
 def parse_graph(text: str) -> Graph:
     """Parse the text graph format.
 
@@ -180,15 +149,6 @@ def epsilon_matrix(g: Graph) -> SignMatrix:
         a[i, j] = -1
         a[j, i] = -1
     return SignMatrix(a)
-
-
-def conjugate_matrix(s: Permutation, m: SignMatrix) -> SignMatrix:
-    """Relabel m by s: result[s(i)][s(j)] = m[i][j]."""
-    if s.n != m.n:
-        raise ValueError(f"size mismatch: permutation on {s.n}, matrix on {m.n}")
-    out = np.empty((m.n, m.n), dtype=np.int64)
-    out[np.ix_(s.images, s.images)] = m.entries
-    return SignMatrix(out)
 
 
 def stabilizer_chain(src, targets=None) -> list:
@@ -253,13 +213,14 @@ def automorphism_order(g: Graph) -> int:
     return math.prod(len(level) for level in levels)
 
 
-def graph_automorphisms(g: Graph) -> list:
-    """All permutations preserving the edge set, sorted by their images:
-    the products of the stabilizer chain's coset representatives.  Refuses
-    before listing when |Aut g| exceeds ``config.MAX_LISTED_ORDER``."""
+def graph_automorphisms(g: Graph) -> np.ndarray:
+    """All permutations preserving the edge set, as the k x n array of
+    their images sorted by rows: the products of the stabilizer chain's
+    coset representatives.  Refuses before listing when |Aut g| exceeds
+    ``config.MAX_LISTED_ORDER``."""
     levels = stabilizer_chain(epsilon_matrix(g).linked_masks())
     order = math.prod(len(level) for level in levels)
     if order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
             f"|Aut| = {order} exceeds the listing bound {config.MAX_LISTED_ORDER}")
-    return [Permutation(tuple(s)) for s in chain_products(levels).tolist()]
+    return chain_products(levels)

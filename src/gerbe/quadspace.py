@@ -3,7 +3,7 @@
 Gram factorization of a symmetric matrix of given rank into a diagonal ±1
 form (the rank law fixes it exactly; ``rank``, under RANK_TOL, serves where
 no exact rank is known), representations of graphs at parameters
-(omega, c) and the operations on them (sum, reduction, isometry recovery).
+(omega, c), and the recovery of the isometry between two of them.
 
 The eigendecomposition behind factorization and rank is LAPACK's symmetric
 solver (``numpy.linalg.eigh``); reducedness and isometry recovery take
@@ -34,11 +34,6 @@ class QuadraticSpace:
     @property
     def dim(self) -> int:
         return len(self.signs)
-
-    @property
-    def signature(self) -> tuple:
-        p = sum(1 for s in self.signs if s == 1)
-        return (p, self.dim - p)
 
     def gram(self, vectors) -> np.ndarray:
         """Gram matrix of row-vectors under the diagonal form."""
@@ -157,21 +152,6 @@ class Representation:
 
     def is_trivial(self) -> bool:
         return self.c == 0.0
-
-
-def sum_representations(u: Representation, v: Representation) -> Representation:
-    """Orthogonal direct sum: parameters add, Gram matrices add."""
-    if u.graph != v.graph:
-        raise ValueError("representations must share a graph")
-    space = QuadraticSpace(u.space.signs + v.space.signs)
-    vectors = np.hstack([u.vectors, v.vectors])
-    return Representation(u.graph, u.omega + v.omega, u.c + v.c, space, vectors)
-
-
-def reduce_representation(u: Representation) -> Representation:
-    """Drop the null summand: same graph, parameters and Gram, minimal degree."""
-    space, vectors = gram_factorize(u.gram, rank(u.gram))
-    return Representation(u.graph, u.omega, u.c, space, vectors, gram=u.gram)
 
 
 def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,

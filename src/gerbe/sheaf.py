@@ -52,9 +52,6 @@ class LinePartition:
     def n(self) -> int:
         return len(self.pi)
 
-    def members(self, j) -> list:
-        return [i for i in range(self.n) if self.pi[i] == j]
-
     def plus_block(self, j) -> list:
         return [i for i in range(self.n) if self.pi[i] == j and self.sign[i] == 1]
 

@@ -4,7 +4,8 @@ These are the direct, per-graph or brute-force forms of what the package
 computes another way: the line partition and linking rules at c = ±1 one
 vertex pair at a time (the package runs the batched kernels of
 ``gerbe._kernels_py``), the sheaf group by trying every signed
-permutation (the package builds a stabilizer chain), the fraction-free
+permutation (the package builds a stabilizer chain) and its group law on
+(sigma, nu) rows, the fraction-free
 determinant (the package's chi is multimodular), the signature of
 S(omega, c) by counting the signs of its float eigenvalues (the package
 takes the degree from chi by the rank law), and the round trips of the
@@ -19,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from gerbe.autgroup import OrbitStructure, SignedPermutation
+from gerbe.autgroup import OrbitStructure
 from gerbe.errors import BoundExceededError
 from gerbe.exactpoly import IntPolynomial
-from gerbe.graph import Graph, Permutation, SignMatrix
+from gerbe.graph import Graph, SignMatrix
 from gerbe.sheaf import LinePartition, LinkingReport
 
 
@@ -154,54 +155,47 @@ def naive_isomorphisms(src, dst) -> list:
 
 
 def sign_compatible(sigma, nu, m: SignMatrix) -> bool:
-    """nu_i nu_j m[sigma(i), sigma(j)] = m[i, j] on every pair: the loop
-    form of SignedPermutation.is_valid."""
+    """nu_i nu_j m[sigma(i), sigma(j)] = m[i, j] on every pair: the
+    membership test of the sheaf group, one pair at a time."""
     return all(nu[i] * nu[j] * m[sigma[i], sigma[j]] == m[i, j]
                for i in range(m.n) for j in range(i + 1, m.n))
 
 
-def naive_signed_elements(masks):
-    """Brute force over all (sigma, sbits) pairs; the oracle for the
-    sheaf group.  Returns every valid pair, both sign choices."""
-    n = len(masks)
-    e = [[(masks[i] >> j) & 1 for j in range(n)] for i in range(n)]
-    out = []
-    for sigma in itertools.permutations(range(n)):
-        for bits in range(1 << n):
-            s = [(bits >> i) & 1 for i in range(n)]
-            ok = True
-            for i in range(n - 1):
-                si = s[i]
-                ei = e[i]
-                esi = e[sigma[i]]
-                for j in range(i + 1, n):
-                    if (si ^ s[j] ^ esi[sigma[j]]) != ei[j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((sigma, tuple(s)))
-    return out
+def signed_product(a, b):
+    """a after b for (sigma, nu) arrays of rows, broadcast row by row:
+    (sigma_a[sigma_b], nu_a[sigma_b] nu_b), the group law of the sheaf
+    group."""
+    (sa, na), (sb, nb) = a, b
+    return np.take_along_axis(sa, sb, -1), np.take_along_axis(na, sb, -1) * nb
 
 
-def naive_group_elements(m: SignMatrix) -> tuple:
-    """Every element of the sheaf group of m, sorted: every valid
-    (permutation, signs) pair, n! 2^n candidates, up to n = 8."""
-    if m.n > 8:
-        raise BoundExceededError(f"n={m.n} exceeds the brute-force bound 8")
-    return tuple(sorted(
-        (SignedPermutation(Permutation(sigma), tuple(-1 if b else 1 for b in sbits))
-         for sigma, sbits in naive_signed_elements(m.linked_masks())),
-        key=SignedPermutation.sort_key))
+def naive_group_elements(m: SignMatrix):
+    """Every element of the sheaf group of m as (sigma, nu) arrays sorted by
+    (sigma, nu): each of the n! 2^n pairs with nu nu^T * e[sigma, sigma] = e,
+    checked 720 permutations at a time, up to n = 8."""
+    n = m.n
+    if n > 8:
+        raise BoundExceededError(f"n={n} exceeds the brute-force bound 8")
+    e = m.entries.astype(np.int8)
+    perms = np.array(list(itertools.permutations(range(n)))).reshape(-1, n)
+    signs = (1 - 2 * (np.arange(1 << n)[:, None] >> np.arange(n) & 1)).astype(np.int8)
+    outer = signs[:, :, None] * signs[:, None, :]
+    hits = []
+    for k in range(0, len(perms), 720):  # a block of 720 x 2^n x n x n int8 stays under 12 MB
+        s = perms[k:k + 720]
+        ok = (outer * e[s[:, :, None], s[:, None]][:, None] == e).all((2, 3))
+        hits.append(np.argwhere(ok) + (k, 0))
+    i, j = np.concatenate(hits).T
+    sigma, nu = perms[i], signs[j].astype(int)
+    order = np.lexsort(np.hstack([sigma, nu]).T[::-1])
+    return sigma[order], nu[order]
 
 
-def naive_orbits(elements, n) -> OrbitStructure:
-    """Orbits of the listed elements on 0..n-1 and on ordered pairs of
-    distinct points, read off every element's images."""
-    orbits = tuple(sorted({tuple(sorted({el.sigma(j) for el in elements}))
-                           for j in range(n)}))
-    pairs = {(el.sigma(0), el.sigma(1)) for el in elements} if n >= 2 else set()
+def naive_orbits(sigma, n) -> OrbitStructure:
+    """Orbits of the listed permutations (rows of images) on 0..n-1 and on
+    ordered pairs of distinct points."""
+    orbits = tuple(sorted({tuple(np.unique(sigma[:, j]).tolist()) for j in range(n)}))
+    pairs = {tuple(p) for p in sigma[:, :2].tolist()} if n >= 2 else set()
     return OrbitStructure(orbits, len(orbits) == 1,
                           n >= 2 and len(pairs) == n * (n - 1))
 
@@ -248,14 +242,16 @@ def bareiss_determinant(rows) -> int:
 
 
 def reconstruct(factors, lead: Fraction) -> IntPolynomial:
-    """prod f_k^{e_k} scaled by lead; helper for checking decompositions."""
-    prod = IntPolynomial((1,))
+    """prod f_k^{e_k} scaled by lead, multiplied out coefficient by
+    coefficient; helper for checking decompositions."""
+    prod = [lead]
     for f, e in factors:
-        prod = prod * (f ** e)
-    scaled = [lead * c for c in prod.coeffs]
-    if any(s.denominator != 1 for s in scaled):
+        for _ in range(e):
+            prod = [sum(prod[j] * f.coeffs[k - j] for j in range(len(prod))
+                        if 0 <= k - j < len(f.coeffs)) for k in range(len(prod) + f.degree)]
+    if any(c.denominator != 1 for c in prod):
         raise ArithmeticError("reconstruction scale is not integral")
-    return IntPolynomial.from_coeffs([s.numerator for s in scaled])
+    return IntPolynomial.from_coeffs([c.numerator for c in prod])
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from gerbe import _backend
-from gerbe.autgroup import compose, enumerate_group, orbits_on_lines, realize_isometry
+from gerbe.autgroup import enumerate_group, orbits_on_lines, realize_isometry
 from gerbe.cli import run_demo
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE
 from gerbe.graph import Graph, epsilon_matrix, graph_automorphisms
 from gerbe.quadspace import Representation, build_S, gram_factorize, rank
-from oracles import naive_group_elements
+from oracles import naive_group_elements, signed_product
 
 
 @pytest.fixture()
@@ -86,7 +86,9 @@ def test_05_pruned_search_matches_naive_everywhere(report):
     for n in (3, 4, 5):
         for g in all_graphs(n):
             m = epsilon_matrix(g)
-            assert enumerate_group(m).elements == naive_group_elements(m)
+            sigma, nu = enumerate_group(m).listing
+            want_sigma, want_nu = naive_group_elements(m)
+            assert np.array_equal(sigma, want_sigma) and np.array_equal(nu, want_nu)
             count += 1
     assert count == 8 + 64 + 1024
     assert time.perf_counter() - t0 < 60.0
@@ -111,15 +113,17 @@ def test_06_gram_round_trip(report):
 def test_07_realized_cube_group(report):
     u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
     grp = enumerate_group(epsilon_matrix(SQUARE.graph))
-    mats = {el: realize_isometry(el, u) for el in grp.elements}
+    sigma, nu = grp.listing
+    mats = realize_isometry(sigma, nu, u)
     assert len(mats) == 48
-    for f in mats.values():
+    for f in mats:
         assert np.abs(f.T @ f - np.eye(3)).max() < 1e-8
-    for a, b in itertools.combinations(mats.values(), 2):
+    for a, b in itertools.combinations(mats, 2):
         assert np.abs(a - b).max() > 1e-6
-    for a in grp.elements:
-        for b in grp.elements:
-            assert np.abs(mats[a] @ mats[b] - mats[compose(a, b)]).max() < 1e-7
+    # realize(a) realize(b) = realize(a after b) on all 48 x 48 pairs
+    a, b = np.divmod(np.arange(48 * 48), 48)
+    ab = realize_isometry(*signed_product((sigma[a], nu[a]), (sigma[b], nu[b])), u)
+    assert np.abs(mats[a] @ mats[b] - ab).max() < 1e-7
     report["ok"] = True
 
 
@@ -138,7 +142,7 @@ def test_08_linking_rules_exhaustive(report):
 def test_09_pentagon_order_and_demo_table(report):
     m = epsilon_matrix(PENTAGON.graph)
     pruned = enumerate_group(m)
-    brute = naive_group_elements(m)
+    brute, _ = naive_group_elements(m)
     assert pruned.order == len(brute) == 20
     rows, ok = run_demo()
     assert ok

@@ -13,12 +13,12 @@ import pytest
 
 import gerbe
 from gerbe import cli, config, exactpoly, fixtures, quadspace
-from gerbe.autgroup import SheafGroup, SignedPermutation, enumerate_group
+from gerbe.autgroup import SheafGroup, enumerate_group, forced_signs
 from gerbe.errors import InvariantError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import SQUARE
-from gerbe.graph import Graph, Permutation, epsilon_matrix
-from oracles import format_graph, json_text
+from gerbe.graph import Graph, epsilon_matrix
+from oracles import format_graph, json_text, sign_compatible
 from test_autgroup import clebsch, latin_square_graph, petersen, triangular
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
@@ -394,6 +394,17 @@ class TestGroup:
         blocks = csv.read_text().strip().split("\n\n")
         assert len(blocks) == 48
 
+    def test_csv_without_realize_refused(self, tmp_path, capsys, monkeypatch):
+        # --csv writes the realized matrices: without --realize it is refused
+        # before the graph is read, and no file is written
+        monkeypatch.setattr(cli, "_read_graph", None)
+        csv = tmp_path / "mats.csv"
+        code, out, err = run(["group", "missing.txt", "--c=-1/3", "--csv", str(csv)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --csv writes the realized matrices; it needs --realize\n"
+        assert not csv.exists()
+
     def test_realize_text_prints_matrices(self, square_file, capsys):
         code, out, _ = run(["group", square_file, "--c=-1/3", "--realize"], capsys)
         assert code == 0
@@ -411,9 +422,9 @@ class TestGroup:
         # an element of the group's own listing that is not an isometry is a
         # defect in gerbe, not bad input
         sigma, nu = enumerate_group(epsilon_matrix(SQUARE.graph)).listing
-        bad = SignedPermutation(Permutation((1, 0, 2, 3)), (1, 1, 1, 1))
-        assert bad not in enumerate_group(epsilon_matrix(SQUARE.graph))
-        listing = (np.vstack([sigma, bad.sigma.images]), np.vstack([nu, bad.nu]))
+        bad = (1, 0, 2, 3), (1, 1, 1, 1)
+        assert not sign_compatible(*bad, epsilon_matrix(SQUARE.graph))
+        listing = (np.vstack([sigma, bad[0]]), np.vstack([nu, bad[1]]))
         monkeypatch.setattr(SheafGroup, "listing", property(lambda self: listing))
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
         assert code == 1
@@ -582,7 +593,8 @@ class TestAnalyze:
         assert payload["group"]["order"] == order
         assert payload["aut_graph_order"] == order // 2
         eps = epsilon_matrix(g)
-        assert all(el.is_valid(eps) for el in enumerate_group(eps).generators)
+        reps = np.array([u for level in enumerate_group(eps).levels for u in level])
+        assert all(sign_compatible(*el, eps) for el in zip(reps, forced_signs(reps, eps)))
 
     def test_text_mode(self, pentagon_file, capsys):
         code, out, _ = run(["analyze", pentagon_file], capsys)
@@ -704,7 +716,7 @@ class TestJsonWriter:
         def nan_matrices(sigma, nu, u):
             return np.full((len(sigma), u.degree, u.degree), np.nan)
 
-        monkeypatch.setattr(cli, "realize_isometries", nan_matrices)
+        monkeypatch.setattr(cli, "realize_isometry", nan_matrices)
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
         assert code == 1
         assert out == ""

@@ -6,6 +6,7 @@ import gerbe
 from gerbe import config
 
 PACKAGE = Path(gerbe.__file__).parent
+ROOT = PACKAGE.parents[1]
 
 
 def config_names():
@@ -27,21 +28,27 @@ def test_every_constant_has_a_reader():
 
 
 def test_every_definition_has_a_reader():
-    # a top-level function or class that nothing in the package reads and
-    # gerbe/__init__.py does not export is test-only code: it belongs in
-    # tests/oracles.py.  A read in the defining module counts, since the
-    # CLI's subcommands are reached only from its own parser.
+    # a top-level function or class is read by the package, by the README's
+    # library example, or by the benchmark (perfbench/*.py, as text: its
+    # tracer rebinds functions by name); anything else is test-only code
+    # and belongs in tests/oracles.py.  An export from gerbe/__init__.py
+    # alone does not count.  A read in the defining module counts, since
+    # the CLI's subcommands are reached only from its own parser.
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [library] = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
     read = set()
-    for tree in trees.values():
+    for module, tree in [*trees.items(), ("README", ast.parse(library))]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and module != "__init__":
                 read.add(node.name)
+    bench = "".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "perfbench").glob("*.py")))
+    read |= set(re.findall(r"\w+", bench))
     defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert len(defined) > 50

@@ -17,8 +17,6 @@ from gerbe.quadspace import (
     isometry_between,
     jacobi_eigh,
     rank,
-    reduce_representation,
-    sum_representations,
 )
 
 
@@ -50,9 +48,8 @@ def group_targets(g, c):
     nu_i * u_{sigma(i)} under every element of the sheaf group.  c is a
     float near a root, so its degree is the numeric rank of S(1, c)."""
     u = Representation.build(g, 1.0, c, rank(build_S(epsilon_matrix(g), 1.0, c)))
-    els = enumerate_group(epsilon_matrix(g)).elements
-    return u, np.array([[el.nu[i] * u.vectors[el.sigma(i)] for i in range(g.n)]
-                        for el in els])
+    sigma, nu = enumerate_group(epsilon_matrix(g)).listing
+    return u, nu[:, :, None] * u.vectors[sigma]
 
 
 class TestJacobi:
@@ -240,10 +237,11 @@ class TestRepresentation:
 
 
 class TestSum:
+    # the orthogonal sum of realizations at (omega_k, c_k), its vectors side
+    # by side, realizes the summed parameters: Representation checks its Gram
     def test_null_summand_is_neutral(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        null = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
-        w = sum_representations(u, null)
+        w = Representation(TRIANGLE.graph, 1.0, 0.5, u.space, np.hstack([u.vectors, np.zeros((3, 0))]))
         assert w.degree == u.degree
         assert np.abs(w.gram - u.gram).max() < 1e-12
 
@@ -253,9 +251,8 @@ class TestSum:
             c1, c2 = rng.uniform(-1, 1, size=2)
             u = Representation.build(TRIANGLE.graph, 1.0, c1, 3)
             v = Representation.build(TRIANGLE.graph, 2.0, c2, 3)
-            w = sum_representations(u, v)
-            assert w.omega == pytest.approx(3.0)
-            assert w.c == pytest.approx(c1 + c2)
+            w = Representation(TRIANGLE.graph, 3.0, c1 + c2, QuadraticSpace(u.space.signs + v.space.signs),
+                               np.hstack([u.vectors, v.vectors]))
             assert np.abs(w.gram - (u.gram + v.gram)).max() < 1e-9
             assert w.degree == u.degree + v.degree
 
@@ -263,23 +260,19 @@ class TestSum:
         # rank-1 piece at c=-1 plus rank-2 piece at c=1/2 gives a rank-3 rep
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         v = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        w = sum_representations(u, v)
-        assert (w.omega, w.c) == (2.0, -0.5)
-        assert w.degree == 3
-
-    def test_graph_mismatch(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        v = Representation.build(SQUARE.graph, 1.0, 0.5, 4)
-        with pytest.raises(ValueError, match="graph"):
-            sum_representations(u, v)
+        w = Representation(TRIANGLE.graph, 2.0, -0.5, QuadraticSpace(u.space.signs + v.space.signs),
+                           np.hstack([u.vectors, v.vectors]))
+        assert w.degree == 3 and w.is_reduced()
 
 
 class TestReduce:
+    # factorizing the Gram matrix of a system at its numeric rank drops the
+    # null summand: same Gram, minimal degree
     def test_idempotent_on_reduced(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        v = reduce_representation(u)
-        assert v.degree == u.degree
-        assert np.abs(v.gram - u.gram).max() < 1e-9
+        space, vectors = gram_factorize(u.gram, rank(u.gram))
+        assert space.dim == u.degree
+        assert np.abs(space.gram(vectors) - u.gram).max() < 1e-9
 
     def test_padding_removed(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
@@ -287,16 +280,17 @@ class TestReduce:
         padded_vectors = np.hstack([u.vectors, np.zeros((3, 2))])
         padded = Representation(TRIANGLE.graph, 1.0, 0.5, padded_space, padded_vectors)
         assert not padded.is_reduced()
-        v = reduce_representation(padded)
-        assert v.degree == 2
+        v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(padded.gram, rank(padded.gram)))
+        assert v.degree == 2 and v.is_reduced()
         assert np.abs(v.gram - u.gram).max() < 1e-9
 
     def test_square_at_one_reduces_to_line(self):
         m = epsilon_matrix(SQUARE.graph)
         s = build_S(m, 1.0, 1.0)
-        space, vectors = gram_factorize(s, rank(s))
-        u = Representation(SQUARE.graph, 1.0, 1.0, space, vectors, gram=s)
-        assert reduce_representation(u).degree == 1
+        padded = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, 4))
+        assert not padded.is_reduced()
+        assert rank(padded.gram) == 1
+        assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).degree == 1
 
 
 class TestIsometry:

@@ -7,7 +7,7 @@ from gerbe.errors import TrivialRepresentationError
 from gerbe.fixtures import PENTAGON, SQUARE, TRIANGLE
 from gerbe.exactpoly import degree_at
 from gerbe.graph import Graph, epsilon_matrix
-from gerbe.quadspace import Representation, reduce_representation, sum_representations
+from gerbe.quadspace import QuadraticSpace, Representation, gram_factorize, rank
 from gerbe.sheaf import (
     LinePartition,
     check_class_linking,
@@ -43,7 +43,7 @@ class TestLineClasses:
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         p = line_classes(u)
         assert p.m == 1
-        assert p.members(0) == [0, 1, 2]
+        assert p.pi == (0, 0, 0)
         # all three vertices land on the same vector, not just the same line
         assert p.sign == (1, 1, 1)
 
@@ -101,11 +101,12 @@ class TestLineClasses:
     def test_padded_rejected(self):
         # at (1, 1) the padded square has the Gram rows of the reduced one,
         # but its vectors are distinct
-        pad = sum_representations(Representation.build(SQUARE.graph, 1.0, 0.5, 4),
-                                  Representation.build(SQUARE.graph, 0.0, 0.5, 4))
+        u, v = (Representation.build(SQUARE.graph, omega, 0.5, 4) for omega in (1.0, 0.0))
+        pad = Representation(SQUARE.graph, 1.0, 1.0, QuadraticSpace(u.space.signs + v.space.signs),
+                             np.hstack([u.vectors, v.vectors]))
         with pytest.raises(ValueError, match="reduced"):
             line_classes(pad)
-        u = reduce_representation(pad)
+        u = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(pad.gram, rank(pad.gram)))
         assert line_classes(u) == line_classes(Representation.build(SQUARE.graph, 1.0, 1.0, 1))
 
 

@@ -8,11 +8,13 @@ loaded by path, unchanged, so that break shows here first.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-from gerbe import _backend
+from gerbe import _backend, autgroup, cli
 from gerbe.autgroup import enumerate_group
 from gerbe.graph import automorphism_order, epsilon_matrix
+from oracles import format_graph
 from test_autgroup import petersen
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +45,23 @@ def test_group_chains_call_the_traced_kernel(monkeypatch):
         calls.clear()
         chain(petersen())
         assert calls
+
+
+def test_group_realize_calls_the_traced_realization(monkeypatch, tmp_path, capsys):
+    # the tracer counts autgroup.realize_isometry by rebinding the name in
+    # every gerbe module that holds it, so group --realize must realize its
+    # listing through that name
+    calls = []
+    realize = autgroup.realize_isometry
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return realize(*args, **kwargs)
+
+    for module in (autgroup, cli):
+        monkeypatch.setattr(module, "realize_isometry", counted)
+    p = tmp_path / "petersen.txt"
+    p.write_text(format_graph(petersen()))
+    assert cli.main(["group", str(p), "--c=1/3", "--realize", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["isometries"]) == 1440
+    assert calls == [1]
