@@ -62,7 +62,8 @@ class SheafGroup:
     def listing(self):
         """Every element as two 2 n_sigma x n integer arrays (sigma, nu) of
         images and ±1 signs, sorted by (sigma, nu): ± each product of coset
-        representatives, the sign vector with nu_0 = -1 first."""
+        representatives, the sign vector with nu_0 = -1 first, so rows 2k
+        and 2k + 1 are (sigma, -nu) and (sigma, nu)."""
         sigma = chain_products(self.levels)
         nu = forced_signs(sigma, self.ambient)
         return np.repeat(sigma, 2, axis=0), np.stack([-nu, nu], axis=1).reshape(-1, self.ambient.n)
@@ -90,7 +91,9 @@ REALIZE_CHUNK = 1024
 def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     """Matrices of the isometries sending each u_i to nu_i * u_{sigma(i)},
     one per row of the k x n arrays of images ``sigma`` and signs ``nu``
-    (``SheafGroup.listing``), as a k x r x r array.
+    (rows of ``SheafGroup.listing``), as a k x r x r array.  ``gerbe group
+    --realize`` passes the nu_0 = +1 row of each pair of the listing and
+    takes the other matrix of the pair by negation.
 
     The targets of a chunk of REALIZE_CHUNK elements are built by fancy
     indexing and solved with one SVD of u (``isometry_between`` on a

@@ -90,45 +90,98 @@ def _print_json(payload):
     with every numpy array value taken as its nested lists, the one writer
     of every --json output.
 
-    A non-empty array value of the top level is rendered by repr of its
-    entries, joined with separators that repeat with its shape, instead of
-    the encoder's Python loop; a non-finite entry there is refused as an
-    InvariantError.
+    A non-empty array value of the top level is written by ``_array_json``
+    a block of rows at a time, each distinct magnitude formatted by repr
+    once per block, instead of by the encoder's Python loop; a non-finite
+    entry there is refused as an InvariantError before anything is written.
     """
     plain, arrays = dict(payload), {}
     for key, a in payload.items():
         if isinstance(a, np.ndarray):
-            if a.size:
-                plain[key], arrays[key] = f"\0{key}", a  # a placeholder, split off below
-            else:
+            if not a.size:
                 plain[key] = a.tolist()
-    pieces = [json.dumps(plain, indent=2, sort_keys=True)]
+            elif not np.isfinite(a).all():
+                raise InvariantError(f"non-finite value in the {key!r} array")
+            else:
+                plain[key], arrays[key] = f"\0{key}", a  # a placeholder, split off below
+    tail = json.dumps(plain, indent=2, sort_keys=True)
+    out = sys.stdout
     for key in sorted(arrays):  # the order of the placeholders in the text
-        head, tail = pieces.pop().split(json.dumps(f"\0{key}"))
-        pieces += [head, _array_json(key, arrays[key]), tail]
-    print(*pieces, sep="")
+        head, tail = tail.split(json.dumps(f"\0{key}"))
+        out.write(head)
+        out.writelines(_array_json(arrays[key]))
+    out.write(tail + "\n")
 
 
-def _array_json(key, a):
+def _array_json(a):
     """The indent=2 JSON of a non-empty array of one or more axes at the
-    top level of an object, whose entries sit one indent deeper per axis."""
-    if not np.isfinite(a).all():
-        raise InvariantError(f"non-finite value in the {key!r} array")
+    top level of an object, whose entries sit one indent deeper per axis,
+    as pieces of text: ``_rows_text`` of its last-axis rows, then the
+    closing brackets."""
     m = a.ndim
     nl = ["\n" + "  " * (1 + j) for j in range(m + 1)]
-    # the rows of the last axis at the even places; the separator after a
-    # row that ends c nested lists closes those c and opens c new ones
-    parts = [None, None]
-    for c, d in enumerate(reversed(a.shape[:-1]), 1):
-        closing = "".join(nl[j] + "]" for j in range(m - 1, m - 1 - c, -1))
-        opening = "".join("[" + nl[j + 1] for j in range(m - c, m))
-        parts[-1] = closing + "," + nl[m - c] + opening
-        parts *= d
-    parts.pop()
-    inner = "," + nl[m]
-    parts[0::2] = [inner.join(map(repr, row)) for row in a.reshape(-1, a.shape[-1]).tolist()]
-    return ("".join("[" + nl[j + 1] for j in range(m)) + "".join(parts)
-            + "".join(nl[j] + "]" for j in reversed(range(m))))
+    # the text after a row that ends c nested lists closes those c and opens c new ones
+    seps = ["".join(nl[j] + "]" for j in range(m - 1, m - 1 - c, -1)) + "," + nl[m - c]
+            + "".join("[" + nl[j + 1] for j in range(m - c, m)) for c in range(1, m)]
+    heads = _row_heads(a.shape, "".join("[" + nl[j + 1] for j in range(m)), seps)
+    yield from _rows_text(a.reshape(len(heads), a.shape[-1]), repr, "," + nl[m], heads)
+    yield "".join(nl[j] + "]" for j in reversed(range(m)))
+
+
+def _csv_text(a):
+    """The CSV text of an array of two or more axes, as pieces: each row of
+    its last axis on a line, by 17 significant digits, and a blank line
+    after each block of the axis above (each matrix of a stack)."""
+    heads = _row_heads(a.shape, "", ["\n" * c for c in range(1, a.ndim)])
+    yield from _rows_text(a.reshape(len(heads), a.shape[-1]), "{:.17g}".format, ",", heads)
+    yield "\n" * (a.ndim - 1)
+
+
+def _row_heads(shape, opening, seps):
+    """The text before each last-axis row of an array of this shape:
+    ``opening`` before the first, and seps[c - 1] before a row whose
+    predecessor ends c of the enclosing axes."""
+    heads = [None]
+    for c, d in enumerate(reversed(shape[:-1]), 1):
+        heads[0] = seps[c - 1]
+        heads *= d
+        heads[0] = None
+    heads[0] = opening
+    return heads
+
+
+# last-axis rows formatted per block: the token table of a block of 1024
+# isometry rows of 5 entries stays near 100 kB
+TEXT_BLOCK_ROWS = 1024
+
+
+def _rows_text(rows, fmt, inner, heads):
+    """The text of the rows of a 2-D array, a block of TEXT_BLOCK_ROWS rows
+    at a time: heads[i] before row i, whose entries are joined by
+    ``inner``.  An entry is fmt of its magnitude after a '-' where its sign
+    bit is set, so -0.0 keeps its sign and fmt(-x) must be '-' + fmt(x).
+    fmt runs once per distinct magnitude of a block, and the '-' goes with
+    the separator in front of the entry, so no signed string is built."""
+    w = rows.shape[1]
+    sep = np.array([0] + [2] * (w - 1))  # where the table below holds each entry's separator
+    for start in range(0, len(rows), TEXT_BLOCK_ROWS):
+        block = rows[start:start + TEXT_BLOCK_ROWS]
+        mags = np.abs(block)
+        ordered = np.sort(mags, axis=None)
+        new = np.empty(len(ordered), dtype=bool)  # the first of each run of equal magnitudes
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        distinct = ordered[new]
+        # the separators with and without the sign, then each distinct magnitude
+        table = np.array(["", "-", inner, inner + "-", *map(fmt, distinct.tolist())],
+                         dtype=object)
+        index = np.empty((len(block), 2 * w), dtype=np.intp)
+        np.add(np.signbit(block), sep, out=index[:, 0::2])
+        np.add(np.searchsorted(distinct, mags), 4, out=index[:, 1::2])
+        tokens = np.empty((len(block), 2 * w + 1), dtype=object)
+        tokens[:, 0] = heads[start:start + TEXT_BLOCK_ROWS]
+        tokens[:, 1:] = table.take(index)
+        yield "".join(tokens.ravel().tolist())
 
 
 def _root_json(rec, n):
@@ -234,10 +287,10 @@ def cmd_represent(args) -> int:
     c, degree = _pick_c(args, g, omega)
     u = Representation.build(g, float(omega), float(c), degree)
     if args.csv or not args.json:
-        rows = [",".join(f"{x:.17g}" for x in row) for row in u.vectors.tolist()]
+        text = "".join(_csv_text(u.vectors))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write(text)
     if args.json:
         payload = {
             "omega": float(omega),
@@ -250,8 +303,7 @@ def cmd_represent(args) -> int:
     else:
         print(f"# omega={float(omega):.12g} c={float(c):.12g} dim={u.space.dim} "
               f"signs={''.join('+' if s > 0 else '-' for s in u.space.signs)}")
-        for row in rows:
-            print(row)
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -332,18 +384,10 @@ def cmd_group(args) -> int:
         "is_2_transitive": orbit_info.is_2_transitive,
     }
     if args.realize:
-        try:
-            mats = realize_isometry(*grp.listing, v)
-        except (GramMismatchError, DeficientSpanError) as exc:
-            # the elements come from the group's own chain: a failure here
-            # is a defect, not bad input
-            raise InvariantError(f"sheaf group element is not an isometry: {exc}") from exc
+        mats = _realize_listing(grp, v)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                for mat in mats.tolist():
-                    for row in mat:
-                        fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-                    fh.write("\n")
+                fh.writelines(_csv_text(mats))
         else:
             payload["isometries"] = mats
     if args.json:
@@ -356,11 +400,46 @@ def cmd_group(args) -> int:
         print(f"orbits on lines: {payload['orbits']}")
         print(f"transitive: {payload['is_transitive']}  "
               f"2-transitive: {payload['is_2_transitive']}")
-        for k, mat in enumerate(payload.get("isometries", np.empty(0)).tolist(), 1):
-            print(f"isometry {k}:")
-            for row in mat:
-                print("  " + " ".join(f"{x + 0.0:.12g}" for x in row))  # no -0
+        if "isometries" in payload:
+            _print_matrices(payload["isometries"])
     return EXIT_OK
+
+
+def _realize_listing(grp, v):
+    """The isometry matrices of every element of the listing of ``grp``,
+    realized once per pair.  The listing holds (sigma, -nu) and then
+    (sigma, nu) in rows 2k and 2k + 1, and the matrix of the first is
+    0 - M for the matrix M of the second, bit for bit: its targets are
+    negated, IEEE arithmetic negates each product and sum of negated
+    operands exactly, and a sum that cancels to zero is +0.0 in both,
+    which 0 - M keeps and -M would not.  The checks of one element of a
+    pair therefore hold for the other."""
+    sigma, nu = grp.listing
+    signed = (sigma + 1) * nu  # sigma and nu in one integer
+    if not np.array_equal(signed[0::2], -signed[1::2]):
+        raise InvariantError("the group listing does not come in pairs (sigma, -nu), (sigma, nu)")
+    try:
+        half = realize_isometry(sigma[1::2], nu[1::2], v)
+    except (GramMismatchError, DeficientSpanError) as exc:
+        # the elements come from the group's own chain: a failure here
+        # is a defect, not bad input
+        raise InvariantError(f"sheaf group element is not an isometry: {exc}") from exc
+    mats = np.empty((len(sigma), *half.shape[1:]))
+    mats[1::2] = half
+    np.subtract(0.0, half, out=mats[0::2])
+    return mats
+
+
+def _print_matrices(mats):
+    """Print a stack of matrices, each under an ``isometry k:`` header with
+    one indented row per line, by 12 significant digits and with no -0."""
+    k, r, w = mats.shape
+    heads = ["\n  "] * (k * r)
+    heads[::r] = [f"\nisometry {j}:\n  " for j in range(1, k + 1)]
+    heads[0] = heads[0][1:]
+    rows = (mats + 0.0).reshape(k * r, w)  # + 0.0 turns -0.0 into 0.0
+    sys.stdout.writelines(_rows_text(rows, "{:.12g}".format, " ", heads))
+    print()
 
 
 def cmd_analyze(args) -> int:

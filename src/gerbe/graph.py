@@ -77,12 +77,6 @@ class SignMatrix:
     def __getitem__(self, ij):
         return int(self.entries[ij])
 
-    def __eq__(self, other):
-        return isinstance(other, SignMatrix) and np.array_equal(self.entries, other.entries)
-
-    def __hash__(self):
-        return hash(self.entries.tobytes())
-
     def __repr__(self):
         return f"SignMatrix({self.entries.tolist()})"
 

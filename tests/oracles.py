@@ -2,7 +2,8 @@
 
 These are the direct, per-graph or brute-force forms of what the package
 computes another way: the line partition and linking rules at c = ±1 one
-vertex pair at a time (the package runs the batched kernels of
+vertex pair at a time, and again in numpy from the proportional rows of
+S(1, c) in integers (the package runs the bitmask kernels of
 ``gerbe._kernels_py``), the sheaf group by trying every signed
 permutation (the package builds a stabilizer chain) and its group law on
 (sigma, nu) rows, the fraction-free
@@ -10,8 +11,9 @@ determinant (the package's chi is multimodular), the signature of
 S(omega, c) by counting the signs of its float eigenvalues (the package
 takes the degree from chi by the rank law), and the round trips of the
 graph format and of the sign matrix, the products of a stabilizer chain
-as tuples (the package forms them as arrays), and the JSON text of a
-payload by ``json.dumps`` alone (the package renders its arrays itself).
+as tuples (the package forms them as arrays), and the JSON, CSV and text
+renderings of arrays one entry at a time (the package formats each
+distinct magnitude of a block of rows once).
 """
 
 import itertools
@@ -139,6 +141,40 @@ def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
             failures.append(f"between-sign rule broken for class {j}")
 
     return LinkingReport(c, aon_ok, cross_ok, within_ok, tuple(failures))
+
+
+def unit_gram(a, c: int) -> np.ndarray:
+    """S(1, c) = I + c(J - I - 2A) in integers for each graph of a batch of
+    boolean adjacency arrays a[B, n, n], at c = ±1, where every row is a
+    ±1 vector."""
+    n = a.shape[1]
+    return np.where(np.eye(n, dtype=bool), 1, c * (1 - 2 * a.astype(np.int64)))
+
+
+def proportional_lines(a, c: int):
+    """The line partition at (1, c), c = ±1, of each graph of a batch, from
+    the rows of S(1, c) in integers: two ±1 rows of length n are
+    proportional exactly when their inner product is ±n (Cauchy-Schwarz).
+    Returns (rep, sbit), both [B, n]: the least vertex whose row is ±(the
+    row of x), and whether it is minus."""
+    s = unit_gram(a, c)
+    dots = s @ s.transpose(0, 2, 1)
+    rep = (np.abs(dots) == a.shape[1]).argmax(axis=1)
+    return rep, np.take_along_axis(dots, rep[:, None, :], axis=1)[:, 0, :] < 0
+
+
+def proportional_verdicts(a, c: int, rep, sbit):
+    """The linking verdicts at c = ±1 of a partition (rep, sbit) of each
+    graph of a batch, from S(1, c) in integers: the rules hold exactly
+    when s_x S_x = S_rep(x) for every vertex x with sign s_x, and the
+    within-class rule exactly when s_x s_y S_xy = 1 for x, y in one class.
+    Returns (ok, within), both [B]."""
+    s = unit_gram(a, c)
+    signs = np.where(sbit, -1, 1)
+    ok = (signs[:, :, None] * s == np.take_along_axis(s, rep[:, :, None], axis=1)).all(axis=(1, 2))
+    same = rep[:, :, None] == rep[:, None, :]
+    signed = signs[:, :, None] * s * signs[:, None, :]
+    return ok, ((signed == 1) | ~same).all(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +330,21 @@ def json_text(payload) -> str:
     value turned into nested lists."""
     return json.dumps({key: v.tolist() if isinstance(v, np.ndarray) else v
                        for key, v in payload.items()}, indent=2, sort_keys=True)
+
+
+def csv_text(a) -> str:
+    """The CSV text of an array of two or three axes, one entry at a time:
+    each row by 17 significant digits on a line, and for a stack a blank
+    line after each matrix."""
+    if a.ndim == 2:
+        return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in a.tolist())
+    return "".join(csv_text(mat) + "\n" for mat in a)
+
+
+def matrices_text(mats) -> str:
+    """The text listing of a stack of matrices, one entry at a time: an
+    ``isometry k:`` header, then each row indented, by 12 significant
+    digits, with -0 printed as 0."""
+    return "".join(f"isometry {k}:\n" + "".join(
+        "  " + " ".join(f"{x + 0.0:.12g}" for x in row) + "\n" for row in mat)
+        for k, mat in enumerate(mats.tolist(), 1))

@@ -528,3 +528,50 @@ class TestListing:
         assert rows(*grp.listing) == signed
         assert list(map(tuple, graph_automorphisms(g).tolist())) == sorted(
             tuple_chain_products(stabilizer_chain(m.linked_masks())))
+
+
+def assert_sign_pairs(sigma, nu):
+    """Rows 2k and 2k + 1 share sigma and carry opposite nu, the nu_0 = -1
+    row first: the layout the CLI realizes once per pair."""
+    assert len(sigma) % 2 == 0
+    assert np.array_equal(sigma[0::2], sigma[1::2])
+    assert np.array_equal(nu[0::2], -nu[1::2])
+    assert (nu[0::2, 0] == -1).all()
+
+
+class TestSignPairs:
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_listing_pairs_on_switched_and_relabelled_copies(self, n, seed):
+        rng = random.Random(seed)
+        m = epsilon_matrix(random_graph(rng, n))
+        d = np.array([rng.choice((-1, 1)) for _ in range(n)])
+        images = list(range(n))
+        rng.shuffle(images)
+        copy = SignMatrix((m.entries * np.outer(d, d))[np.ix_(images, images)])
+        for ambient in (m, copy):
+            assert_sign_pairs(*enumerate_group(ambient).listing)
+
+    @pytest.mark.parametrize("g", [petersen(), relabelled_switched_petersen(),
+                                   POINTED_HEXAGON.graph], ids=["petersen", "switched", "hexagon"])
+    def test_listing_pairs_on_known_groups(self, g):
+        assert_sign_pairs(*enumerate_group(epsilon_matrix(g)).listing)
+
+    # Petersen and its switched copy, the pointed hexagon at the irrational
+    # root 0 of chi, the square at signature (3, 1), and one edge on four
+    # vertices at c = -1, whose three lines give a sum that cancels to +0.0
+    PAIRED = [(petersen(), 1 / 3), (relabelled_switched_petersen(), -1 / 3),
+              (POINTED_HEXAGON.graph, -1 / 5 ** 0.5), (SQUARE.graph, -1 / 2),
+              (Graph.from_edges(4, [(0, 2)]), -1.0)]
+
+    @pytest.mark.parametrize("g, c", PAIRED,
+                             ids=["petersen", "switched", "hexagon", "square", "one-edge"])
+    def test_half_realization_is_the_full_one_bitwise(self, g, c):
+        # the CLI realizes the nu_0 = +1 rows and takes 0 - M for their
+        # partners: the same bytes as realizing every row
+        _, v, grp = cli._group_on_lines(g, c, rank(build_S(epsilon_matrix(g), 1.0, c)))
+        full = realize_isometry(*grp.listing, v)
+        assert full.tobytes() == cli._realize_listing(grp, v).tobytes()
+        if c == -1.0:  # -M would write -0.0 at these zeros of the full realization
+            assert not np.signbit(full[0::2][full[0::2] == 0]).any()
+            assert (full[0::2] == 0).any()

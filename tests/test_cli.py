@@ -18,7 +18,7 @@ from gerbe.errors import InvariantError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import SQUARE
 from gerbe.graph import Graph, epsilon_matrix
-from oracles import format_graph, json_text, sign_compatible
+from oracles import csv_text, format_graph, json_text, matrices_text, sign_compatible
 from test_autgroup import clebsch, latin_square_graph, petersen, triangular
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
@@ -432,6 +432,34 @@ class TestGroup:
         assert err.startswith("internal invariant violated: ")
         assert "Traceback" not in err
 
+    def test_realize_non_isometry_pair_exits_one(self, square_file, capsys, monkeypatch):
+        # a non-isometry appended as a pair (sigma, -nu), (sigma, nu) passes
+        # the pair check, and its realization fails the Gram check
+        sigma, nu = enumerate_group(epsilon_matrix(SQUARE.graph)).listing
+        bad = np.array([1, 0, 2, 3]), np.array([1, 1, 1, 1])
+        assert not sign_compatible(*bad, epsilon_matrix(SQUARE.graph))
+        listing = np.vstack([sigma, bad[0], bad[0]]), np.vstack([nu, -bad[1], bad[1]])
+        monkeypatch.setattr(SheafGroup, "listing", property(lambda self: listing))
+        code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal invariant violated: sheaf group element is not an "
+                              "isometry: ")
+        assert "Traceback" not in err
+
+    def test_realize_csv_and_text_match_the_oracles(self, square_file, tmp_path, capsys):
+        code, out, _ = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
+        assert code == 0
+        mats = np.array(json.loads(out)["isometries"])  # repr round-trips every float
+        csv = tmp_path / "mats.csv"
+        code, _, _ = run(["group", square_file, "--c=-1/3", "--realize", "--csv", str(csv)],
+                         capsys)
+        assert code == 0
+        assert csv.read_text() == csv_text(mats)
+        code, out, _ = run(["group", square_file, "--c=-1/3", "--realize"], capsys)
+        assert code == 0
+        assert out.endswith("\n" + matrices_text(mats))
+
     def test_bound_exceeded(self, tmp_path, capsys, monkeypatch):
         # a group search past its node budget exits 3 from group and from
         # analyze, with the budget named and no traceback
@@ -705,6 +733,23 @@ class TestJsonWriter:
         payload = {"vectors": a, "dim": 2, "signs": [1, -1], "c": 0.1, "epsilon": a.astype(int)}
         cli._print_json(payload)
         assert capsys.readouterr().out == json_text(payload) + "\n"
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, cli.TEXT_BLOCK_ROWS])
+    def test_blocks_of_rows_keep_the_bytes(self, block_rows, capsys, monkeypatch):
+        # the writers format each block of rows on its own: a block that ends
+        # inside a matrix, and magnitudes shared across signs and blocks,
+        # change no byte of the JSON, CSV or text
+        monkeypatch.setattr(cli, "TEXT_BLOCK_ROWS", block_rows)
+        values = np.array([0.0, -0.0, 0.1, -0.1, 1 / 3, -1 / 3, 1e16, -1e-17, 5e-324, -2.5])
+        mats = np.random.default_rng(block_rows).choice(values, size=(5, 3, 4))
+        mats[0, 0, :2] = 0.0, -0.0
+        payload = {"isometries": mats, "n": 3}
+        cli._print_json(payload)
+        assert capsys.readouterr().out == json_text(payload) + "\n"
+        for a in (mats, mats[0], np.zeros((4, 0))):
+            assert "".join(cli._csv_text(a)) == csv_text(a)
+        cli._print_matrices(mats)
+        assert capsys.readouterr().out == matrices_text(mats)
 
     def test_non_finite_refused(self, capsys):
         for value in (np.nan, np.inf, -np.inf):

@@ -120,22 +120,30 @@ def test_negative_control_partition_at_minus_c(c):
         graphs = list(all_graphs(n)) if n in expected else random_graphs(7, 7, 2000)
         a = adjacency(graphs)
         rep, sbit = _kernels_py._batch_partition(a, 1 - cbit)
+        # every graph against the integer oracle: the partition and the verdicts
+        want_rep, want_sbit = oracles.proportional_lines(a, -c)
+        assert np.array_equal(rep, want_rep) and np.array_equal(sbit, want_sbit)
+        ok, within = oracles.proportional_verdicts(a, c, rep, sbit)
+        assert sweep_ok(a, rep, sbit, cbit) == ok.tolist()
+        assert _kernels_py._batch_rules(a, rep, sbit, cbit)[0].tolist() == within.tolist()
+        if n in expected:
+            assert ok.tolist().count(False) == expected[n]
+        # the three fields as check_class_linking reads them off the kernels,
+        # and check_class_linking itself, against the per-graph reference on a sample
+        sample = random.Random(n).sample(range(len(graphs)), min(500, len(graphs)))
+        graphs = [graphs[i] for i in sample]
+        a, rep, sbit = a[sample], rep[sample], sbit[sample]
         parts = [oracles.partition_from_sign_matrix(epsilon_matrix(g), -c) for g in graphs]
+        assert [to_partition(r, s) for r, s in zip(rep, sbit)] == parts
         want = [oracles.check_class_linking(g, p, c) for g, p in zip(graphs, parts)]
-        # the three fields as check_class_linking reads them off the kernels
         aon = _kernels_py._batch_all_or_nothing(a, rep, sbit)
         within, across = _kernels_py._batch_rules(a, rep, sbit, cbit)
         assert aon.tolist() == [w.all_or_nothing_ok for w in want]
         assert within.tolist() == [w.within_class_ok for w in want]
         assert (aon & across).tolist() == [w.cross_class_ok and w.all_or_nothing_ok
                                            for w in want]
-        ok = sweep_ok(a, rep, sbit, cbit)
-        assert ok == [w.ok for w in want]
-        # and check_class_linking itself, one graph at a time, on a sample
-        sample = random.Random(n).sample(range(len(graphs)), min(500, len(graphs)))
-        compare_reports([graphs[i] for i in sample], [parts[i] for i in sample], c)
-        if n in expected:
-            assert ok.count(False) == expected[n]
+        assert ok[sample].tolist() == [w.ok for w in want]
+        compare_reports(graphs, parts, c)
 
 
 def random_partition(rng, n) -> LinePartition:
