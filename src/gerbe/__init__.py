@@ -4,8 +4,10 @@ Construct the representations of a finite simple graph in quadratic
 spaces, compute the exact characteristic polynomial controlling their
 degrees, and build the signed-permutation group of isometries
 stabilizing the associated sheaf of lines from a stabilizer chain.
-The names here are those of the README's library example; the modules
-hold the rest, and the sheaf group lists its elements as arrays of rows
+A graph is its sign matrix throughout: ``parse_graph`` reads one and
+``epsilon_matrix(n, edges)`` builds one.  The names here are those of the
+README's library example and ``epsilon_matrix``; the modules hold the
+rest, and the sheaf group lists its elements as arrays of rows
 (sigma, nu).  Pure Python on numpy: ``backend_name()`` is always
 ``"python"``.
 """

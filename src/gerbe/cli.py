@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .exactpoly import char_poly, degree_at, real_roots_with_multiplicity, squarefree_decomposition
-from .graph import automorphism_order, epsilon_matrix, parse_graph
+from .graph import automorphism_order, parse_graph
 from .quadspace import Representation, build_S, rank
 from .sheaf import (
     LinePartition,
@@ -214,12 +214,11 @@ def _print_partition(p: LinePartition, out):
         print(line, file=out)
 
 
-def _chi_section(g):
-    eps = epsilon_matrix(g)
+def _chi_section(eps):
     chi = char_poly(eps)
     factors = squarefree_decomposition(chi)
     roots = real_roots_with_multiplicity(eps, factors)
-    return eps, chi, factors, roots
+    return chi, factors, roots
 
 
 def _factored_text(chi, factors):
@@ -237,11 +236,11 @@ def _factored_text(chi, factors):
 
 
 def cmd_poly(args) -> int:
-    g = _read_graph(args.file)
-    _, chi, factors, roots = _chi_section(g)
+    eps = _read_graph(args.file)
+    chi, factors, roots = _chi_section(eps)
     if args.json:
         payload = {
-            "n": g.n,
+            "n": eps.n,
             "coefficients": [str(c) for c in chi.coeffs],
             "text": chi.pretty(),
             "factored": _factored_text(chi, factors),
@@ -249,7 +248,7 @@ def cmd_poly(args) -> int:
                 {"coefficients": [str(c) for c in f.coeffs], "exponent": e}
                 for f, e in factors
             ],
-            "roots": [_root_json(r, g.n) for r in roots],
+            "roots": [_root_json(r, eps.n) for r in roots],
         }
         _print_json(payload)
     else:
@@ -257,19 +256,18 @@ def cmd_poly(args) -> int:
         print(f"factored: {_factored_text(chi, factors)}")
         for r in roots:
             val = f"{r.exact}" if r.exact is not None else f"{r.value:.12g}"
-            print(f"root {val}  multiplicity {r.multiplicity}  degree {g.n - r.multiplicity}")
+            print(f"root {val}  multiplicity {r.multiplicity}  degree {eps.n - r.multiplicity}")
     return EXIT_OK
 
 
-def _pick_c(args, g, omega=1):
+def _pick_c(args, eps, omega=1):
     """The parameter c and the degree of the representation at (omega, c)."""
     if args.root_index is None:
         c = parse_rational(args.c, args.approx)
-        return c, degree_at(epsilon_matrix(g), omega, c)
+        return c, degree_at(eps, omega, c)
     if omega == 0:
         raise ValueError("--root-index needs a nonzero --omega: at omega = 0 every c "
                          "gives the same space")
-    eps = epsilon_matrix(g)
     factors = squarefree_decomposition(char_poly(eps))
     count = sum(f.degree for f, _ in factors)  # every root of chi is real
     if not 0 <= args.root_index < count:
@@ -278,14 +276,14 @@ def _pick_c(args, g, omega=1):
     # det S(omega, c) = omega^n chi(c / omega): the k-th root x_k gives c = omega x_k
     c = omega * (rec.exact if rec.exact is not None else rec.value)
     _check_float_range(f"omega times root {args.root_index}", float(c), True)
-    return c, g.n - rec.multiplicity
+    return c, eps.n - rec.multiplicity
 
 
 def cmd_represent(args) -> int:
-    g = _read_graph(args.file)
+    eps = _read_graph(args.file)
     omega = parse_rational(args.omega, args.approx)
-    c, degree = _pick_c(args, g, omega)
-    u = Representation.build(g, float(omega), float(c), degree)
+    c, degree = _pick_c(args, eps, omega)
+    u = Representation.build(eps, float(omega), float(c), degree)
     if args.csv or not args.json:
         text = "".join(_csv_text(u.vectors))
     if args.csv:
@@ -307,20 +305,20 @@ def cmd_represent(args) -> int:
     return EXIT_OK
 
 
-def _lines(g, c, degree):
+def _lines(eps, c, degree):
     """The representation at (1, c) and its partition into lines."""
-    u = Representation.build(g, 1.0, float(c), degree)
+    u = Representation.build(eps, 1.0, float(c), degree)
     return u, line_classes(u)
 
 
 def cmd_classes(args) -> int:
-    g = _read_graph(args.file)
-    c, degree = _pick_c(args, g)
+    eps = _read_graph(args.file)
+    c, degree = _pick_c(args, eps)
     if float(c) == 0.0:
         raise ValueError("c must be nonzero")
-    u, p = _lines(g, c, degree)
+    u, p = _lines(eps, c, degree)
     # the linking rules hold where line_classes took the sign-matrix partition
-    report = check_class_linking(g, p, int(u.c)) if abs(u.c) == 1.0 else None
+    report = check_class_linking(eps, p, int(u.c)) if abs(u.c) == 1.0 else None
     if args.json:
         payload = {"c": float(c), "partition": _partition_json(p)}
         if report is not None:
@@ -333,7 +331,7 @@ def cmd_classes(args) -> int:
             }
         _print_json(payload)
     else:
-        print(f"{p.m} distinct line(s) among {g.n} vertices at c={float(c):.12g}")
+        print(f"{p.m} distinct line(s) among {eps.n} vertices at c={float(c):.12g}")
         _print_partition(p, sys.stdout)
         if report is not None:
             print("linking rules:")
@@ -349,22 +347,22 @@ def cmd_classes(args) -> int:
     return EXIT_OK
 
 
-def _group_on_lines(g, c, degree):
+def _group_on_lines(eps, c, degree):
     """Build the sheaf group, passing to the restricted graph when
-    lines coincide, and return (restricted graph, its vectors, group)."""
-    u, p = _lines(g, c, degree)
-    gy, v = (g, u) if p.is_all_singletons() else restrict_to_Y(g, u, p)
-    return gy, v, enumerate_group(epsilon_matrix(gy))
+    lines coincide, and return (the vectors of one vertex per line, group)."""
+    u, p = _lines(eps, c, degree)
+    v = u if p.is_all_singletons() else restrict_to_Y(u, p)
+    return v, enumerate_group(v.graph)
 
 
 def cmd_group(args) -> int:
     if args.csv and not args.realize:
         raise ValueError("--csv writes the realized matrices; it needs --realize")
-    g = _read_graph(args.file)
-    c, degree = _pick_c(args, g)
+    eps = _read_graph(args.file)
+    c, degree = _pick_c(args, eps)
     if float(c) == 0.0:
         raise ValueError("c must be nonzero")
-    gy, v, grp = _group_on_lines(g, c, degree)
+    v, grp = _group_on_lines(eps, c, degree)
     if args.realize and grp.order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
             f"|G| = {grp.order} exceeds the --realize listing bound "
@@ -373,9 +371,9 @@ def cmd_group(args) -> int:
     orbit_info = orbits_on_lines(grp)
     payload = {
         "c": float(c),
-        "n": g.n,
-        "lines": gy.n,
-        "aut_graph_order": automorphism_order(g),
+        "n": eps.n,
+        "lines": v.n,
+        "aut_graph_order": automorphism_order(eps),
         "group_order": grp.order,
         "n_sigma": grp.n_sigma,
         "group_order_mod_center": grp.order // 2,
@@ -443,12 +441,12 @@ def _print_matrices(mats):
 
 
 def cmd_analyze(args) -> int:
-    g = _read_graph(args.file)
-    eps, chi, factors, roots = _chi_section(g)
+    eps = _read_graph(args.file)
+    chi, factors, roots = _chi_section(eps)
     report = {
         "graph": {
-            "n": g.n,
-            "edges": [[i + 1, j + 1] for i, j in g.sorted_edges()],
+            "n": eps.n,
+            "edges": (np.argwhere(np.triu(eps.entries == -1)) + 1).tolist(),
         },
         "epsilon": eps.entries,
         "chi": {
@@ -459,16 +457,16 @@ def cmd_analyze(args) -> int:
         "roots": [],
     }
     for rec in roots:
-        entry = _root_json(rec, g.n)
+        entry = _root_json(rec, eps.n)
         entry["rank"] = entry["degree"]  # the rank law
         if rec.exact is not None and abs(rec.exact) == 1:
             p = partition_from_sign_matrix(eps, int(rec.exact))
-            lr = check_class_linking(g, p, int(rec.exact))
+            lr = check_class_linking(eps, p, int(rec.exact))
             entry["partition"] = _partition_json(p)
             entry["linking_ok"] = lr.ok
         report["roots"].append(entry)
-    report["aut_graph_order"] = automorphism_order(g)
-    if g.n >= 3:
+    report["aut_graph_order"] = automorphism_order(eps)
+    if eps.n >= 3:
         grp = enumerate_group(eps)
         orbit_info = orbits_on_lines(grp)
         report["group"] = {
@@ -481,7 +479,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         _print_json(report)
     else:
-        print(f"graph on {g.n} vertices, {len(report['graph']['edges'])} edges")
+        print(f"graph on {eps.n} vertices, {len(report['graph']['edges'])} edges")
         print(f"chi(x) = {report['chi']['text']}")
         print(f"factored: {report['chi']['factored']}")
         for entry in report["roots"]:
@@ -501,8 +499,7 @@ def run_demo(corrupt=None):
     rows = []
     ok_all = True
     for fx in fixtures.ALL:
-        g = fx.graph
-        eps = epsilon_matrix(g)
+        eps = fx.graph
         chi = char_poly(eps)
         expected_chi = fx.chi_coeffs
         if corrupt == fx.name:
@@ -519,7 +516,7 @@ def run_demo(corrupt=None):
             roots_ok = roots_ok and rec.multiplicity == mult
             r = rank(build_S(eps, 1.0, float(val)))
             ranks_ok = ranks_ok and r == expected_rank
-        aut_ok = automorphism_order(g) == fx.aut_order
+        aut_ok = automorphism_order(eps) == fx.aut_order
         grp = enumerate_group(eps)
         group_ok = grp.order == fx.group_order
         orbit_info = orbits_on_lines(grp)

@@ -2,7 +2,8 @@
 
 The expected values here are the regression targets for the demo command
 and the acceptance suite: exact characteristic polynomials, root data with
-ranks, and the automorphism/sheaf group orders.
+ranks, and the automorphism/sheaf group orders.  Each graph is held as its
+sign matrix.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph
+from .graph import SignMatrix, epsilon_matrix
 
 
 @dataclass(frozen=True)
 class Fixture:
     name: str
-    graph: Graph
+    graph: SignMatrix
     chi_coeffs: tuple  # ascending, index = degree
     chi_factored: str
     # (root value as Fraction or float, multiplicity, rank of S(1, root))
@@ -26,8 +27,8 @@ class Fixture:
     two_transitive: bool  # action of G on the lines at a generic root
 
 
-def _cycle(n) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+def _cycle(n) -> SignMatrix:
+    return epsilon_matrix(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 SQRT5_INV = 5 ** -0.5  # 0.4472135954999579
@@ -76,7 +77,7 @@ PENTAGON = Fixture(
 
 POINTED_HEXAGON = Fixture(
     name="pointed-hexagon",
-    graph=Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)]),
+    graph=epsilon_matrix(6, [(i, (i + 1) % 5) for i in range(5)]),
     chi_coeffs=(1, 0, -15, 0, 75, 0, -125),
     chi_factored="-(5x^2 - 1)^3",
     roots=(

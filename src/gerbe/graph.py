@@ -1,6 +1,10 @@
-"""Graph data model, sign matrices, and the stabilizer chain of graph
+"""Graphs as their sign matrices, and the stabilizer chain of graph
 isomorphisms that serves both Aut of a graph and the sheaf group.
-Permutations are integer arrays of images, one row per permutation.
+
+A graph on n vertices is held as one ``SignMatrix``: epsilon_ij = -1
+exactly when i and j are linked, +1 elsewhere and on the diagonal, so the
+edges are the -1 entries above the diagonal.  Permutations are integer
+arrays of images, one row per permutation.
 
 Vertices are 0-based everywhere inside the library; the 1-based convention
 of the file format and the CLI is translated at the parse/print boundary.
@@ -9,44 +13,11 @@ of the file format and the CLI is translated at the parse/print boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _backend, _kernels_py, config
 from .errors import BoundExceededError, ParseError
-
-
-@dataclass(frozen=True)
-class Graph:
-    """A finite simple graph on vertices 0..n-1."""
-
-    n: int
-    edges: frozenset  # frozenset of (i, j) tuples with i < j
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
-        for e in self.edges:
-            i, j = e
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-
-    @classmethod
-    def from_edges(cls, n, edges) -> "Graph":
-        """Build from an iterable of (i, j) pairs in either order, 0-based."""
-        normalized = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        return cls(n, normalized)
-
-    def linked(self, i, j) -> bool:
-        if i == j:
-            return False
-        return (min(i, j), max(i, j)) in self.edges
-
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
 
 
 class SignMatrix:
@@ -74,9 +45,6 @@ class SignMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def __getitem__(self, ij):
-        return int(self.entries[ij])
-
     def __repr__(self):
         return f"SignMatrix({self.entries.tolist()})"
 
@@ -93,8 +61,8 @@ class SignMatrix:
         return (a[:, :, None] ^ a[:, None, :] ^ a) @ _kernels_py._row_bits(self.n)
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the text graph format.
+def parse_graph(text: str) -> SignMatrix:
+    """Parse the text graph format into the graph's sign matrix.
 
     Lines starting with '#' are comments.  The first significant line is the
     vertex count n, at most ``config.MAX_VERTICES``; every following
@@ -133,15 +101,19 @@ def parse_graph(text: str) -> Graph:
         if e in edges:
             raise ParseError(f"duplicate edge {i} {j}")
         edges.add(e)
-    return Graph(n, frozenset(edges))
+    return epsilon_matrix(n, edges)
 
 
-def epsilon_matrix(g: Graph) -> SignMatrix:
-    """The graph's sign matrix: -1 exactly at linked pairs, +1 elsewhere."""
-    a = np.ones((g.n, g.n), dtype=np.int64)
-    for i, j in g.edges:
-        a[i, j] = -1
-        a[j, i] = -1
+def epsilon_matrix(n, edges) -> SignMatrix:
+    """The sign matrix of the graph on vertices 0..n-1 with these edges,
+    pairs (i, j) of distinct vertices in either order: -1 exactly at
+    linked pairs, +1 elsewhere.  A vertex outside 0..n-1 is refused, and
+    so is a self-loop (by ``SignMatrix``, as a -1 on the diagonal)."""
+    ij = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    if not ((ij >= 0) & (ij < n)).all():
+        raise ValueError(f"edge vertex out of range for n={n}")
+    a = np.ones((n, n), dtype=np.int64)
+    a[ij[:, 0], ij[:, 1]] = a[ij[:, 1], ij[:, 0]] = -1
     return SignMatrix(a)
 
 
@@ -201,18 +173,19 @@ def chain_products(levels):
     return sigma[np.lexsort(sigma.T[::-1])]
 
 
-def automorphism_order(g: Graph) -> int:
-    """|Aut g|, the product of the basic orbit lengths, without listing."""
-    levels = stabilizer_chain(epsilon_matrix(g).linked_masks())
+def automorphism_order(m: SignMatrix) -> int:
+    """|Aut| of the graph of m, the product of the basic orbit lengths,
+    without listing."""
+    levels = stabilizer_chain(m.linked_masks())
     return math.prod(len(level) for level in levels)
 
 
-def graph_automorphisms(g: Graph) -> np.ndarray:
-    """All permutations preserving the edge set, as the k x n array of
+def graph_automorphisms(m: SignMatrix) -> np.ndarray:
+    """All permutations preserving the graph of m, as the k x n array of
     their images sorted by rows: the products of the stabilizer chain's
-    coset representatives.  Refuses before listing when |Aut g| exceeds
+    coset representatives.  Refuses before listing when |Aut| exceeds
     ``config.MAX_LISTED_ORDER``."""
-    levels = stabilizer_chain(epsilon_matrix(g).linked_masks())
+    levels = stabilizer_chain(m.linked_masks())
     order = math.prod(len(level) for level in levels)
     if order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(

@@ -2,8 +2,9 @@
 
 Gram factorization of a symmetric matrix of given rank into a diagonal ±1
 form (the rank law fixes it exactly; ``rank``, under RANK_TOL, serves where
-no exact rank is known), representations of graphs at parameters
-(omega, c), and the recovery of the isometry between two of them.
+no exact rank is known), representations of graphs, each given by its sign
+matrix, at parameters (omega, c), and the recovery of the isometry between
+two of them.
 
 The eigendecomposition behind factorization and rank is LAPACK's symmetric
 solver (``numpy.linalg.eigh``); reducedness and isometry recovery take
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import config
 from .errors import DeficientSpanError, GramMismatchError
-from .graph import Graph, SignMatrix, epsilon_matrix
+from .graph import SignMatrix
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,13 @@ def _span(sigma, shape) -> int:
 
 
 class Representation:
-    """Vectors u_1..u_n realizing a graph at parameters (omega, c)."""
+    """Vectors u_1..u_n realizing a graph, given as its sign matrix, at
+    parameters (omega, c)."""
 
     __slots__ = ("graph", "omega", "c", "space", "vectors", "gram")
 
-    def __init__(self, graph: Graph, omega, c, space: QuadraticSpace, vectors, gram=None):
+    def __init__(self, graph: SignMatrix, omega, c, space: QuadraticSpace, vectors,
+                 gram=None):
         vectors = np.asarray(vectors, dtype=float)
         if vectors.shape != (graph.n, space.dim):
             raise ValueError(
@@ -120,7 +123,7 @@ class Representation:
         """The Gram matrix must match S(omega, c) to GRAM_TOL relative to
         max(1, max|S|): the error of a factorization grows with the norm.
         A non-finite deviation fails too."""
-        expected = build_S(epsilon_matrix(self.graph), self.omega, self.c)
+        expected = build_S(self.graph, self.omega, self.c)
         deviation = np.abs(self.space.gram(self.vectors) - expected).max(initial=0.0)
         if not deviation <= config.GRAM_TOL * max(1.0, np.abs(expected).max(initial=0.0)):
             raise GramMismatchError(
@@ -129,10 +132,10 @@ class Representation:
             )
 
     @classmethod
-    def build(cls, graph: Graph, omega, c, degree: int) -> "Representation":
+    def build(cls, graph: SignMatrix, omega, c, degree: int) -> "Representation":
         """Construct the reduced representation at (omega, c), whose degree
         (the rank of S(omega, c)) the caller knows, by factorizing S."""
-        s = build_S(epsilon_matrix(graph), omega, c)
+        s = build_S(graph, omega, c)
         space, vectors = gram_factorize(s, degree)
         return cls(graph, omega, c, space, vectors, gram=s)
 

@@ -5,9 +5,10 @@ a reduced system at (omega, c) the partition into lines is exact: vertices
 i and j share a line only if omega = ±epsilon_ij*c, so the lines are all
 distinct unless |omega| = |c|, and then they are read off the sign matrix
 at c/omega.  No float tolerance enters.  This module computes that
-partition, restricts a representation to one vertex per line, and
-verifies the all-or-nothing linking rules that govern the signed blocks
-of the partition.  The partition and the rules are the batched kernels of
+partition, restricts a representation to one vertex per line (its sign
+matrix to the rows and columns of the representatives), and verifies the
+all-or-nothing linking rules that govern the signed blocks of the
+partition.  The partition and the rules are the batched kernels of
 ``_kernels_py`` called on a batch of one graph, the same code the
 exhaustive linking sweep runs.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._kernels_py import _batch_all_or_nothing, _batch_partition, _batch_rules
 from .errors import InvariantError, TrivialRepresentationError
-from .graph import Graph, SignMatrix, epsilon_matrix
+from .graph import SignMatrix
 from .quadspace import Representation
 
 
@@ -80,7 +81,7 @@ def line_classes(u: Representation) -> LinePartition:
         raise ValueError("line classes need a reduced representation")
     if abs(u.c) != abs(u.omega):
         return LinePartition.trivial(u.n)
-    return partition_from_sign_matrix(epsilon_matrix(u.graph), int(u.c / u.omega))
+    return partition_from_sign_matrix(u.graph, int(u.c / u.omega))
 
 
 def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
@@ -97,29 +98,20 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
                          tuple(-1 if s else 1 for s in sbit[0].tolist()))
 
 
-def restrict_to_Y(g: Graph, u: Representation, p: LinePartition):
-    """Restrict to one vertex per line: the graph induced on the class
-    representatives (relabeled 0..m-1) and the corresponding sub-system of
-    vectors, which is again reduced and non-trivial.  ``p`` must be the
-    partition ``line_classes(u)``; any other is refused, and so is a
+def restrict_to_Y(u: Representation, p: LinePartition):
+    """Restrict to one vertex per line: the sub-system of vectors of the
+    class representatives, a representation of the graph they induce
+    (relabeled 0..m-1), which is again reduced and non-trivial.  ``p`` must
+    be the partition ``line_classes(u)``; any other is refused, and so is a
     trivial or non-reduced u, by ``line_classes``."""
-    lines = line_classes(u)
-    if g != u.graph:
-        raise ValueError("graph does not match the representation")
-    if p != lines:
+    if p != line_classes(u):
         raise ValueError("partition is not the line partition of the representation")
     reps = list(p.rep_index)
-    m = p.m
-    edges = set()
-    for a in range(m):
-        for b in range(a + 1, m):
-            if g.linked(reps[a], reps[b]):
-                edges.add((a, b))
-    gy = Graph(m, frozenset(edges))
-    v = Representation(gy, u.omega, u.c, u.space, u.vectors[reps])
+    v = Representation(SignMatrix(u.graph.entries[np.ix_(reps, reps)]), u.omega, u.c,
+                       u.space, u.vectors[reps])
     if not v.is_reduced():
         raise InvariantError("restriction lost rank; input was not reduced")
-    return gy, v
+    return v
 
 
 @dataclass(frozen=True)
@@ -145,7 +137,7 @@ class LinkingReport:
         return self.all_or_nothing_ok and self.cross_class_ok and self.within_class_ok
 
 
-def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
+def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingReport:
     """Verify the block-linking rules for the partition at parameters (1, c).
 
     Rule 1: between any two signed blocks, edges are all-or-nothing.
@@ -156,7 +148,7 @@ def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
     """
     if c not in (1, -1):
         raise ValueError("linking rules apply only at c = ±1")
-    a = (epsilon_matrix(g).entries == -1)[None]
+    a = (m.entries == -1)[None]
     rep = np.array([[p.rep_index[j] for j in p.pi]])
     sbit = np.array([[s == -1 for s in p.sign]])
     aon = bool(_batch_all_or_nothing(a, rep, sbit)[0])

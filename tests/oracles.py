@@ -25,7 +25,7 @@ import numpy as np
 from gerbe.autgroup import OrbitStructure
 from gerbe.errors import BoundExceededError
 from gerbe.exactpoly import IntPolynomial
-from gerbe.graph import Graph, SignMatrix
+from gerbe.graph import SignMatrix
 from gerbe.sheaf import LinePartition, LinkingReport
 
 
@@ -47,8 +47,9 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
     for i in range(n):
         assigned = False
         for j, r in enumerate(reps):
-            s = m[r, i] * c
-            if all(m[r, k] == s * m[i, k] for k in range(n) if k != r and k != i):
+            s = m.entries[r, i] * c
+            if all(m.entries[r, k] == s * m.entries[i, k]
+                   for k in range(n) if k != r and k != i):
                 pi[i] = j
                 sign[i] = s
                 assigned = True
@@ -60,7 +61,7 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
     return LinePartition(len(reps), tuple(reps), tuple(pi), tuple(sign))
 
 
-def _block_link_status(g: Graph, a: list, b: list):
+def _block_link_status(m: SignMatrix, a: list, b: list):
     """'all', 'none' or 'mixed' edge status between two vertex blocks
     (which may be the same block)."""
     statuses = set()
@@ -68,7 +69,7 @@ def _block_link_status(g: Graph, a: list, b: list):
         for y in b:
             if x == y:
                 continue
-            statuses.add(g.linked(x, y))
+            statuses.add(bool(m.entries[x, y] == -1))
     if not statuses:
         return None
     if statuses == {True}:
@@ -78,7 +79,7 @@ def _block_link_status(g: Graph, a: list, b: list):
     return "mixed"
 
 
-def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
+def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingReport:
     """Verify the block-linking rules for the partition at parameters (1, c).
 
     Rule 1: between any two signed blocks, edges are all-or-nothing.
@@ -101,7 +102,7 @@ def check_class_linking(g: Graph, p: LinePartition, c: int) -> LinkingReport:
     for ai in range(len(keys)):
         for bi in range(ai, len(keys)):
             ka, kb = keys[ai], keys[bi]
-            st = _block_link_status(g, blocks[ka], blocks[kb])
+            st = _block_link_status(m, blocks[ka], blocks[kb])
             status[(ka, kb)] = st
             status[(kb, ka)] = st
             if st == "mixed":
@@ -193,7 +194,7 @@ def naive_isomorphisms(src, dst) -> list:
 def sign_compatible(sigma, nu, m: SignMatrix) -> bool:
     """nu_i nu_j m[sigma(i), sigma(j)] = m[i, j] on every pair: the
     membership test of the sheaf group, one pair at a time."""
-    return all(nu[i] * nu[j] * m[sigma[i], sigma[j]] == m[i, j]
+    return all(nu[i] * nu[j] * m.entries[sigma[i], sigma[j]] == m.entries[i, j]
                for i in range(m.n) for j in range(i + 1, m.n))
 
 
@@ -293,22 +294,14 @@ def reconstruct(factors, lead: Fraction) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # round trips of the graph format and the sign matrix
 
-def format_graph(g: Graph) -> str:
+def edges_of(m: SignMatrix) -> list:
+    """Inverse of epsilon_matrix: the sorted pairs i < j with entry -1."""
+    return [(i, j) for i in range(m.n) for j in range(i + 1, m.n) if m.entries[i, j] == -1]
+
+
+def format_graph(m: SignMatrix) -> str:
     """Inverse of parse_graph (1-based output)."""
-    out = [str(g.n)]
-    for i, j in g.sorted_edges():
-        out.append(f"{i + 1} {j + 1}")
-    return "\n".join(out) + "\n"
-
-
-def graph_from_sign_matrix(m: SignMatrix) -> Graph:
-    """Inverse of epsilon_matrix."""
-    edges = set()
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if m[i, j] == -1:
-                edges.add((i, j))
-    return Graph(m.n, frozenset(edges))
+    return "".join([f"{m.n}\n"] + [f"{i + 1} {j + 1}\n" for i, j in edges_of(m)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from gerbe.autgroup import enumerate_group, orbits_on_lines, realize_isometry
 from gerbe.cli import run_demo
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE
-from gerbe.graph import Graph, epsilon_matrix, graph_automorphisms
+from gerbe.graph import epsilon_matrix, graph_automorphisms
 from gerbe.quadspace import Representation, build_S, gram_factorize, rank
 from oracles import naive_group_elements, signed_product
 
@@ -36,13 +36,13 @@ def report(capsys, request):
 def all_graphs(n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for bits in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
+        yield epsilon_matrix(n, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
 
 
 def test_01_exact_char_polynomials(report):
     t0 = time.perf_counter()
     for fx in ALL:
-        chi = char_poly(epsilon_matrix(fx.graph))
+        chi = char_poly(fx.graph)
         assert chi.coeffs == fx.chi_coeffs
         assert chi(0) == 1
     assert time.perf_counter() - t0 < 1.0
@@ -51,7 +51,7 @@ def test_01_exact_char_polynomials(report):
 
 def test_02_rank_law_at_every_root(report):
     for fx in ALL:
-        m = epsilon_matrix(fx.graph)
+        m = fx.graph
         chi = char_poly(m)
         roots = real_roots_with_multiplicity(m, squarefree_decomposition(chi))
         assert len(roots) == len(fx.roots)
@@ -64,7 +64,7 @@ def test_02_rank_law_at_every_root(report):
 def test_03_fixture_group_orders(report):
     for fx, g_order, h_order in ((SQUARE, 48, 8), (POINTED_HEXAGON, 120, 10)):
         t0 = time.perf_counter()
-        grp = enumerate_group(epsilon_matrix(fx.graph))
+        grp = enumerate_group(fx.graph)
         assert grp.order == g_order
         assert len(graph_automorphisms(fx.graph)) == h_order
         assert time.perf_counter() - t0 < 5.0
@@ -72,7 +72,7 @@ def test_03_fixture_group_orders(report):
 
 
 def test_04_pointed_hexagon_two_transitive(report):
-    grp = enumerate_group(epsilon_matrix(POINTED_HEXAGON.graph))
+    grp = enumerate_group(POINTED_HEXAGON.graph)
     info = orbits_on_lines(grp)
     assert info.orbits == ((0, 1, 2, 3, 4, 5),)
     assert info.is_2_transitive
@@ -84,8 +84,7 @@ def test_05_pruned_search_matches_naive_everywhere(report):
     t0 = time.perf_counter()
     count = 0
     for n in (3, 4, 5):
-        for g in all_graphs(n):
-            m = epsilon_matrix(g)
+        for m in all_graphs(n):
             sigma, nu = enumerate_group(m).listing
             want_sigma, want_nu = naive_group_elements(m)
             assert np.array_equal(sigma, want_sigma) and np.array_equal(nu, want_nu)
@@ -100,11 +99,11 @@ def test_06_gram_round_trip(report):
     nprng = np.random.default_rng(2026)
     for _ in range(500):
         n = rng.randint(1, 7)
-        g = Graph.from_edges(
+        g = epsilon_matrix(
             n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
         )
         c = float(nprng.uniform(-2, 2))
-        s = build_S(epsilon_matrix(g), 1.0, c)
+        s = build_S(g, 1.0, c)
         space, vectors = gram_factorize(s, rank(s))
         assert np.abs(space.gram(vectors) - s).max() < 1e-9
     report["ok"] = True
@@ -112,7 +111,7 @@ def test_06_gram_round_trip(report):
 
 def test_07_realized_cube_group(report):
     u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-    grp = enumerate_group(epsilon_matrix(SQUARE.graph))
+    grp = enumerate_group(SQUARE.graph)
     sigma, nu = grp.listing
     mats = realize_isometry(sigma, nu, u)
     assert len(mats) == 48
@@ -140,7 +139,7 @@ def test_08_linking_rules_exhaustive(report):
 
 
 def test_09_pentagon_order_and_demo_table(report):
-    m = epsilon_matrix(PENTAGON.graph)
+    m = PENTAGON.graph
     pruned = enumerate_group(m)
     brute, _ = naive_group_elements(m)
     assert pruned.order == len(brute) == 20

@@ -21,7 +21,6 @@ from gerbe.autgroup import (
 from gerbe.errors import BoundExceededError, GramMismatchError
 from gerbe.fixtures import PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import (
-    Graph,
     SignMatrix,
     automorphism_order,
     chain_products,
@@ -31,6 +30,7 @@ from gerbe.graph import (
 )
 from gerbe.quadspace import Representation, build_S, isometry_between, rank
 from oracles import (
+    format_graph,
     naive_group_elements,
     naive_isomorphisms,
     naive_orbits,
@@ -41,7 +41,7 @@ from oracles import chain_products as tuple_chain_products
 
 
 def random_graph(rng, n):
-    return Graph.from_edges(
+    return epsilon_matrix(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     )
 
@@ -67,7 +67,7 @@ def product_table(grp):
 
 class TestCompose:
     def test_identity_neutral(self):
-        sigma, nu = enumerate_group(epsilon_matrix(SQUARE.graph)).listing
+        sigma, nu = enumerate_group(SQUARE.graph).listing
         ident = identity(4)
         for left, right in ((ident, (sigma, nu)), ((sigma, nu), ident)):
             ps, pn = signed_product(left, right)
@@ -80,14 +80,14 @@ class TestCompose:
     def test_closure_and_inverse(self):
         # every product of two elements is listed, and each row and column
         # of the product table holds the identity exactly once
-        (sigma, nu), table = product_table(enumerate_group(epsilon_matrix(SQUARE.graph)))
+        (sigma, nu), table = product_table(enumerate_group(SQUARE.graph))
         assert table.shape == (48, 48)
         one = rows(sigma, nu).index(rows(*identity(4))[0])
         assert ((table == one).sum(0) == 1).all() and ((table == one).sum(1) == 1).all()
         assert all(sorted(row) == list(range(48)) for row in table.tolist())
 
     def test_associativity_spot_check(self):
-        sigma, nu = enumerate_group(epsilon_matrix(PENTAGON.graph)).listing
+        sigma, nu = enumerate_group(PENTAGON.graph).listing
         picks = np.random.default_rng(5).integers(len(sigma), size=(3, 100))
         a, b, c = ((sigma[k], nu[k]) for k in picks)
         left = signed_product(signed_product(a, b), c)
@@ -99,12 +99,12 @@ class TestExtendSigns:
     # the signs that extend a permutation to an element: forced_signs and
     # their negatives, when they are compatible at all
     def test_identity_permutation(self):
-        m = epsilon_matrix(SQUARE.graph)
+        m = SQUARE.graph
         assert forced_signs(np.arange(4)[None], m).tolist() == [[1, 1, 1, 1]]
 
     def test_diagonal_transposition_on_square(self):
         # (1 3) in 1-based terms: a graph automorphism of the 4-cycle
-        m = epsilon_matrix(SQUARE.graph)
+        m = SQUARE.graph
         [nu] = forced_signs(np.array([[2, 1, 0, 3]]), m).tolist()
         assert nu == [1, 1, 1, 1] and sign_compatible((2, 1, 0, 3), nu, m)
 
@@ -114,8 +114,7 @@ class TestExtendSigns:
         rng = random.Random(7)
         for _ in range(30):
             n = rng.randint(3, 5)
-            g = random_graph(rng, n)
-            m = epsilon_matrix(g)
+            m = random_graph(rng, n)
             perms = list(itertools.permutations(range(n)))
             for images, nu in zip(perms, forced_signs(np.array(perms), m).tolist()):
                 expected = []
@@ -130,23 +129,23 @@ class TestExtendSigns:
 
 class TestEnumerateGroup:
     def test_square_order_48(self):
-        grp = enumerate_group(epsilon_matrix(SQUARE.graph))
+        grp = enumerate_group(SQUARE.graph)
         assert grp.order == 48
         assert grp.n_sigma == 24
         assert grp.order == 2 * grp.n_sigma
 
     def test_pointed_hexagon_order_120(self):
-        grp = enumerate_group(epsilon_matrix(POINTED_HEXAGON.graph))
+        grp = enumerate_group(POINTED_HEXAGON.graph)
         assert grp.order == 120
 
     def test_edgeless_three(self):
-        grp = enumerate_group(epsilon_matrix(Graph(3, frozenset())))
+        grp = enumerate_group(epsilon_matrix(3, []))
         assert grp.order == 12
         _, nu = grp.listing
         assert (nu == nu[:, :1]).all()  # constant sign vectors only
 
     def test_contains_identity_and_center(self):
-        m = epsilon_matrix(PENTAGON.graph)
+        m = PENTAGON.graph
         listed = rows(*enumerate_group(m).listing)
         for sign in (1, -1):
             [el] = rows(*identity(5, sign))
@@ -154,39 +153,38 @@ class TestEnumerateGroup:
 
     def test_graph_automorphisms_embed(self):
         for fx in (TRIANGLE, SQUARE, PENTAGON, POINTED_HEXAGON):
-            listed = set(rows(*enumerate_group(epsilon_matrix(fx.graph)).listing))
+            listed = set(rows(*enumerate_group(fx.graph).listing))
             auts = graph_automorphisms(fx.graph)
             assert set(rows(auts, np.ones_like(auts))) <= listed
 
     def test_naive_matches_pruned(self):
         rng = random.Random(11)
         for _ in range(25):
-            g = random_graph(rng, rng.randint(3, 5))
-            m = epsilon_matrix(g)
+            m = random_graph(rng, rng.randint(3, 5))
             assert rows(*enumerate_group(m).listing) == rows(*naive_group_elements(m))
 
     def test_all_elements_valid(self):
-        m = epsilon_matrix(PENTAGON.graph)
+        m = PENTAGON.graph
         assert all(sign_compatible(sigma, nu, m) for sigma, nu in rows(*enumerate_group(m).listing))
 
     def test_bound(self):
         # the brute-force oracle stops at n = 8; the chain goes on
-        m = epsilon_matrix(Graph(9, frozenset()))
+        m = epsilon_matrix(9, [])
         with pytest.raises(BoundExceededError, match="brute-force bound 8"):
             naive_group_elements(m)
         assert enumerate_group(m).order == 2 * math.factorial(9)
 
     def test_tiny_n(self):
         # one vertex: just the two global signs; two vertices: signs must agree
-        assert enumerate_group(epsilon_matrix(Graph(1, frozenset()))).order == 2
-        assert enumerate_group(epsilon_matrix(Graph(2, frozenset()))).order == 4
+        assert enumerate_group(epsilon_matrix(1, [])).order == 2
+        assert enumerate_group(epsilon_matrix(2, [])).order == 4
 
 
 class TestRealize:
     @pytest.fixture()
     def cube(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        grp = enumerate_group(epsilon_matrix(SQUARE.graph))
+        grp = enumerate_group(SQUARE.graph)
         return u, grp
 
     def test_identity_and_center(self, cube):
@@ -223,8 +221,8 @@ class TestRealize:
 def petersen():
     """Kneser graph K(5,2): 2-subsets of a 5-set, linked when disjoint."""
     verts = list(itertools.combinations(range(5), 2))
-    return Graph.from_edges(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
-                                 if not set(verts[a]) & set(verts[b])])
+    return epsilon_matrix(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
+                               if not set(verts[a]) & set(verts[b])])
 
 
 REALIZED = [
@@ -237,8 +235,8 @@ REALIZED = [
 
 def group_and_representation(g, c):
     # c is a float near a root, so its degree is the numeric rank of S(1, c)
-    degree = rank(build_S(epsilon_matrix(g), 1.0, c))
-    return enumerate_group(epsilon_matrix(g)), Representation.build(g, 1.0, c, degree)
+    degree = rank(build_S(g, 1.0, c))
+    return enumerate_group(g), Representation.build(g, 1.0, c, degree)
 
 
 class TestRealizeBatched:
@@ -302,7 +300,7 @@ class TestRealizeBatched:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         p = tmp_path / "petersen.txt"
-        p.write_text("10\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in petersen().sorted_edges()))
+        p.write_text(format_graph(petersen()))
         assert cli.main(["group", str(p), "--c=1/3", "--realize", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["isometries"]) == 1440
         assert 1 <= len(calls) <= math.ceil(1440 / REALIZE_CHUNK)
@@ -310,26 +308,26 @@ class TestRealizeBatched:
 
 class TestOrbits:
     def test_pointed_hexagon_two_transitive(self):
-        grp = enumerate_group(epsilon_matrix(POINTED_HEXAGON.graph))
+        grp = enumerate_group(POINTED_HEXAGON.graph)
         info = orbits_on_lines(grp)
         assert info.is_transitive
         assert info.is_2_transitive
         assert info.orbits == ((0, 1, 2, 3, 4, 5),)
 
     def test_square_transitive(self):
-        grp = enumerate_group(epsilon_matrix(SQUARE.graph))
+        grp = enumerate_group(SQUARE.graph)
         info = orbits_on_lines(grp)
         assert info.is_transitive
         assert info.is_2_transitive
 
     def test_pentagon_not_two_transitive(self):
-        grp = enumerate_group(epsilon_matrix(PENTAGON.graph))
+        grp = enumerate_group(PENTAGON.graph)
         info = orbits_on_lines(grp)
         assert info.is_transitive
         assert not info.is_2_transitive
 
     def test_center_only_group_not_transitive(self):
-        m = epsilon_matrix(PENTAGON.graph)
+        m = PENTAGON.graph
         # a chain whose every level holds only the identity: the group {±id}
         tiny = SheafGroup(m, [[tuple(range(5))]] * 5)
         assert rows(*tiny.listing) == rows(*identity(5, -1)) + rows(*identity(5))
@@ -339,8 +337,8 @@ class TestOrbits:
 
     def test_disconnected_two_orbits(self):
         # two disjoint edges: lines cannot mix between non-isomorphic pieces
-        g = Graph.from_edges(5, [(0, 1), (2, 3)])
-        grp = enumerate_group(epsilon_matrix(g))
+        g = epsilon_matrix(5, [(0, 1), (2, 3)])
+        grp = enumerate_group(g)
         info = orbits_on_lines(grp)
         assert not info.is_2_transitive
 
@@ -349,7 +347,7 @@ class TestGroupLawMatchesIsometries:
     def test_product_against_isometry_oracle(self):
         # realize(a) . realize(b) must equal realize(a * b) on the 4-cycle
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        sigma, nu = enumerate_group(epsilon_matrix(SQUARE.graph)).listing
+        sigma, nu = enumerate_group(SQUARE.graph).listing
         picks = np.random.default_rng(17).integers(len(sigma), size=(2, 30))
         a, b = ((sigma[k], nu[k]) for k in picks)
         fa = realize_isometry(*a, u)
@@ -359,7 +357,7 @@ class TestGroupLawMatchesIsometries:
 
     def test_faithful_when_lines_distinct(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        grp = enumerate_group(epsilon_matrix(SQUARE.graph))
+        grp = enumerate_group(SQUARE.graph)
         seen = []
         for f in realize_isometry(*grp.listing, u):
             for other in seen:
@@ -369,14 +367,14 @@ class TestGroupLawMatchesIsometries:
 
 def clebsch():
     """Folded 5-cube: 4-bit words linked at Hamming distance 1 or 4."""
-    return Graph.from_edges(16, [(a, b) for a, b in itertools.combinations(range(16), 2)
-                                 if bin(a ^ b).count("1") in (1, 4)])
+    return epsilon_matrix(16, [(a, b) for a, b in itertools.combinations(range(16), 2)
+                               if bin(a ^ b).count("1") in (1, 4)])
 
 
 def triangular(k):
     """T(k): the 2-subsets of a k-set, linked when they meet."""
     verts = list(itertools.combinations(range(k), 2))
-    return Graph.from_edges(len(verts), [
+    return epsilon_matrix(len(verts), [
         (a, b) for a, b in itertools.combinations(range(len(verts)), 2)
         if set(verts[a]) & set(verts[b])
     ])
@@ -386,23 +384,22 @@ class TestStabilizerChain:
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_matches_naive_enumeration(self, n, seed):
-        g = random_graph(random.Random(seed), n)
-        m = epsilon_matrix(g)
+        m = random_graph(random.Random(seed), n)
         chain, (sigma, nu) = enumerate_group(m), naive_group_elements(m)
         assert rows(*chain.listing) == rows(sigma, nu)
         assert chain.n_sigma == len(np.unique(sigma, axis=0))
         assert orbits_on_lines(chain) == naive_orbits(sigma, n)
+        e = m.entries
         auts = [s for s in itertools.permutations(range(n))
-                if all(g.linked(s[i], s[j]) == g.linked(i, j)
-                       for i, j in itertools.combinations(range(n), 2))]
-        assert automorphism_order(g) == len(auts)
-        assert list(map(tuple, graph_automorphisms(g).tolist())) == auts
+                if all(e[s[i], s[j]] == e[i, j] for i, j in itertools.combinations(range(n), 2))]
+        assert automorphism_order(m) == len(auts)
+        assert list(map(tuple, graph_automorphisms(m).tolist())) == auts
 
     @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_switching_and_relabelling_invariance(self, n, seed):
         rng = random.Random(seed)
-        m = epsilon_matrix(random_graph(rng, n))
+        m = random_graph(rng, n)
         d = np.array([rng.choice((-1, 1)) for _ in range(n)])
         images = list(range(n))
         rng.shuffle(images)
@@ -415,7 +412,7 @@ class TestStabilizerChain:
 
     @pytest.mark.parametrize("g, order", [(clebsch(), 23040), (triangular(8), 2903040)])
     def test_lemmens_seidel_systems(self, g, order):
-        grp = enumerate_group(epsilon_matrix(g))
+        grp = enumerate_group(g)
         assert grp.order == order
         assert grp.n_sigma == order // 2
         info = orbits_on_lines(grp)
@@ -429,13 +426,13 @@ class TestStabilizerChain:
         rng = random.Random(23)
         for _ in range(24):
             n = rng.randint(1, 6)
-            src = epsilon_matrix(random_graph(rng, n)).linked_masks()
+            src = random_graph(rng, n).linked_masks()
             images = list(range(n))
             rng.shuffle(images)
             copy = [0] * n
             for i in range(n):
                 copy[images[i]] = sum(1 << images[j] for j in range(n) if src[i] >> j & 1)
-            other = epsilon_matrix(random_graph(rng, n)).linked_masks()
+            other = random_graph(rng, n).linked_masks()
             prefixes = ([()] + list(itertools.permutations(range(n), min(n, 2)))
                         + [tuple(range(k)) + (b,) for k in range(n) for b in range(k, n)])
             for dst in (copy, other, None):
@@ -448,7 +445,7 @@ class TestStabilizerChain:
                     assert len(one) == min(1, len(want)) and set(one) <= set(want)
 
     def test_membership_and_listing(self):
-        grp = enumerate_group(epsilon_matrix(triangular(4)))
+        grp = enumerate_group(triangular(4))
         listed = rows(*grp.listing)
         assert len(listed) == grp.order == len(set(listed))
         assert all(sign_compatible(sigma, nu, grp.ambient) for sigma, nu in listed)
@@ -484,7 +481,7 @@ def latin_square_graph(m):
     """The Latin-square graph of Z_m: the cells (i, j) of its Cayley table,
     linked when they share a row, a column or the symbol i + j."""
     cells = list(itertools.product(range(m), repeat=2))
-    return Graph.from_edges(m * m, [
+    return epsilon_matrix(m * m, [
         (a, b) for a, b in itertools.combinations(range(m * m), 2)
         if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
         or (sum(cells[a]) - sum(cells[b])) % m == 0])
@@ -496,20 +493,18 @@ def relabelled_switched_petersen():
     rng.shuffle(images)
     d = np.array([rng.choice((-1, 1)) for _ in range(10)])
     inv = np.argsort(images)  # m[images[i], images[j]] = the switched matrix at (i, j)
-    m = SignMatrix((epsilon_matrix(petersen()).entries * np.outer(d, d))[np.ix_(inv, inv)])
-    return Graph.from_edges(10, np.argwhere(np.triu(m.entries) == -1).tolist())
+    return SignMatrix((petersen().entries * np.outer(d, d))[np.ix_(inv, inv)])
 
 
 LISTED = [fx.graph for fx in fixtures.ALL] + [
-    petersen(), relabelled_switched_petersen(), Graph(6, frozenset())]
+    petersen(), relabelled_switched_petersen(), epsilon_matrix(6, [])]
 
 
 class TestListing:
     @pytest.mark.parametrize("g", LISTED)
     @pytest.mark.parametrize("sheaf", [True, False])  # the chain of G, that of Aut g
     def test_array_products_match_tuple_products(self, g, sheaf):
-        m = epsilon_matrix(g)
-        levels = enumerate_group(m).levels if sheaf else stabilizer_chain(m.linked_masks())
+        levels = enumerate_group(g).levels if sheaf else stabilizer_chain(g.linked_masks())
         sigma = chain_products(levels)
         expected = tuple_chain_products(levels)
         assert len(sigma) == len(expected) == math.prod(map(len, levels))
@@ -518,16 +513,16 @@ class TestListing:
     @pytest.mark.parametrize("g", LISTED)
     def test_elements_and_automorphisms_sorted_as_before(self, g):
         # each sigma with nu_j = e_0j e_sigma(0)sigma(j) and its negative
-        m = epsilon_matrix(g)
-        grp = enumerate_group(m)
-        forced = [(sigma, tuple(m[0, j] * m[sigma[0], sigma[j]] for j in range(g.n)))
+        e = g.entries
+        grp = enumerate_group(g)
+        forced = [(sigma, tuple(e[0, j] * e[sigma[0], sigma[j]] for j in range(g.n)))
                   for sigma in tuple_chain_products(grp.levels)]
         signed = sorted((sigma, sign) for sigma, nu in forced
                         for sign in (nu, tuple(-v for v in nu)))
-        assert all(sign_compatible(sigma, nu, m) for sigma, nu in forced)
+        assert all(sign_compatible(sigma, nu, g) for sigma, nu in forced)
         assert rows(*grp.listing) == signed
         assert list(map(tuple, graph_automorphisms(g).tolist())) == sorted(
-            tuple_chain_products(stabilizer_chain(m.linked_masks())))
+            tuple_chain_products(stabilizer_chain(g.linked_masks())))
 
 
 def assert_sign_pairs(sigma, nu):
@@ -544,7 +539,7 @@ class TestSignPairs:
     @settings(max_examples=60, deadline=None)
     def test_listing_pairs_on_switched_and_relabelled_copies(self, n, seed):
         rng = random.Random(seed)
-        m = epsilon_matrix(random_graph(rng, n))
+        m = random_graph(rng, n)
         d = np.array([rng.choice((-1, 1)) for _ in range(n)])
         images = list(range(n))
         rng.shuffle(images)
@@ -555,21 +550,21 @@ class TestSignPairs:
     @pytest.mark.parametrize("g", [petersen(), relabelled_switched_petersen(),
                                    POINTED_HEXAGON.graph], ids=["petersen", "switched", "hexagon"])
     def test_listing_pairs_on_known_groups(self, g):
-        assert_sign_pairs(*enumerate_group(epsilon_matrix(g)).listing)
+        assert_sign_pairs(*enumerate_group(g).listing)
 
     # Petersen and its switched copy, the pointed hexagon at the irrational
     # root 0 of chi, the square at signature (3, 1), and one edge on four
     # vertices at c = -1, whose three lines give a sum that cancels to +0.0
     PAIRED = [(petersen(), 1 / 3), (relabelled_switched_petersen(), -1 / 3),
               (POINTED_HEXAGON.graph, -1 / 5 ** 0.5), (SQUARE.graph, -1 / 2),
-              (Graph.from_edges(4, [(0, 2)]), -1.0)]
+              (epsilon_matrix(4, [(0, 2)]), -1.0)]
 
     @pytest.mark.parametrize("g, c", PAIRED,
                              ids=["petersen", "switched", "hexagon", "square", "one-edge"])
     def test_half_realization_is_the_full_one_bitwise(self, g, c):
         # the CLI realizes the nu_0 = +1 rows and takes 0 - M for their
         # partners: the same bytes as realizing every row
-        _, v, grp = cli._group_on_lines(g, c, rank(build_S(epsilon_matrix(g), 1.0, c)))
+        v, grp = cli._group_on_lines(g, c, rank(build_S(g, 1.0, c)))
         full = realize_isometry(*grp.listing, v)
         assert full.tobytes() == cli._realize_listing(grp, v).tobytes()
         if c == -1.0:  # -M would write -0.0 at these zeros of the full realization

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import gerbe
-from gerbe import cli, config, exactpoly, fixtures, quadspace
+from gerbe import cli, config, exactpoly, fixtures, graph, quadspace
 from gerbe.autgroup import SheafGroup, enumerate_group, forced_signs
 from gerbe.errors import InvariantError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import SQUARE
-from gerbe.graph import Graph, epsilon_matrix
+from gerbe.graph import epsilon_matrix
 from oracles import csv_text, format_graph, json_text, matrices_text, sign_compatible
 from test_autgroup import clebsch, latin_square_graph, petersen, triangular
 
@@ -161,8 +161,8 @@ class TestRepresent:
 def random_graph(seed):
     rng = random.Random(seed)
     n = rng.randint(4, 18)
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                                if rng.random() < 0.5])
+    return epsilon_matrix(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < 0.5])
 
 
 class TestRootIndex:
@@ -227,11 +227,10 @@ class TestRootIndex:
             cases = [random_graph(seed) for seed in range(40)]
         else:
             cases = [fx.graph for fx in fixtures.ALL] + [petersen(), clebsch(), triangular(8)]
-        for i, g in enumerate(cases):
+        for i, eps in enumerate(cases):
             path = tmp_path / f"g{i}.txt"
-            path.write_text(format_graph(g))
+            path.write_text(format_graph(eps))
             printed = json.loads(run(["poly", str(path), "--json"], capsys)[1])["roots"]
-            eps = epsilon_matrix(g)
             records = real_roots_with_multiplicity(eps, squarefree_decomposition(char_poly(eps)))
             for k, (root, rec) in enumerate(zip(printed, records)):
                 code, out, _ = run(["represent", str(path), "--root-index", str(k), "--json"],
@@ -421,9 +420,9 @@ class TestGroup:
     def test_realize_failure_exits_one(self, square_file, capsys, monkeypatch):
         # an element of the group's own listing that is not an isometry is a
         # defect in gerbe, not bad input
-        sigma, nu = enumerate_group(epsilon_matrix(SQUARE.graph)).listing
+        sigma, nu = enumerate_group(SQUARE.graph).listing
         bad = (1, 0, 2, 3), (1, 1, 1, 1)
-        assert not sign_compatible(*bad, epsilon_matrix(SQUARE.graph))
+        assert not sign_compatible(*bad, SQUARE.graph)
         listing = (np.vstack([sigma, bad[0]]), np.vstack([nu, bad[1]]))
         monkeypatch.setattr(SheafGroup, "listing", property(lambda self: listing))
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
@@ -435,9 +434,9 @@ class TestGroup:
     def test_realize_non_isometry_pair_exits_one(self, square_file, capsys, monkeypatch):
         # a non-isometry appended as a pair (sigma, -nu), (sigma, nu) passes
         # the pair check, and its realization fails the Gram check
-        sigma, nu = enumerate_group(epsilon_matrix(SQUARE.graph)).listing
+        sigma, nu = enumerate_group(SQUARE.graph).listing
         bad = np.array([1, 0, 2, 3]), np.array([1, 1, 1, 1])
-        assert not sign_compatible(*bad, epsilon_matrix(SQUARE.graph))
+        assert not sign_compatible(*bad, SQUARE.graph)
         listing = np.vstack([sigma, bad[0], bad[0]]), np.vstack([nu, -bad[1], bad[1]])
         monkeypatch.setattr(SheafGroup, "listing", property(lambda self: listing))
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
@@ -585,6 +584,15 @@ class TestAnalyze:
         assert unit_root["linking_ok"] is True
         assert unit_root["partition"]["m"] == 1
 
+    def test_edges_read_off_the_sign_matrix(self, square_file, tmp_path, capsys):
+        # the edge list comes from the sign matrix, sorted and 1-based,
+        # whatever the order and orientation of the file's lines
+        p = tmp_path / "shuffled.txt"
+        p.write_text("4\n4 1\n3 2\n2 1\n4 3\n")
+        edges = [json.loads(run(["analyze", path, "--json"], capsys)[1])["graph"]["edges"]
+                 for path in (square_file, str(p))]
+        assert edges == [[[1, 2], [1, 4], [2, 3], [3, 4]]] * 2
+
     @pytest.mark.parametrize("q", [13, 17, 37])
     def test_paley_two_graph(self, q, tmp_path, capsys):
         # Paley(q) plus an isolated point: q + 1 equiangular lines in
@@ -612,15 +620,14 @@ class TestAnalyze:
         # the Latin-square graph of Z_m: |G| = 2 |Aut| = 12 m^2 phi(m) on
         # these rungs (observed; brute force cannot reach n = 25 or 49).  The
         # chain of G on Z_7 takes about 300 backtracking nodes
-        g = latin_square_graph(m)
+        eps = latin_square_graph(m)
         p = tmp_path / "latin.txt"
-        p.write_text(format_graph(g))
+        p.write_text(format_graph(eps))
         code, out, _ = run(["analyze", str(p), "--json"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["group"]["order"] == order
         assert payload["aut_graph_order"] == order // 2
-        eps = epsilon_matrix(g)
         reps = np.array([u for level in enumerate_group(eps).levels for u in level])
         assert all(sign_compatible(*el, eps) for el in zip(reps, forced_signs(reps, eps)))
 
@@ -685,10 +692,10 @@ class TestInputErrors:
 
     def test_vertex_bound_exits_three(self, tmp_path, capsys, monkeypatch):
         # refused at parse time: nothing of size n or n^2 is built
-        def refuse(g):
+        def refuse(n, edges):
             raise AssertionError("epsilon_matrix reached")
 
-        monkeypatch.setattr(cli, "epsilon_matrix", refuse)
+        monkeypatch.setattr(graph, "epsilon_matrix", refuse)
         p = tmp_path / "huge.txt"
         p.write_text("1000000000\n")
         code, _, err = run(["poly", str(p)], capsys)

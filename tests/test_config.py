@@ -1,5 +1,6 @@
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import gerbe
@@ -27,6 +28,24 @@ def test_every_constant_has_a_reader():
     assert unread == []
 
 
+def library_block():
+    """The code of the README's "Library" section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [library] = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    return library
+
+
+def test_library_example_runs():
+    # the README's library example does what its comments say
+    names = {}
+    exec(library_block(), names)
+    assert [r.exact for r in names["roots"]] == [Fraction(-1, 3), Fraction(1)]
+    assert names["dim"] == 3 and names["u"].degree == 3
+    assert names["grp"].order == 48
+    assert gerbe.orbits_on_lines(names["grp"]).is_2_transitive
+    assert names["sigma"].shape == names["nu"].shape == (48, 4)
+
+
 def test_every_definition_has_a_reader():
     # a top-level function or class is read by the package, by the README's
     # library example, or by the benchmark (perfbench/*.py, as text: its
@@ -36,10 +55,8 @@ def test_every_definition_has_a_reader():
     # the CLI's subcommands are reached only from its own parser.
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    [library] = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
     read = set()
-    for module, tree in [*trees.items(), ("README", ast.parse(library))]:
+    for module, tree in [*trees.items(), ("README", ast.parse(library_block()))]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)

@@ -19,8 +19,8 @@ from gerbe.exactpoly import (
     squarefree_decomposition,
 )
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
-from gerbe.graph import Graph, SignMatrix, epsilon_matrix
-from oracles import bareiss_determinant, reconstruct
+from gerbe.graph import SignMatrix, epsilon_matrix
+from oracles import bareiss_determinant, edges_of, reconstruct
 
 
 def P(*coeffs):
@@ -29,17 +29,16 @@ def P(*coeffs):
 
 
 def random_sign_matrix(rng, n):
-    g = Graph.from_edges(
+    return epsilon_matrix(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     )
-    return epsilon_matrix(g)
 
 
 def scaled_det(m, a, b):
     """det(b I + a (eps - I)) = b^n chi(a/b), by fraction-free elimination."""
     n = m.n
     return bareiss_determinant(
-        [[b if i == j else m[i, j] * a for j in range(n)] for i in range(n)]
+        [[b if i == j else m.entries[i, j] * a for j in range(n)] for i in range(n)]
     )
 
 
@@ -109,7 +108,7 @@ def _permanent_style_det(m):
 class TestCharPoly:
     @pytest.mark.parametrize("fx", ALL, ids=lambda f: f.name)
     def test_fixture_polynomials(self, fx):
-        assert char_poly(epsilon_matrix(fx.graph)).coeffs == fx.chi_coeffs
+        assert char_poly(fx.graph).coeffs == fx.chi_coeffs
 
     def test_chi_at_zero_is_one(self):
         rng = random.Random(3)
@@ -205,13 +204,13 @@ class TestSquarefree:
 
 def paley(q):
     squares = {x * x % q for x in range(1, q)}
-    return Graph.from_edges(q, [(i, j) for i in range(q) for j in range(i + 1, q)
-                                if (j - i) % q in squares])
+    return epsilon_matrix(q, [(i, j) for i in range(q) for j in range(i + 1, q)
+                              if (j - i) % q in squares])
 
 
 def triangular(k):
     verts = list(itertools.combinations(range(k), 2))
-    return Graph.from_edges(len(verts), [
+    return epsilon_matrix(len(verts), [
         (a, b) for a, b in itertools.combinations(range(len(verts)), 2)
         if set(verts[a]) & set(verts[b])])
 
@@ -249,10 +248,10 @@ class TestIntegerArithmetic:
     def test_random_chi_factors(self, n, seed):
         assert_squarefree_factors(char_poly(random_sign_matrix(random.Random(seed), n)))
 
-    @pytest.mark.parametrize("g", [Graph.from_edges(8, []), triangular(8), paley(13)],
+    @pytest.mark.parametrize("g", [epsilon_matrix(8, []), triangular(8), paley(13)],
                              ids=["edgeless-8", "T8", "paley-13"])
     def test_known_chi_factors(self, g):
-        assert_squarefree_factors(char_poly(epsilon_matrix(g)))
+        assert_squarefree_factors(char_poly(g))
 
     def test_yun_on_squarefree_chi(self):
         rng = random.Random(17)
@@ -329,7 +328,7 @@ def is_prime(q):
 def paley_point(q):
     """Paley(q) plus an isolated vertex: for q = 1 mod 4 its Seidel matrix
     is a conference matrix, whose minors meet Hadamard's bound."""
-    return Graph.from_edges(q + 1, paley(q).edges)
+    return epsilon_matrix(q + 1, edges_of(paley(q)))
 
 
 # 150 graphs: every n = 3..32 four or five times, then the largest n that
@@ -345,8 +344,8 @@ class TestMultimodularChi:
             assert char_poly(m) == faddeev_leverrier(m), n
 
     @pytest.mark.parametrize("g, chi", [
-        (Graph.from_edges(64, []), reconstruct([(P(1, -1), 63), (P(1, 63), 1)], 1)),
-        (Graph.from_edges(66, []), reconstruct([(P(1, -1), 65), (P(1, 65), 1)], 1)),
+        (epsilon_matrix(64, []), reconstruct([(P(1, -1), 63), (P(1, 63), 1)], 1)),
+        (epsilon_matrix(66, []), reconstruct([(P(1, -1), 65), (P(1, 65), 1)], 1)),
         (triangular(8), reconstruct([(P(1, 3), 21), (P(1, -9), 7)], 1)),
         *((paley_point(q), reconstruct([(P(1, 0, -q), (q + 1) // 2)], 1)) for q in (5, 13, 37, 61)),
     ], ids=["edgeless-64", "edgeless-66", "T8", "paley-5+pt", "paley-13+pt",
@@ -354,7 +353,7 @@ class TestMultimodularChi:
     def test_closed_forms(self, g, chi):
         # edgeless: eps - I = J - I; T(8): Seidel spectrum 3^21, -9^7;
         # Paley(q) + point: S^2 = q I, so chi = (1 - q x^2)^((q + 1)/2)
-        assert char_poly(epsilon_matrix(g)) == chi
+        assert char_poly(g) == chi
 
     def test_prime_table_covers_the_vertex_bound(self):
         assert [q for q in range(200) if is_prime(q)] == [
@@ -371,7 +370,7 @@ class TestMultimodularChi:
 
     def test_beyond_the_prime_table_is_refused(self):
         with pytest.raises(BoundExceededError):
-            char_poly(epsilon_matrix(Graph.from_edges(67, [])))
+            char_poly(epsilon_matrix(67, []))
 
     @pytest.mark.parametrize("column", [0, -1], ids=["crt-prime", "check-prime"])
     def test_corrupted_residue_is_caught(self, column, monkeypatch):
@@ -384,7 +383,7 @@ class TestMultimodularChi:
 
         monkeypatch.setattr(exactpoly, "_chi_residues", corrupted)
         with pytest.raises(InvariantError):
-            char_poly(epsilon_matrix(SQUARE.graph))
+            char_poly(SQUARE.graph)
 
 
 def roots_of(m):
@@ -392,26 +391,26 @@ def roots_of(m):
 
 
 # one edge on five vertices: chi = (8x^3 + 7x^2 - 2x - 1)(x - 1)^2
-ONE_EDGE = epsilon_matrix(Graph.from_edges(5, [(1, 2)]))
+ONE_EDGE = epsilon_matrix(5, [(1, 2)])
 
 
 class TestRealRoots:
     def test_triangle(self):
-        roots = roots_of(epsilon_matrix(TRIANGLE.graph))
+        roots = roots_of(TRIANGLE.graph)
         assert [(r.exact, r.multiplicity) for r in roots] == [
             (Fraction(-1), 2),
             (Fraction(1, 2), 1),
         ]
 
     def test_square(self):
-        roots = roots_of(epsilon_matrix(SQUARE.graph))
+        roots = roots_of(SQUARE.graph)
         assert [(r.exact, r.multiplicity) for r in roots] == [
             (Fraction(-1, 3), 1),
             (Fraction(1), 3),
         ]
 
     def test_pentagon_irrational(self):
-        roots = roots_of(epsilon_matrix(PENTAGON.graph))
+        roots = roots_of(PENTAGON.graph)
         assert len(roots) == 2
         target = 5 ** -0.5
         assert roots[0].exact is None and roots[1].exact is None
@@ -424,12 +423,12 @@ class TestRealRoots:
             assert lo < Fraction(r.value) < hi
 
     def test_pointed_hexagon_multiplicity(self):
-        roots = roots_of(epsilon_matrix(POINTED_HEXAGON.graph))
+        roots = roots_of(POINTED_HEXAGON.graph)
         assert [r.multiplicity for r in roots] == [3, 3]
 
     def test_constant_no_roots(self):
         # one vertex: eps - I = 0, so chi = 1
-        assert roots_of(epsilon_matrix(Graph.from_edges(1, []))) == []
+        assert roots_of(epsilon_matrix(1, [])) == []
 
     def test_interval_brackets_root(self):
         roots = roots_of(ONE_EDGE)
@@ -445,7 +444,7 @@ class TestRealRoots:
     def test_sturm_fallback(self, monkeypatch):
         # seeds far beyond every root leave no cell with a sign change, so
         # every factor goes to Sturm isolation, with the same roots
-        for m in (epsilon_matrix(SQUARE.graph), ONE_EDGE):
+        for m in (SQUARE.graph, ONE_EDGE):
             want = roots_of(m)
             factors = squarefree_decomposition(char_poly(m))
             with monkeypatch.context() as patch:
@@ -530,9 +529,9 @@ def certified_root_graphs():
     for seed in range(160):
         m = random_sign_matrix(random.Random(seed), 3 + seed % 62)
         out.append((f"G{seed}", m))
-    out += [("T8", epsilon_matrix(triangular(8))),
-            ("paley-13+pt", epsilon_matrix(paley_point(13))),
-            ("edgeless-8", epsilon_matrix(Graph.from_edges(8, [])))]
+    out += [("T8", triangular(8)),
+            ("paley-13+pt", paley_point(13)),
+            ("edgeless-8", epsilon_matrix(8, []))]
     return [(name, m, squarefree_decomposition(char_poly(m))) for name, m in out]
 
 

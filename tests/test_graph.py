@@ -10,14 +10,13 @@ from gerbe import _backend, config, graph
 from gerbe.autgroup import enumerate_group
 from gerbe.errors import BoundExceededError, ParseError
 from gerbe.graph import (
-    Graph,
     SignMatrix,
     automorphism_order,
     epsilon_matrix,
     graph_automorphisms,
     parse_graph,
 )
-from oracles import format_graph, graph_from_sign_matrix
+from oracles import edges_of, format_graph
 
 TRIANGLE = "3\n1 2\n2 3\n1 3"
 SQUARE = "4\n1 2\n2 3\n3 4\n1 4"
@@ -25,27 +24,31 @@ SQUARE = "4\n1 2\n2 3\n3 4\n1 4"
 
 def random_graph(rng, n):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-    return Graph.from_edges(n, edges)
+    return epsilon_matrix(n, edges)
 
 
 @st.composite
-def graphs(draw, max_n=6):
+def edge_lists(draw, max_n=6):
     n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    return Graph.from_edges(n, chosen)
+    return n, chosen
+
+
+def graphs(max_n=6):
+    return edge_lists(max_n).map(lambda args: epsilon_matrix(*args))
 
 
 class TestParse:
     def test_triangle(self):
         g = parse_graph(TRIANGLE)
         assert g.n == 3
-        assert g.edges == frozenset({(0, 1), (1, 2), (0, 2)})
+        assert edges_of(g) == [(0, 1), (0, 2), (1, 2)]
 
     def test_square_with_comments(self):
         g = parse_graph("# the 4-cycle\n" + SQUARE + "\n# trailing\n")
         assert g.n == 4
-        assert g.sorted_edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert edges_of(g) == [(0, 1), (0, 3), (1, 2), (2, 3)]
 
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError, match="self-loop"):
@@ -69,7 +72,7 @@ class TestParse:
 
     def test_roundtrip(self):
         g = parse_graph(SQUARE)
-        assert parse_graph(format_graph(g)) == g
+        assert np.array_equal(parse_graph(format_graph(g)).entries, g.entries)
 
     def test_vertex_bound(self):
         assert parse_graph(f"{config.MAX_VERTICES}\n").n == config.MAX_VERTICES
@@ -81,16 +84,16 @@ class TestParse:
 
 class TestEpsilonMatrix:
     def test_triangle_all_minus_off_diagonal(self):
-        m = epsilon_matrix(parse_graph(TRIANGLE))
+        m = parse_graph(TRIANGLE)
         expected = np.array([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
         assert np.array_equal(m.entries, expected)
 
     def test_edgeless_all_plus(self):
-        m = epsilon_matrix(Graph(3, frozenset()))
+        m = epsilon_matrix(3, [])
         assert np.array_equal(m.entries, np.ones((3, 3), dtype=int))
 
     def test_square_matches_known_matrix(self):
-        m = epsilon_matrix(parse_graph(SQUARE))
+        m = parse_graph(SQUARE)
         expected = np.array([
             [1, -1, 1, -1],
             [-1, 1, -1, 1],
@@ -99,14 +102,22 @@ class TestEpsilonMatrix:
         ])
         assert np.array_equal(m.entries, expected)
 
-    @given(graphs())
-    def test_bijection_with_graphs(self, g):
-        assert graph_from_sign_matrix(epsilon_matrix(g)) == g
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 3)], "out of range"), ([(-1, 0)], "out of range"), ([(1, 1)], "diagonal")])
+    def test_refuses_bad_edges(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            epsilon_matrix(3, edges)
+
+    @given(edge_lists())
+    def test_bijection_with_graphs(self, graph):
+        n, edges = graph
+        assert edges_of(epsilon_matrix(n, edges)) == sorted(edges)
+        assert edges_of(epsilon_matrix(n, [(j, i) for i, j in edges])) == sorted(edges)
 
 
 class TestConjugation:
     def test_automorphism_fixes_matrix(self):
-        e = epsilon_matrix(parse_graph(SQUARE)).entries
+        e = parse_graph(SQUARE).entries
         rotation = [1, 2, 3, 0]
         assert np.array_equal(e[np.ix_(rotation, rotation)], e)
 
@@ -119,10 +130,9 @@ class TestConjugation:
             g = random_graph(rng, n)
             images = list(range(n))
             rng.shuffle(images)
-            relabeled = Graph.from_edges(n, [(images[i], images[j]) for i, j in g.edges])
+            relabeled = epsilon_matrix(n, [(images[i], images[j]) for i, j in edges_of(g)])
             inv = np.argsort(images)
-            assert np.array_equal(epsilon_matrix(g).entries[np.ix_(inv, inv)],
-                                  epsilon_matrix(relabeled).entries)
+            assert np.array_equal(g.entries[np.ix_(inv, inv)], relabeled.entries)
 
 
 class TestAutomorphisms:
@@ -130,12 +140,12 @@ class TestAutomorphisms:
         assert len(graph_automorphisms(parse_graph(SQUARE))) == 8
 
     def test_pentagon_dihedral(self):
-        g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        g = epsilon_matrix(5, [(i, (i + 1) % 5) for i in range(5)])
         assert len(graph_automorphisms(g)) == 10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_edgeless_full_symmetric(self, n):
-        assert len(graph_automorphisms(Graph(n, frozenset()))) == math.factorial(n)
+        assert len(graph_automorphisms(epsilon_matrix(n, []))) == math.factorial(n)
 
     def test_bound(self, monkeypatch):
         # |Aut| = 10! = 3,628,800 is known from the chain; the listing must
@@ -145,8 +155,8 @@ class TestAutomorphisms:
 
         monkeypatch.setattr(graph, "chain_products", refuse)
         with pytest.raises(BoundExceededError, match="listing bound 10000"):
-            graph_automorphisms(Graph(10, frozenset()))
-        assert automorphism_order(Graph(10, frozenset())) == math.factorial(10)
+            graph_automorphisms(epsilon_matrix(10, []))
+        assert automorphism_order(epsilon_matrix(10, [])) == math.factorial(10)
 
     def test_search_budget(self, monkeypatch):
         # a chain may visit exactly MAX_SEARCH_NODES backtracking nodes,
@@ -160,10 +170,10 @@ class TestAutomorphisms:
 
         signed_stabilizer = _backend.signed_stabilizer
         monkeypatch.setattr(_backend, "signed_stabilizer", kernel)
-        g = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
-                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-                             + [(i, i + 5) for i in range(5)])  # Petersen
-        chains = {"G": lambda: enumerate_group(epsilon_matrix(g)).order,
+        g = epsilon_matrix(10, [(i, (i + 1) % 5) for i in range(5)]
+                           + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                           + [(i, i + 5) for i in range(5)])  # Petersen
+        chains = {"G": lambda: enumerate_group(g).order,
                   "Aut": lambda: automorphism_order(g)}
         used = {}
         for name, chain in chains.items():
@@ -183,7 +193,7 @@ class TestAutomorphisms:
     @settings(max_examples=40)
     def test_group_properties(self, g):
         auts = graph_automorphisms(g)
-        e = epsilon_matrix(g).entries
+        e = g.entries
         images = set(map(tuple, auts.tolist()))
         assert tuple(range(g.n)) in images
         for a in auts:
@@ -208,12 +218,13 @@ class TestSignMatrix:
             SignMatrix([[1, 0], [0, 1]])
 
     def test_linked_masks(self):
-        m = epsilon_matrix(parse_graph(TRIANGLE))
+        m = parse_graph(TRIANGLE)
         assert m.linked_masks() == [0b110, 0b101, 0b011]
         # against the bit-by-bit loop, up to the 64-bit masks of MAX_VERTICES
         rng = random.Random(71)
         for n in (1, 7, 8, 9, 16, 17, 33, 63, 64):
-            m = epsilon_matrix(random_graph(rng, n))
+            m = random_graph(rng, n)
             masks = m.linked_masks()
             assert all(type(mask) is int for mask in masks)
-            assert masks == [sum(1 << j for j in range(n) if m[i, j] == -1) for i in range(n)]
+            assert masks == [sum(1 << j for j in range(n) if m.entries[i, j] == -1)
+                             for i in range(n)]

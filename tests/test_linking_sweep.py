@@ -16,20 +16,20 @@ import pytest
 
 import oracles
 from gerbe import _kernels_py, sheaf
-from gerbe.graph import Graph, epsilon_matrix
+from gerbe.graph import epsilon_matrix
 from gerbe.sheaf import LinePartition
 
 
 def all_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
+        yield epsilon_matrix(n, [p for k, p in enumerate(pairs) if (bits >> k) & 1])
 
 
 def random_graphs(seed, n, count):
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
-    return [Graph.from_edges(n, [p for p in pairs if rng.random() < 0.5])
+    return [epsilon_matrix(n, [p for p in pairs if rng.random() < 0.5])
             for _ in range(count)]
 
 
@@ -42,7 +42,7 @@ def graph_sets():
 
 
 def adjacency(graphs):
-    return np.stack([epsilon_matrix(g).entries == -1 for g in graphs])
+    return np.stack([g.entries == -1 for g in graphs])
 
 
 def to_partition(rep, sbit) -> LinePartition:
@@ -102,10 +102,9 @@ def test_partitions_and_verdicts_match_sheaf(c):
     for graphs in graph_sets():
         a = adjacency(graphs)
         rep, sbit = _kernels_py._batch_partition(a, cbit)
-        parts = [oracles.partition_from_sign_matrix(epsilon_matrix(g), c) for g in graphs]
+        parts = [oracles.partition_from_sign_matrix(g, c) for g in graphs]
         assert [to_partition(r, s) for r, s in zip(rep, sbit)] == parts
-        assert [sheaf.partition_from_sign_matrix(epsilon_matrix(g), c)
-                for g in graphs] == parts
+        assert [sheaf.partition_from_sign_matrix(g, c) for g in graphs] == parts
         assert sweep_ok(a, rep, sbit, cbit) == [
             oracles.check_class_linking(g, p, c).ok for g, p in zip(graphs, parts)]
 
@@ -133,7 +132,7 @@ def test_negative_control_partition_at_minus_c(c):
         sample = random.Random(n).sample(range(len(graphs)), min(500, len(graphs)))
         graphs = [graphs[i] for i in sample]
         a, rep, sbit = a[sample], rep[sample], sbit[sample]
-        parts = [oracles.partition_from_sign_matrix(epsilon_matrix(g), -c) for g in graphs]
+        parts = [oracles.partition_from_sign_matrix(g, -c) for g in graphs]
         assert [to_partition(r, s) for r, s in zip(rep, sbit)] == parts
         want = [oracles.check_class_linking(g, p, c) for g, p in zip(graphs, parts)]
         aon = _kernels_py._batch_all_or_nothing(a, rep, sbit)
@@ -187,7 +186,7 @@ def twin_class_graph(rng, n, c):
         a, b = sorted((label[i], label[j]))
         if ((c == -1) if a == b else base[(a, b)]) ^ switched[i] ^ switched[j]:
             edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    return epsilon_matrix(n, edges)
 
 
 @pytest.mark.parametrize("c", [1, -1])
@@ -195,9 +194,8 @@ def test_batch_of_one_on_twin_classes_up_to_64(c):
     # n = 33..64 takes the row bitmasks past 32 bits, up to uint64
     rng = random.Random(101 + c)
     graphs = [twin_class_graph(rng, n, c) for n in range(33, 65)]
-    parts = [sheaf.partition_from_sign_matrix(epsilon_matrix(g), c) for g in graphs]
-    assert parts == [oracles.partition_from_sign_matrix(epsilon_matrix(g), c)
-                     for g in graphs]
+    parts = [sheaf.partition_from_sign_matrix(g, c) for g in graphs]
+    assert parts == [oracles.partition_from_sign_matrix(g, c) for g in graphs]
     assert all(p.m < p.n and -1 in p.sign for p in parts)
     assert all(r.ok for r in compare_reports(graphs, parts, c))
     # flipping the sign of one twin breaks the within-class rule

@@ -8,7 +8,7 @@ from gerbe.autgroup import enumerate_group
 from gerbe.errors import DeficientSpanError, GramMismatchError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import ALL, POINTED_HEXAGON, SQUARE, TRIANGLE
-from gerbe.graph import Graph, epsilon_matrix
+from gerbe.graph import epsilon_matrix
 from gerbe.quadspace import (
     QuadraticSpace,
     Representation,
@@ -21,7 +21,7 @@ from gerbe.quadspace import (
 
 
 def random_graph(rng, n):
-    return Graph.from_edges(
+    return epsilon_matrix(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     )
 
@@ -29,7 +29,7 @@ def random_graph(rng, n):
 def triangular_graph(k):
     """T(k), the line graph of K_k: 2-subsets linked when they meet."""
     verts = list(itertools.combinations(range(k), 2))
-    return Graph.from_edges(
+    return epsilon_matrix(
         len(verts),
         [(a, b) for a, b in itertools.combinations(range(len(verts)), 2)
          if set(verts[a]) & set(verts[b])],
@@ -39,16 +39,16 @@ def triangular_graph(k):
 def petersen_graph():
     """Kneser graph K(5,2): 2-subsets of a 5-set, linked when disjoint."""
     verts = list(itertools.combinations(range(5), 2))
-    return Graph.from_edges(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
-                                 if not set(verts[a]) & set(verts[b])])
+    return epsilon_matrix(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
+                               if not set(verts[a]) & set(verts[b])])
 
 
 def group_targets(g, c):
     """The representation of g at (1, c) and the stack of its images
     nu_i * u_{sigma(i)} under every element of the sheaf group.  c is a
     float near a root, so its degree is the numeric rank of S(1, c)."""
-    u = Representation.build(g, 1.0, c, rank(build_S(epsilon_matrix(g), 1.0, c)))
-    sigma, nu = enumerate_group(epsilon_matrix(g)).listing
+    u = Representation.build(g, 1.0, c, rank(build_S(g, 1.0, c)))
+    sigma, nu = enumerate_group(g).listing
     return u, nu[:, :, None] * u.vectors[sigma]
 
 
@@ -75,7 +75,7 @@ class TestJacobi:
     def test_degenerate_spectrum(self):
         # the Seidel matrix J - I of the edgeless graph on 8 vertices has
         # eigenvalue -1 with multiplicity 7, and eigenvalue 7 once
-        s = epsilon_matrix(Graph.from_edges(8, [])).entries - np.eye(8)
+        s = epsilon_matrix(8, []).entries - np.eye(8)
         evals, q = jacobi_eigh(s)
         assert evals == pytest.approx([-1.0] * 7 + [7.0])
         assert np.abs(q.T @ q - np.eye(8)).max() < 1e-12
@@ -84,16 +84,16 @@ class TestJacobi:
 
 class TestBuildS:
     def test_trivial_c_zero(self):
-        m = epsilon_matrix(TRIANGLE.graph)
+        m = TRIANGLE.graph
         assert np.array_equal(build_S(m, 1.0, 0.0), np.eye(3))
 
     def test_triangle_pattern(self):
-        m = epsilon_matrix(TRIANGLE.graph)
+        m = TRIANGLE.graph
         s = build_S(m, 1.0, 0.25)
         assert s[0, 0] == 1.0 and s[0, 1] == -0.25 and s[1, 2] == -0.25
 
     def test_square_third(self):
-        m = epsilon_matrix(SQUARE.graph)
+        m = SQUARE.graph
         s = build_S(m, 1.0, -1 / 3)
         assert s[0, 1] == pytest.approx(1 / 3)
         assert s[0, 2] == pytest.approx(-1 / 3)
@@ -104,14 +104,14 @@ class TestRank:
         assert rank(np.eye(3)) == 3
 
     def test_triangle_rank_one(self):
-        assert rank(build_S(epsilon_matrix(TRIANGLE.graph), 1.0, -1.0)) == 1
+        assert rank(build_S(TRIANGLE.graph, 1.0, -1.0)) == 1
 
     def test_square_rank_three(self):
-        assert rank(build_S(epsilon_matrix(SQUARE.graph), 1.0, -1 / 3)) == 3
+        assert rank(build_S(SQUARE.graph, 1.0, -1 / 3)) == 3
 
     @pytest.mark.parametrize("fx", ALL, ids=lambda f: f.name)
     def test_rank_law_on_fixtures(self, fx):
-        m = epsilon_matrix(fx.graph)
+        m = fx.graph
         chi = char_poly(m)
         for rec in real_roots_with_multiplicity(m, squarefree_decomposition(chi)):
             c = rec.exact if rec.exact is not None else rec.value
@@ -125,7 +125,7 @@ class TestGramFactorize:
         assert np.abs(space.gram(vectors) - np.eye(3)).max() < 1e-12
 
     def test_equilateral_triangle(self):
-        s = build_S(epsilon_matrix(TRIANGLE.graph), 1.0, 0.5)
+        s = build_S(TRIANGLE.graph, 1.0, 0.5)
         space, vectors = gram_factorize(s, rank(s))
         assert space.dim == 2
         assert space.signs == (1, 1)
@@ -134,14 +134,14 @@ class TestGramFactorize:
         assert vectors[0] @ vectors[1] == pytest.approx(-0.5)
 
     def test_cube_diagonals(self):
-        s = build_S(epsilon_matrix(SQUARE.graph), 1.0, -1 / 3)
+        s = build_S(SQUARE.graph, 1.0, -1 / 3)
         space, vectors = gram_factorize(s, rank(s))
         assert space.dim == 3 and space.signs == (1, 1, 1)
         g = space.gram(vectors)
         assert np.abs(g - s).max() < 1e-12
 
     def test_indefinite_signature(self):
-        s = build_S(epsilon_matrix(TRIANGLE.graph), 1.0, 2.0)
+        s = build_S(TRIANGLE.graph, 1.0, 2.0)
         space, vectors = gram_factorize(s, rank(s))
         # chi(2) != 0 so full rank; the form cannot be definite at c = 2
         assert space.dim == 3
@@ -154,12 +154,12 @@ class TestGramFactorize:
         for _ in range(100):
             g = random_graph(rng, rng.randint(1, 6))
             c = float(nprng.uniform(-1, 1))
-            s = build_S(epsilon_matrix(g), 1.0, c)
+            s = build_S(g, 1.0, c)
             space, vectors = gram_factorize(s, rank(s))
             assert np.abs(space.gram(vectors) - s).max() < 1e-9
 
     def test_signature_stable_under_orthogonal_shuffle(self):
-        s = build_S(epsilon_matrix(SQUARE.graph), 1.0, 2.0)
+        s = build_S(SQUARE.graph, 1.0, 2.0)
         space, _ = gram_factorize(s, rank(s))
         base = sorted(space.signs)
         rng = np.random.default_rng(8)
@@ -171,7 +171,7 @@ class TestGramFactorize:
 
     def test_triangular_graph_roots(self):
         # chi of T(8) is (9x - 1)^7 (3x + 1)^21: 28 lines in R^7 at c = -1/3
-        m = epsilon_matrix(triangular_graph(8))
+        m = triangular_graph(8)
         for c, dim in ((-1 / 3, 7), (1 / 9, 21)):
             s = build_S(m, 1.0, c)
             space, vectors = gram_factorize(s, dim)
@@ -182,7 +182,7 @@ class TestGramFactorize:
         # 10^-9 above the square's triple root 1, the three eigenvalues
         # 1 - c are small but not zero: all four are kept, the positive
         # one first, and the Gram matrix is reproduced
-        s = build_S(epsilon_matrix(SQUARE.graph), 1.0, 1 + 1e-9)
+        s = build_S(SQUARE.graph, 1.0, 1 + 1e-9)
         space, vectors = gram_factorize(s, 4)
         assert space.signs == (1, -1, -1, -1)
         assert np.abs(space.gram(vectors) - s).max() < 1e-12
@@ -190,7 +190,7 @@ class TestGramFactorize:
 
     def test_overflowing_spectrum_refused(self):
         # the entries are floats, but the eigenvalue 4e308 is not
-        s = build_S(epsilon_matrix(SQUARE.graph), 1e308, 1e308)
+        s = build_S(SQUARE.graph, 1e308, 1e308)
         with pytest.raises(ValueError, match="range of a float"):
             gram_factorize(s, 1)
         assert gram_factorize(s / 4, 1)[0].dim == 1
@@ -226,7 +226,7 @@ class TestRepresentation:
     def test_non_finite_vectors_rejected(self, value):
         # a NaN deviation is not larger than the tolerance, yet fails it
         with pytest.raises(GramMismatchError, match="max deviation"):
-            Representation(Graph(3, frozenset()), 1.0, 0.5, QuadraticSpace((1, 1)),
+            Representation(epsilon_matrix(3, []), 1.0, 0.5, QuadraticSpace((1, 1)),
                            np.full((3, 2), value))
 
     def test_null_representation(self):
@@ -285,7 +285,7 @@ class TestReduce:
         assert np.abs(v.gram - u.gram).max() < 1e-9
 
     def test_square_at_one_reduces_to_line(self):
-        m = epsilon_matrix(SQUARE.graph)
+        m = SQUARE.graph
         s = build_S(m, 1.0, 1.0)
         padded = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, 4))
         assert not padded.is_reduced()

@@ -14,7 +14,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 
 from gerbe import cli
-from gerbe.graph import epsilon_matrix
 from oracles import eigenvalue_sign_counts, format_graph
 from test_graph import graphs
 
@@ -35,7 +34,6 @@ def run_json(argv):
 def test_dim_and_signs_match_the_spectrum(g, tmp_path_factory):
     path = tmp_path_factory.mktemp("g") / "g.txt"
     path.write_text(format_graph(g))
-    m = epsilon_matrix(g)
     roots = run_json(["poly", str(path)])["roots"]
     mult = {r["exact"]: r["multiplicity"] for r in roots if r["exact"]}
     selectors = [(f"--root-index={k}", r["multiplicity"]) for k, r in enumerate(roots)]
@@ -46,5 +44,5 @@ def test_dim_and_signs_match_the_spectrum(g, tmp_path_factory):
         out = run_json(["represent", str(path), selector])
         assert out["dim"] == g.n - mu, selector
         signs = out["signs"]
-        counts = eigenvalue_sign_counts(m, 1.0, out["c"], EIG_TOL)
+        counts = eigenvalue_sign_counts(g, 1.0, out["c"], EIG_TOL)
         assert (signs.count(1), signs.count(-1)) == counts, selector

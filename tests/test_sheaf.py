@@ -6,7 +6,7 @@ import pytest
 from gerbe.errors import TrivialRepresentationError
 from gerbe.fixtures import PENTAGON, SQUARE, TRIANGLE
 from gerbe.exactpoly import degree_at
-from gerbe.graph import Graph, epsilon_matrix
+from gerbe.graph import epsilon_matrix
 from gerbe.quadspace import QuadraticSpace, Representation, gram_factorize, rank
 from gerbe.sheaf import (
     LinePartition,
@@ -18,7 +18,7 @@ from gerbe.sheaf import (
 
 
 def random_graph(rng, n):
-    return Graph.from_edges(
+    return epsilon_matrix(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     )
 
@@ -74,7 +74,7 @@ class TestLineClasses:
             c = float(nprng.uniform(-0.9, 0.9))
             if abs(c) < 1e-3:
                 c = 0.5
-            u = Representation.build(g, 1.0, c, degree_at(epsilon_matrix(g), 1, c))
+            u = Representation.build(g, 1.0, c, degree_at(g, 1, c))
             p = line_classes(u)
             assert p.is_all_singletons()
             assert_lines_of_vectors(u, p)
@@ -85,7 +85,7 @@ class TestLineClasses:
     ], ids=["square-above", "square-below", "triangle-above", "triangle-below"])
     def test_near_unit_c_all_singletons(self, graph, c):
         # lines coincide only where |c| = |omega| exactly
-        u = Representation.build(graph, 1.0, c, degree_at(epsilon_matrix(graph), 1, c))
+        u = Representation.build(graph, 1.0, c, degree_at(graph, 1, c))
         assert line_classes(u).is_all_singletons()
 
     @pytest.mark.parametrize("omega, c", [(2.0, 2.0), (-1.0, 1.0), (0.5, -0.5)])
@@ -93,9 +93,9 @@ class TestLineClasses:
         rng = random.Random(67)
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 7))
-            u = Representation.build(g, omega, c, degree_at(epsilon_matrix(g), omega, c))
+            u = Representation.build(g, omega, c, degree_at(g, omega, c))
             p = line_classes(u)
-            assert p == partition_from_sign_matrix(epsilon_matrix(g), int(c / omega))
+            assert p == partition_from_sign_matrix(g, int(c / omega))
             assert_lines_of_vectors(u, p)
 
     def test_padded_rejected(self):
@@ -116,37 +116,37 @@ class TestCombinatorialPartition:
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 7))
             for c in (1, -1):
-                u = Representation.build(g, 1.0, float(c), degree_at(epsilon_matrix(g), 1, c))
+                u = Representation.build(g, 1.0, float(c), degree_at(g, 1, c))
                 p = line_classes(u)
-                assert p == partition_from_sign_matrix(epsilon_matrix(g), c)
+                assert p == partition_from_sign_matrix(g, c)
                 assert_lines_of_vectors(u, p)
 
     def test_rejects_other_c(self):
         with pytest.raises(ValueError):
-            partition_from_sign_matrix(epsilon_matrix(SQUARE.graph), 0)
+            partition_from_sign_matrix(SQUARE.graph, 0)
 
 
 class TestRestrictToY:
     def test_singletons_unchanged(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         p = line_classes(u)
-        gy, v = restrict_to_Y(SQUARE.graph, u, p)
-        assert gy == SQUARE.graph
+        v = restrict_to_Y(u, p)
+        assert np.array_equal(v.graph.entries, SQUARE.graph.entries)
         assert np.array_equal(v.vectors, u.vectors)
 
     def test_square_at_one(self):
         u = Representation.build(SQUARE.graph, 1.0, 1.0, 1)
         p = line_classes(u)
-        gy, v = restrict_to_Y(SQUARE.graph, u, p)
-        assert gy.n == 1
+        v = restrict_to_Y(u, p)
+        assert v.n == 1
         assert v.degree == 1
         assert v.is_reduced()
 
     def test_triangle_collapsed(self):
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         p = line_classes(u)
-        gy, v = restrict_to_Y(TRIANGLE.graph, u, p)
-        assert gy.n == 1 and gy.edges == frozenset()
+        v = restrict_to_Y(u, p)
+        assert v.graph.entries.tolist() == [[1]]
         assert v.degree == 1
 
     def test_result_has_distinct_lines(self):
@@ -154,17 +154,19 @@ class TestRestrictToY:
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 6))
             c = rng.choice([1.0, -1.0])
-            u = Representation.build(g, 1.0, c, degree_at(epsilon_matrix(g), 1, c))
+            u = Representation.build(g, 1.0, c, degree_at(g, 1, c))
             p = line_classes(u)
             assert_lines_of_vectors(u, p)
-            gy, v = restrict_to_Y(g, u, p)
+            v = restrict_to_Y(u, p)
+            reps = list(p.rep_index)
+            assert np.array_equal(v.graph.entries, g.entries[np.ix_(reps, reps)])
             assert line_classes(v).is_all_singletons()
-            assert_lines_of_vectors(v, LinePartition.trivial(gy.n))
+            assert_lines_of_vectors(v, LinePartition.trivial(v.n))
 
     def test_trivial_rejected(self):
         u = Representation.build(SQUARE.graph, 1.0, 0.0, 4)
         with pytest.raises(TrivialRepresentationError):
-            restrict_to_Y(SQUARE.graph, u, LinePartition.trivial(4))
+            restrict_to_Y(u, LinePartition.trivial(4))
 
     @pytest.mark.parametrize("c, degree, p", [
         # too fine: the square's four vertices share one line at c = 1
@@ -177,18 +179,18 @@ class TestRestrictToY:
     def test_wrong_partition_rejected(self, c, degree, p):
         u = Representation.build(SQUARE.graph, 1.0, c, degree)
         with pytest.raises(ValueError, match="not the line partition"):
-            restrict_to_Y(SQUARE.graph, u, p)
+            restrict_to_Y(u, p)
 
 
 class TestClassLinking:
     def test_square_at_plus_one(self):
-        p = partition_from_sign_matrix(epsilon_matrix(SQUARE.graph), 1)
+        p = partition_from_sign_matrix(SQUARE.graph, 1)
         report = check_class_linking(SQUARE.graph, p, 1)
         assert report.ok
         assert report.failures == ()
 
     def test_triangle_at_minus_one(self):
-        p = partition_from_sign_matrix(epsilon_matrix(TRIANGLE.graph), -1)
+        p = partition_from_sign_matrix(TRIANGLE.graph, -1)
         report = check_class_linking(TRIANGLE.graph, p, -1)
         assert report.ok
 
@@ -217,7 +219,7 @@ class TestClassLinking:
         for _ in range(150):
             g = random_graph(rng, rng.randint(2, 6))
             for c in (1, -1):
-                p = partition_from_sign_matrix(epsilon_matrix(g), c)
+                p = partition_from_sign_matrix(g, c)
                 assert check_class_linking(g, p, c).ok
 
 

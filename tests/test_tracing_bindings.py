@@ -11,19 +11,26 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from gerbe import _backend, autgroup, cli
 from gerbe.autgroup import enumerate_group
-from gerbe.graph import automorphism_order, epsilon_matrix
+from gerbe.graph import automorphism_order
 from oracles import format_graph
 from test_autgroup import petersen
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_function_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_function_resolves():
+    tracing = load_tracing()
     assert tracing.LAYER_FUNCTIONS
     missing = [(module, name) for module, name, *_ in tracing.LAYER_FUNCTIONS
                if not callable(getattr(importlib.import_module(module), name, None))]
@@ -41,7 +48,7 @@ def test_group_chains_call_the_traced_kernel(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(_backend, "signed_stabilizer", counted)
-    for chain in (lambda g: enumerate_group(epsilon_matrix(g)), automorphism_order):
+    for chain in (enumerate_group, automorphism_order):
         calls.clear()
         chain(petersen())
         assert calls
@@ -65,3 +72,20 @@ def test_group_realize_calls_the_traced_realization(monkeypatch, tmp_path, capsy
     assert cli.main(["group", str(p), "--c=1/3", "--realize", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["isometries"]) == 1440
     assert calls == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["poly"], ["represent", "--root-index", "0"], ["classes", "--c=1"],
+    ["group", "--c=1"], ["group", "--c=1/3", "--realize"]],
+    ids=["analyze", "poly", "represent", "classes", "group", "realize"])
+def test_one_sign_matrix_per_call(argv, tmp_path, capsys):
+    # parse_graph builds the sign matrix and every stage reads that one:
+    # with the tracer's bindings installed in every gerbe module, each
+    # command makes exactly one graph.epsilon_matrix span
+    p = tmp_path / "petersen.txt"
+    p.write_text(format_graph(petersen()))
+    tracer = load_tracing().Tracer()
+    with tracer.install():
+        assert cli.main([argv[0], str(p), *argv[1:], "--json"]) == 0
+    capsys.readouterr()
+    assert [span[0] for span in tracer.spans].count("graph.epsilon_matrix") == 1
