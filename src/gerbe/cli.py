@@ -28,7 +28,9 @@ from .errors import (
     InvariantError,
     ParseError,
 )
-from .exactpoly import char_poly, degree_at, real_roots_with_multiplicity, squarefree_decomposition
+# char_poly is bound here for the benchmark's tracer test (perfbench), which
+# checks that the tracer rebinds cli.char_poly and restores it
+from .exactpoly import char_poly, chi_and_roots, degree_at  # noqa: F401
 from .graph import automorphism_order, parse_graph
 from .quadspace import Representation, build_S, rank
 from .sheaf import (
@@ -214,13 +216,6 @@ def _print_partition(p: LinePartition, out):
         print(line, file=out)
 
 
-def _chi_section(eps):
-    chi = char_poly(eps)
-    factors = squarefree_decomposition(chi)
-    roots = real_roots_with_multiplicity(eps, factors)
-    return chi, factors, roots
-
-
 def _factored_text(chi, factors):
     prod = 1
     for f, e in factors:
@@ -237,7 +232,7 @@ def _factored_text(chi, factors):
 
 def cmd_poly(args) -> int:
     eps = _read_graph(args.file)
-    chi, factors, roots = _chi_section(eps)
+    chi, factors, roots = chi_and_roots(eps)
     if args.json:
         payload = {
             "n": eps.n,
@@ -268,11 +263,11 @@ def _pick_c(args, eps, omega=1):
     if omega == 0:
         raise ValueError("--root-index needs a nonzero --omega: at omega = 0 every c "
                          "gives the same space")
-    factors = squarefree_decomposition(char_poly(eps))
-    count = sum(f.degree for f, _ in factors)  # every root of chi is real
-    if not 0 <= args.root_index < count:
+    _, factors, roots = chi_and_roots(eps, index=args.root_index)
+    if not roots:
+        count = sum(f.degree for f, _ in factors)  # every root of chi is real
         raise ValueError(f"--root-index {args.root_index} out of range; chi has {count} real roots")
-    [rec] = real_roots_with_multiplicity(eps, factors, index=args.root_index)
+    [rec] = roots
     # det S(omega, c) = omega^n chi(c / omega): the k-th root x_k gives c = omega x_k
     c = omega * (rec.exact if rec.exact is not None else rec.value)
     _check_float_range(f"omega times root {args.root_index}", float(c), True)
@@ -442,7 +437,7 @@ def _print_matrices(mats):
 
 def cmd_analyze(args) -> int:
     eps = _read_graph(args.file)
-    chi, factors, roots = _chi_section(eps)
+    chi, factors, roots = chi_and_roots(eps)
     report = {
         "graph": {
             "n": eps.n,
@@ -500,12 +495,11 @@ def run_demo(corrupt=None):
     ok_all = True
     for fx in fixtures.ALL:
         eps = fx.graph
-        chi = char_poly(eps)
+        chi, _, roots = chi_and_roots(eps)
         expected_chi = fx.chi_coeffs
         if corrupt == fx.name:
             expected_chi = tuple(c + 1 for c in expected_chi)
         chi_ok = chi.coeffs == expected_chi
-        roots = real_roots_with_multiplicity(eps, squarefree_decomposition(chi))
         roots_ok = len(roots) == len(fx.roots)
         ranks_ok = True
         for rec, (val, mult, expected_rank) in zip(roots, fx.roots):

@@ -9,7 +9,11 @@ degree of the representation at a rational point (``degree_at``), and
 its real roots with multiplicities: seeds -1/lam from the Seidel spectrum
 cut the line into cells that exact integer signs certify, with Sturm
 chains as the fallback, and a rational root is found by testing the
-points -1/k.  The polynomial arithmetic is over the integers: by Gauss's
+points -1/k.  ``chi_and_roots`` gives chi, its factors and its roots in
+one call, and decides square-freeness from the roots' own cells: a chi of
+degree d that changes sign across all d gaps between its d + 1 cuts has d
+distinct roots, so it skips the decomposition, which runs only otherwise.
+The polynomial arithmetic is over the integers: by Gauss's
 lemma a primitive divisor of an integer polynomial divides it over Z, so
 Yun's scheme divides exactly by primitive gcds, and the Sturm chain takes
 pseudo-remainders.  Signs are taken in integers at dyadic points a / 2^k;
@@ -414,54 +418,121 @@ def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootR
                       interval=(Fraction(lo, one), Fraction(hi, one)))
 
 
-def real_roots_with_multiplicity(m: SignMatrix, factors, index=None) -> list:
-    """Every real root of chi = char_poly(m), once each, with its exact
-    multiplicity, or with ``index`` the index-th alone (ascending, 0-based);
-    ``factors`` is ``squarefree_decomposition(chi)``.
+# the width below which _refine stops, as a ratio of integers
+_WIDTH = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
+
+
+def _cuts(m: SignMatrix, degree: int, distinct: int):
+    """The cuts and root windows for chi = char_poly(m) of this degree
+    with ``distinct`` distinct roots, all integers over one power of two
+    2^k: (distinct + 1 ascending cuts, distinct windows (lo, hi), k).
 
     chi(x) = prod (1 + x lam) over the eigenvalues lam of eps - I, and
     deg chi = rank(eps - I), so the roots are -1/lam for the deg chi
     eigenvalues of largest modulus.  Sorted, these seeds split at their
-    D - 1 widest gaps into D = sum deg f clusters, one per distinct root.
-    The cuts are the midpoints of those gaps and one point beyond each end.
-    A factor f's cells are those between consecutive cuts over which f
-    changes sign: when there are deg f of them, each holds one root of f
-    and f has no other (else Sturm chains isolate its roots), and when no
-    two factors share a cell, ``index`` refines only its own.  A root's
-    window is its cluster's mean x +- n eps rho x^2, with eps the machine
-    epsilon and rho the spectral radius: eigvalsh is backward stable (Weyl;
-    Demmel, Applied Numerical Linear Algebra, 5.2), so each lam is off by
-    about n eps rho at most, and -1/lam by that times x^2.
+    distinct - 1 widest gaps into one cluster per distinct root.  The cuts
+    are the midpoints of those gaps and one point beyond each end.  A
+    root's window is its cluster's mean x +- n eps rho x^2, with eps the
+    machine epsilon and rho the spectral radius: eigvalsh is backward
+    stable (Weyl; Demmel, Applied Numerical Linear Algebra, 5.2), so each
+    lam is off by about n eps rho at most, and -1/lam by that times x^2.
     """
-    if not factors:
-        return []
     n = m.n
     lams = np.linalg.eigvalsh(m.entries - np.eye(n))
-    degree = sum(f.degree * e for f, e in factors)
     seeds = np.sort(-1 / lams[np.argsort(np.abs(lams))[n - degree:]])
-    distinct = sum(f.degree for f, _ in factors)
     splits = np.sort(np.argsort(np.diff(seeds))[degree - distinct:]) + 1
-    means = np.add.reduceat(seeds, np.r_[0, splits]) / np.diff(np.r_[0, splits, degree])
+    bounds = np.concatenate(([0], splits, [degree]))
+    means = np.add.reduceat(seeds, bounds[:-1]) / np.diff(bounds)
     deltas = n * np.finfo(float).eps * np.abs(lams).max() * means**2
-    # the cuts and the windows' ends, all floats, over one power of two 2^k
     ratios = [x.as_integer_ratio() for x in np.concatenate((
         [seeds[0] - 1], (seeds[splits - 1] + seeds[splits]) / 2, [seeds[-1] + 1],
         means - deltas, means + deltas)).tolist()]
     den = max(d for _, d in ratios)
     points, k = [a * (den // d) for a, d in ratios], den.bit_length() - 1
-    cuts, windows = points[:distinct + 1], list(zip(points[distinct + 1:], points[-distinct:]))
-    width = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
-    cells = []  # (gap between cuts, or None for a Sturm cell, factor, mult, cell, window)
-    for factor, mult in factors:
-        signs = [_sign_at(factor.coeffs, a, k) for a in cuts]
-        gaps = [i for i in range(distinct) if signs[i] * signs[i + 1] == -1]
-        if len(gaps) == factor.degree:
-            cells += [(i, factor, mult, (cuts[i], cuts[i + 1], k, signs[i]), windows[i])
-                      for i in gaps]
+    return points[:distinct + 1], list(zip(points[distinct + 1:], points[-distinct:])), k
+
+
+def _seeded_cells(factor: IntPolynomial, mult: int, cuts, windows, k: int):
+    """The cells (gap, factor, mult, (lo, hi, k, sign at lo), window) of
+    the gaps between consecutive cuts over which the square-free factor
+    changes sign, or None unless there are deg factor of them.  When there
+    are, each holds one root of the factor and it has no other.  A factor
+    changes sign across at most deg factor gaps, so the scan stops once
+    more than len(windows) - deg factor gaps show no change."""
+    misses = len(windows) - factor.degree
+    cells, lo = [], _sign_at(factor.coeffs, cuts[0], k)
+    for i, window in enumerate(windows):
+        hi = _sign_at(factor.coeffs, cuts[i + 1], k)
+        if lo * hi == -1:
+            cells.append((i, factor, mult, (cuts[i], cuts[i + 1], k, lo), window))
         else:
-            cells += [(None, factor, mult, cell, None) for cell in _sturm_cells(factor)]
+            misses -= 1
+            if misses < 0:
+                return None
+        lo = hi
+    return cells
+
+
+def _refine_cells(cells, distinct: int, index):
+    """The roots of the cells, ascending, or with ``index`` the index-th
+    alone, refining only its own cell when every gap between the cuts
+    holds exactly one (so the cells are in root order)."""
     gaps = [cell[0] for cell in cells]
     if index is not None and set(gaps) == set(range(distinct)):
         cells, index = [cells[gaps.index(index)]], 0
-    records = sorted((_refine(*cell[1:], width) for cell in cells), key=lambda rec: rec.value)
+    records = sorted((_refine(*cell[1:], _WIDTH) for cell in cells), key=lambda rec: rec.value)
     return records if index is None else [records[index]]
+
+
+def real_roots_with_multiplicity(m: SignMatrix, factors, index=None) -> list:
+    """Every real root of chi = char_poly(m), once each, with its exact
+    multiplicity, or with ``index`` the index-th alone (ascending, 0-based);
+    ``factors`` is ``squarefree_decomposition(chi)``, whose gcd or Yun's
+    scheme decides square-freeness (``chi_and_roots`` decides it from the
+    cells below).
+
+    The D = sum deg f distinct roots get D + 1 cuts from the Seidel
+    spectrum (``_cuts``).  A factor f's cells are those between
+    consecutive cuts over which f changes sign: when there are deg f of
+    them, each holds one root of f and f has no other (else Sturm chains
+    isolate its roots), and when no two factors share a cell, ``index``
+    refines only its own.
+    """
+    if not factors:
+        return []
+    distinct = sum(f.degree for f, _ in factors)
+    cuts, windows, k = _cuts(m, sum(f.degree * e for f, e in factors), distinct)
+    cells = []  # (gap between cuts, or None for a Sturm cell, factor, mult, cell, window)
+    for factor, mult in factors:
+        cells += (_seeded_cells(factor, mult, cuts, windows, k)
+                  or [(None, factor, mult, cell, None) for cell in _sturm_cells(factor)])
+    return _refine_cells(cells, distinct, index)
+
+
+def chi_and_roots(m: SignMatrix, index=None):
+    """(chi, factors, roots): chi = char_poly(m), its square-free
+    decomposition and ``real_roots_with_multiplicity(m, factors, index)``,
+    with roots [] when ``index`` is not that of a distinct root.
+
+    A square-free chi is certified by its own cells, with no gcd: take chi
+    primitive as the one factor, with deg chi = d distinct roots, so its
+    d + 1 cuts bound d gaps.  If its exact integer signs change across all
+    d gaps, it has d distinct real roots, one in each gap, so it is
+    square-free and those gaps are its cells.  Otherwise
+    ``squarefree_decomposition`` decides and
+    ``real_roots_with_multiplicity`` isolates.  The cuts, cells and
+    windows are those ``real_roots_with_multiplicity`` takes for a
+    square-free chi, so both ways give the same records.
+    """
+    chi = char_poly(m)
+    cells = None
+    if chi.degree > 0:
+        whole = IntPolynomial(tuple(_primitive(chi.coeffs)))
+        cells = _seeded_cells(whole, 1, *_cuts(m, chi.degree, chi.degree))
+    factors = squarefree_decomposition(chi) if cells is None else [(whole, 1)]
+    distinct = sum(f.degree for f, _ in factors)
+    if index is not None and not 0 <= index < distinct:
+        return chi, factors, []
+    if cells is None:
+        return chi, factors, real_roots_with_multiplicity(m, factors, index)
+    return chi, factors, _refine_cells(cells, distinct, index)

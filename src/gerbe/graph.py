@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import _backend, _kernels_py, config
-from .errors import BoundExceededError, ParseError
+from .errors import BoundExceededError, InvariantError, ParseError
 
 
 class SignMatrix:
@@ -66,14 +66,12 @@ def parse_graph(text: str) -> SignMatrix:
 
     Lines starting with '#' are comments.  The first significant line is the
     vertex count n, at most ``config.MAX_VERTICES``; every following
-    significant line is an edge "i j" with 1-based endpoints.
+    significant line is an edge "i j" with 1-based endpoints.  The edge
+    lines are read and checked as one integer array; only when a check
+    fails are they read again line by line, so that the error names the
+    first offending line.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append(stripped)
+    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
     if not lines:
         raise ParseError("empty graph file")
     try:
@@ -84,8 +82,30 @@ def parse_graph(text: str) -> SignMatrix:
         raise ParseError(f"vertex count must be >= 1, got {n}")
     if n > config.MAX_VERTICES:
         raise BoundExceededError(f"n={n} exceeds the vertex bound {config.MAX_VERTICES}")
-    edges = set()
-    for line in lines[1:]:
+    edges = lines[1:]
+    # each edge line ends in the token ";".  With three tokens a line, every
+    # line is a pair exactly when the ";" are the third of each triple, and
+    # int refuses any ";" left after those are deleted
+    tokens = " ; ".join(edges + [""]).split()
+    if len(tokens) == 3 * len(edges):
+        del tokens[2::3]
+        try:
+            ij = np.fromiter(map(int, tokens), np.int64, len(tokens)).reshape(-1, 2) - 1
+        except (ValueError, OverflowError):
+            pass
+        else:
+            # in range, and each pair (i, j) and (j, i) once: no self-loop, no duplicate
+            i, j = ij.T
+            if 0 <= ij.min(initial=0) and ij.max(initial=0) < n and np.bincount(
+                    np.concatenate((i * n + j, j * n + i)), minlength=1).max() <= 1:
+                return epsilon_matrix(n, ij)
+    _raise_first_error(edges, n)
+
+
+def _raise_first_error(edges, n):
+    """Raise the ParseError of the first invalid edge line."""
+    seen = set()
+    for line in edges:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected two vertex indices, got {line!r}")
@@ -97,11 +117,11 @@ def parse_graph(text: str) -> SignMatrix:
             raise ParseError(f"self-loop at vertex {i}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"vertex index out of range in {line!r} (n={n})")
-        e = (min(i, j) - 1, max(i, j) - 1)
-        if e in edges:
+        e = (min(i, j), max(i, j))
+        if e in seen:
             raise ParseError(f"duplicate edge {i} {j}")
-        edges.add(e)
-    return epsilon_matrix(n, edges)
+        seen.add(e)
+    raise InvariantError("the edge array was refused, but every edge line is valid")
 
 
 def epsilon_matrix(n, edges) -> SignMatrix:
@@ -109,7 +129,8 @@ def epsilon_matrix(n, edges) -> SignMatrix:
     pairs (i, j) of distinct vertices in either order: -1 exactly at
     linked pairs, +1 elsewhere.  A vertex outside 0..n-1 is refused, and
     so is a self-loop (by ``SignMatrix``, as a -1 on the diagonal)."""
-    ij = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    ij = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                  dtype=np.intp).reshape(-1, 2)
     if not ((ij >= 0) & (ij < n)).all():
         raise ValueError(f"edge vertex out of range for n={n}")
     a = np.ones((n, n), dtype=np.int64)

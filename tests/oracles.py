@@ -10,7 +10,8 @@ permutation (the package builds a stabilizer chain) and its group law on
 determinant (the package's chi is multimodular), the signature of
 S(omega, c) by counting the signs of its float eigenvalues (the package
 takes the degree from chi by the rank law), and the round trips of the
-graph format and of the sign matrix, the products of a stabilizer chain
+graph format and of the sign matrix, the graph parser one line at a time
+(the package reads the edges as one array), the products of a stabilizer chain
 as tuples (the package forms them as arrays), and the JSON, CSV and text
 renderings of arrays one entry at a time (the package formats each
 distinct magnitude of a block of rows once).
@@ -22,10 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from gerbe import config
 from gerbe.autgroup import OrbitStructure
-from gerbe.errors import BoundExceededError
+from gerbe.errors import BoundExceededError, ParseError
 from gerbe.exactpoly import IntPolynomial
-from gerbe.graph import SignMatrix
+from gerbe.graph import SignMatrix, epsilon_matrix
 from gerbe.sheaf import LinePartition, LinkingReport
 
 
@@ -297,6 +299,40 @@ def reconstruct(factors, lead: Fraction) -> IntPolynomial:
 def edges_of(m: SignMatrix) -> list:
     """Inverse of epsilon_matrix: the sorted pairs i < j with entry -1."""
     return [(i, j) for i in range(m.n) for j in range(i + 1, m.n) if m.entries[i, j] == -1]
+
+
+def parse_graph_lines(text: str) -> SignMatrix:
+    """parse_graph one line at a time: every check on each edge line in
+    turn, so the first offending line raises its ParseError."""
+    lines = [s.strip() for s in text.splitlines() if s.strip() and not s.strip().startswith("#")]
+    if not lines:
+        raise ParseError("empty graph file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ParseError(f"vertex count is not an integer: {lines[0]!r}") from None
+    if n < 1:
+        raise ParseError(f"vertex count must be >= 1, got {n}")
+    if n > config.MAX_VERTICES:
+        raise BoundExceededError(f"n={n} exceeds the vertex bound {config.MAX_VERTICES}")
+    edges = set()
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected two vertex indices, got {line!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer vertex index in {line!r}") from None
+        if i == j:
+            raise ParseError(f"self-loop at vertex {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"vertex index out of range in {line!r} (n={n})")
+        e = (min(i, j) - 1, max(i, j) - 1)
+        if e in edges:
+            raise ParseError(f"duplicate edge {i} {j}")
+        edges.add(e)
+    return epsilon_matrix(n, edges)
 
 
 def format_graph(m: SignMatrix) -> str:

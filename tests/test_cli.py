@@ -24,6 +24,8 @@ from test_autgroup import clebsch, latin_square_graph, petersen, triangular
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
 PENTAGON_TXT = "5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
 TRIANGLE_TXT = "3\n1 2\n2 3\n1 3\n"
+# chi = -42x^7 - 131x^6 + ... + 1, square-free
+SQUAREFREE_TXT = "7\n1 3\n1 4\n1 6\n2 3\n2 4\n3 4\n3 7\n5 7\n"
 
 
 @pytest.fixture()
@@ -220,6 +222,27 @@ class TestRootIndex:
             calls["_refine"] = 0
             assert run(["represent", str(path), "--root-index", str(k)], capsys)[0] == 0
             assert calls == {"_refine": 1, "_sturm_cells": 0}
+
+    def test_squarefree_chi_takes_no_gcd(self, tmp_path, capsys, monkeypatch):
+        # poly and represent --root-index certify a square-free chi from
+        # its root cells: neither the modular gcd nor Yun's scheme runs
+        path = tmp_path / "g.txt"
+        path.write_text(SQUAREFREE_TXT)
+        calls = {"_gcd_degree_mod": 0, "_yun": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(exactpoly, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(exactpoly, name, counted)
+        code, out, _ = run(["poly", str(path), "--json"], capsys)
+        assert code == 0 and len(json.loads(out)["roots"]) == 7
+        for k in range(7):
+            assert run(["represent", str(path), "--root-index", str(k)], capsys)[0] == 0
+        assert calls == {"_gcd_degree_mod": 0, "_yun": 0}
+        # the pentagon's (5x^2 - 1)^2 takes both
+        path.write_text(PENTAGON_TXT)
+        assert run(["poly", str(path)], capsys)[0] == 0
+        assert calls == {"_gcd_degree_mod": 1, "_yun": 1}
 
     @pytest.mark.parametrize("graphs", ["random", "ladder"])
     def test_picks_the_root_poly_prints(self, graphs, tmp_path, capsys):
@@ -636,8 +659,10 @@ class TestAnalyze:
         assert code == 0
         assert "|G| = 20" in out
 
-    def test_squarefree_decomposition_runs_once(self, pentagon_file, capsys, monkeypatch):
+    def test_squarefree_decomposition_runs_once(self, pentagon_file, tmp_path, capsys,
+                                                monkeypatch):
         # chi of the pentagon is (5x^2 - 1)^2, so the decomposition runs Yun
+        # once; a square-free chi is certified by its root cells, with none
         calls = []
         original = exactpoly.squarefree_decomposition
 
@@ -646,10 +671,14 @@ class TestAnalyze:
             return original(p)
 
         monkeypatch.setattr(exactpoly, "squarefree_decomposition", counted)
-        monkeypatch.setattr(cli, "squarefree_decomposition", counted)
         code, _, _ = run(["analyze", pentagon_file, "--json"], capsys)
         assert code == 0
         assert len(calls) == 1
+        p = tmp_path / "squarefree.txt"
+        p.write_text(SQUAREFREE_TXT)
+        calls.clear()
+        assert run(["analyze", str(p), "--json"], capsys)[0] == 0
+        assert calls == []
 
 
 class TestDemo:

@@ -15,12 +15,14 @@ from gerbe.errors import BoundExceededError, InvariantError
 from gerbe.exactpoly import (
     IntPolynomial,
     char_poly,
+    chi_and_roots,
     real_roots_with_multiplicity,
     squarefree_decomposition,
 )
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import SignMatrix, epsilon_matrix
 from oracles import bareiss_determinant, edges_of, reconstruct
+from test_autgroup import clebsch, petersen
 
 
 def P(*coeffs):
@@ -609,3 +611,93 @@ class TestCertifiedRoots:
             [got] = real_roots_with_multiplicity(m, factors, index=k)
             assert (got.exact, got.multiplicity) == (rec.exact, rec.multiplicity)
         assert len(refine) == len(want) ** 2
+
+
+def switched_copy(m, rng):
+    """m relabelled and switched at a random vertex set: the same chi."""
+    d = np.array([rng.choice((-1, 1)) for _ in range(m.n)])
+    images = list(range(m.n))
+    rng.shuffle(images)
+    return SignMatrix((m.entries * np.outer(d, d))[np.ix_(images, images)])
+
+
+def separate_passes(m, index=None):
+    """What chi_and_roots must return: char_poly, squarefree_decomposition
+    and real_roots_with_multiplicity, each on its own."""
+    chi = char_poly(m)
+    factors = squarefree_decomposition(chi)
+    if index is not None and not 0 <= index < sum(f.degree for f, _ in factors):
+        return chi, factors, []
+    return chi, factors, real_roots_with_multiplicity(m, factors, index)
+
+
+class TestChiAndRoots:
+    """chi_and_roots certifies a square-free chi by its own cells and
+    otherwise decomposes it; either way it returns what the separate
+    passes return, record for record."""
+
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_separate_passes(self, n, seed):
+        rng = random.Random(seed)
+        m = random_sign_matrix(rng, n)
+        for g in (m, switched_copy(m, rng)):
+            chi, factors, roots = chi_and_roots(g)
+            assert (chi, factors, roots) == separate_passes(g)
+            for k in range(-1, len(roots) + 1):
+                assert chi_and_roots(g, index=k) == separate_passes(g, index=k)
+
+    def test_squarefree_chi_takes_no_decomposition(self, monkeypatch):
+        rng = random.Random(7)
+        graphs = [random_sign_matrix(rng, rng.randint(10, 18)) for _ in range(30)]
+        want = [separate_passes(m) for m in graphs]
+        squarefree = [m for m, (_, factors, _) in zip(graphs, want)
+                      if [e for _, e in factors] == [1]]
+        assert len(squarefree) > 20
+        calls = spy(monkeypatch, "squarefree_decomposition")
+        assert [chi_and_roots(m) for m in graphs] == want
+        assert len(calls) == len(graphs) - len(squarefree)
+
+    @pytest.mark.parametrize("name", [fx.name for fx in ALL] + [
+        "petersen", "clebsch", "T8", "edgeless-5", "edgeless-8"])
+    def test_repeated_roots_take_the_fallback(self, name, monkeypatch):
+        # negative control: every one of these chi has a repeated root, so
+        # its cells cannot certify it and the decomposition decides
+        m = ({fx.name: fx.graph for fx in ALL} | {
+            "petersen": petersen(), "clebsch": clebsch(), "T8": triangular(8),
+            "edgeless-5": epsilon_matrix(5, []), "edgeless-8": epsilon_matrix(8, [])})[name]
+        want = separate_passes(m)
+        assert max(e for _, e in want[1]) > 1
+        decompositions = spy(monkeypatch, "squarefree_decomposition")
+        isolations = spy(monkeypatch, "real_roots_with_multiplicity")
+        assert chi_and_roots(m) == want
+        assert decompositions == [want[0]] and isolations == [m]
+
+    def test_a_root_beyond_the_cuts_is_not_certified(self, monkeypatch):
+        # seeds that leave the lowest root below every cut show d - 1 sign
+        # changes, one per other root: chi must not be certified from them,
+        # and the fallback still isolates all d roots
+        m = epsilon_matrix(7, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (2, 6), (4, 6)])
+        _, [(f, e)], want = chi_and_roots(m)
+        assert (f.degree, e, len(want)) == (7, 1, 7)
+        lams = np.linalg.eigvalsh(m.entries - np.eye(7))
+        lams[np.argmin(-1 / lams)] = -1 / (want[-1].value + 10)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: lams.copy())
+        cuts, _, k = exactpoly._cuts(m, 7, 7)
+        signs = [exactpoly._sign_at(f.coeffs, a, k) for a in cuts]
+        assert sum(s * t == -1 for s, t in zip(signs, signs[1:])) == 6
+        sturm = spy(monkeypatch, "_sturm_cells")
+        _, factors, got = chi_and_roots(m)
+        assert factors == [(f, 1)] and sturm == [f]
+        assert [(r.exact, r.multiplicity) for r in got] == [
+            (r.exact, r.multiplicity) for r in want]
+        for r, s in zip(got, want):
+            assert r.interval is None or max(r.interval[0], s.interval[0]) < min(
+                r.interval[1], s.interval[1])
+
+    def test_out_of_range_index_gives_no_root(self):
+        for m in (SQUARE.graph, ONE_EDGE, epsilon_matrix(1, [])):
+            _, factors, _ = chi_and_roots(m)
+            distinct = sum(f.degree for f, _ in factors)
+            for k in (-1, distinct, distinct + 5):
+                assert chi_and_roots(m, index=k)[2] == []

@@ -16,7 +16,7 @@ from gerbe.graph import (
     graph_automorphisms,
     parse_graph,
 )
-from oracles import edges_of, format_graph
+from oracles import edges_of, format_graph, parse_graph_lines
 
 TRIANGLE = "3\n1 2\n2 3\n1 3"
 SQUARE = "4\n1 2\n2 3\n3 4\n1 4"
@@ -80,6 +80,57 @@ class TestParse:
             parse_graph(f"{config.MAX_VERTICES + 1}\n")
         with pytest.raises(BoundExceededError):
             parse_graph("1000000000\n")
+
+
+# edge lines, valid and not, for a graph on at most 4 vertices
+EDGE_LINES = st.one_of(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.sampled_from([
+        "1 2", "2 1", "1\t3", "  4   1 ", "1", "1 2 3", "1 2 3 3 4", "x 2", "1 y", "1 ;",
+        "; 1 2", "1;2 3", "+1 2", "-1 2", "1_0 2", "2 0x1", "99999999999999999999 1",
+        "-9223372036854775808 1", "1 1", "3 3", "# a comment", "", "   ", "\u00a01 2",
+        "1\u00a02"]))
+
+
+def parse_outcome(parse, text):
+    try:
+        return "ok", parse(text).entries.tolist()
+    except (ParseError, BoundExceededError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestParseAgainstLines:
+    """parse_graph reads the edges as one array, and line by line only
+    after a check fails; the per-line parser is the oracle."""
+
+    @given(n=st.sampled_from(["1", "2", "4", " 3 "]), lines=st.lists(EDGE_LINES, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_same_matrix_or_same_first_error(self, n, lines):
+        text = "\n".join([n, *lines])
+        assert parse_outcome(parse_graph, text) == parse_outcome(parse_graph_lines, text)
+
+    @pytest.mark.parametrize("text, error", [
+        ("3\n1 2\n2 1\n1 x\n", "duplicate edge 2 1"),
+        ("4\n1 2 3 3 4\n", "expected two vertex indices, got '1 2 3 3 4'"),
+        ("4\n1 2 3\n4\n", "expected two vertex indices, got '1 2 3'"),
+        ("4\n1 ;\n", "non-integer vertex index in '1 ;'")],
+        ids=["duplicate-first", "five-tokens", "three-then-one", "semicolon"])
+    def test_first_error_in_line_order(self, text, error):
+        # a duplicate wins over a later malformed line, and lines whose
+        # tokens would pair up across line ends are still refused
+        assert parse_outcome(parse_graph, text) == ("ParseError", error)
+        assert parse_outcome(parse_graph_lines, text) == ("ParseError", error)
+
+    @given(edge_lists(max_n=12))
+    @settings(max_examples=50, deadline=None)
+    def test_valid_files_take_no_line_loop(self, edge_list):
+        n, edges = edge_list
+        text = format_graph(epsilon_matrix(n, edges))
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_raise_first_error", lambda *a: calls.append(a))
+            assert np.array_equal(parse_graph(text).entries, epsilon_matrix(n, edges).entries)
+        assert calls == []
 
 
 class TestEpsilonMatrix:

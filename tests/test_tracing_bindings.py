@@ -9,15 +9,17 @@ loaded by path, unchanged, so that break shows here first.
 import importlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from gerbe import _backend, autgroup, cli
 from gerbe.autgroup import enumerate_group
+from gerbe.exactpoly import char_poly, squarefree_decomposition
 from gerbe.graph import automorphism_order
 from oracles import format_graph
-from test_autgroup import petersen
+from test_autgroup import petersen, random_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -81,11 +83,19 @@ def test_group_realize_calls_the_traced_realization(monkeypatch, tmp_path, capsy
 def test_one_sign_matrix_per_call(argv, tmp_path, capsys):
     # parse_graph builds the sign matrix and every stage reads that one:
     # with the tracer's bindings installed in every gerbe module, each
-    # command makes exactly one graph.epsilon_matrix span
-    p = tmp_path / "petersen.txt"
-    p.write_text(format_graph(petersen()))
-    tracer = load_tracing().Tracer()
-    with tracer.install():
-        assert cli.main([argv[0], str(p), *argv[1:], "--json"]) == 0
-    capsys.readouterr()
-    assert [span[0] for span in tracer.spans].count("graph.epsilon_matrix") == 1
+    # command makes exactly one graph.epsilon_matrix span.  poly and
+    # represent also run on a square-free chi, whose roots come from its
+    # own cells, and must pass every traced call's result to its counter
+    graphs = [petersen()]
+    if argv[0] in ("poly", "represent"):
+        squarefree = random_graph(random.Random(0), 12)
+        assert [e for _, e in squarefree_decomposition(char_poly(squarefree))] == [1]
+        graphs.append(squarefree)
+    for g in graphs:
+        p = tmp_path / "graph.txt"
+        p.write_text(format_graph(g))
+        tracer = load_tracing().Tracer()
+        with tracer.install():
+            assert cli.main([argv[0], str(p), *argv[1:], "--json"]) == 0
+        capsys.readouterr()
+        assert [span[0] for span in tracer.spans].count("graph.epsilon_matrix") == 1
