@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: analyze, poly, represent, classes, group, demo.  Exit codes:
-0 success, 1 verification/fixture failure or internal invariant violated,
-2 input error, 3 a bound of ``config`` exceeded: vertices, search nodes or
-listed group order.
+Subcommands: analyze, poly, represent, classes, group, demo.  Only
+``represent`` and ``group --realize``, which print vectors, factor S.
+Exit codes: 0 success, 1 verification/fixture failure or internal
+invariant violated (also any ValueError but an InputError), 2 input
+error, 3 a bound of ``config`` exceeded: vertices, search nodes or listed
+group order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     DeficientSpanError,
     GerbeError,
     GramMismatchError,
+    InputError,
     InvariantError,
     ParseError,
 )
@@ -48,10 +51,13 @@ EXIT_BOUND = 3
 
 
 def _read_graph(path: str):
-    if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        if path == "-":
+            return parse_graph(sys.stdin.read())
+        with open(path, encoding="utf-8") as fh:
+            return parse_graph(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InputError(exc) from None
 
 
 def parse_rational(text: str, allow_approx=False) -> Fraction:
@@ -63,17 +69,20 @@ def parse_rational(text: str, allow_approx=False) -> Fraction:
     text = text.strip()
     if "." in text or "e" in text.lower():
         if not allow_approx:
-            raise ValueError(
+            raise InputError(
                 f"{text!r} looks like a decimal; pass --approx to accept "
                 "inexact input, or use an exact p/q form"
             )
-        value = float(text)
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise InputError(exc) from None
         _check_float_range(text, value, Decimal(text) != 0)
         return Fraction(value)
     try:
         exact = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"cannot parse rational {text!r}") from None
+        raise InputError(f"cannot parse rational {text!r}") from None
     try:
         value = float(exact)
     except OverflowError:
@@ -84,7 +93,7 @@ def parse_rational(text: str, allow_approx=False) -> Fraction:
 
 def _check_float_range(text: str, value: float, nonzero: bool):
     if not math.isfinite(value) or (value == 0 and nonzero):
-        raise ValueError(f"{text!r} is outside the range of a float")
+        raise InputError(f"{text!r} is outside the range of a float")
 
 
 def _print_json(payload):
@@ -256,29 +265,30 @@ def cmd_poly(args) -> int:
 
 
 def _pick_c(args, eps, omega=1):
-    """The parameter c and the degree of the representation at (omega, c)."""
+    """The parameter c, and a function giving the degree of the
+    representation at (omega, c), called only where S is factored."""
     if args.root_index is None:
         c = parse_rational(args.c, args.approx)
-        return c, degree_at(eps, omega, c)
+        return c, functools.partial(degree_at, eps, omega, c)
     if omega == 0:
-        raise ValueError("--root-index needs a nonzero --omega: at omega = 0 every c "
+        raise InputError("--root-index needs a nonzero --omega: at omega = 0 every c "
                          "gives the same space")
     _, factors, roots = chi_and_roots(eps, index=args.root_index)
     if not roots:
         count = sum(f.degree for f, _ in factors)  # every root of chi is real
-        raise ValueError(f"--root-index {args.root_index} out of range; chi has {count} real roots")
+        raise InputError(f"--root-index {args.root_index} out of range; chi has {count} real roots")
     [rec] = roots
     # det S(omega, c) = omega^n chi(c / omega): the k-th root x_k gives c = omega x_k
     c = omega * (rec.exact if rec.exact is not None else rec.value)
     _check_float_range(f"omega times root {args.root_index}", float(c), True)
-    return c, eps.n - rec.multiplicity
+    return c, lambda: eps.n - rec.multiplicity
 
 
 def cmd_represent(args) -> int:
     eps = _read_graph(args.file)
     omega = parse_rational(args.omega, args.approx)
     c, degree = _pick_c(args, eps, omega)
-    u = Representation.build(eps, float(omega), float(c), degree)
+    u = Representation.build(eps, float(omega), float(c), degree())
     if args.csv or not args.json:
         text = "".join(_csv_text(u.vectors))
     if args.csv:
@@ -300,20 +310,14 @@ def cmd_represent(args) -> int:
     return EXIT_OK
 
 
-def _lines(eps, c, degree):
-    """The representation at (1, c) and its partition into lines."""
-    u = Representation.build(eps, 1.0, float(c), degree)
-    return u, line_classes(u)
-
-
 def cmd_classes(args) -> int:
     eps = _read_graph(args.file)
-    c, degree = _pick_c(args, eps)
+    c, _ = _pick_c(args, eps)
     if float(c) == 0.0:
-        raise ValueError("c must be nonzero")
-    u, p = _lines(eps, c, degree)
+        raise InputError("c must be nonzero")
+    p = line_classes(eps, 1, c)
     # the linking rules hold where line_classes took the sign-matrix partition
-    report = check_class_linking(eps, p, int(u.c)) if abs(u.c) == 1.0 else None
+    report = check_class_linking(eps, p, int(float(c))) if abs(float(c)) == 1.0 else None
     if args.json:
         payload = {"c": float(c), "partition": _partition_json(p)}
         if report is not None:
@@ -342,22 +346,18 @@ def cmd_classes(args) -> int:
     return EXIT_OK
 
 
-def _group_on_lines(eps, c, degree):
-    """Build the sheaf group, passing to the restricted graph when
-    lines coincide, and return (the vectors of one vertex per line, group)."""
-    u, p = _lines(eps, c, degree)
-    v = u if p.is_all_singletons() else restrict_to_Y(u, p)
-    return v, enumerate_group(v.graph)
-
-
 def cmd_group(args) -> int:
     if args.csv and not args.realize:
-        raise ValueError("--csv writes the realized matrices; it needs --realize")
+        raise InputError("--csv writes the realized matrices; it needs --realize")
     eps = _read_graph(args.file)
     c, degree = _pick_c(args, eps)
     if float(c) == 0.0:
-        raise ValueError("c must be nonzero")
-    v, grp = _group_on_lines(eps, c, degree)
+        raise InputError("c must be nonzero")
+    p = line_classes(eps, 1, c)
+    if args.realize:  # before the search: an S that overflows is refused first
+        u = Representation.build(eps, 1.0, float(c), degree())
+    y = restrict_to_Y(eps, p)
+    grp = enumerate_group(y)
     if args.realize and grp.order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
             f"|G| = {grp.order} exceeds the --realize listing bound "
@@ -367,7 +367,7 @@ def cmd_group(args) -> int:
     payload = {
         "c": float(c),
         "n": eps.n,
-        "lines": v.n,
+        "lines": y.n,
         "aut_graph_order": automorphism_order(eps),
         "group_order": grp.order,
         "n_sigma": grp.n_sigma,
@@ -377,6 +377,7 @@ def cmd_group(args) -> int:
         "is_2_transitive": orbit_info.is_2_transitive,
     }
     if args.realize:
+        v = Representation(y, u.omega, u.c, u.space, u.vectors[list(p.rep_index)])
         mats = _realize_listing(grp, v)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -611,9 +612,12 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, OSError, GerbeError) as exc:
+    except (OSError, GerbeError) as exc:  # an InputError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ValueError as exc:  # not an InputError: a defect in gerbe
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

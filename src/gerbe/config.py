@@ -4,7 +4,7 @@ The numeric thresholds (Gram checks, numeric rank, isometry residual), the
 width of certified root intervals and the resource bounds live here.  The
 exact stages need no tolerance: chi, its roots, every degree (rank law),
 the line partition and the group are decided in integers, and the span
-test of reducedness and isometry recovery takes numpy's ``matrix_rank``
+test of reducedness in isometry recovery takes numpy's ``matrix_rank``
 cut.  None of these values is read from the environment.
 """
 

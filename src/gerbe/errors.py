@@ -14,6 +14,11 @@ class ParseError(GerbeError):
     """Malformed graph file input."""
 
 
+class InputError(GerbeError, ValueError):
+    """A refused command-line value or undecodable file (no other
+    ValueError is an input error)."""
+
+
 class BoundExceededError(GerbeError):
     """A resource bound was passed: the vertex bound, the sizes chi's prime
     table serves, the group search's node budget, the cap on a listed group

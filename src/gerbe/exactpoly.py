@@ -5,7 +5,8 @@ exact integer polynomial (Faddeev–LeVerrier modulo primes below 2^45, one
 stacked float64 product per step, rebuilt by the Chinese remainder theorem
 past Hadamard's bound 2^n n^(n/2) and checked modulo one more prime), its
 square-free decomposition (a gcd modulo a prime, else Yun's scheme), the
-degree of the representation at a rational point (``degree_at``), and
+degree of the representation at a rational point (``degree_at``, by
+exact division of chi by that point's linear factor), and
 its real roots with multiplicities: seeds -1/lam from the Seidel spectrum
 cut the line into cells that exact integer signs certify, with Sturm
 chains as the fallback, and a rational root is found by testing the
@@ -292,9 +293,11 @@ def squarefree_decomposition(p: IntPolynomial) -> list:
 def degree_at(m: SignMatrix, omega, c) -> int:
     """The rank of S(omega, c) = omega I + c (eps - I), the degree of the
     reduced representation, by the rank law: deg chi at omega = 0 (0 at
-    c = 0), else n - mu, mu the sum of e over the square-free factors f^e of
-    chi that vanish at c/omega, or else at the floats' exact ratio (S is
-    factored at the floats).  Since chi(0) = 1, a rational root is +-1/q."""
+    c = 0), else n - mu, mu the multiplicity as a root of chi of c/omega,
+    or else of the floats' exact ratio (S is factored at the floats).
+    Since chi(0) = 1, a rational root is x = s/q with s = +-1, and mu is
+    the number of exact divisions of chi by the primitive factor q x - s
+    (Gauss's lemma: a rational division by it is an integer one)."""
     omega, c = Fraction(omega), Fraction(c)
     if omega == 0:
         return char_poly(m).degree if c else 0
@@ -302,8 +305,15 @@ def degree_at(m: SignMatrix, omega, c) -> int:
               if abs(x.numerator) == 1]
     if not points:
         return m.n
-    factors = squarefree_decomposition(char_poly(m))
-    return m.n - max(sum(e for f, e in factors if f(x) == 0) for x in points)
+    chi, mu = list(char_poly(m).coeffs), 0
+    for x in points:
+        f, k = chi, 0
+        try:
+            while True:
+                f, k = _div_exact(f, [-x.numerator, x.denominator]), k + 1
+        except ArithmeticError:  # q x - s divides f no more
+            mu = max(mu, k)
+    return m.n - mu
 
 
 def _yun(p: IntPolynomial) -> list:

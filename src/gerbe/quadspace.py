@@ -7,8 +7,9 @@ matrix, at parameters (omega, c), and the recovery of the isometry between
 two of them.
 
 The eigendecomposition behind factorization and rank is LAPACK's symmetric
-solver (``numpy.linalg.eigh``); reducedness and isometry recovery take
-numpy's ``matrix_rank`` cut on one SVD (``numpy.linalg.svd``).
+solver (``numpy.linalg.eigh``); isometry recovery checks reducedness by
+numpy's ``matrix_rank`` cut on one SVD (``numpy.linalg.svd``).  The lines
+and the sheaf group need no representation: they come from the sign matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import DeficientSpanError, GramMismatchError
+from .errors import DeficientSpanError, GramMismatchError, InputError
 from .graph import SignMatrix
 
 
@@ -46,7 +47,8 @@ def jacobi_eigh(s):
     """Eigendecomposition of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
     Returns (eigenvalues, Q) with eigenvalues ascending and the columns of Q
-    orthonormal eigenvectors.
+    orthonormal eigenvectors.  Eigenvalues outside the range of a float are
+    an InputError: the entries came from the caller's omega and c.
     """
     a = np.array(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -55,7 +57,7 @@ def jacobi_eigh(s):
         raise ValueError("matrix must be symmetric")
     evals, q = np.linalg.eigh(a)
     if not np.isfinite(evals).all():
-        raise ValueError("the eigenvalues of the matrix overflow the range of a float")
+        raise InputError("the eigenvalues of the matrix overflow the range of a float")
     return evals, q
 
 
@@ -94,12 +96,11 @@ def _span(sigma, shape) -> int:
 
 class Representation:
     """Vectors u_1..u_n realizing a graph, given as its sign matrix, at
-    parameters (omega, c)."""
+    parameters (omega, c): their Gram matrix matches ``gram``, S(omega, c)."""
 
     __slots__ = ("graph", "omega", "c", "space", "vectors", "gram")
 
-    def __init__(self, graph: SignMatrix, omega, c, space: QuadraticSpace, vectors,
-                 gram=None):
+    def __init__(self, graph: SignMatrix, omega, c, space: QuadraticSpace, vectors):
         vectors = np.asarray(vectors, dtype=float)
         if vectors.shape != (graph.n, space.dim):
             raise ValueError(
@@ -107,22 +108,18 @@ class Representation:
             )
         vectors = vectors.copy()
         vectors.setflags(write=False)
-        if gram is None:
-            gram = space.gram(vectors)
-        gram = np.asarray(gram, dtype=float).copy()
-        gram.setflags(write=False)
         self.graph = graph
         self.omega = float(omega)
         self.c = float(c)
         self.space = space
         self.vectors = vectors
-        self.gram = gram
         self._validate()
 
     def _validate(self):
-        """The Gram matrix must match S(omega, c) to GRAM_TOL relative to
-        max(1, max|S|): the error of a factorization grows with the norm.
-        A non-finite deviation fails too."""
+        """The vectors' Gram matrix must match S(omega, c) to GRAM_TOL
+        relative to max(1, max|S|): the error of a factorization grows with
+        the norm.  A non-finite deviation fails too.  S is kept as
+        ``gram``."""
         expected = build_S(self.graph, self.omega, self.c)
         deviation = np.abs(self.space.gram(self.vectors) - expected).max(initial=0.0)
         if not deviation <= config.GRAM_TOL * max(1.0, np.abs(expected).max(initial=0.0)):
@@ -130,14 +127,15 @@ class Representation:
                 "vectors do not realize the stated parameters: "
                 f"max deviation {deviation:.3g}"
             )
+        expected.setflags(write=False)
+        self.gram = expected
 
     @classmethod
     def build(cls, graph: SignMatrix, omega, c, degree: int) -> "Representation":
         """Construct the reduced representation at (omega, c), whose degree
         (the rank of S(omega, c)) the caller knows, by factorizing S."""
-        s = build_S(graph, omega, c)
-        space, vectors = gram_factorize(s, degree)
-        return cls(graph, omega, c, space, vectors, gram=s)
+        space, vectors = gram_factorize(build_S(graph, omega, c), degree)
+        return cls(graph, omega, c, space, vectors)
 
     @property
     def n(self) -> int:
@@ -146,15 +144,6 @@ class Representation:
     @property
     def degree(self) -> int:
         return self.space.dim
-
-    def is_reduced(self) -> bool:
-        """The form is nondegenerate, so the system is reduced exactly when
-        its vectors span the space."""
-        sigma = np.linalg.svd(self.vectors, compute_uv=False)
-        return _span(sigma, self.vectors.shape) == self.space.dim
-
-    def is_trivial(self) -> bool:
-        return self.c == 0.0
 
 
 def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,

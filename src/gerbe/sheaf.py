@@ -1,13 +1,13 @@
 """Line coincidence structure of a representation.
 
 A representation's sheaf is the set of lines spanned by its vectors.  For
-a reduced system at (omega, c) the partition into lines is exact: vertices
+the reduced system at (omega, c) the partition into lines is exact: vertices
 i and j share a line only if omega = ±epsilon_ij*c, so the lines are all
 distinct unless |omega| = |c|, and then they are read off the sign matrix
-at c/omega.  No float tolerance enters.  This module computes that
-partition, restricts a representation to one vertex per line (its sign
-matrix to the rows and columns of the representatives), and verifies the
-all-or-nothing linking rules that govern the signed blocks of the
+at c/omega.  No float tolerance and no vector enters.  This module computes
+that partition from (epsilon, omega, c), restricts the sign matrix to one
+vertex per line (the graph Gamma_Y the sheaf group acts on), and verifies
+the all-or-nothing linking rules that govern the signed blocks of the
 partition.  The partition and the rules are the batched kernels of
 ``_kernels_py`` called on a batch of one graph, the same code the
 exhaustive linking sweep runs.
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels_py import _batch_all_or_nothing, _batch_partition, _batch_rules
-from .errors import InvariantError, TrivialRepresentationError
+from .errors import TrivialRepresentationError
 from .graph import SignMatrix
-from .quadspace import Representation
 
 
 @dataclass(frozen=True)
@@ -59,29 +58,25 @@ class LinePartition:
     def minus_block(self, j) -> list:
         return [i for i in range(self.n) if self.pi[i] == j and self.sign[i] == -1]
 
-    def is_all_singletons(self) -> bool:
-        return self.m == self.n
 
-
-def line_classes(u: Representation) -> LinePartition:
-    """Group the vertices of a reduced representation by the lines their
-    vectors span, read off exactly from (epsilon, omega, c).
+def line_classes(m: SignMatrix, omega, c) -> LinePartition:
+    """The vertices of the reduced representation of m at (omega, c),
+    grouped by the lines their vectors span, read off exactly.
 
     In a reduced system the form is nondegenerate on the span of the
     vectors, so u_i = s*u_j exactly when rows i and j of the Gram matrix
     S(omega, c) agree up to the factor s.  At entries i and j that forces
     omega = s*epsilon_ij*c, so the lines are all distinct unless
     |omega| = |c|, and then they are the sign-matrix partition at c/omega.
-    A system that is not reduced is refused: a padded one can have equal
-    Gram rows but different vectors.
+    omega and c are compared as the floats S is built from.  The trivial
+    representation, c = 0, is refused.
     """
-    if u.is_trivial():
+    omega, c = float(omega), float(c)
+    if c == 0.0:
         raise TrivialRepresentationError("line classes undefined for c = 0")
-    if not u.is_reduced():
-        raise ValueError("line classes need a reduced representation")
-    if abs(u.c) != abs(u.omega):
-        return LinePartition.trivial(u.n)
-    return partition_from_sign_matrix(u.graph, int(u.c / u.omega))
+    if abs(c) != abs(omega):
+        return LinePartition.trivial(m.n)
+    return partition_from_sign_matrix(m, int(c / omega))
 
 
 def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
@@ -98,20 +93,13 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
                          tuple(-1 if s else 1 for s in sbit[0].tolist()))
 
 
-def restrict_to_Y(u: Representation, p: LinePartition):
-    """Restrict to one vertex per line: the sub-system of vectors of the
-    class representatives, a representation of the graph they induce
-    (relabeled 0..m-1), which is again reduced and non-trivial.  ``p`` must
-    be the partition ``line_classes(u)``; any other is refused, and so is a
-    trivial or non-reduced u, by ``line_classes``."""
-    if p != line_classes(u):
-        raise ValueError("partition is not the line partition of the representation")
+def restrict_to_Y(m: SignMatrix, p: LinePartition) -> SignMatrix:
+    """Gamma_Y: the sign matrix induced on the representatives of the
+    lines of p, relabeled 0..p.m-1.  For p = line_classes(m, omega, c) each
+    vector at (omega, c) is ± a representative's, so the representatives'
+    vectors are a reduced representation of Gamma_Y, with distinct lines."""
     reps = list(p.rep_index)
-    v = Representation(SignMatrix(u.graph.entries[np.ix_(reps, reps)]), u.omega, u.c,
-                       u.space, u.vectors[reps])
-    if not v.is_reduced():
-        raise InvariantError("restriction lost rank; input was not reduced")
-    return v
+    return SignMatrix(m.entries[np.ix_(reps, reps)])
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from gerbe.graph import (
     stabilizer_chain,
 )
 from gerbe.quadspace import Representation, build_S, isometry_between, rank
+from gerbe.sheaf import line_classes, restrict_to_Y
 from oracles import (
     format_graph,
     naive_group_elements,
@@ -564,7 +565,11 @@ class TestSignPairs:
     def test_half_realization_is_the_full_one_bitwise(self, g, c):
         # the CLI realizes the nu_0 = +1 rows and takes 0 - M for their
         # partners: the same bytes as realizing every row
-        v, grp = cli._group_on_lines(g, c, rank(build_S(g, 1.0, c)))
+        # the vectors of one vertex per line, as group --realize takes them
+        u = Representation.build(g, 1.0, c, rank(build_S(g, 1.0, c)))
+        p = line_classes(g, 1.0, c)
+        v = Representation(restrict_to_Y(g, p), 1.0, c, u.space, u.vectors[list(p.rep_index)])
+        grp = enumerate_group(v.graph)
         full = realize_isometry(*grp.listing, v)
         assert full.tobytes() == cli._realize_listing(grp, v).tobytes()
         if c == -1.0:  # -M would write -0.0 at these zeros of the full realization

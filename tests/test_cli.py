@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gerbe
-from gerbe import cli, config, exactpoly, fixtures, graph, quadspace
+from gerbe import cli, config, exactpoly, fixtures, graph, quadspace, sheaf
 from gerbe.autgroup import SheafGroup, enumerate_group, forced_signs
 from gerbe.errors import InvariantError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
@@ -46,6 +46,19 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def counting(monkeypatch, *targets):
+    """Patch each (owner, name) to count its calls; returns the counts by name."""
+    calls = {}
+    for owner, name in targets:
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestPoly:
@@ -380,21 +393,33 @@ class TestGroup:
         assert payload["group_order"] == order
         assert payload["is_2_transitive"] is two_transitive
 
-    def test_at_one_spans_three_times(self, square_file, capsys, monkeypatch):
-        # structural guard: line_classes in cli._lines and in restrict_to_Y, and
-        # the restricted system's own check, each take one span test (one SVD)
-        calls = []
-        original = quadspace._span
+    @pytest.mark.parametrize("cmd", ["classes", "group"])
+    @pytest.mark.parametrize("graph_name, sel", [
+        ("t8", "--c=1"), ("t8", "--root-index=0"), ("square", "--c=1"),
+    ], ids=["t8-c1", "t8-root0", "square-c1"])
+    def test_no_float_representation(self, cmd, graph_name, sel, tmp_path, capsys,
+                                     monkeypatch):
+        # the lines and Gamma_Y are read off (epsilon, c): no degree, no
+        # eigh, no Gram factorization, no span test (SVD), no Representation
+        g = {"t8": triangular(8), "square": SQUARE.graph}[graph_name]
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g))
+        calls = counting(monkeypatch, (cli, "degree_at"), (quadspace, "jacobi_eigh"),
+                         (quadspace, "gram_factorize"), (quadspace, "_span"),
+                         (quadspace.Representation, "_validate"))
+        code, out, _ = run([cmd, str(path), sel, "--json"], capsys)
+        assert code == 0
+        assert calls == dict.fromkeys(calls, 0)
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(quadspace, "_span", counted)
-        code, out, _ = run(["group", square_file, "--c=1", "--json"], capsys)
+    def test_realize_spans_once(self, square_file, capsys, monkeypatch):
+        # at c = 1 the four vertices share one line: --realize factors S,
+        # checks the representative's vector, and isometry_between's span
+        # test is the only SVD
+        calls = counting(monkeypatch, (quadspace, "_span"), (quadspace, "gram_factorize"))
+        code, out, _ = run(["group", square_file, "--c=1", "--realize", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["lines"] == 1
-        assert len(calls) == 3
+        assert calls == {"_span": 1, "gram_factorize": 1}
 
     def test_realize_json(self, square_file, capsys):
         code, out, _ = run(
@@ -578,7 +603,7 @@ class TestExactDegree:
         assert json.loads(out)["group_order"] == 2
 
     @pytest.mark.parametrize("argv", [
-        ["represent", "--omega", "1e308", "--c", "1e308"], ["group", "--c", "1e308"],
+        ["represent", "--omega", "1e308", "--c", "1e308"], ["group", "--c", "1e308", "--realize"],
     ], ids=["represent", "group"])
     def test_overflowing_spectrum_refused(self, square_file, argv, capsys):
         # each entry of S is a float, but its eigenvalues are not
@@ -586,6 +611,26 @@ class TestExactDegree:
         assert code == 2
         assert out == ""
         assert err == "error: the eigenvalues of the matrix overflow the range of a float\n"
+
+    def test_overflowing_spectrum_needs_no_vectors(self, square_file, capsys):
+        # classes and group factor no S: at |c| != 1 the lines are distinct
+        code, out, _ = run(["classes", square_file, "--c", "1e308", "--approx", "--json"],
+                           capsys)
+        assert code == 0
+        assert json.loads(out)["partition"]["m"] == 4
+        code, out, _ = run(["group", square_file, "--c", "1e308", "--approx", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["lines"], payload["group_order"]) == (4, 48)
+
+    def test_degree_takes_no_decomposition(self, square_file, capsys, monkeypatch):
+        # degree_at divides chi by 3x + 1 exactly: neither the modular gcd
+        # nor Yun's scheme runs
+        calls = counting(monkeypatch, (exactpoly, "squarefree_decomposition"))
+        code, out, _ = run(["represent", square_file, "--c=-1/3", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["dim"] == 3
+        assert calls == {"squarefree_decomposition": 0}
 
     def test_largest_spectrum_accepted(self, square_file, capsys):
         code, out, _ = run(["group", square_file, "--c", "5e307", "--approx", "--json"], capsys)
@@ -734,6 +779,29 @@ class TestInputErrors:
     def test_bad_rational(self, square_file, capsys):
         code, _, err = run(["classes", square_file, "--c", "abc"], capsys)
         assert code == 2
+
+    def test_bad_decimal(self, square_file, capsys):
+        code, out, err = run(["represent", square_file, "--c=1.x", "--approx"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: could not convert string to float: '1.x'\n"
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"4\n1 2\xff\n")
+        code, out, err = run(["classes", str(p), "--c=1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 5: "
+                       "invalid start byte\n")
+
+    def test_internal_value_error_exits_one(self, square_file, capsys, monkeypatch):
+        # a ValueError that is not an InputError is a defect in gerbe
+        def broken(m, c):
+            raise ValueError("broken partition")
+
+        monkeypatch.setattr(sheaf, "partition_from_sign_matrix", broken)
+        code, out, err = run(["classes", square_file, "--c=1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "internal invariant violated: broken partition\n"
 
     @pytest.mark.parametrize("cmd, args", [
         ("group", ["--c=1" + "0" * 400]),

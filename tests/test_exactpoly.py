@@ -16,6 +16,7 @@ from gerbe.exactpoly import (
     IntPolynomial,
     char_poly,
     chi_and_roots,
+    degree_at,
     real_roots_with_multiplicity,
     squarefree_decomposition,
 )
@@ -265,6 +266,26 @@ class TestIntegerArithmetic:
             content = math.gcd(*chi.coeffs) * (1 if chi.coeffs[-1] > 0 else -1)
             assert exactpoly._yun(chi) == [(P(*(c // content for c in chi.coeffs)), 1)]
             checked += 1
+
+    @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), cliques=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_degree_at_matches_the_factor_formula(self, n, seed, cliques):
+        # degree_at divides chi by q x -+ 1; the reference is n minus the
+        # exponents of the square-free factors that vanish at x.  A disjoint
+        # union of cliques has the root -1 of multiplicity n - #cliques
+        rng = random.Random(seed)
+        if cliques:
+            label = [rng.randrange(n) for _ in range(n)]
+            m = epsilon_matrix(n, [(i, j) for i, j in itertools.combinations(range(n), 2)
+                                   if label[i] == label[j]])
+        else:
+            m = random_sign_matrix(rng, n)
+        factors = squarefree_decomposition(char_poly(m))
+        for k in range(1, n + 1):
+            for x in (Fraction(1, k), Fraction(-1, k)):
+                want = n - sum(e for f, e in factors if f(x) == 0)
+                assert degree_at(m, 1, x) == want
+                assert degree_at(m, Fraction(-3, 2), Fraction(-3, 2) * x) == want
 
     def test_div_exact(self):
         assert exactpoly._div_exact([-1, 0, 1], [-1, 1]) == [1, 1]

@@ -204,7 +204,7 @@ class TestGramFactorize:
 class TestRepresentation:
     def test_build_validates_gram(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        assert u.is_reduced()
+        assert np.linalg.matrix_rank(u.vectors) == u.degree
         assert u.degree == 2
 
     def test_mismatched_vectors_rejected(self):
@@ -232,8 +232,8 @@ class TestRepresentation:
     def test_null_representation(self):
         u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
         assert u.degree == 0
-        assert u.is_trivial()
-        assert u.is_reduced()
+        assert u.c == 0.0
+        assert np.linalg.matrix_rank(u.vectors) == u.degree
 
 
 class TestSum:
@@ -262,7 +262,7 @@ class TestSum:
         v = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         w = Representation(TRIANGLE.graph, 2.0, -0.5, QuadraticSpace(u.space.signs + v.space.signs),
                            np.hstack([u.vectors, v.vectors]))
-        assert w.degree == 3 and w.is_reduced()
+        assert w.degree == 3 and np.linalg.matrix_rank(w.vectors) == w.degree
 
 
 class TestReduce:
@@ -279,16 +279,16 @@ class TestReduce:
         padded_space = QuadraticSpace(u.space.signs + (1, -1))
         padded_vectors = np.hstack([u.vectors, np.zeros((3, 2))])
         padded = Representation(TRIANGLE.graph, 1.0, 0.5, padded_space, padded_vectors)
-        assert not padded.is_reduced()
+        assert np.linalg.matrix_rank(padded.vectors) < padded.degree
         v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(padded.gram, rank(padded.gram)))
-        assert v.degree == 2 and v.is_reduced()
+        assert v.degree == 2 and np.linalg.matrix_rank(v.vectors) == v.degree
         assert np.abs(v.gram - u.gram).max() < 1e-9
 
     def test_square_at_one_reduces_to_line(self):
         m = SQUARE.graph
         s = build_S(m, 1.0, 1.0)
         padded = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, 4))
-        assert not padded.is_reduced()
+        assert np.linalg.matrix_rank(padded.vectors) < padded.degree
         assert rank(padded.gram) == 1
         assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).degree == 1
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from gerbe.errors import TrivialRepresentationError
 from gerbe.fixtures import PENTAGON, SQUARE, TRIANGLE
 from gerbe.exactpoly import degree_at
 from gerbe.graph import epsilon_matrix
-from gerbe.quadspace import QuadraticSpace, Representation, gram_factorize, rank
+from gerbe.quadspace import Representation
 from gerbe.sheaf import (
     LinePartition,
     check_class_linking,
@@ -38,32 +39,45 @@ def assert_lines_of_vectors(u, p, tol=1e-8):
             assert gap > tol, (p.rep_index[a], p.rep_index[b])
 
 
+def representatives(u, p):
+    """The representatives' vectors of u as a representation of Gamma_Y,
+    as ``gerbe group --realize`` takes them: the constructor checks their
+    Gram matrix against S of the restricted sign matrix."""
+    return Representation(restrict_to_Y(u.graph, p), u.omega, u.c, u.space,
+                          u.vectors[list(p.rep_index)])
+
+
 class TestLineClasses:
+    # the partition is read off (epsilon, omega, c); the vectors built at
+    # (omega, c) are the independent check
     def test_triangle_collapsed(self):
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
-        p = line_classes(u)
+        p = line_classes(TRIANGLE.graph, 1.0, -1.0)
         assert p.m == 1
         assert p.pi == (0, 0, 0)
         # all three vertices land on the same vector, not just the same line
         assert p.sign == (1, 1, 1)
+        assert_lines_of_vectors(u, p)
 
     def test_square_at_one(self):
         u = Representation.build(SQUARE.graph, 1.0, 1.0, 1)
-        p = line_classes(u)
+        p = line_classes(SQUARE.graph, 1.0, 1.0)
         assert p.m == 1
         assert p.plus_block(0) == [0, 2]
         assert p.minus_block(0) == [1, 3]
+        assert_lines_of_vectors(u, p)
 
     def test_square_generic_all_singletons(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        p = line_classes(u)
-        assert p.is_all_singletons()
+        p = line_classes(SQUARE.graph, 1.0, -1 / 3)
+        assert p.m == p.n
         assert p.sign == (1, 1, 1, 1)
+        assert_lines_of_vectors(u, p)
 
     def test_trivial_rejected(self):
-        u = Representation.build(SQUARE.graph, 1.0, 0.0, 4)
-        with pytest.raises(TrivialRepresentationError):
-            line_classes(u)
+        for c in (0.0, -0.0, Fraction(0)):
+            with pytest.raises(TrivialRepresentationError):
+                line_classes(SQUARE.graph, 1.0, c)
 
     def test_distinct_lines_when_moduli_differ(self):
         # 200 random samples with |omega| != |c| must give all singletons
@@ -75,8 +89,8 @@ class TestLineClasses:
             if abs(c) < 1e-3:
                 c = 0.5
             u = Representation.build(g, 1.0, c, degree_at(g, 1, c))
-            p = line_classes(u)
-            assert p.is_all_singletons()
+            p = line_classes(g, 1.0, c)
+            assert p.m == p.n
             assert_lines_of_vectors(u, p)
 
     @pytest.mark.parametrize("graph, c", [
@@ -86,7 +100,9 @@ class TestLineClasses:
     def test_near_unit_c_all_singletons(self, graph, c):
         # lines coincide only where |c| = |omega| exactly
         u = Representation.build(graph, 1.0, c, degree_at(graph, 1, c))
-        assert line_classes(u).is_all_singletons()
+        p = line_classes(graph, 1.0, c)
+        assert p.m == p.n
+        assert_lines_of_vectors(u, p)
 
     @pytest.mark.parametrize("omega, c", [(2.0, 2.0), (-1.0, 1.0), (0.5, -0.5)])
     def test_partition_at_c_over_omega(self, omega, c):
@@ -94,20 +110,14 @@ class TestLineClasses:
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 7))
             u = Representation.build(g, omega, c, degree_at(g, omega, c))
-            p = line_classes(u)
+            p = line_classes(g, omega, c)
             assert p == partition_from_sign_matrix(g, int(c / omega))
             assert_lines_of_vectors(u, p)
 
-    def test_padded_rejected(self):
-        # at (1, 1) the padded square has the Gram rows of the reduced one,
-        # but its vectors are distinct
-        u, v = (Representation.build(SQUARE.graph, omega, 0.5, 4) for omega in (1.0, 0.0))
-        pad = Representation(SQUARE.graph, 1.0, 1.0, QuadraticSpace(u.space.signs + v.space.signs),
-                             np.hstack([u.vectors, v.vectors]))
-        with pytest.raises(ValueError, match="reduced"):
-            line_classes(pad)
-        u = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(pad.gram, rank(pad.gram)))
-        assert line_classes(u) == line_classes(Representation.build(SQUARE.graph, 1.0, 1.0, 1))
+    def test_decided_at_the_floats(self):
+        # 1 + 10^-20 is no unit, but S is built from its float, 1.0
+        c = Fraction(10**20 + 1, 10**20)
+        assert line_classes(SQUARE.graph, 1, c) == partition_from_sign_matrix(SQUARE.graph, 1)
 
 
 class TestCombinatorialPartition:
@@ -117,8 +127,8 @@ class TestCombinatorialPartition:
             g = random_graph(rng, rng.randint(2, 7))
             for c in (1, -1):
                 u = Representation.build(g, 1.0, float(c), degree_at(g, 1, c))
-                p = line_classes(u)
-                assert p == partition_from_sign_matrix(g, c)
+                p = partition_from_sign_matrix(g, c)
+                assert p == line_classes(g, 1, c)
                 assert_lines_of_vectors(u, p)
 
     def test_rejects_other_c(self):
@@ -129,25 +139,22 @@ class TestCombinatorialPartition:
 class TestRestrictToY:
     def test_singletons_unchanged(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        p = line_classes(u)
-        v = restrict_to_Y(u, p)
-        assert np.array_equal(v.graph.entries, SQUARE.graph.entries)
-        assert np.array_equal(v.vectors, u.vectors)
+        p = line_classes(SQUARE.graph, 1.0, -1 / 3)
+        assert np.array_equal(restrict_to_Y(SQUARE.graph, p).entries, SQUARE.graph.entries)
+        assert np.array_equal(representatives(u, p).vectors, u.vectors)
 
     def test_square_at_one(self):
         u = Representation.build(SQUARE.graph, 1.0, 1.0, 1)
-        p = line_classes(u)
-        v = restrict_to_Y(u, p)
+        v = representatives(u, line_classes(SQUARE.graph, 1.0, 1.0))
         assert v.n == 1
         assert v.degree == 1
-        assert v.is_reduced()
+        assert np.linalg.matrix_rank(v.vectors) == v.degree
 
     def test_triangle_collapsed(self):
+        y = restrict_to_Y(TRIANGLE.graph, line_classes(TRIANGLE.graph, 1.0, -1.0))
+        assert y.entries.tolist() == [[1]]
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
-        p = line_classes(u)
-        v = restrict_to_Y(u, p)
-        assert v.graph.entries.tolist() == [[1]]
-        assert v.degree == 1
+        assert representatives(u, line_classes(TRIANGLE.graph, 1.0, -1.0)).degree == 1
 
     def test_result_has_distinct_lines(self):
         rng = random.Random(59)
@@ -155,18 +162,20 @@ class TestRestrictToY:
             g = random_graph(rng, rng.randint(2, 6))
             c = rng.choice([1.0, -1.0])
             u = Representation.build(g, 1.0, c, degree_at(g, 1, c))
-            p = line_classes(u)
+            p = line_classes(g, 1.0, c)
             assert_lines_of_vectors(u, p)
-            v = restrict_to_Y(u, p)
+            y = restrict_to_Y(g, p)
             reps = list(p.rep_index)
-            assert np.array_equal(v.graph.entries, g.entries[np.ix_(reps, reps)])
-            assert line_classes(v).is_all_singletons()
+            assert np.array_equal(y.entries, g.entries[np.ix_(reps, reps)])
+            assert line_classes(y, 1.0, c) == LinePartition.trivial(y.n)
+            v = representatives(u, p)
+            assert np.linalg.matrix_rank(v.vectors) == v.degree
             assert_lines_of_vectors(v, LinePartition.trivial(v.n))
 
     def test_trivial_rejected(self):
-        u = Representation.build(SQUARE.graph, 1.0, 0.0, 4)
+        # c = 0 has no partition to restrict by
         with pytest.raises(TrivialRepresentationError):
-            restrict_to_Y(u, LinePartition.trivial(4))
+            restrict_to_Y(SQUARE.graph, line_classes(SQUARE.graph, 1.0, 0.0))
 
     @pytest.mark.parametrize("c, degree, p", [
         # too fine: the square's four vertices share one line at c = 1
@@ -177,9 +186,12 @@ class TestRestrictToY:
         (1.0, 1, LinePartition(1, (0,), (0, 0, 0, 0), (1, 1, 1, 1))),
     ], ids=["too-fine", "too-coarse", "wrong-signs"])
     def test_wrong_partition_rejected(self, c, degree, p):
+        # the vector oracle the partition tests rest on refuses a partition
+        # that is not the line partition: a negative control
         u = Representation.build(SQUARE.graph, 1.0, c, degree)
-        with pytest.raises(ValueError, match="not the line partition"):
-            restrict_to_Y(u, p)
+        assert p != line_classes(SQUARE.graph, 1.0, c)
+        with pytest.raises(AssertionError):
+            assert_lines_of_vectors(u, p)
 
 
 class TestClassLinking:
@@ -226,7 +238,7 @@ class TestClassLinking:
 class TestLinePartitionType:
     def test_trivial(self):
         p = LinePartition.trivial(3)
-        assert p.m == 3 and p.is_all_singletons()
+        assert p.m == p.n == 3
 
     def test_rep_invariant_enforced(self):
         with pytest.raises(ValueError):
