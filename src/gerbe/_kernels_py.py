@@ -2,21 +2,24 @@
 
 The search for graph isomorphisms takes each graph as row bitmasks: bit
 j of mask i is set when the sign-matrix entry (i, j) is -1.  The line
-partition at c = ±1 and its linking rules work on batches of graphs, as
-boolean adjacency tensors ``A[B, n, n]`` and row bitmasks of up to 64 bits:
-``sheaf`` calls them on a batch of one, the exhaustive linking sweep on
-chunks of graphs.
+partition at c = ±1 and its linking rules take a batch of graphs as row
+bitmasks laid out rows[n, B], batch axis last, in the smallest unsigned
+dtype holding n bits; they compare the rows of the pairs r < i.  ``sheaf``
+calls them on a batch of one, the exhaustive linking sweep on chunks.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import config
 from .errors import BoundExceededError
 
-# graphs per chunk of the linking sweep: about 2 MB of tables at n = 7;
-# 2^15 takes 14 MB and is no faster, 2^10 is slower by its per-chunk cost
+# graphs per chunk of the linking sweep: its largest table, the n x n x B
+# uint8 square of the partition, takes 200 kB at n = 7 and stays in cache;
+# 2^13 and up are slower, and 2^11 and down slower by the per-chunk cost
 _CHUNK = 1 << 12
 
 
@@ -94,109 +97,106 @@ def signed_stabilizer(src, dst=None, prefix=(), first=False, budget=None):
     return sorted(out)
 
 
-def _batch_graphs(n, start, stop):
-    """Adjacency tensors [B, n, n] of the graphs with edge masks
-    start..stop-1: bit b of a mask is the b-th pair (i, j), i < j, in
-    row-major order."""
-    iu, ju = np.triu_indices(n, 1)
-    em = np.arange(start, stop, dtype=np.min_scalar_type(stop))
-    bits = (em[:, None] >> np.arange(len(iu), dtype=em.dtype)) & 1
-    a = np.zeros((len(em), n, n), dtype=bool)
-    a[:, iu, ju] = bits
-    a[:, ju, iu] = bits
-    return a
-
-
+@functools.cache
 def _row_bits(n):
-    """The bits 1 << k, k < n, in the smallest unsigned dtype holding n
-    bits; ``a @ bits`` turns adjacency rows into row bitmasks."""
-    return (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+    """The bits 1 << k, k < n, read-only, in the row dtype: the smallest
+    unsigned one holding n bits.  ``a @ bits`` packs adjacency rows."""
+    bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+    bits.flags.writeable = False
+    return bits
 
 
-def _batch_partition(a, cbit):
-    """Line partition at c = ±1 of each graph in a batch.
+@functools.cache
+def _pairs(n):
+    """The pairs r < i by i, then r: read-only rows r, i, (bits r, i) in the row dtype."""
+    i, r = np.tril_indices(n, -1)
+    pairs = np.array((r, i, (1 << r) | (1 << i)), dtype=_row_bits(n).dtype)
+    pairs.flags.writeable = False
+    return pairs
 
-    cbit is 0 for c = +1 and 1 for c = -1.  Returns (rep, sbit), both
-    [B, n]: the representative of each vertex, the least r whose row agrees
-    with the vertex's row away from the two of them up to the sign bit
-    a[r, i] ^ cbit, and that sign bit.  Proportional rows of S(1, c) form an
-    equivalence relation, so the least such r is the least vertex of the
-    class.
+
+def _edge_rows(n, start, stop):
+    """Row bitmasks [n, B] of the graphs with edge masks start..stop-1,
+    bit k of a mask the k-th pair r < i in row-major order.  Row r's bits
+    i > r are n-1-r consecutive bits of the mask, shifted into place at
+    once; its bits i < r are the transpose of those."""
+    em = np.arange(start, stop, dtype=np.min_scalar_type((1 << n * (n - 1) // 2) - 1))[None]
+    v = np.arange(n, dtype=em.dtype)[:, None]
+    first = v * (2 * n - 1 - v) // 2  # the index of the pair (v, v+1)
+    upper = (((em >> first) & ((1 << (n - 1 - v)) - 1)) << (v + 1)).astype(_row_bits(n).dtype)
+    v = v.astype(upper.dtype)
+    return upper | (((upper >> v[:, None]) & 1) << v).sum(axis=1, dtype=upper.dtype)
+
+
+def _batch_partition(rows, cbit):
+    """Line partition at c = ±1 (cbit 0 or 1) of each graph of a batch.
+
+    Returns (rep, sbit), both [n, B] uint8: for each vertex i, the least r
+    whose row agrees with row i away from r and i up to the sign bit
+    a[r, i] ^ cbit, and that bit, or i itself, sign +: as proportional rows
+    of S(1, c) are an equivalence, the least vertex of i's class.  Bits r
+    and i of rows[r] ^ rows[i] both hold a[r, i], so xor with a[r, i] * full
+    clears them and must leave cbit elsewhere.
     """
-    n = a.shape[1]
-    eye = np.eye(n, dtype=bool)
-    sb = a ^ (bool(cbit) & ~eye)  # a vertex is its own representative, sign +
-    bit = _row_bits(n)
-    rows = a @ bit
-    away = bit.sum(dtype=bit.dtype) - (bit[:, None] | bit[None, :])  # k not in {r, i}
-    diff = (rows[:, :, None] ^ rows[:, None, :]) & away  # [B, r, i]
-    match = diff == away * sb
-    match &= np.triu(~eye)  # r < i only
-    match |= eye
-    rep = match.argmax(axis=1)
-    sbit = np.take_along_axis(sb, rep[:, None, :], axis=1)[:, 0, :]
-    return rep, sbit
+    n, b = rows.shape
+    r, i, ends = _pairs(n)
+    full = (1 << n) - 1
+    row = rows.take(r, axis=0)
+    e = (row >> i[:, None]) & 1
+    match = row ^ rows.take(i, axis=0) ^ e * full == (cbit * (full ^ ends))[:, None]
+    # the least code, 2r + sign for a match r or else 2i, is a minimum along r
+    square = np.empty((n, n, b), np.uint8)
+    square[...] = 2 * np.arange(n, dtype=np.uint8)[:, None, None]
+    square[i, r] = (i << 1)[:, None] - match * (((i - r) << 1)[:, None] - (e ^ cbit))
+    code = square.min(axis=1)
+    return code >> 1, code & 1
 
 
-def _signed_rows(a, sbit):
-    """Rows of t = a ^ s_x ^ s_y, the adjacency switched by the sign bits
-    of a partition, as bitmasks [B, n]; with the bits 1 << k and the full
-    mask."""
-    bit = _row_bits(a.shape[1])
-    full = bit.sum(dtype=bit.dtype)
-    t = (a @ bit) ^ (sbit @ bit)[:, None] ^ (sbit * full)
-    return t, bit, full
+def _switched(rows, rep, sbit):
+    """What the rules read off a partition (rep, sbit): the rows t[n, B]
+    of a ^ s_x ^ s_y, zero on the diagonal; the class masks cls[n, B]; and
+    for each pair r < i of ``_pairs``, t[r] ^ t[i] and whether r ~ i."""
+    n = len(rows)
+    r, i, _ = _pairs(n)
+    bit = _row_bits(n)[:, None]
+    s = sbit.astype(rows.dtype)
+    t = rows ^ (s * bit).sum(axis=0, dtype=s.dtype) ^ s * ((1 << n) - 1)
+    cls = ((rep[:, None] == rep) * bit).sum(axis=1, dtype=s.dtype)
+    diff = t.take(r, axis=0) ^ t.take(i, axis=0)
+    return t, cls, diff, rep.take(r, axis=0) == rep.take(i, axis=0)
 
 
-def _batch_rules(a, rep, sbit, cbit):
-    """Per-graph verdicts (within, across) of the linking rules at c = ±1.
-
-    With t = a ^ s_x ^ s_y, the within-class rule is t[x, y] = cbit for
-    x != y in one class, and the cross-class rule is t[x, y] =
-    t[rep x, rep y] for x, y in different classes.  As t is symmetric, the
-    second is row x of t agreeing with row rep x outside the class of x;
-    both are checked on row bitmasks.  Together they imply the
-    all-or-nothing rule.
-    """
-    t, bit, full = _signed_rows(a, sbit)
-    cls = (rep[:, :, None] == rep[:, None, :]) @ bit  # the class of x
-    within = ~((t ^ (full * cbit)) & cls & ~bit).any(axis=1)
-    across = ~((t ^ np.take_along_axis(t, rep, axis=1)) & ~cls).any(axis=1)
-    return within, across
+def _batch_rules(switched, cbit):
+    """Per-graph verdicts (within, across) of the linking rules at c = ±1:
+    within a class t[x, y] = cbit, and across classes t[x, y] =
+    t[rep x, rep y], so, as t is symmetric, the rows of two vertices of one
+    class agree outside it.  Together they imply the all-or-nothing rule."""
+    t, cls, diff, same = switched
+    within = ~((t ^ cbit * ((1 << len(t)) - 1)) & cls & ~_row_bits(len(t))[:, None]).any(axis=0)
+    return within, ~((diff & ~cls.take(_pairs(len(t))[1], axis=0)).astype(bool) & same).any(axis=0)
 
 
-def _batch_all_or_nothing(a, rep, sbit):
+def _batch_all_or_nothing(switched, sbit):
     """Per-graph verdict of the all-or-nothing rule: between two signed
     blocks (the vertices of one class and one sign), or within one, the
-    edges are all present or all absent.
-
-    On t that reads: with b(x) the least vertex of x's block, rows x and
-    b(x) of t agree outside the block, and row x is 0 or full inside it
-    (away from x).  As t is symmetric, the first makes t constant on every
-    pair of distinct blocks.
-    """
-    t, bit, _ = _signed_rows(a, sbit)
-    same = (rep[:, :, None] == rep[:, None, :]) & (sbit[:, :, None] == sbit[:, None, :])
-    blk = same @ bit  # the block of x
-    outside = (t ^ np.take_along_axis(t, same.argmax(axis=2), axis=1)) & ~blk
-    inside = t & blk & ~bit
-    return ~outside.any(axis=1) & ((inside == 0) | (inside == (blk & ~bit))).all(axis=1)
+    edges are all present or all absent.  On the symmetric t that is: the
+    rows of any two vertices x, y of one block agree away from x and y."""
+    t, _, diff, same = switched
+    r, i, ends = _pairs(len(t))
+    block = same & (sbit.take(r, axis=0) == sbit.take(i, axis=0))
+    return ~((diff & ~ends[:, None]).astype(bool) & block).any(axis=0)
 
 
 def linking_sweep(n, c):
     """Check the linking rules at c = ±1 on every labeled graph on n >= 1
-    vertices, a chunk of graphs at a time.
-
-    Returns (graph_count, failure_count).
-    """
+    vertices, a chunk at a time; returns (graph_count, failure_count)."""
     if c not in (1, -1):
         raise ValueError("linking rules apply only at c = ±1")
     cbit = 0 if c == 1 else 1
     total = 1 << (n * (n - 1) // 2)
     failures = 0
     for start in range(0, total, _CHUNK):
-        a = _batch_graphs(n, start, min(start + _CHUNK, total))
-        rep, sbit = _batch_partition(a, cbit)
-        within, across = _batch_rules(a, rep, sbit, cbit)
+        rows = _edge_rows(n, start, min(start + _CHUNK, total))
+        within, across = _batch_rules(_switched(rows, *_batch_partition(rows, cbit)), cbit)
         failures += int(np.count_nonzero(~(within & across)))
     return total, failures

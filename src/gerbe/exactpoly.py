@@ -432,10 +432,16 @@ def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootR
 _WIDTH = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
 
 
-def _cuts(m: SignMatrix, degree: int, distinct: int):
+def _seidel_spectrum(m: SignMatrix) -> np.ndarray:
+    """The eigenvalues of eps - I, ascending."""
+    return np.linalg.eigvalsh(m.entries - np.eye(m.n))
+
+
+def _cuts(lams, degree: int, distinct: int):
     """The cuts and root windows for chi = char_poly(m) of this degree
-    with ``distinct`` distinct roots, all integers over one power of two
-    2^k: (distinct + 1 ascending cuts, distinct windows (lo, hi), k).
+    with ``distinct`` distinct roots, from the spectrum lams of m
+    (``_seidel_spectrum``), all integers over one power of two 2^k:
+    (distinct + 1 ascending cuts, distinct windows (lo, hi), k).
 
     chi(x) = prod (1 + x lam) over the eigenvalues lam of eps - I, and
     deg chi = rank(eps - I), so the roots are -1/lam for the deg chi
@@ -447,8 +453,7 @@ def _cuts(m: SignMatrix, degree: int, distinct: int):
     stable (Weyl; Demmel, Applied Numerical Linear Algebra, 5.2), so each
     lam is off by about n eps rho at most, and -1/lam by that times x^2.
     """
-    n = m.n
-    lams = np.linalg.eigvalsh(m.entries - np.eye(n))
+    n = len(lams)
     seeds = np.sort(-1 / lams[np.argsort(np.abs(lams))[n - degree:]])
     splits = np.sort(np.argsort(np.diff(seeds))[degree - distinct:]) + 1
     bounds = np.concatenate(([0], splits, [degree]))
@@ -494,12 +499,12 @@ def _refine_cells(cells, distinct: int, index):
     return records if index is None else [records[index]]
 
 
-def real_roots_with_multiplicity(m: SignMatrix, factors, index=None) -> list:
+def real_roots_with_multiplicity(m: SignMatrix, factors, index=None, spectrum=None) -> list:
     """Every real root of chi = char_poly(m), once each, with its exact
     multiplicity, or with ``index`` the index-th alone (ascending, 0-based);
     ``factors`` is ``squarefree_decomposition(chi)``, whose gcd or Yun's
     scheme decides square-freeness (``chi_and_roots`` decides it from the
-    cells below).
+    cells below, and passes on the ``spectrum`` of m it took for them).
 
     The D = sum deg f distinct roots get D + 1 cuts from the Seidel
     spectrum (``_cuts``).  A factor f's cells are those between
@@ -511,7 +516,8 @@ def real_roots_with_multiplicity(m: SignMatrix, factors, index=None) -> list:
     if not factors:
         return []
     distinct = sum(f.degree for f, _ in factors)
-    cuts, windows, k = _cuts(m, sum(f.degree * e for f, e in factors), distinct)
+    lams = _seidel_spectrum(m) if spectrum is None else spectrum
+    cuts, windows, k = _cuts(lams, sum(f.degree * e for f, e in factors), distinct)
     cells = []  # (gap between cuts, or None for a Sturm cell, factor, mult, cell, window)
     for factor, mult in factors:
         cells += (_seeded_cells(factor, mult, cuts, windows, k)
@@ -530,19 +536,21 @@ def chi_and_roots(m: SignMatrix, index=None):
     d gaps, it has d distinct real roots, one in each gap, so it is
     square-free and those gaps are its cells.  Otherwise
     ``squarefree_decomposition`` decides and
-    ``real_roots_with_multiplicity`` isolates.  The cuts, cells and
+    ``real_roots_with_multiplicity`` isolates, from the Seidel spectrum
+    the certificate took: one ``eigvalsh`` per call.  The cuts, cells and
     windows are those ``real_roots_with_multiplicity`` takes for a
     square-free chi, so both ways give the same records.
     """
     chi = char_poly(m)
-    cells = None
+    cells = lams = None
     if chi.degree > 0:
         whole = IntPolynomial(tuple(_primitive(chi.coeffs)))
-        cells = _seeded_cells(whole, 1, *_cuts(m, chi.degree, chi.degree))
+        lams = _seidel_spectrum(m)
+        cells = _seeded_cells(whole, 1, *_cuts(lams, chi.degree, chi.degree))
     factors = squarefree_decomposition(chi) if cells is None else [(whole, 1)]
     distinct = sum(f.degree for f, _ in factors)
     if index is not None and not 0 <= index < distinct:
         return chi, factors, []
     if cells is None:
-        return chi, factors, real_roots_with_multiplicity(m, factors, index)
+        return chi, factors, real_roots_with_multiplicity(m, factors, index, spectrum=lams)
     return chi, factors, _refine_cells(cells, distinct, index)

@@ -10,7 +10,9 @@ vertex per line (the graph Gamma_Y the sheaf group acts on), and verifies
 the all-or-nothing linking rules that govern the signed blocks of the
 partition.  The partition and the rules are the batched kernels of
 ``_kernels_py`` called on a batch of one graph, the same code the
-exhaustive linking sweep runs.
+exhaustive linking sweep runs: the graph goes in as its row bitmasks
+laid out [n, 1], and the partition comes back as [n, 1] arrays of
+representatives and sign bits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import _batch_all_or_nothing, _batch_partition, _batch_rules
+from ._kernels_py import (_batch_all_or_nothing, _batch_partition, _batch_rules, _row_bits,
+                          _switched)
 from .errors import TrivialRepresentationError
 from .graph import SignMatrix
 
@@ -79,6 +82,11 @@ def line_classes(m: SignMatrix, omega, c) -> LinePartition:
     return partition_from_sign_matrix(m, int(c / omega))
 
 
+def _rows(m: SignMatrix) -> np.ndarray:
+    """The row bitmasks of m as a batch of one, [n, 1]."""
+    return ((m.entries == -1) @ _row_bits(m.n))[:, None]
+
+
 def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
     """Exact line partition of the reduced representation at (1, c), c = ±1.
 
@@ -87,10 +95,11 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
     """
     if c not in (1, -1):
         raise ValueError("combinatorial partition requires c = ±1")
-    rep, sbit = _batch_partition((m.entries == -1)[None], 0 if c == 1 else 1)
-    reps, pi = np.unique(rep[0], return_inverse=True)
-    return LinePartition(len(reps), tuple(reps.tolist()), tuple(pi.tolist()),
-                         tuple(-1 if s else 1 for s in sbit[0].tolist()))
+    rep, sbit = (v[:, 0].tolist() for v in _batch_partition(_rows(m), 0 if c == 1 else 1))
+    reps = sorted(set(rep))
+    index = {r: j for j, r in enumerate(reps)}
+    return LinePartition(len(reps), tuple(reps), tuple(map(index.get, rep)),
+                         tuple(-1 if s else 1 for s in sbit))
 
 
 def restrict_to_Y(m: SignMatrix, p: LinePartition) -> SignMatrix:
@@ -136,11 +145,11 @@ def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingRepor
     """
     if c not in (1, -1):
         raise ValueError("linking rules apply only at c = ±1")
-    a = (m.entries == -1)[None]
-    rep = np.array([[p.rep_index[j] for j in p.pi]])
-    sbit = np.array([[s == -1 for s in p.sign]])
-    aon = bool(_batch_all_or_nothing(a, rep, sbit)[0])
-    within, across = (bool(v[0]) for v in _batch_rules(a, rep, sbit, 0 if c == 1 else 1))
+    rep = np.array(p.rep_index)[list(p.pi), None]
+    sbit = np.array(p.sign)[:, None] == -1
+    switched = _switched(_rows(m), rep, sbit)
+    aon = bool(_batch_all_or_nothing(switched, sbit)[0])
+    within, across = (bool(v[0]) for v in _batch_rules(switched, 0 if c == 1 else 1))
     cross = aon and across
     failures = tuple(f"{rule} rule broken" for rule, ok in (
         ("all-or-nothing", aon), ("cross-class", cross), ("within-class", within)) if not ok)

@@ -694,6 +694,18 @@ class TestChiAndRoots:
         assert chi_and_roots(m) == want
         assert decompositions == [want[0]] and isolations == [m]
 
+    @pytest.mark.parametrize("name", ["petersen", "edgeless-5", "random"])
+    def test_one_spectrum_per_call(self, name, monkeypatch):
+        # the failed certificate and the fallback's cuts share one eigvalsh
+        m = {"petersen": petersen(), "edgeless-5": epsilon_matrix(5, []),
+             "random": random_sign_matrix(random.Random(7), 12)}[name]
+        want = separate_passes(m)
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(1) or eigvalsh(a))
+        assert chi_and_roots(m) == want
+        assert len(spectra) == 1
+
     def test_a_root_beyond_the_cuts_is_not_certified(self, monkeypatch):
         # seeds that leave the lowest root below every cut show d - 1 sign
         # changes, one per other root: chi must not be certified from them,
@@ -704,7 +716,7 @@ class TestChiAndRoots:
         lams = np.linalg.eigvalsh(m.entries - np.eye(7))
         lams[np.argmin(-1 / lams)] = -1 / (want[-1].value + 10)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: lams.copy())
-        cuts, _, k = exactpoly._cuts(m, 7, 7)
+        cuts, _, k = exactpoly._cuts(lams, 7, 7)
         signs = [exactpoly._sign_at(f.coeffs, a, k) for a in cuts]
         assert sum(s * t == -1 for s, t in zip(signs, signs[1:])) == 6
         sturm = spy(monkeypatch, "_sturm_cells")

@@ -99,3 +99,15 @@ def test_one_sign_matrix_per_call(argv, tmp_path, capsys):
             assert cli.main([argv[0], str(p), *argv[1:], "--json"]) == 0
         capsys.readouterr()
         assert [span[0] for span in tracer.spans].count("graph.epsilon_matrix") == 1
+
+
+@pytest.mark.parametrize("c", [1, -1])
+def test_sweep_is_one_traced_span(c):
+    # the benchmark's per-layer sweep metrics read one span per sweep and
+    # its two counters, fed from the (total, failures) result
+    tracer = load_tracing().Tracer()
+    with tracer.install():
+        assert _backend.linking_sweep(6, c) == (1 << 15, 0)
+    assert [span[0] for span in tracer.spans].count("kernels.linking_sweep") == 1
+    assert tracer.counts[(None, "kernels.linking_sweep.graphs")] == 1 << 15
+    assert tracer.counts[(None, "kernels.linking_sweep.passing")] == 1 << 15
