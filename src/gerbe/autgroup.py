@@ -96,9 +96,10 @@ def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     takes the other matrix of the pair by negation.
 
     The targets of a chunk of REALIZE_CHUNK elements are built by fancy
-    indexing and solved with one SVD of u (``isometry_between`` on a
-    stack); raises GramMismatchError if an
-    element is not an isometry of u, and DeficientSpanError if u is not
+    indexing and solved on the pivot rows of u with one batched
+    ``numpy.linalg.solve`` (``isometry_between`` on a stack), so the
+    matrices are written in u's pivot frame; raises GramMismatchError if
+    an element is not an isometry of u, and DeficientSpanError if u is not
     reduced.
     """
     r = u.space.dim
@@ -106,7 +107,7 @@ def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     for start in range(0, len(sigma), REALIZE_CHUNK):
         stop = start + REALIZE_CHUNK
         targets = nu[start:stop, :, None] * u.vectors[sigma[start:stop]]
-        out[start:stop] = isometry_between(u.vectors, targets, u.space, u.space)
+        out[start:stop] = isometry_between(u.vectors, targets, u.space, u.space, u.pivots)
     return out
 
 

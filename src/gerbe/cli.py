@@ -171,10 +171,12 @@ def _rows_text(rows, fmt, inner, heads):
     at a time: heads[i] before row i, whose entries are joined by
     ``inner``.  An entry is fmt of its magnitude after a '-' where its sign
     bit is set, so -0.0 keeps its sign and fmt(-x) must be '-' + fmt(x).
-    fmt runs once per distinct magnitude of a block, and the '-' goes with
-    the separator in front of the entry, so no signed string is built."""
+    fmt runs once per distinct magnitude of a block that the block before
+    did not hold, and the '-' goes with the separator in front of the
+    entry, so no signed string is built."""
     w = rows.shape[1]
     sep = np.array([0] + [2] * (w - 1))  # where the table below holds each entry's separator
+    known = {}  # the previous block's magnitudes and their texts
     for start in range(0, len(rows), TEXT_BLOCK_ROWS):
         block = rows[start:start + TEXT_BLOCK_ROWS]
         mags = np.abs(block)
@@ -183,9 +185,12 @@ def _rows_text(rows, fmt, inner, heads):
         new[:1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
         distinct = ordered[new]
+        keys = distinct.tolist()
+        texts = [known.get(x) or fmt(x) for x in keys] if known else list(map(fmt, keys))
+        if start + TEXT_BLOCK_ROWS < len(rows):
+            known = dict(zip(keys, texts))
         # the separators with and without the sign, then each distinct magnitude
-        table = np.array(["", "-", inner, inner + "-", *map(fmt, distinct.tolist())],
-                         dtype=object)
+        table = np.array(["", "-", inner, inner + "-", *texts], dtype=object)
         index = np.empty((len(block), 2 * w), dtype=np.intp)
         np.add(np.signbit(block), sep, out=index[:, 0::2])
         np.add(np.searchsorted(distinct, mags), 4, out=index[:, 1::2])
@@ -300,6 +305,7 @@ def cmd_represent(args) -> int:
             "c": float(c),
             "dim": u.space.dim,
             "signs": list(u.space.signs),
+            "pivots": [q + 1 for q in u.pivots],
             "vectors": u.vectors,
         }
         _print_json(payload)
@@ -377,7 +383,10 @@ def cmd_group(args) -> int:
         "is_2_transitive": orbit_info.is_2_transitive,
     }
     if args.realize:
-        v = Representation(y, u.omega, u.c, u.space, u.vectors[list(p.rep_index)])
+        # one vector per line, in u's frame: each pivot vertex stands for its line
+        v = Representation(y, u.omega, u.c, u.space, u.vectors[list(p.rep_index)],
+                           [p.pi[q] for q in u.pivots])
+        payload["pivots"] = [q + 1 for q in u.pivots]
         mats = _realize_listing(grp, v)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:

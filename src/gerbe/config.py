@@ -3,9 +3,10 @@
 The numeric thresholds (Gram checks, numeric rank, isometry residual), the
 width of certified root intervals and the resource bounds live here.  The
 exact stages need no tolerance: chi, its roots, every degree (rank law),
-the line partition and the group are decided in integers, and the span
-test of reducedness in isometry recovery takes numpy's ``matrix_rank``
-cut.  None of these values is read from the environment.
+the line partition and the group are decided in integers, the Gram
+factorization stops at that exact degree, and the span test of the pivot
+rows in isometry recovery takes numpy's ``matrix_rank`` cut.  None of
+these values is read from the environment.
 """
 
 # largest vertex count parse_graph accepts: the sign matrix and chi take
@@ -21,8 +22,9 @@ MAX_SEARCH_NODES = 1_000_000
 MAX_LISTED_ORDER = 10_000
 
 # the Gram checks are relative to max(1, max|S|), the rank cut to the
-# spectral radius: the error of eigh grows with the norm.  RANK_TOL is read
-# only by quadspace.rank, for matrices without an exact degree
+# spectral radius: the error of a factorization (the pivoted LDL^T, or eigh
+# in quadspace.rank) grows with the norm.  RANK_TOL is read only by
+# quadspace.rank, for matrices without an exact degree
 GRAM_TOL = 1e-9
 RANK_TOL = 1e-9
 ISOMETRY_TOL = 1e-8

@@ -104,7 +104,7 @@ def test_06_gram_round_trip(report):
         )
         c = float(nprng.uniform(-2, 2))
         s = build_S(g, 1.0, c)
-        space, vectors = gram_factorize(s, rank(s))
+        space, vectors, _ = gram_factorize(s, rank(s))
         assert np.abs(space.gram(vectors) - s).max() < 1e-9
     report["ok"] = True
 

@@ -248,7 +248,7 @@ class TestRealizeBatched:
         mats = realize_isometry(sigma, nu, u)
         single = np.array([
             isometry_between(u.vectors, [v[i] * u.vectors[s[i]] for i in range(u.n)],
-                             u.space, u.space)
+                             u.space, u.space, u.pivots)
             for s, v in zip(sigma, nu)
         ])
         assert mats.shape == (grp.order, u.degree, u.degree)
@@ -287,24 +287,30 @@ class TestRealizeBatched:
             realize_isometry(sigma, nu, u)
         assert len(realize_isometry(sigma[:REALIZE_CHUNK], nu[:REALIZE_CHUNK], u)) == REALIZE_CHUNK
 
-    def test_cli_realize_one_svd_per_chunk(self, tmp_path, capsys, monkeypatch):
-        # structural guard, not a timing: u is factorized once per chunk of
-        # elements, not once per element.  The span test of reducedness takes
+    def test_cli_realize_one_solve_per_chunk(self, tmp_path, capsys, monkeypatch):
+        # structural guard, not a timing: the pivot rows of u are solved
+        # against a whole chunk of elements at once, not once per element,
+        # and no SVD solves at all.  The span test of the pivot rows takes
         # singular values alone (compute_uv=False) and is not counted
-        calls = []
-        original = np.linalg.svd
+        calls = {"solve": 0, "svd": 0}
+        solve, svd = np.linalg.solve, np.linalg.svd
 
-        def counted(*args, **kwargs):
-            if kwargs.get("compute_uv", True):
-                calls.append(1)
-            return original(*args, **kwargs)
+        def counted_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += kwargs.get("compute_uv", True)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         p = tmp_path / "petersen.txt"
         p.write_text(format_graph(petersen()))
         assert cli.main(["group", str(p), "--c=1/3", "--realize", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["isometries"]) == 1440
-        assert 1 <= len(calls) <= math.ceil(1440 / REALIZE_CHUNK)
+        assert 1 <= calls["solve"] <= math.ceil(1440 / REALIZE_CHUNK)
+        assert calls["svd"] == 0
 
 
 class TestOrbits:
@@ -568,7 +574,8 @@ class TestSignPairs:
         # the vectors of one vertex per line, as group --realize takes them
         u = Representation.build(g, 1.0, c, rank(build_S(g, 1.0, c)))
         p = line_classes(g, 1.0, c)
-        v = Representation(restrict_to_Y(g, p), 1.0, c, u.space, u.vectors[list(p.rep_index)])
+        v = Representation(restrict_to_Y(g, p), 1.0, c, u.space, u.vectors[list(p.rep_index)],
+                           [p.pi[q] for q in u.pivots])
         grp = enumerate_group(v.graph)
         full = realize_isometry(*grp.listing, v)
         assert full.tobytes() == cli._realize_listing(grp, v).tobytes()

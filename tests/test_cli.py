@@ -431,6 +431,44 @@ class TestGroup:
         for m in mats:
             assert np.abs(m.T @ m - np.eye(3)).max() < 1e-8
 
+    def test_realize_json_names_the_frame(self, tmp_path, capsys):
+        # the matrices act on the representation's own vectors, so --realize
+        # names the same pivot vertices as represent, 1-based in column order,
+        # and the matrices fix the pivot rows' frame: M u_p = nu_p u_sigma(p)
+        path = tmp_path / "petersen.txt"
+        path.write_text(PETERSEN_TXT)
+        code, out, _ = run(["represent", str(path), "--c=1/3", "--json"], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        code, out, _ = run(["group", str(path), "--c=1/3", "--realize", "--json"], capsys)
+        assert code == 0
+        grp = json.loads(out)
+        assert grp["pivots"] == rep["pivots"]
+        assert len(rep["pivots"]) == len(set(rep["pivots"])) == rep["dim"] == 5
+        vectors = np.array(rep["vectors"])
+        basis = vectors[np.array(rep["pivots"]) - 1]
+        mats = np.array(grp["isometries"])
+        # each isometry maps the vector system onto itself up to signs
+        images = np.einsum("kij,pj->kpi", mats, vectors)
+        gaps = np.abs(np.abs(images[:, :, None, :]) - np.abs(vectors)[None, None]).max(axis=3)
+        assert (gaps.min(axis=2) < 1e-9).all()
+        assert np.abs(basis[0] - [1, 0, 0, 0, 0]).max() == 0  # vertex 1's row: unit diagonal
+
+    def test_realize_formats_few_magnitudes(self, tmp_path, capsys, monkeypatch):
+        # structural guard, not a timing: in the pivot frame Petersen's 1440
+        # matrices at c = 1/3 repeat their magnitudes, and the JSON writer
+        # formats each distinct one once per block; the eigh frame took
+        # 17,236 repr calls
+        calls = []
+        monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or x.__repr__(),
+                            raising=False)
+        path = tmp_path / "petersen.txt"
+        path.write_text(PETERSEN_TXT)
+        code, out, _ = run(["group", str(path), "--c=1/3", "--realize", "--json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["isometries"]) == 1440
+        assert 0 < len(calls) <= 1000
+
     def test_realize_csv(self, square_file, tmp_path, capsys):
         csv = tmp_path / "mats.csv"
         code, _, _ = run(
@@ -611,6 +649,20 @@ class TestExactDegree:
         assert code == 2
         assert out == ""
         assert err == "error: the eigenvalues of the matrix overflow the range of a float\n"
+
+    def test_row_sums_bound_the_spectrum(self, tmp_path, capsys, monkeypatch):
+        # the refusal is decided by the row sums of |S|, which bound its
+        # spectrum, and takes no eigendecomposition: Petersen's S(1, 2e307)
+        # has spectral radius 6e307, a float, but row sums 1.8e308
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        path = tmp_path / "petersen.txt"
+        path.write_text(PETERSEN_TXT)
+        code, out, err = run(["represent", str(path), "--c", "2e307", "--approx"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: the eigenvalues of the matrix overflow the range of a float\n"
+        code, out, _ = run(["represent", str(path), "--c", "1e307", "--approx", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["dim"] == 10
 
     def test_overflowing_spectrum_needs_no_vectors(self, square_file, capsys):
         # classes and group factor no S: at |c| != 1 the lines are distinct

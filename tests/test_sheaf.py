@@ -44,7 +44,7 @@ def representatives(u, p):
     as ``gerbe group --realize`` takes them: the constructor checks their
     Gram matrix against S of the restricted sign matrix."""
     return Representation(restrict_to_Y(u.graph, p), u.omega, u.c, u.space,
-                          u.vectors[list(p.rep_index)])
+                          u.vectors[list(p.rep_index)], [p.pi[q] for q in u.pivots])
 
 
 class TestLineClasses:
