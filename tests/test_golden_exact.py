@@ -5,7 +5,10 @@ below: ``classes`` and ``group`` without ``--realize``, as text and as
 ``--json``, on the four fixtures, Petersen and K3,4, at c in
 {1, -1, 1/3, -1/3} and at every root index.  These outputs are the line
 partition, the linking rules and the sheaf group, all decided in integers,
-so no float of an eigendecomposition enters them.
+so no float of an eigendecomposition enters them.  It also holds ``poly``
+and ``analyze``, as text and as ``--json``, on the graphs whose roots are
+all rational (triangle, square, Petersen and K3,4): chi, its factored
+form and its roots, each exact.
 
 ``PYTHONPATH=src python tests/test_golden_exact.py`` writes the file again
 from the current code.
@@ -43,6 +46,10 @@ def _cases():
             argv = [sel, fmt] if fmt else [sel]
             cases["-".join([name, cmd, sel.lstrip("-"), *(["json"] if fmt else [])])] = (
                 name, [cmd, *argv])
+    for name, cmd, fmt in itertools.product(("triangle", "square", "petersen", "k34"),
+                                            ("poly", "analyze"), ("", "--json")):
+        cases["-".join([name, cmd, *(["json"] if fmt else [])])] = (
+            name, [cmd, *([fmt] if fmt else [])])
     return cases
 
 
