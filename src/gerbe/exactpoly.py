@@ -3,23 +3,20 @@
 Provides the characteristic polynomial det(S(1, x)) of a sign matrix as an
 exact integer polynomial (Faddeev–LeVerrier modulo primes below 2^45, one
 stacked float64 product per step, rebuilt by the Chinese remainder theorem
-past Hadamard's bound 2^n n^(n/2) and checked modulo one more prime), its
-square-free decomposition (a gcd modulo a prime, else Yun's scheme), the
-degree of the representation at a rational point (``degree_at``, by
-exact division of chi by that point's linear factor), and
-its real roots with multiplicities: seeds -1/lam from the Seidel spectrum
-cut the line into cells that exact integer signs certify, with Sturm
-chains as the fallback, and a rational root is found by testing the
-points -1/k.  ``chi_and_roots`` gives chi, its factors and its roots in
-one call, and decides square-freeness from the roots' own cells: a chi of
-degree d that changes sign across all d gaps between its d + 1 cuts has d
-distinct roots, so it skips the decomposition, which runs only otherwise.
-The polynomial arithmetic is over the integers: by Gauss's
-lemma a primitive divisor of an integer polynomial divides it over Z, so
-Yun's scheme divides exactly by primitive gcds, and the Sturm chain takes
-pseudo-remainders.  Signs are taken in integers at dyadic points a / 2^k;
-Fractions appear only in the results.  Everything here is exact except
-the float approximation attached to each root.
+past Hadamard's bound 2^n n^(n/2) and checked modulo one more prime), the
+degree of the representation at a rational point (``degree_at``), and, in
+``chi_and_roots``, chi's square-free factors and its real roots with
+multiplicities.  The Seidel spectrum proposes the rational roots -1/q,
+which exact division by q x + 1 confirms and counts; the cofactor left is
+certified square-free by its sign changes across the cells that the seeds
+-1/lam cut, and only a cofactor with a repeated irrational root takes
+Yun's scheme (``squarefree_decomposition``), with Sturm chains as the
+fallback of a factor its cells do not certify.  All arithmetic is over the
+integers: by Gauss's lemma a primitive divisor of an integer polynomial
+divides it over Z, so Yun's scheme divides exactly by primitive gcds, and
+the Sturm chain takes pseudo-remainders.  Signs are taken at dyadic points
+a / 2^k; Fractions appear only in the results, which are exact but for the
+float approximation attached to each root.
 """
 
 from __future__ import annotations
@@ -252,42 +249,41 @@ def _gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
-# square-free decomposition
-
-# A repeated factor g^2 of p over the rationals, taken primitive, keeps its
-# degree modulo a prime that does not divide lead(p), and there it divides
-# both p and p'.  So a unit gcd(p, p') modulo such a prime proves p
-# square-free.  When the prime divides lead(p), or the gcd is not a unit,
-# Yun's scheme decides.
-_GCD_PRIME = 2**61 - 1
-
-
-def _gcd_degree_mod(a, b, q: int) -> int:
-    """Degree of gcd(a, b) over GF(q); a, b ascending integer coefficients."""
-    a, b = _trim(c % q for c in a), _trim(c % q for c in b)
-    while b:
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            factor, shift = a[-1] * inv % q, len(a) - len(b)
-            a = _trim(a[:shift] + [(x - factor * y) % q for x, y in zip(a[shift:], b)])
-        a, b = b, a
-    return len(a) - 1
-
+# square-free decomposition and rational roots
 
 def squarefree_decomposition(p: IntPolynomial) -> list:
-    """Write p as lead * prod f_k^{e_k} with the f_k square-free and coprime.
-
-    Returns the list of (factor, exponent) pairs with each factor primitive
-    and of positive leading coefficient; constant content is not included.
-    """
+    """Write p as lead * prod f_k^{e_k} with the f_k square-free and coprime,
+    by Yun's derivative-gcd scheme: the (factor, exponent) pairs, exponents
+    ascending, each factor primitive with a positive lead; constant content
+    is not included.  Every gcd is taken primitive, so by Gauss's lemma
+    each division by one is exact over Z."""
     if p.is_zero():
         raise ValueError("zero polynomial has no square-free decomposition")
-    if p.degree == 0:
-        return []
-    if (p.coeffs[-1] % _GCD_PRIME
-            and _gcd_degree_mod(p.coeffs, _deriv(p.coeffs), _GCD_PRIME) == 0):
-        return [(IntPolynomial(tuple(_primitive(p.coeffs))), 1)]
-    return _yun(p)
+    f = list(p.coeffs)
+    fp = _deriv(f)
+    a = _gcd(f, fp)
+    b = _div_exact(f, a)
+    d = _sub(_div_exact(fp, a), _deriv(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        g = _gcd(b, d)
+        if len(g) > 1:
+            out.append((IntPolynomial(tuple(g)), i))
+        b = _div_exact(b, g)
+        d = _sub(_div_exact(d, g), _deriv(b))
+        i += 1
+    return out
+
+
+def _divide_out(a, b):
+    """(a / b^mu, mu) for the largest power of b that divides a exactly."""
+    mu = 0
+    try:
+        while True:
+            a, mu = _div_exact(a, b), mu + 1
+    except ArithmeticError:  # b divides a no more
+        return a, mu
 
 
 def degree_at(m: SignMatrix, omega, c) -> int:
@@ -305,38 +301,18 @@ def degree_at(m: SignMatrix, omega, c) -> int:
               if abs(x.numerator) == 1]
     if not points:
         return m.n
-    chi, mu = list(char_poly(m).coeffs), 0
-    for x in points:
-        f, k = chi, 0
-        try:
-            while True:
-                f, k = _div_exact(f, [-x.numerator, x.denominator]), k + 1
-        except ArithmeticError:  # q x - s divides f no more
-            mu = max(mu, k)
-    return m.n - mu
+    chi = list(char_poly(m).coeffs)
+    return m.n - max(_divide_out(chi, [-x.numerator, x.denominator])[1] for x in points)
 
 
-def _yun(p: IntPolynomial) -> list:
-    """Yun's derivative-gcd scheme over the integers (p of degree >= 1).
-
-    Every gcd is taken primitive, so by Gauss's lemma each division by one
-    is exact over Z, and no rational number is ever formed.
-    """
-    f = list(p.coeffs)
-    fp = _deriv(f)
-    a = _gcd(f, fp)
-    b = _div_exact(f, a)
-    d = _sub(_div_exact(fp, a), _deriv(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        g = _gcd(b, d)
-        if len(g) > 1:
-            out.append((IntPolynomial(tuple(g)), i))
-        b = _div_exact(b, g)
-        d = _sub(_div_exact(d, g), _deriv(b))
-        i += 1
-    return out
+def _regroup(factors) -> list:
+    """Coprime square-free factors (f, e) multiplied together per exponent,
+    ascending: a product of primitive factors with positive leads is one
+    (Gauss's lemma), so this is the decomposition Yun's scheme gives."""
+    products = {}
+    for f, e in factors:
+        products[e] = np.convolve(products.get(e, [1]), np.array(f.coeffs, dtype=object))
+    return [(IntPolynomial(tuple(products[e].tolist())), e) for e in sorted(products)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +372,8 @@ def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootR
     """The root of the square-free factor f of chi in the cell (lo, hi, k,
     sign): between lo / 2^k and hi / 2^k, neither a root, f of that sign at
     the first; exact when rational, else in a dyadic interval narrower than
-    width.  Bisection keeps the ends over one power of two and takes every
+    width.  A linear f's root is read off it.  Bisection keeps the ends
+    over one power of two and takes every
     sign in integers; its first two cuts are the window's ends (integers
     over 2^k around the root's seed).  If they bracket the root, the cell
     shrinks to them at once; if not, bisection goes on: they cost or save
@@ -406,6 +383,9 @@ def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootR
     modulus at least 1/(n - 1)) as q^deg f * f(-1/q), f reversed with
     alternating signs at q.
     """
+    if f.degree == 1:
+        x = Fraction(-f.coeffs[0], f.coeffs[1])
+        return RootRecord(float(x), mult, exact=x)
     lo, hi, k, sign = cell
     guesses = list(window or ())
     while (hi - lo) * width.denominator >= width.numerator << k:
@@ -488,6 +468,16 @@ def _seeded_cells(factor: IntPolynomial, mult: int, cuts, windows, k: int):
     return cells
 
 
+def _factor_cells(factors, cuts, windows, k: int) -> list:
+    """Each square-free factor's seeded cells, or else its Sturm cells,
+    whose gap is None."""
+    cells = []
+    for factor, mult in factors:
+        cells += (_seeded_cells(factor, mult, cuts, windows, k)
+                  or [(None, factor, mult, cell, None) for cell in _sturm_cells(factor)])
+    return cells
+
+
 def _refine_cells(cells, distinct: int, index):
     """The roots of the cells, ascending, or with ``index`` the index-th
     alone, refining only its own cell when every gap between the cuts
@@ -499,12 +489,10 @@ def _refine_cells(cells, distinct: int, index):
     return records if index is None else [records[index]]
 
 
-def real_roots_with_multiplicity(m: SignMatrix, factors, index=None, spectrum=None) -> list:
+def real_roots_with_multiplicity(m: SignMatrix, factors, index=None) -> list:
     """Every real root of chi = char_poly(m), once each, with its exact
     multiplicity, or with ``index`` the index-th alone (ascending, 0-based);
-    ``factors`` is ``squarefree_decomposition(chi)``, whose gcd or Yun's
-    scheme decides square-freeness (``chi_and_roots`` decides it from the
-    cells below, and passes on the ``spectrum`` of m it took for them).
+    ``factors`` is ``squarefree_decomposition(chi)``.
 
     The D = sum deg f distinct roots get D + 1 cuts from the Seidel
     spectrum (``_cuts``).  A factor f's cells are those between
@@ -516,13 +504,8 @@ def real_roots_with_multiplicity(m: SignMatrix, factors, index=None, spectrum=No
     if not factors:
         return []
     distinct = sum(f.degree for f, _ in factors)
-    lams = _seidel_spectrum(m) if spectrum is None else spectrum
-    cuts, windows, k = _cuts(lams, sum(f.degree * e for f, e in factors), distinct)
-    cells = []  # (gap between cuts, or None for a Sturm cell, factor, mult, cell, window)
-    for factor, mult in factors:
-        cells += (_seeded_cells(factor, mult, cuts, windows, k)
-                  or [(None, factor, mult, cell, None) for cell in _sturm_cells(factor)])
-    return _refine_cells(cells, distinct, index)
+    cuts = _cuts(_seidel_spectrum(m), sum(f.degree * e for f, e in factors), distinct)
+    return _refine_cells(_factor_cells(factors, *cuts), distinct, index)
 
 
 def chi_and_roots(m: SignMatrix, index=None):
@@ -530,27 +513,41 @@ def chi_and_roots(m: SignMatrix, index=None):
     decomposition and ``real_roots_with_multiplicity(m, factors, index)``,
     with roots [] when ``index`` is not that of a distinct root.
 
-    A square-free chi is certified by its own cells, with no gcd: take chi
-    primitive as the one factor, with deg chi = d distinct roots, so its
-    d + 1 cuts bound d gaps.  If its exact integer signs change across all
-    d gaps, it has d distinct real roots, one in each gap, so it is
-    square-free and those gaps are its cells.  Otherwise
-    ``squarefree_decomposition`` decides and
-    ``real_roots_with_multiplicity`` isolates, from the Seidel spectrum
-    the certificate took: one ``eigvalsh`` per call.  The cuts, cells and
-    windows are those ``real_roots_with_multiplicity`` takes for a
-    square-free chi, so both ways give the same records.
+    chi(x) = prod (1 + x lam) over the Seidel spectrum, taken once, and
+    chi(0) = 1, so by Gauss's lemma a rational root is -1/q for an integer
+    eigenvalue q.  Each q proposed is divided out of chi as often as
+    q x + 1 divides it.  The
+    primitive cofactor g is certified square-free by its own cells: if its
+    exact signs change across deg g of the gaps between the cuts for all
+    distinct roots, it has deg g distinct roots, one in each.  Only a g
+    with a repeated irrational root (or seeds too far off) fails, and takes
+    ``squarefree_decomposition``.  On its cells each factor of chi differs
+    from its part in g by linear factors of constant sign, so the records
+    are those of ``real_roots_with_multiplicity``, from the same cuts.
     """
     chi = char_poly(m)
-    cells = lams = None
-    if chi.degree > 0:
-        whole = IntPolynomial(tuple(_primitive(chi.coeffs)))
-        lams = _seidel_spectrum(m)
-        cells = _seeded_cells(whole, 1, *_cuts(lams, chi.degree, chi.degree))
-    factors = squarefree_decomposition(chi) if cells is None else [(whole, 1)]
+    if chi.degree < 1:
+        return chi, [], []
+    lams = _seidel_spectrum(m)
+    # an eigenvalue within 10^-6 of an integer q proposes it: eigvalsh is
+    # off by about n eps rho < 10^-12, and the exact division decides
+    near = np.rint(lams)
+    linear, g = [], list(chi.coeffs)
+    for q in np.unique(near[(near != 0) & (np.abs(lams - near) < 1e-6)]).tolist():
+        f = _primitive([1, int(q)])
+        g, mu = _divide_out(g, f)
+        if mu:
+            linear.append((IntPolynomial(tuple(f)), mu))
+    g = IntPolynomial(tuple(_primitive(g)))
+    parts = [(g, 1)] if g.degree else []
+    cuts = _cuts(lams, chi.degree, len(linear) + g.degree)
+    cells = _seeded_cells(g, 1, *cuts) if parts else []
+    if cells is None:
+        parts = squarefree_decomposition(g)
+        cuts = _cuts(lams, chi.degree, len(linear) + sum(f.degree for f, _ in parts))
+        cells = _factor_cells(parts, *cuts)
+    factors = _regroup(linear + parts)
     distinct = sum(f.degree for f, _ in factors)
     if index is not None and not 0 <= index < distinct:
         return chi, factors, []
-    if cells is None:
-        return chi, factors, real_roots_with_multiplicity(m, factors, index, spectrum=lams)
-    return chi, factors, _refine_cells(cells, distinct, index)
+    return chi, factors, _refine_cells(_factor_cells(linear, *cuts) + cells, distinct, index)

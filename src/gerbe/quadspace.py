@@ -203,13 +203,16 @@ class Representation:
     def _validate(self):
         """The vectors' Gram matrix must match S(omega, c) to GRAM_TOL
         relative to max(1, max|S|): the error of a factorization grows with
-        the norm.  A non-finite deviation fails too, among them one whose
-        products overflow: near the top of the float range the vectors of
-        an indefinite S can be longer than its entries are large.  S is
-        kept as ``gram``."""
+        the norm.  A non-finite deviation fails too.  Where the vectors are
+        finite it comes from products that overflow: near the top of the
+        float range the vectors of an indefinite S can be longer than its
+        entries are large, and the parameters are refused as an
+        InputError.  S is kept as ``gram``."""
         expected = build_S(self.graph, self.omega, self.c)
         with np.errstate(over="ignore", invalid="ignore"):
             deviation = np.abs(self.space.gram(self.vectors) - expected).max(initial=0.0)
+        if not np.isfinite(deviation) and np.isfinite(self.vectors).all():
+            raise InputError("the inner products of the vectors overflow the range of a float")
         if not deviation <= config.GRAM_TOL * max(1.0, np.abs(expected).max(initial=0.0)):
             raise GramMismatchError(
                 "vectors do not realize the stated parameters: "

@@ -7,7 +7,9 @@ S(1, c) in integers (the package runs the bitmask kernels of
 ``gerbe._kernels_py``), the sheaf group by trying every signed
 permutation (the package builds a stabilizer chain) and its group law on
 (sigma, nu) rows, the fraction-free
-determinant (the package's chi is multimodular), the signature of
+determinant (the package's chi is multimodular), the degree of a gcd
+modulo a prime (the package's factors come from exact divisions and
+Yun's scheme over the integers), the signature of
 S(omega, c) by counting the signs of its float eigenvalues (the package
 takes the degree from chi by the rank law), and the round trips of the
 graph format and of the sign matrix, the graph parser one line at a time
@@ -291,6 +293,26 @@ def reconstruct(factors, lead: Fraction) -> IntPolynomial:
     if any(c.denominator != 1 for c in prod):
         raise ArithmeticError("reconstruction scale is not integral")
     return IntPolynomial.from_coeffs([c.numerator for c in prod])
+
+
+def gcd_degree_mod(a, b, q: int) -> int:
+    """Degree of gcd(a, b) over GF(q), by Euclid's algorithm; a, b
+    ascending integer coefficients.  A gcd of degree 0 modulo a prime that
+    divides neither lead is one over the rationals too."""
+    def trim(c):
+        c = [x % q for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            factor, shift = a[-1] * inv % q, len(a) - len(b)
+            a = trim(a[:shift] + [x - factor * y for x, y in zip(a[shift:], b)])
+        a, b = b, a
+    return len(a) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -238,24 +238,19 @@ class TestRootIndex:
 
     def test_squarefree_chi_takes_no_gcd(self, tmp_path, capsys, monkeypatch):
         # poly and represent --root-index certify a square-free chi from
-        # its root cells: neither the modular gcd nor Yun's scheme runs
+        # its root cells: no decomposition runs
         path = tmp_path / "g.txt"
         path.write_text(SQUAREFREE_TXT)
-        calls = {"_gcd_degree_mod": 0, "_yun": 0}
-        for name in calls:
-            def counted(*args, name=name, real=getattr(exactpoly, name)):
-                calls[name] += 1
-                return real(*args)
-            monkeypatch.setattr(exactpoly, name, counted)
+        calls = counting(monkeypatch, (exactpoly, "squarefree_decomposition"))
         code, out, _ = run(["poly", str(path), "--json"], capsys)
         assert code == 0 and len(json.loads(out)["roots"]) == 7
         for k in range(7):
             assert run(["represent", str(path), "--root-index", str(k)], capsys)[0] == 0
-        assert calls == {"_gcd_degree_mod": 0, "_yun": 0}
-        # the pentagon's (5x^2 - 1)^2 takes both
+        assert calls == {"squarefree_decomposition": 0}
+        # the pentagon's repeated irrational roots, (5x^2 - 1)^2, take one
         path.write_text(PENTAGON_TXT)
         assert run(["poly", str(path)], capsys)[0] == 0
-        assert calls == {"_gcd_degree_mod": 1, "_yun": 1}
+        assert calls == {"squarefree_decomposition": 1}
 
     @pytest.mark.parametrize("graphs", ["random", "ladder"])
     def test_picks_the_root_poly_prints(self, graphs, tmp_path, capsys):
@@ -650,6 +645,21 @@ class TestExactDegree:
         assert out == ""
         assert err == "error: the eigenvalues of the matrix overflow the range of a float\n"
 
+    @pytest.mark.parametrize("argv", [["represent"], ["group", "--realize"]],
+                             ids=["represent", "group"])
+    def test_overflowing_inner_products_refused(self, pentagon_file, argv, capsys):
+        # the 5-cycle's S(1, 4e307) and its spectrum are floats, but the
+        # pivot-frame vectors of this indefinite S are long enough that
+        # their inner products overflow: the parameters are refused, and
+        # the message names the float range, not the vectors
+        code, out, err = run([argv[0], pentagon_file, *argv[1:], "--c", "4e307", "--approx"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: the inner products of the vectors overflow the range of a float\n"
+        code, out, _ = run([argv[0], pentagon_file, *argv[1:], "--c", "3e307", "--approx"],
+                           capsys)
+        assert code == 0 and out
+
     def test_row_sums_bound_the_spectrum(self, tmp_path, capsys, monkeypatch):
         # the refusal is decided by the row sums of |S|, which bound its
         # spectrum, and takes no eigendecomposition: Petersen's S(1, 2e307)
@@ -676,8 +686,7 @@ class TestExactDegree:
         assert (payload["lines"], payload["group_order"]) == (4, 48)
 
     def test_degree_takes_no_decomposition(self, square_file, capsys, monkeypatch):
-        # degree_at divides chi by 3x + 1 exactly: neither the modular gcd
-        # nor Yun's scheme runs
+        # degree_at divides chi by 3x + 1 exactly: no decomposition runs
         calls = counting(monkeypatch, (exactpoly, "squarefree_decomposition"))
         code, out, _ = run(["represent", square_file, "--c=-1/3", "--json"], capsys)
         assert code == 0

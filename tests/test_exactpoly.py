@@ -22,7 +22,7 @@ from gerbe.exactpoly import (
 )
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import SignMatrix, epsilon_matrix
-from oracles import bareiss_determinant, edges_of, reconstruct
+from oracles import bareiss_determinant, edges_of, gcd_degree_mod, reconstruct
 from test_autgroup import clebsch, petersen
 
 
@@ -164,31 +164,21 @@ class TestSquarefree:
     def test_constant(self):
         assert squarefree_decomposition(P(7,)) == []
 
-    def test_modular_test_agrees_with_yun(self, monkeypatch):
-        # a square-free chi is proved so by the gcd modulo 2^61 - 1, and
-        # Yun's scheme does not run for it, yet both give the same answer
-        rng = random.Random(41)
-        chis = [char_poly(random_sign_matrix(rng, rng.randint(5, 14)))
-                for _ in range(20)]
-        yun = [exactpoly._yun(chi) for chi in chis]
-        calls = spy(monkeypatch, "_yun")
-        assert [squarefree_decomposition(chi) for chi in chis] == yun
-        repeated = [chi for chi, f in zip(chis, yun) if [e for _, e in f] != [1]]
-        assert calls == repeated
-        assert len(repeated) < len(chis) // 2
-
     def test_repeated_factor_goes_through_yun(self, monkeypatch):
+        # the pointed hexagon's chi = -(5x^2 - 1)^3 has no rational root to
+        # divide out, so chi_and_roots decomposes chi itself, taken primitive
         chi = P(*POINTED_HEXAGON.chi_coeffs)
-        calls = spy(monkeypatch, "_yun")
-        factors = squarefree_decomposition(chi)
-        assert calls == [chi]
+        calls = spy(monkeypatch, "squarefree_decomposition")
+        _, factors, _ = chi_and_roots(POINTED_HEXAGON.graph)
+        assert calls == [P(*(-c for c in chi.coeffs))]
         assert [e for _, e in factors] == [3]
         lead = Fraction(chi.coeffs[-1], factors[0][0].coeffs[-1] ** 3)
         assert reconstruct(factors, lead) == chi
 
     def test_prime_dividing_lead_goes_through_yun(self):
-        # modulo 2^61 - 1 this square reduces to the constant 1, which the
-        # modular test would wrongly call square-free
+        # modulo 2^61 - 1 this square reduces to the constant 1, which a gcd
+        # modulo that prime would call square-free; Yun's scheme over the
+        # integers takes no prime
         f = P(-1, 2**61 - 1)
         assert squarefree_decomposition(reconstruct([(f, 2)], 1)) == [(f, 2)]
 
@@ -240,9 +230,9 @@ def assert_squarefree_factors(chi):
     q = next(q for q in (2**61 - 1, 2**31 - 1)
              if all(f.coeffs[-1] % q for f, _ in factors))
     for k, (f, _) in enumerate(factors):
-        assert exactpoly._gcd_degree_mod(f.coeffs, exactpoly._deriv(f.coeffs), q) == 0
+        assert gcd_degree_mod(f.coeffs, exactpoly._deriv(f.coeffs), q) == 0
         for g, _ in factors[k + 1:]:
-            assert exactpoly._gcd_degree_mod(f.coeffs, g.coeffs, q) == 0
+            assert gcd_degree_mod(f.coeffs, g.coeffs, q) == 0
 
 
 class TestIntegerArithmetic:
@@ -257,14 +247,17 @@ class TestIntegerArithmetic:
         assert_squarefree_factors(char_poly(g))
 
     def test_yun_on_squarefree_chi(self):
+        # a chi whose own cells certify it square-free (one factor, exponent
+        # 1, in chi_and_roots) is, by Yun's scheme, chi taken primitive
         rng = random.Random(17)
         checked = 0
         while checked < 5:
-            chi = char_poly(random_sign_matrix(rng, rng.randint(4, 12)))
-            if [e for _, e in squarefree_decomposition(chi)] != [1]:
+            m = random_sign_matrix(rng, rng.randint(4, 12))
+            chi, factors, _ = chi_and_roots(m)
+            if [e for _, e in factors] != [1]:
                 continue
             content = math.gcd(*chi.coeffs) * (1 if chi.coeffs[-1] > 0 else -1)
-            assert exactpoly._yun(chi) == [(P(*(c // content for c in chi.coeffs)), 1)]
+            assert squarefree_decomposition(chi) == [(P(*(c // content for c in chi.coeffs)), 1)]
             checked += 1
 
     @given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), cliques=st.booleans())
@@ -547,7 +540,10 @@ def evaluate(coeffs, x):
 @functools.cache
 def certified_root_graphs():
     """160 seeded G(n, 1/2), n = 3..64 (every n twice or three times), then
-    T(8), Paley(13) + point and edgeless 8: (name, matrix, factors)."""
+    T(8), Paley(13) + point and edgeless 8: (name, matrix, factors), the
+    factors from chi_and_roots, which equal squarefree_decomposition's
+    (``TestChiAndRoots``) without Yun's scheme on a square-free chi of
+    degree up to 64."""
     out = []
     for seed in range(160):
         m = random_sign_matrix(random.Random(seed), 3 + seed % 62)
@@ -555,7 +551,7 @@ def certified_root_graphs():
     out += [("T8", triangular(8)),
             ("paley-13+pt", paley_point(13)),
             ("edgeless-8", epsilon_matrix(8, []))]
-    return [(name, m, squarefree_decomposition(char_poly(m))) for name, m in out]
+    return [(name, m, chi_and_roots(m)[1]) for name, m in out]
 
 
 def assert_certified(name, m, factors, roots):
@@ -591,10 +587,10 @@ class TestCertifiedRoots:
     n eps rho x^2 around its seed; exact integer signs certify the result."""
 
     def test_about_three_sign_evaluations_per_root(self, monkeypatch):
+        graphs = certified_root_graphs()
         signs = spy(monkeypatch, "_sign_at")
         sturm = spy(monkeypatch, "_sturm_cells")
-        roots = sum(len(real_roots_with_multiplicity(m, factors))
-                    for _, m, factors in certified_root_graphs())
+        roots = sum(len(real_roots_with_multiplicity(m, factors)) for _, m, factors in graphs)
         assert sturm == []
         assert len(signs) / roots <= 4
 
@@ -652,10 +648,26 @@ def separate_passes(m, index=None):
     return chi, factors, real_roots_with_multiplicity(m, factors, index)
 
 
+def cofactor(chi, roots):
+    """chi divided by the linear factor of each rational root as often as
+    its multiplicity, taken primitive."""
+    g = list(chi.coeffs)
+    for r in roots:
+        for _ in range(r.multiplicity if r.exact is not None else 0):
+            g = exactpoly._div_exact(g, [-r.exact.numerator, r.exact.denominator])
+    content = math.gcd(*g) * (1 if g[-1] > 0 else -1)
+    return P(*(c // content for c in g))
+
+
+def repeated_irrational(roots):
+    return any(r.exact is None and r.multiplicity > 1 for r in roots)
+
+
 class TestChiAndRoots:
-    """chi_and_roots certifies a square-free chi by its own cells and
-    otherwise decomposes it; either way it returns what the separate
-    passes return, record for record."""
+    """chi_and_roots divides out the rational roots the Seidel spectrum
+    proposes, certifies the cofactor square-free by its own cells, and
+    decomposes the cofactor only when that fails; either way it returns
+    what the separate passes return, record for record."""
 
     @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -669,30 +681,37 @@ class TestChiAndRoots:
                 assert chi_and_roots(g, index=k) == separate_passes(g, index=k)
 
     def test_squarefree_chi_takes_no_decomposition(self, monkeypatch):
+        # neither a square-free chi nor one whose repeated roots are all
+        # rational takes a decomposition
         rng = random.Random(7)
         graphs = [random_sign_matrix(rng, rng.randint(10, 18)) for _ in range(30)]
         want = [separate_passes(m) for m in graphs]
         squarefree = [m for m, (_, factors, _) in zip(graphs, want)
                       if [e for _, e in factors] == [1]]
-        assert len(squarefree) > 20
+        assert 20 < len(squarefree) < len(graphs)
+        assert not any(repeated_irrational(roots) for _, _, roots in want)
         calls = spy(monkeypatch, "squarefree_decomposition")
         assert [chi_and_roots(m) for m in graphs] == want
-        assert len(calls) == len(graphs) - len(squarefree)
+        assert calls == []
 
     @pytest.mark.parametrize("name", [fx.name for fx in ALL] + [
         "petersen", "clebsch", "T8", "edgeless-5", "edgeless-8"])
     def test_repeated_roots_take_the_fallback(self, name, monkeypatch):
-        # negative control: every one of these chi has a repeated root, so
-        # its cells cannot certify it and the decomposition decides
+        # every one of these chi has a repeated root.  A decomposition runs
+        # exactly when one is irrational (the pentagon's and the pointed
+        # hexagon's), on the cofactor the rational roots leave, and the
+        # separate isolation never runs
         m = ({fx.name: fx.graph for fx in ALL} | {
             "petersen": petersen(), "clebsch": clebsch(), "T8": triangular(8),
             "edgeless-5": epsilon_matrix(5, []), "edgeless-8": epsilon_matrix(8, [])})[name]
-        want = separate_passes(m)
-        assert max(e for _, e in want[1]) > 1
+        chi, factors, roots = want = separate_passes(m)
+        assert max(e for _, e in factors) > 1
+        assert repeated_irrational(roots) == (name in ("pentagon", "pointed-hexagon"))
         decompositions = spy(monkeypatch, "squarefree_decomposition")
         isolations = spy(monkeypatch, "real_roots_with_multiplicity")
         assert chi_and_roots(m) == want
-        assert decompositions == [want[0]] and isolations == [m]
+        assert decompositions == ([cofactor(chi, roots)] if repeated_irrational(roots) else [])
+        assert isolations == []
 
     @pytest.mark.parametrize("name", ["petersen", "edgeless-5", "random"])
     def test_one_spectrum_per_call(self, name, monkeypatch):
@@ -708,11 +727,14 @@ class TestChiAndRoots:
 
     def test_a_root_beyond_the_cuts_is_not_certified(self, monkeypatch):
         # seeds that leave the lowest root below every cut show d - 1 sign
-        # changes, one per other root: chi must not be certified from them,
-        # and the fallback still isolates all d roots
+        # changes, one per other root: the cofactor of the rational roots
+        # -1/3 and 1 must not be certified from them, and the fallback
+        # decomposes it and still isolates all d roots
         m = epsilon_matrix(7, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3), (2, 6), (4, 6)])
-        _, [(f, e)], want = chi_and_roots(m)
+        chi, [(f, e)], want = chi_and_roots(m)
         assert (f.degree, e, len(want)) == (7, 1, 7)
+        g = cofactor(chi, want)
+        assert g.degree == 5
         lams = np.linalg.eigvalsh(m.entries - np.eye(7))
         lams[np.argmin(-1 / lams)] = -1 / (want[-1].value + 10)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: lams.copy())
@@ -720,13 +742,55 @@ class TestChiAndRoots:
         signs = [exactpoly._sign_at(f.coeffs, a, k) for a in cuts]
         assert sum(s * t == -1 for s, t in zip(signs, signs[1:])) == 6
         sturm = spy(monkeypatch, "_sturm_cells")
+        decompositions = spy(monkeypatch, "squarefree_decomposition")
         _, factors, got = chi_and_roots(m)
-        assert factors == [(f, 1)] and sturm == [f]
+        assert factors == [(f, 1)] and sturm == [g] and decompositions == [g]
         assert [(r.exact, r.multiplicity) for r in got] == [
             (r.exact, r.multiplicity) for r in want]
         for r, s in zip(got, want):
             assert r.interval is None or max(r.interval[0], s.interval[0]) < min(
                 r.interval[1], s.interval[1])
+
+    @pytest.mark.parametrize("name", ["petersen", "clebsch"])
+    def test_integers_moved_off_propose_nothing(self, name, monkeypatch):
+        # negative control: the spectrum only proposes rational roots.  With
+        # every integer eigenvalue moved 10^-3 off, no root is proposed, no
+        # division takes place, and the decomposition of chi decides; the
+        # result is still the separate passes'
+        m = {"petersen": petersen(), "clebsch": clebsch()}[name]
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 1e-3)
+        chi, _, roots = want = separate_passes(m)
+        assert all(r.exact is not None and r.multiplicity > 1 for r in roots)
+        divisions = spy(monkeypatch, "_divide_out")
+        decompositions = spy(monkeypatch, "squarefree_decomposition")
+        assert chi_and_roots(m) == want
+        assert divisions == [] and decompositions == [cofactor(chi, [])]
+
+    @pytest.mark.parametrize("name", ["pentagon", "random"])
+    def test_a_non_integer_moved_onto_one_divides_nothing(self, name, monkeypatch):
+        # negative control: an irrational eigenvalue moved onto the integer
+        # next to it proposes a root that the exact division refuses
+        m = {"pentagon": PENTAGON.graph,
+             "random": random_sign_matrix(random.Random(3), 12)}[name]
+        lams = np.linalg.eigvalsh(m.entries - np.eye(m.n))
+        near = np.rint(lams)
+        [at] = np.flatnonzero((near != 0) & (np.abs(lams - near) > 0.1))[-1:]
+        q = int(near[at])
+        lams[at] = q
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: lams.copy())
+        want = separate_passes(m)
+        assert Fraction(-1, q) not in [r.exact for r in want[2]]
+        divisions = {}
+        divide_out = exactpoly._divide_out
+
+        def recorded(f, b):  # by the root of the linear factor b
+            divisions[Fraction(-b[0], b[1])] = divide_out(f, b)
+            return divisions[Fraction(-b[0], b[1])]
+
+        monkeypatch.setattr(exactpoly, "_divide_out", recorded)
+        assert chi_and_roots(m) == want
+        assert divisions[Fraction(-1, q)][1] == 0
 
     def test_out_of_range_index_gives_no_root(self):
         for m in (SQUARE.graph, ONE_EDGE, epsilon_matrix(1, [])):
