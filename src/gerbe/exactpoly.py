@@ -533,7 +533,7 @@ def chi_and_roots(m: SignMatrix, index=None):
     # off by about n eps rho < 10^-12, and the exact division decides
     near = np.rint(lams)
     linear, g = [], list(chi.coeffs)
-    for q in np.unique(near[(near != 0) & (np.abs(lams - near) < 1e-6)]).tolist():
+    for q in sorted(set(near[(near != 0) & (np.abs(lams - near) < 1e-6)].tolist())):
         f = _primitive([1, int(q)])
         g, mu = _divide_out(g, f)
         if mu:
