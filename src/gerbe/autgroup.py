@@ -107,7 +107,7 @@ def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     for start in range(0, len(sigma), REALIZE_CHUNK):
         stop = start + REALIZE_CHUNK
         targets = nu[start:stop, :, None] * u.vectors[sigma[start:stop]]
-        out[start:stop] = isometry_between(u.vectors, targets, u.space, u.space, u.pivots)
+        out[start:stop] = isometry_between(u.vectors, targets, u.space, u.pivots)
     return out
 
 

@@ -210,24 +210,12 @@ def _root_json(rec, n):
 
 
 def _partition_json(p: LinePartition):
-    classes = []
-    for j in range(p.m):
-        classes.append({
-            "representative": p.rep_index[j] + 1,
-            "plus": [i + 1 for i in p.plus_block(j)],
-            "minus": [i + 1 for i in p.minus_block(j)],
-        })
-    return {"m": p.m, "classes": classes}
-
-
-def _print_partition(p: LinePartition, out):
-    for j in range(p.m):
-        plus = ",".join(str(i + 1) for i in p.plus_block(j))
-        minus = ",".join(str(i + 1) for i in p.minus_block(j))
-        line = f"  line {j + 1}: +{{{plus}}}"
-        if minus:
-            line += f" -{{{minus}}}"
-        print(line, file=out)
+    """The lines of p by representative, with their 1-based + and - vertices."""
+    lines = {}  # a representative is the least vertex of its line: it comes first
+    for i, (r, s) in enumerate(zip(p.rep.tolist(), p.sign.tolist())):
+        line = lines.setdefault(r, {"representative": r + 1, "plus": [], "minus": []})
+        line["plus" if s == 1 else "minus"].append(i + 1)
+    return {"m": len(lines), "classes": list(lines.values())}
 
 
 def _factored_text(chi, factors):
@@ -324,8 +312,9 @@ def cmd_classes(args) -> int:
     p = line_classes(eps, 1, c)
     # the linking rules hold where line_classes took the sign-matrix partition
     report = check_class_linking(eps, p, int(float(c))) if abs(float(c)) == 1.0 else None
+    partition = _partition_json(p)
     if args.json:
-        payload = {"c": float(c), "partition": _partition_json(p)}
+        payload = {"c": float(c), "partition": partition}
         if report is not None:
             payload["linking"] = {
                 "ok": report.ok,
@@ -336,8 +325,10 @@ def cmd_classes(args) -> int:
             }
         _print_json(payload)
     else:
-        print(f"{p.m} distinct line(s) among {eps.n} vertices at c={float(c):.12g}")
-        _print_partition(p, sys.stdout)
+        print(f"{partition['m']} distinct line(s) among {eps.n} vertices at c={float(c):.12g}")
+        for j, line in enumerate(partition["classes"], 1):
+            plus, minus = (",".join(map(str, line[s])) for s in ("plus", "minus"))
+            print(f"  line {j}: +{{{plus}}}" + (f" -{{{minus}}}" if minus else ""))
         if report is not None:
             print("linking rules:")
             print(f"  all-or-nothing : {'ok' if report.all_or_nothing_ok else 'FAIL'}")
@@ -360,9 +351,10 @@ def cmd_group(args) -> int:
     if float(c) == 0.0:
         raise InputError("c must be nonzero")
     p = line_classes(eps, 1, c)
-    if args.realize:  # before the search: an S that overflows is refused first
-        u = Representation.build(eps, 1.0, float(c), degree())
     y = restrict_to_Y(eps, p)
+    if args.realize:  # before the search: an S that overflows is refused first
+        # S_Y has the rank of S: each row it drops is ± a row it keeps
+        v = Representation.build(y, 1.0, float(c), degree())
     grp = enumerate_group(y)
     if args.realize and grp.order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
@@ -383,10 +375,9 @@ def cmd_group(args) -> int:
         "is_2_transitive": orbit_info.is_2_transitive,
     }
     if args.realize:
-        # one vector per line, in u's frame: each pivot vertex stands for its line
-        v = Representation(y, u.omega, u.c, u.space, u.vectors[list(p.rep_index)],
-                           [p.pi[q] for q in u.pivots])
-        payload["pivots"] = [q + 1 for q in u.pivots]
+        # the pivots as vertices of Gamma: vertex j of y is the j-th representative
+        reps = np.flatnonzero(p.rep == np.arange(eps.n))
+        payload["pivots"] = (reps[list(v.pivots)] + 1).tolist()
         mats = _realize_listing(grp, v)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:

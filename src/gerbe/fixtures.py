@@ -19,7 +19,6 @@ class Fixture:
     name: str
     graph: SignMatrix
     chi_coeffs: tuple  # ascending, index = degree
-    chi_factored: str
     # (root value as Fraction or float, multiplicity, rank of S(1, root))
     roots: tuple
     aut_order: int  # |H|, the plain graph automorphism group
@@ -37,7 +36,6 @@ TRIANGLE = Fixture(
     name="triangle",
     graph=_cycle(3),
     chi_coeffs=(1, 0, -3, -2),
-    chi_factored="-(2x - 1)(x + 1)^2",
     roots=(
         (Fraction(-1), 2, 1),
         (Fraction(1, 2), 1, 2),
@@ -51,7 +49,6 @@ SQUARE = Fixture(
     name="square",
     graph=_cycle(4),
     chi_coeffs=(1, 0, -6, 8, -3),
-    chi_factored="-(3x + 1)(x - 1)^3",
     roots=(
         (Fraction(-1, 3), 1, 3),
         (Fraction(1), 3, 1),
@@ -65,7 +62,6 @@ PENTAGON = Fixture(
     name="pentagon",
     graph=_cycle(5),
     chi_coeffs=(1, 0, -10, 0, 25),
-    chi_factored="(5x^2 - 1)^2",
     roots=(
         (-SQRT5_INV, 2, 3),
         (SQRT5_INV, 2, 3),
@@ -79,7 +75,6 @@ POINTED_HEXAGON = Fixture(
     name="pointed-hexagon",
     graph=epsilon_matrix(6, [(i, (i + 1) % 5) for i in range(5)]),
     chi_coeffs=(1, 0, -15, 0, 75, 0, -125),
-    chi_factored="-(5x^2 - 1)^3",
     roots=(
         (-SQRT5_INV, 3, 3),
         (SQRT5_INV, 3, 3),

@@ -3,8 +3,8 @@
 Gram factorization of a symmetric matrix of given rank into a diagonal ±1
 form (the rank law fixes it exactly; ``rank``, under RANK_TOL, serves where
 no exact rank is known), representations of graphs, each given by its sign
-matrix, at parameters (omega, c), and the recovery of the isometry between
-two of them.
+matrix, at parameters (omega, c), and the recovery of the isometries of
+one space that carry a representation's vectors to given targets.
 
 The factorization is a symmetric LDL^T that pivots on vertices (Bunch &
 Parlett 1971; Golub & Van Loan, *Matrix Computations*, §4.4), so the
@@ -237,18 +237,17 @@ class Representation:
         return self.space.dim
 
 
-def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
-                     space_v: QuadraticSpace, pivots) -> np.ndarray:
+def isometry_between(u_vectors, v_vectors, space: QuadraticSpace, pivots) -> np.ndarray:
     """The linear map f with f(u_i) = v_i, given equal Gram matrices.
 
-    Both systems must be reduced (their vectors span the spaces, which have
-    equal dimension).  ``u_vectors`` is n x r, and ``pivots`` names r of its
-    rows that span R^r (a representation's ``pivots``), by ``_span``'s cut
-    on their singular values.  ``v_vectors`` is one n x r target system, or
-    a stack of k of them (k x n x r); a stack shares the Gram matrix of u
-    and one ``numpy.linalg.solve`` of the pivot rows of u against those of
-    every target, and each of its targets passes the same checks as a
-    single one: the Gram matrices must agree to ISOMETRY_TOL relative to
+    Both systems must be reduced (their vectors span ``space``).
+    ``u_vectors`` is n x r, and ``pivots`` names r of its rows that span
+    R^r (a representation's ``pivots``), by ``_span``'s cut on their
+    singular values.  ``v_vectors`` is one n x r target system, or a stack
+    of k of them (k x n x r); a stack shares the Gram matrix of u and one
+    ``numpy.linalg.solve`` of the pivot rows of u against those of every
+    target, and each of its targets passes the same checks as a single
+    one: the Gram matrices must agree to ISOMETRY_TOL relative to
     max(1, max|G_u|), a non-finite entry failing the comparison, and f must
     map every u_i, not only the pivots, to v_i.  Returns the r x r matrix of
     f, or the k x r x r stack of them; raises GramMismatchError or
@@ -258,17 +257,17 @@ def isometry_between(u_vectors, v_vectors, space_u: QuadraticSpace,
     v_vectors = np.asarray(v_vectors, dtype=float)
     single = v_vectors.ndim == 2
     v = v_vectors[None] if single else v_vectors
-    gu = space_u.gram(u_vectors)
-    gv = np.einsum("kis,kjs->kij", v * np.array(space_v.signs, dtype=float), v)
+    r = space.dim
+    if v.shape[-1] != r:
+        raise DeficientSpanError(f"targets in {v.shape[-1]} dimensions, the space has {r}")
+    gu = space.gram(u_vectors)
+    gv = np.einsum("kis,kjs->kij", v * np.array(space.signs, dtype=float), v)
     if gv.shape[1:] != gu.shape:
         raise GramMismatchError("input systems have different Gram matrices")
     gv -= gu  # in place: the k x n x n stack is the largest array here
     gram_tol = config.ISOMETRY_TOL * max(1.0, np.abs(gu).max(initial=0.0))
     if not np.abs(gv, out=gv).max(initial=0.0) <= gram_tol:
         raise GramMismatchError("input systems have different Gram matrices")
-    r = space_u.dim
-    if space_v.dim != r:
-        raise DeficientSpanError("spaces have different dimensions")
     pivots = np.asarray(pivots, dtype=np.intp)
     if pivots.shape != (r,):
         raise ValueError(f"{pivots.size} pivots for {r} columns")

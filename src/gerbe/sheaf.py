@@ -11,13 +11,14 @@ the all-or-nothing linking rules that govern the signed blocks of the
 partition.  The partition and the rules are the batched kernels of
 ``_kernels_py`` called on a batch of one graph, the same code the
 exhaustive linking sweep runs: the graph goes in as its row bitmasks
-laid out [n, 1], and the partition comes back as [n, 1] arrays of
-representatives and sign bits.
+laid out [n, 1], and a ``LinePartition`` is the kernel's column of
+representatives with its sign bits as ±1, which the rules read as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,39 +28,14 @@ from .errors import TrivialRepresentationError
 from .graph import SignMatrix
 
 
-@dataclass(frozen=True)
-class LinePartition:
-    """Partition of the vertex set by coincident lines.
+class LinePartition(NamedTuple):
+    """Partition of the vertex set by coincident lines, as two length-n int
+    arrays: rep[i] is the least vertex on i's line, and sign[i] is +1 or -1
+    as i's vector is plus or minus rep[i]'s.  A representative r has
+    rep[r] = r and sign[r] = 1."""
 
-    pi maps each vertex to its class (0-based), rep_index gives the smallest
-    vertex of each class, and sign records whether a vertex's vector equals
-    plus or minus the representative's.
-    """
-
-    m: int
-    rep_index: tuple
-    pi: tuple
-    sign: tuple
-
-    def __post_init__(self):
-        for j, r in enumerate(self.rep_index):
-            if self.pi[r] != j or self.sign[r] != 1:
-                raise ValueError("representative must map to its own class with sign +1")
-
-    @classmethod
-    def trivial(cls, n) -> "LinePartition":
-        r = tuple(range(n))
-        return cls(n, r, r, (1,) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.pi)
-
-    def plus_block(self, j) -> list:
-        return [i for i in range(self.n) if self.pi[i] == j and self.sign[i] == 1]
-
-    def minus_block(self, j) -> list:
-        return [i for i in range(self.n) if self.pi[i] == j and self.sign[i] == -1]
+    rep: np.ndarray
+    sign: np.ndarray
 
 
 def line_classes(m: SignMatrix, omega, c) -> LinePartition:
@@ -78,7 +54,7 @@ def line_classes(m: SignMatrix, omega, c) -> LinePartition:
     if c == 0.0:
         raise TrivialRepresentationError("line classes undefined for c = 0")
     if abs(c) != abs(omega):
-        return LinePartition.trivial(m.n)
+        return LinePartition(np.arange(m.n), np.ones(m.n, dtype=int))
     return partition_from_sign_matrix(m, int(c / omega))
 
 
@@ -95,19 +71,17 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
     """
     if c not in (1, -1):
         raise ValueError("combinatorial partition requires c = ±1")
-    rep, sbit = (v[:, 0].tolist() for v in _batch_partition(_rows(m), 0 if c == 1 else 1))
-    reps = sorted(set(rep))
-    index = {r: j for j, r in enumerate(reps)}
-    return LinePartition(len(reps), tuple(reps), tuple(map(index.get, rep)),
-                         tuple(-1 if s else 1 for s in sbit))
+    rep, sbit = _batch_partition(_rows(m), 0 if c == 1 else 1)
+    return LinePartition(rep[:, 0].astype(int), 1 - 2 * sbit[:, 0].astype(int))
 
 
 def restrict_to_Y(m: SignMatrix, p: LinePartition) -> SignMatrix:
     """Gamma_Y: the sign matrix induced on the representatives of the
-    lines of p, relabeled 0..p.m-1.  For p = line_classes(m, omega, c) each
-    vector at (omega, c) is ± a representative's, so the representatives'
-    vectors are a reduced representation of Gamma_Y, with distinct lines."""
-    reps = list(p.rep_index)
+    lines of p, relabeled 0..m-1 in vertex order.  For p =
+    line_classes(m, omega, c) each vector at (omega, c) is ± a
+    representative's, so the representatives' vectors are a reduced
+    representation of Gamma_Y, with distinct lines."""
+    reps = np.flatnonzero(p.rep == np.arange(len(p.rep)))
     return SignMatrix(m.entries[np.ix_(reps, reps)])
 
 
@@ -142,12 +116,17 @@ def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingRepor
             opposite-sign blocks are not.
     Rule 3: within a class, sign blocks are internally linked and mutually
             unlinked for c = -1, and the other way round for c = +1.
+
+    A partition whose representatives are not their own, with sign +1, is
+    a ValueError.
     """
     if c not in (1, -1):
         raise ValueError("linking rules apply only at c = ±1")
-    rep = np.array(p.rep_index)[list(p.pi), None]
-    sbit = np.array(p.sign)[:, None] == -1
-    switched = _switched(_rows(m), rep, sbit)
+    rep, sign = np.asarray(p.rep), np.asarray(p.sign)
+    if not ((rep[rep] == rep) & (sign[rep] == 1)).all():
+        raise ValueError("a representative must be its own, with sign +1")
+    sbit = (sign == -1)[:, None]
+    switched = _switched(_rows(m), rep[:, None], sbit)
     aon = bool(_batch_all_or_nothing(switched, sbit)[0])
     within, across = (bool(v[0]) for v in _batch_rules(switched, 0 if c == 1 else 1))
     cross = aon and across

@@ -62,7 +62,7 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
             pi[i] = len(reps)
             sign[i] = 1
             reps.append(i)
-    return LinePartition(len(reps), tuple(reps), tuple(pi), tuple(sign))
+    return LinePartition(np.array([reps[j] for j in pi]), np.array(sign))
 
 
 def _block_link_status(m: SignMatrix, a: list, b: list):
@@ -95,10 +95,13 @@ def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingRepor
     if c not in (1, -1):
         raise ValueError("linking rules apply only at c = ±1")
     failures = []
+    rep, sign = np.asarray(p.rep).tolist(), np.asarray(p.sign).tolist()
+    reps = sorted(set(rep))
+    lines = len(reps)
     blocks = {}
-    for j in range(p.m):
-        blocks[(j, 1)] = p.plus_block(j)
-        blocks[(j, -1)] = p.minus_block(j)
+    for j, r in enumerate(reps):
+        for s in (1, -1):
+            blocks[(j, s)] = [i for i in range(len(rep)) if rep[i] == r and sign[i] == s]
 
     aon_ok = True
     keys = sorted(blocks, key=lambda k: (k[0], -k[1]))
@@ -117,8 +120,8 @@ def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingRepor
         return status.get((ka, kb))
 
     cross_ok = True
-    for i in range(p.m):
-        for j in range(i + 1, p.m):
+    for i in range(lines):
+        for j in range(i + 1, lines):
             # the four propositions of the cross-class rule; skip the
             # ones involving an empty block
             props = []
@@ -132,7 +135,7 @@ def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingRepor
                 failures.append(f"inconsistent linking between classes {i} and {j}")
 
     within_ok = True
-    for j in range(p.m):
+    for j in range(lines):
         same = "none" if c == 1 else "all"
         opposite = "all" if c == 1 else "none"
         for s in (1, -1):

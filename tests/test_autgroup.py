@@ -248,7 +248,7 @@ class TestRealizeBatched:
         mats = realize_isometry(sigma, nu, u)
         single = np.array([
             isometry_between(u.vectors, [v[i] * u.vectors[s[i]] for i in range(u.n)],
-                             u.space, u.space, u.pivots)
+                             u.space, u.pivots)
             for s, v in zip(sigma, nu)
         ])
         assert mats.shape == (grp.order, u.degree, u.degree)
@@ -571,11 +571,9 @@ class TestSignPairs:
     def test_half_realization_is_the_full_one_bitwise(self, g, c):
         # the CLI realizes the nu_0 = +1 rows and takes 0 - M for their
         # partners: the same bytes as realizing every row
-        # the vectors of one vertex per line, as group --realize takes them
-        u = Representation.build(g, 1.0, c, rank(build_S(g, 1.0, c)))
-        p = line_classes(g, 1.0, c)
-        v = Representation(restrict_to_Y(g, p), 1.0, c, u.space, u.vectors[list(p.rep_index)],
-                           [p.pi[q] for q in u.pivots])
+        # the representation of Gamma_Y, as group --realize builds it
+        v = Representation.build(restrict_to_Y(g, line_classes(g, 1.0, c)), 1.0, c,
+                                 rank(build_S(g, 1.0, c)))
         grp = enumerate_group(v.graph)
         full = realize_isometry(*grp.listing, v)
         assert full.tobytes() == cli._realize_listing(grp, v).tobytes()

@@ -76,17 +76,15 @@ def rules(a, rep, sbit, cbit):
             _kernels_py._batch_all_or_nothing(switched, sbit.T))
 
 
-def to_partition(rep, sbit) -> LinePartition:
-    reps = sorted(set(rep.tolist()))
-    return LinePartition(len(reps), tuple(reps), tuple(reps.index(r) for r in rep),
-                         tuple(-1 if s else 1 for s in sbit))
+def stacked(parts):
+    """Partitions of graphs on n vertices as the kernel's [B, n] arrays
+    (rep, and sbit as booleans)."""
+    return np.array([p.rep for p in parts]), np.array([p.sign for p in parts]) == -1
 
 
 def verdicts(graphs, parts, c):
     """The kernel's rules on the given partitions, as the sweep runs them."""
-    rep = np.array([[p.rep_index[p.pi[i]] for i in range(p.n)] for p in parts])
-    sbit = np.array([[s == -1 for s in p.sign] for p in parts])
-    return sweep_ok(adjacency(graphs), rep, sbit, 0 if c == 1 else 1)
+    return sweep_ok(adjacency(graphs), *stacked(parts), 0 if c == 1 else 1)
 
 
 def sweep_ok(a, rep, sbit, cbit):
@@ -190,8 +188,10 @@ def test_partitions_and_verdicts_match_sheaf(c):
         a = adjacency(graphs)
         rep, sbit = partition(a, cbit)
         parts = [oracles.partition_from_sign_matrix(g, c) for g in graphs]
-        assert [to_partition(r, s) for r, s in zip(rep, sbit)] == parts
-        assert [sheaf.partition_from_sign_matrix(g, c) for g in graphs] == parts
+        want_rep, want_sbit = stacked(parts)
+        assert np.array_equal(rep, want_rep) and np.array_equal(sbit, want_sbit)
+        assert all(map(np.array_equal, (sheaf.partition_from_sign_matrix(g, c) for g in graphs),
+                       parts))
         assert sweep_ok(a, rep, sbit, cbit) == [
             oracles.check_class_linking(g, p, c).ok for g, p in zip(graphs, parts)]
 
@@ -223,7 +223,8 @@ def test_negative_control_partition_at_minus_c(c):
         graphs = [graphs[i] for i in sample]
         a, rep, sbit = a[sample], rep[sample], sbit[sample]
         parts = [oracles.partition_from_sign_matrix(g, -c) for g in graphs]
-        assert [to_partition(r, s) for r, s in zip(rep, sbit)] == parts
+        want_rep, want_sbit = stacked(parts)
+        assert np.array_equal(rep, want_rep) and np.array_equal(sbit, want_sbit)
         want = [oracles.check_class_linking(g, p, c) for g, p in zip(graphs, parts)]
         within, across, aon = rules(a, rep, sbit, cbit)
         assert aon.tolist() == [w.all_or_nothing_ok for w in want]
@@ -236,10 +237,9 @@ def test_negative_control_partition_at_minus_c(c):
 
 def random_partition(rng, n) -> LinePartition:
     label = [rng.randrange(n) for _ in range(n)]
-    reps = [i for i in range(n) if label[i] not in label[:i]]
-    pi = tuple(reps.index(label.index(label[i])) for i in range(n))
-    sign = tuple(1 if i in reps else rng.choice((1, -1)) for i in range(n))
-    return LinePartition(len(reps), tuple(reps), pi, sign)
+    rep = [label.index(label[i]) for i in range(n)]
+    sign = [1 if rep[i] == i else rng.choice((1, -1)) for i in range(n)]
+    return LinePartition(np.array(rep), np.array(sign))
 
 
 @pytest.mark.parametrize("c", [1, -1])
@@ -284,15 +284,16 @@ def test_batch_of_one_on_twin_classes_up_to_64(c):
     rng = random.Random(101 + c)
     graphs = [twin_class_graph(rng, n, c) for n in range(33, 65)]
     parts = [sheaf.partition_from_sign_matrix(g, c) for g in graphs]
-    assert parts == [oracles.partition_from_sign_matrix(g, c) for g in graphs]
-    assert all(p.m < p.n and -1 in p.sign for p in parts)
+    assert all(map(np.array_equal, parts,
+                   (oracles.partition_from_sign_matrix(g, c) for g in graphs)))
+    assert all((p.rep != np.arange(g.n)).any() and -1 in p.sign for g, p in zip(graphs, parts))
     assert all(r.ok for r in compare_reports(graphs, parts, c))
     # flipping the sign of one twin breaks the within-class rule
     wrong = []
     for p in parts:
-        x = p.sign.index(-1)
-        wrong.append(LinePartition(p.m, p.rep_index, p.pi,
-                                   p.sign[:x] + (1,) + p.sign[x + 1:]))
+        sign = p.sign.copy()
+        sign[np.flatnonzero(sign == -1)[0]] = 1
+        wrong.append(LinePartition(p.rep, sign))
     reports = compare_reports(graphs, wrong, c)
     assert not any(r.within_class_ok for r in reports)
 
@@ -308,9 +309,10 @@ def test_top_bit_of_a_64_bit_row(c):
     for linked in (False, True):
         g = epsilon_matrix(64, edges + [(0, 63)] * linked)
         p = sheaf.partition_from_sign_matrix(g, c)
-        assert p == oracles.partition_from_sign_matrix(g, c)
+        assert np.array_equal(p, oracles.partition_from_sign_matrix(g, c))
         # twins share a line exactly when their edge bit is the sign bit of c
         together = linked == (c == -1)
-        assert (p.m, p.pi[63] == p.pi[0]) == ((63, True) if together else (64, False))
+        lines = int((p.rep == np.arange(64)).sum())
+        assert (lines, p.rep[63] == p.rep[0]) == ((63, True) if together else (64, False))
         assert p.sign[63] == 1
         assert all(r.ok for r in compare_reports([g], [p], c))

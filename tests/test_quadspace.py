@@ -257,9 +257,9 @@ class TestRepresentation:
         with pytest.raises(GramMismatchError):
             Representation(SQUARE.graph, 1.0, 1e7, u.space, u.vectors * (1 + 1e-6))
         targets = np.stack([u.vectors, -u.vectors, u.vectors * (1 + 1e-6)])
-        assert isometry_between(u.vectors, targets[:2], u.space, u.space, u.pivots).shape == (2, 4, 4)
+        assert isometry_between(u.vectors, targets[:2], u.space, u.pivots).shape == (2, 4, 4)
         with pytest.raises(GramMismatchError, match="Gram"):
-            isometry_between(u.vectors, targets, u.space, u.space, u.pivots)
+            isometry_between(u.vectors, targets, u.space, u.pivots)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_vectors_rejected(self, value):
@@ -340,12 +340,12 @@ class TestReduce:
 class TestIsometry:
     def test_identity(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        f = isometry_between(u.vectors, u.vectors, u.space, u.space, u.pivots)
+        f = isometry_between(u.vectors, u.vectors, u.space, u.pivots)
         assert np.abs(f - np.eye(3)).max() < 1e-9
 
     def test_global_sign(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        f = isometry_between(u.vectors, -u.vectors, u.space, u.space, u.pivots)
+        f = isometry_between(u.vectors, -u.vectors, u.space, u.pivots)
         assert np.abs(f + np.eye(3)).max() < 1e-9
 
     def test_recovers_orthogonal_shuffle(self):
@@ -354,22 +354,24 @@ class TestIsometry:
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             v = u.vectors @ q.T
-            f = isometry_between(u.vectors, v, u.space, u.space, u.pivots)
+            f = isometry_between(u.vectors, v, u.space, u.pivots)
             assert np.abs(f - q).max() < 1e-8
             assert np.abs(u.vectors @ f.T - v).max() < 1e-8
 
     def test_gram_mismatch_rejected(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        v = Representation.build(SQUARE.graph, 1.0, 0.5, 4)
+        # two positive definite systems in one space, S(1, 1/2) and S(1, 1/4)
+        u = Representation.build(SQUARE.graph, 1.0, 0.5, 4)
+        v = Representation.build(SQUARE.graph, 1.0, 0.25, 4)
+        assert u.space == v.space
         with pytest.raises(GramMismatchError):
-            isometry_between(u.vectors, v.vectors, u.space, v.space, u.pivots)
+            isometry_between(u.vectors, v.vectors, u.space, u.pivots)
 
     def test_deficient_span_rejected(self):
         # vectors confined to a plane inside a 3-dim space
         space = QuadraticSpace((1, 1, 1))
         vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DeficientSpanError):
-            isometry_between(vecs, vecs, space, space, (0, 1, 2))
+            isometry_between(vecs, vecs, space, (0, 1, 2))
 
 
 class TestIsometryStack:
@@ -379,17 +381,17 @@ class TestIsometryStack:
     ])
     def test_stack_equals_single_calls_bitwise(self, g, c):
         u, targets = group_targets(g, c)
-        stack = isometry_between(u.vectors, targets, u.space, u.space, u.pivots)
-        single = np.array([isometry_between(u.vectors, t, u.space, u.space, u.pivots)
+        stack = isometry_between(u.vectors, targets, u.space, u.pivots)
+        single = np.array([isometry_between(u.vectors, t, u.space, u.pivots)
                            for t in targets])
         assert stack.shape == single.shape == (len(targets), u.degree, u.degree)
         assert stack.tobytes() == single.tobytes()
 
     def test_single_call_keeps_its_shape(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        assert isometry_between(u.vectors, u.vectors, u.space, u.space, u.pivots).shape == (3, 3)
+        assert isometry_between(u.vectors, u.vectors, u.space, u.pivots).shape == (3, 3)
         stack = isometry_between(u.vectors, np.stack([u.vectors, -u.vectors]),
-                                 u.space, u.space, u.pivots)
+                                 u.space, u.pivots)
         assert np.abs(stack - [np.eye(3), -np.eye(3)]).max() < 1e-9
 
     def test_one_bad_target_fails_the_stack(self):
@@ -397,14 +399,14 @@ class TestIsometryStack:
         bad = targets.copy()
         bad[7, [0, 1]] = bad[7, [1, 0]]  # swap two images: not an isometry
         with pytest.raises(GramMismatchError):
-            isometry_between(u.vectors, bad, u.space, u.space, u.pivots)
+            isometry_between(u.vectors, bad, u.space, u.pivots)
         # a linear map that is no isometry leaves no residual: only the
         # Gram check of that target sees it
         scaled = targets.copy()
         scaled[7] *= 1.5
         with pytest.raises(GramMismatchError, match="Gram"):
-            isometry_between(u.vectors, scaled, u.space, u.space, u.pivots)
-        isometry_between(u.vectors, targets, u.space, u.space, u.pivots)
+            isometry_between(u.vectors, scaled, u.space, u.pivots)
+        isometry_between(u.vectors, targets, u.space, u.pivots)
 
     def test_non_finite_target_fails_the_stack(self):
         u, targets = group_targets(SQUARE.graph, -1 / 3)
@@ -412,9 +414,9 @@ class TestIsometryStack:
             bad = targets.copy()
             bad[7, 2, 1] = value
             with pytest.raises(GramMismatchError, match="Gram"):
-                isometry_between(u.vectors, bad, u.space, u.space, u.pivots)
+                isometry_between(u.vectors, bad, u.space, u.pivots)
             with pytest.raises(GramMismatchError, match="Gram"):
-                isometry_between(u.vectors, bad[7], u.space, u.space, u.pivots)
+                isometry_between(u.vectors, bad[7], u.space, u.pivots)
 
     def test_residual_check_per_target(self):
         # three nearly parallel vectors in the plane: moving the third by 1e-6
@@ -427,22 +429,22 @@ class TestIsometryStack:
         stack = np.stack([u, -u, moved])
         gram_dev = np.abs(space.gram(moved) - space.gram(u)).max()
         assert gram_dev < 1e-8  # below ISOMETRY_TOL: the Gram check passes
-        assert isometry_between(u, stack[:2], space, space, (0, 1)).shape == (2, 2, 2)
+        assert isometry_between(u, stack[:2], space, (0, 1)).shape == (2, 2, 2)
         with pytest.raises(GramMismatchError, match="residual"):
-            isometry_between(u, stack, space, space, (0, 1))
+            isometry_between(u, stack, space, (0, 1))
         with pytest.raises(GramMismatchError, match="residual"):
-            isometry_between(u, moved, space, space, (0, 1))
+            isometry_between(u, moved, space, (0, 1))
 
     def test_deficient_span_on_a_stack(self):
         space = QuadraticSpace((1, 1, 1))
         vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
         with pytest.raises(DeficientSpanError):
-            isometry_between(vecs, np.stack([vecs, -vecs]), space, space, (0, 1, 2))
+            isometry_between(vecs, np.stack([vecs, -vecs]), space, (0, 1, 2))
+        # targets with the same Gram matrix in a space of one more dimension
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        padded = QuadraticSpace((1, 1, 1, 1))
         with pytest.raises(DeficientSpanError):
             isometry_between(u.vectors, np.stack([np.hstack([u.vectors, np.zeros((4, 1))])] * 2),
-                             u.space, padded, u.pivots)
+                             u.space, u.pivots)
 
 
 class TestPivotFrame:

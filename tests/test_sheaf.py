@@ -16,6 +16,7 @@ from gerbe.sheaf import (
     partition_from_sign_matrix,
     restrict_to_Y,
 )
+from test_linking_sweep import twin_class_graph
 
 
 def random_graph(rng, n):
@@ -24,27 +25,35 @@ def random_graph(rng, n):
     )
 
 
+def trivial(n) -> LinePartition:
+    """n distinct lines."""
+    return LinePartition(np.arange(n), np.ones(n, dtype=int))
+
+
+def representative_vertices(p) -> np.ndarray:
+    return np.flatnonzero(np.asarray(p.rep) == np.arange(len(p.rep)))
+
+
 def assert_lines_of_vectors(u, p, tol=1e-8):
     """Check a partition against the vectors themselves, independently of
     the exact rule: every vertex is sign times its representative, and no
     two representatives span the same line."""
     vecs = u.vectors
     for i in range(u.n):
-        r = p.rep_index[p.pi[i]]
+        r = p.rep[i]
         assert np.abs(vecs[i] - p.sign[i] * vecs[r]).max() <= tol, (i, r)
-    dirs = [vecs[r] / np.linalg.norm(vecs[r]) for r in p.rep_index]
-    for a in range(p.m):
-        for b in range(a + 1, p.m):
+    reps = representative_vertices(p)
+    dirs = [vecs[r] / np.linalg.norm(vecs[r]) for r in reps]
+    for a in range(len(reps)):
+        for b in range(a + 1, len(reps)):
             gap = min(np.abs(dirs[a] - dirs[b]).max(), np.abs(dirs[a] + dirs[b]).max())
-            assert gap > tol, (p.rep_index[a], p.rep_index[b])
+            assert gap > tol, (reps[a], reps[b])
 
 
 def representatives(u, p):
-    """The representatives' vectors of u as a representation of Gamma_Y,
-    as ``gerbe group --realize`` takes them: the constructor checks their
-    Gram matrix against S of the restricted sign matrix."""
-    return Representation(restrict_to_Y(u.graph, p), u.omega, u.c, u.space,
-                          u.vectors[list(p.rep_index)], [p.pi[q] for q in u.pivots])
+    """The representation of Gamma_Y at u's parameters, as ``gerbe group
+    --realize`` builds it: S of Gamma_Y has the rank of S of Gamma."""
+    return Representation.build(restrict_to_Y(u.graph, p), u.omega, u.c, u.degree)
 
 
 class TestLineClasses:
@@ -53,25 +62,22 @@ class TestLineClasses:
     def test_triangle_collapsed(self):
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         p = line_classes(TRIANGLE.graph, 1.0, -1.0)
-        assert p.m == 1
-        assert p.pi == (0, 0, 0)
+        assert p.rep.tolist() == [0, 0, 0]
         # all three vertices land on the same vector, not just the same line
-        assert p.sign == (1, 1, 1)
+        assert p.sign.tolist() == [1, 1, 1]
         assert_lines_of_vectors(u, p)
 
     def test_square_at_one(self):
         u = Representation.build(SQUARE.graph, 1.0, 1.0, 1)
         p = line_classes(SQUARE.graph, 1.0, 1.0)
-        assert p.m == 1
-        assert p.plus_block(0) == [0, 2]
-        assert p.minus_block(0) == [1, 3]
+        assert p.rep.tolist() == [0, 0, 0, 0]
+        assert p.sign.tolist() == [1, -1, 1, -1]
         assert_lines_of_vectors(u, p)
 
     def test_square_generic_all_singletons(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         p = line_classes(SQUARE.graph, 1.0, -1 / 3)
-        assert p.m == p.n
-        assert p.sign == (1, 1, 1, 1)
+        assert np.array_equal(p, trivial(4))
         assert_lines_of_vectors(u, p)
 
     def test_trivial_rejected(self):
@@ -90,7 +96,7 @@ class TestLineClasses:
                 c = 0.5
             u = Representation.build(g, 1.0, c, degree_at(g, 1, c))
             p = line_classes(g, 1.0, c)
-            assert p.m == p.n
+            assert np.array_equal(p, trivial(g.n))
             assert_lines_of_vectors(u, p)
 
     @pytest.mark.parametrize("graph, c", [
@@ -101,7 +107,7 @@ class TestLineClasses:
         # lines coincide only where |c| = |omega| exactly
         u = Representation.build(graph, 1.0, c, degree_at(graph, 1, c))
         p = line_classes(graph, 1.0, c)
-        assert p.m == p.n
+        assert np.array_equal(p, trivial(graph.n))
         assert_lines_of_vectors(u, p)
 
     @pytest.mark.parametrize("omega, c", [(2.0, 2.0), (-1.0, 1.0), (0.5, -0.5)])
@@ -111,13 +117,14 @@ class TestLineClasses:
             g = random_graph(rng, rng.randint(2, 7))
             u = Representation.build(g, omega, c, degree_at(g, omega, c))
             p = line_classes(g, omega, c)
-            assert p == partition_from_sign_matrix(g, int(c / omega))
+            assert np.array_equal(p, partition_from_sign_matrix(g, int(c / omega)))
             assert_lines_of_vectors(u, p)
 
     def test_decided_at_the_floats(self):
         # 1 + 10^-20 is no unit, but S is built from its float, 1.0
         c = Fraction(10**20 + 1, 10**20)
-        assert line_classes(SQUARE.graph, 1, c) == partition_from_sign_matrix(SQUARE.graph, 1)
+        assert np.array_equal(line_classes(SQUARE.graph, 1, c),
+                              partition_from_sign_matrix(SQUARE.graph, 1))
 
 
 class TestCombinatorialPartition:
@@ -128,7 +135,7 @@ class TestCombinatorialPartition:
             for c in (1, -1):
                 u = Representation.build(g, 1.0, float(c), degree_at(g, 1, c))
                 p = partition_from_sign_matrix(g, c)
-                assert p == line_classes(g, 1, c)
+                assert np.array_equal(p, line_classes(g, 1, c))
                 assert_lines_of_vectors(u, p)
 
     def test_rejects_other_c(self):
@@ -165,12 +172,32 @@ class TestRestrictToY:
             p = line_classes(g, 1.0, c)
             assert_lines_of_vectors(u, p)
             y = restrict_to_Y(g, p)
-            reps = list(p.rep_index)
+            reps = representative_vertices(p)
             assert np.array_equal(y.entries, g.entries[np.ix_(reps, reps)])
-            assert line_classes(y, 1.0, c) == LinePartition.trivial(y.n)
+            assert np.array_equal(line_classes(y, 1.0, c), trivial(y.n))
             v = representatives(u, p)
             assert np.linalg.matrix_rank(v.vectors) == v.degree
-            assert_lines_of_vectors(v, LinePartition.trivial(v.n))
+            assert_lines_of_vectors(v, trivial(v.n))
+
+    @pytest.mark.parametrize("c", [1, -1])
+    def test_gamma_y_factors_as_gamma_at_the_representatives(self, c):
+        # group --realize factors S of Gamma_Y itself: the same bytes as
+        # factoring S of Gamma and keeping the representatives' rows, with
+        # the same signs and the pivots of Gamma's factorization
+        rng = random.Random(73 + c)
+        merged = 0
+        for _ in range(200):
+            g = twin_class_graph(rng, rng.randint(6, 13), c)
+            degree = degree_at(g, 1, c)
+            p = line_classes(g, 1.0, c)
+            reps = representative_vertices(p)
+            u = Representation.build(g, 1.0, c, degree)
+            v = Representation.build(restrict_to_Y(g, p), 1.0, c, degree)
+            assert v.vectors.tobytes() == u.vectors[reps].tobytes()
+            assert v.space == u.space
+            assert reps[list(v.pivots)].tolist() == list(u.pivots)
+            merged += len(reps) < g.n
+        assert merged == 200
 
     def test_trivial_rejected(self):
         # c = 0 has no partition to restrict by
@@ -179,17 +206,17 @@ class TestRestrictToY:
 
     @pytest.mark.parametrize("c, degree, p", [
         # too fine: the square's four vertices share one line at c = 1
-        (1.0, 1, LinePartition.trivial(4)),
+        (1.0, 1, trivial(4)),
         # too coarse: distinct lines at c = -1/3 merged
-        (-1 / 3, 3, LinePartition(3, (0, 1, 3), (0, 1, 0, 2), (1, 1, 1, 1))),
+        (-1 / 3, 3, LinePartition(np.array([0, 1, 0, 3]), np.ones(4, dtype=int))),
         # right blocks, wrong signs: vertices 2 and 4 are -u_1 at c = 1
-        (1.0, 1, LinePartition(1, (0,), (0, 0, 0, 0), (1, 1, 1, 1))),
+        (1.0, 1, LinePartition(np.zeros(4, dtype=int), np.ones(4, dtype=int))),
     ], ids=["too-fine", "too-coarse", "wrong-signs"])
     def test_wrong_partition_rejected(self, c, degree, p):
         # the vector oracle the partition tests rest on refuses a partition
         # that is not the line partition: a negative control
         u = Representation.build(SQUARE.graph, 1.0, c, degree)
-        assert p != line_classes(SQUARE.graph, 1.0, c)
+        assert not np.array_equal(p, line_classes(SQUARE.graph, 1.0, c))
         with pytest.raises(AssertionError):
             assert_lines_of_vectors(u, p)
 
@@ -207,21 +234,21 @@ class TestClassLinking:
         assert report.ok
 
     def test_all_singletons_trivially_pass(self):
-        p = LinePartition.trivial(PENTAGON.graph.n)
+        p = trivial(PENTAGON.graph.n)
         report = check_class_linking(PENTAGON.graph, p, 1)
         assert report.ok
 
     def test_detects_broken_partition(self):
         # deliberately wrong partition on the square: merge vertices 1 and 2,
         # which are linked, with the same sign at c = 1
-        p = LinePartition(3, (0, 2, 3), (0, 0, 1, 2), (1, 1, 1, 1))
+        p = LinePartition(np.array([0, 0, 2, 3]), np.ones(4, dtype=int))
         report = check_class_linking(SQUARE.graph, p, 1)
         assert not report.ok
         assert report.failures == ("all-or-nothing rule broken", "cross-class rule broken",
                                    "within-class rule broken")
 
     def test_bad_c_rejected(self):
-        p = LinePartition.trivial(4)
+        p = trivial(4)
         with pytest.raises(ValueError):
             check_class_linking(SQUARE.graph, p, 2)
 
@@ -237,9 +264,16 @@ class TestClassLinking:
 
 class TestLinePartitionType:
     def test_trivial(self):
-        p = LinePartition.trivial(3)
-        assert p.m == p.n == 3
+        # off c = ±1 the partition is n singletons, as int arrays
+        p = line_classes(PENTAGON.graph, 1.0, 0.5)
+        assert p.rep.tolist() == [0, 1, 2, 3, 4] and p.sign.tolist() == [1] * 5
+        assert p.rep.dtype.kind == p.sign.dtype.kind == "i"
+        assert partition_from_sign_matrix(PENTAGON.graph, 1).rep.dtype.kind == "i"
 
     def test_rep_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            LinePartition(1, (0,), (0, 0), (-1, 1))
+        # a partition from outside is checked where the linking rules read
+        # it: a representative with sign -1, and one that is another's
+        for rep, sign in ([0, 0], [-1, 1]), ([1, 0], [1, 1]):
+            with pytest.raises(ValueError):
+                check_class_linking(epsilon_matrix(2, []),
+                                    LinePartition(np.array(rep), np.array(sign)), 1)
