@@ -11,8 +11,9 @@ environment.
 """
 
 # largest vertex count parse_graph accepts: the sign matrix and chi take
-# n^2 entries, exact chi takes about 20 ms at n = 64 (2-vCPU Xeon), and its
-# prime table (exactpoly._CHI_PRIMES) serves n <= 66
+# n^2 entries, exact chi takes 10-15 ms at n = 64 (G(64, 1/2), 2-vCPU
+# Xeon, one BLAS thread), and its prime table (exactpoly._CHI_PRIMES)
+# serves n <= 82
 MAX_VERTICES = 64
 # backtracking nodes of one stabilizer chain: the chain of G takes 235 on
 # Paley(37) + point, 9,438 on the Latin-square graph of Z_6 and 304 on that

@@ -1,26 +1,30 @@
 """Exact integer polynomial arithmetic.
 
 Provides the characteristic polynomial det(S(1, x)) of a sign matrix as an
-exact integer polynomial (Faddeev–LeVerrier modulo primes below 2^45, one
-stacked float64 product per step, rebuilt by the Chinese remainder theorem
-past Hadamard's bound 2^n n^(n/2) and checked modulo one more prime), the
-degree of the representation at a rational point (``degree_at``), and, in
-``chi_and_roots``, chi's square-free factors and its real roots with
-multiplicities.  The Seidel spectrum proposes the rational roots -1/q,
-which exact division by q x + 1 confirms and counts; the cofactor left is
-certified square-free by its sign changes across the cells that the seeds
--1/lam cut, and only a cofactor with a repeated irrational root takes
-Yun's scheme (``squarefree_decomposition``), with Sturm chains as the
-fallback of a factor its cells do not certify.  All arithmetic is over the
-integers: by Gauss's lemma a primitive divisor of an integer polynomial
-divides it over Z, so Yun's scheme divides exactly by primitive gcds, and
-the Sturm chain takes pseudo-remainders.  Signs are taken at dyadic points
-a / 2^k; Fractions appear only in the results, which are exact but for the
-float approximation attached to each root.
+exact integer polynomial by Faddeev–LeVerrier, one float64 product per
+step: over the integers up to n = 20, where Hadamard's bound on the
+adjugate coefficients keeps every partial sum below 2^53 and each step
+checks that its trace divides exactly, and beyond that modulo primes below
+2^45 stacked side by side, rebuilt by the Chinese remainder theorem past
+the principal-minor bound C(n, k) (k - 1)^(k/2) and checked modulo one
+more prime.  Also the degree of the representation at a rational point
+(``degree_at``), and, in ``chi_and_roots``, chi's square-free factors and
+its real roots with multiplicities.  The Seidel spectrum proposes the
+rational roots -1/q, which exact division by q x + 1 confirms and counts;
+the cofactor left is certified square-free by its sign changes across the
+cells that the seeds -1/lam cut, and only a cofactor with a repeated
+irrational root takes Yun's scheme (``squarefree_decomposition``), with
+Sturm chains as the fallback of a factor its cells do not certify.  All
+arithmetic is over the integers: by Gauss's lemma a primitive divisor of
+an integer polynomial divides it over Z, so Yun's scheme divides exactly
+by primitive gcds, and the Sturm chain takes pseudo-remainders.  Signs are
+taken at dyadic points a / 2^k; Fractions appear only in the results,
+which are exact but for the float approximation attached to each root.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,45 +109,83 @@ class RootRecord:
 # ---------------------------------------------------------------------------
 # char_poly
 
-# The seven largest primes below 2^45.  chi of an n-vertex graph needs the
+def _float_exact(n: int) -> bool:
+    """Whether Faddeev-LeVerrier over Z keeps every partial sum below 2^53
+    at n vertices.  After step s the entries of M_s are adjugate
+    coefficients of x I + A, each a sum of C(n - 1, s) s-minors of a 0/+-1
+    matrix, so at most C(n - 1, s) s^(s/2) by Hadamard's bound; a row of
+    -A has n - 1 nonzero entries, so a partial sum of the next product is
+    at most n - 1 times that, and of its trace n (n - 1) times.  Compared
+    as squares, in integers."""
+    return all((n * (n - 1) * math.comb(n - 1, s)) ** 2 * s ** s < 4 ** 53 for s in range(n))
+
+
+# the largest n whose chi float64 computes over Z (20)
+_FLOAT_EXACT_N = next(n for n in itertools.count(1) if not _float_exact(n + 1))
+
+# The seven largest primes below 2^45.  chi of a larger graph needs the
 # first k of them, with k the fewest whose product exceeds twice the bound
-# on its coefficients, and the next one as a check: six suffice up to
-# n = 66, so the table serves config.MAX_VERTICES = 64.
+# on its coefficients (``_coefficient_bound_sq``), and the next one as a
+# check: six suffice up to n = 82, so the table serves
+# config.MAX_VERTICES = 64.
 _CHI_PRIMES = (
     35184372088777, 35184372088763, 35184372088751, 35184372088739,
     35184372088711, 35184372088699, 35184372088693,
 )
 
 
-def _chi_residues(m: SignMatrix, primes) -> list:
-    """Faddeev-LeVerrier for chi modulo each prime at once: row k holds the
-    residues in [0, p) of the coefficient of x^k, one per prime.
+def _coefficient_bound_sq(n: int) -> int:
+    """The square of a bound on |coef of x^k| in chi over all k.  That
+    coefficient sums the C(n, k) principal k x k minors of A = eps - I,
+    whose diagonal is 0 and whose other entries are +-1: each row has norm
+    sqrt(k - 1), so by Hadamard each minor is at most (k - 1)^(k/2)."""
+    return max(math.comb(n, k) ** 2 * (k - 1) ** k for k in range(n + 1))
 
-    The residues of M_k modulo every prime sit side by side in one
-    n x (len(primes) n) float array, so each step is one BLAS product by
-    -A = I - eps, whose entries are 0 and +-1.  The entries of M_k lie in
-    (-p, 2p), so every partial sum of a product entry is an integer of
-    modulus below n * 2p < 2^53 for n < 128 and p < 2^45 (the prime table
-    stops at n = 66): float64 holds it exactly in any summation order.
-    Rounding x * (1/p), which is within 2^-44 of x / p, gives a quotient q
-    with |x - q p| below p/2 + 2, and x - q p is computed exactly; so each
-    entry lands in (-p, p), and the diagonal update adds the new
-    coefficient in [0, p).
+
+def _chi_residues(m: SignMatrix, primes) -> list:
+    """Faddeev-LeVerrier for chi: row k holds the coefficient of x^k, as
+    one integer with no primes, else as its residues in [0, p) modulo each
+    prime at once.
+
+    The loop holds M_k in one float array, n x n over Z, or with primes the
+    residues modulo each side by side, n x (len(primes) n), so each step is
+    one BLAS product by -A = I - eps, whose entries are 0 and +-1.
+
+    Over Z (n up to ``_FLOAT_EXACT_N``, by ``_float_exact``) every partial
+    sum is an integer below 2^53, which float64 holds exactly in any
+    summation order; the trace must then divide exactly by the step, and
+    an inexact division raises InvariantError.
+
+    Modulo primes, the entries of M_k lie in (-p, 2p), so every partial sum
+    of a product entry is an integer of modulus below n * 2p < 2^53 for
+    n < 128 and p < 2^45 (the prime table stops at n = 82).  Rounding
+    x * (1/p), which is within 2^-44 of x / p, gives a quotient q with
+    |x - q p| below p/2 + 2, and x - q p is computed exactly; so each entry
+    lands in (-p, p), and the diagonal update adds the new coefficient in
+    [0, p).
     """
-    n, k = m.n, len(primes)
+    n, k = m.n, max(len(primes), 1)
     minus_a = np.eye(n) - m.entries
     mk = np.tile(np.eye(n), k)
-    moduli = np.repeat(np.array(primes, dtype=float), n)
-    inverses = 1 / moduli
+    if primes:
+        moduli = np.repeat(np.array(primes, dtype=float), n)
+        inverses = 1 / moduli
     # flat index of the diagonal entry (i, j n + i) of block j
     diag = np.arange(n)[:, None] * (k * n + 1) + np.arange(k) * n
     rows = [[1] * k]
     for step in range(1, n + 1):
         mk = minus_a @ mk
-        mk -= np.rint(mk * inverses) * moduli
+        if primes:
+            mk -= np.rint(mk * inverses) * moduli
         flat = mk.reshape(-1)
         traces = flat[diag].sum(axis=0)
-        coeffs = [-int(t) * pow(step, -1, p) % p for t, p in zip(traces, primes)]
+        if primes:
+            coeffs = [-int(t) * pow(step, -1, p) % p for t, p in zip(traces, primes)]
+        elif traces[0] % step:
+            raise InvariantError(f"chi over Z: the trace {traces[0]} at step {step} "
+                                 "does not divide by it")
+        else:
+            coeffs = [-int(traces[0]) // step]
         rows.append(coeffs)
         flat[diag] += coeffs
     return rows
@@ -153,16 +195,20 @@ def char_poly(m: SignMatrix) -> IntPolynomial:
     """det(S(1, x)) as an exact integer polynomial.
 
     S(1, x) = I + x·A with A = ε − I the Seidel matrix, so χ is the
-    characteristic polynomial of −A with its coefficients reversed.
-    The coefficient of x^k sums C(n, k) principal minors of A, each at
-    most n^(n/2) by Hadamard's bound, so |coef| <= 2^n n^(n/2).
-    Faddeev–LeVerrier runs modulo the fewest primes whose product P
-    exceeds twice that bound (``_chi_residues``), and the Chinese
-    remainder theorem rebuilds each coefficient in (−P/2, P/2].  One
-    more prime checks the result: its residues must agree with it.
+    characteristic polynomial of −A with its coefficients reversed, by
+    Faddeev–LeVerrier (``_chi_residues``).  Up to n = ``_FLOAT_EXACT_N``
+    (20) the loop runs over Z in float64, exact by Hadamard's bound on
+    the adjugate coefficients (``_float_exact``), and each step checks its
+    division.  Beyond, it runs modulo the fewest primes whose product P
+    exceeds twice the principal-minor bound C(n, k) (k − 1)^(k/2) on the
+    coefficients (``_coefficient_bound_sq``), and the Chinese remainder
+    theorem rebuilds each coefficient in (−P/2, P/2].  One more prime
+    checks the result: its residues must agree with it.
     """
     n = m.n
-    bound_sq = 4 ** (n + 1) * n ** n  # (2 * 2^n * n^(n/2))^2
+    if n <= _FLOAT_EXACT_N:
+        return IntPolynomial.from_coeffs(row[0] for row in _chi_residues(m, ()))
+    bound_sq = 4 * _coefficient_bound_sq(n)
     k, modulus = 1, _CHI_PRIMES[0]
     while modulus * modulus <= bound_sq:
         if k + 1 >= len(_CHI_PRIMES):

@@ -33,10 +33,17 @@ class SignMatrix:
             raise ValueError("entries must be -1 or +1")
         if not np.array_equal(a, a.T):
             raise ValueError("sign matrix must be symmetric")
-        if not np.all(np.diag(a) == 1):
-            raise ValueError("diagonal must be +1")
+        _check_diagonal(a)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+
+    @classmethod
+    def _of_valid(cls, a: np.ndarray) -> "SignMatrix":
+        """The sign matrix of an int64 array its builder made valid, unchecked."""
+        m = object.__new__(cls)
+        a.setflags(write=False)
+        object.__setattr__(m, "entries", a)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("SignMatrix is immutable")
@@ -59,6 +66,13 @@ class SignMatrix:
         or."""
         a = self.entries == -1
         return (a[:, :, None] ^ a[:, None, :] ^ a) @ _kernels_py._row_bits(self.n)
+
+
+def _check_diagonal(a):
+    """Refuse a -1 on the diagonal of a +-1 matrix: its trace is n exactly
+    when there is none."""
+    if a.trace() != len(a):
+        raise ValueError("diagonal must be +1")
 
 
 def parse_graph(text: str) -> SignMatrix:
@@ -128,14 +142,16 @@ def epsilon_matrix(n, edges) -> SignMatrix:
     """The sign matrix of the graph on vertices 0..n-1 with these edges,
     pairs (i, j) of distinct vertices in either order: -1 exactly at
     linked pairs, +1 elsewhere.  A vertex outside 0..n-1 is refused, and
-    so is a self-loop (by ``SignMatrix``, as a -1 on the diagonal)."""
+    so is a self-loop, as a -1 on the diagonal; the rest is valid by
+    construction, so ``SignMatrix`` does not check it again."""
     ij = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
                   dtype=np.intp).reshape(-1, 2)
     if not ((ij >= 0) & (ij < n)).all():
         raise ValueError(f"edge vertex out of range for n={n}")
     a = np.ones((n, n), dtype=np.int64)
     a[ij[:, 0], ij[:, 1]] = a[ij[:, 1], ij[:, 0]] = -1
-    return SignMatrix(a)
+    _check_diagonal(a)
+    return SignMatrix._of_valid(a)
 
 
 def stabilizer_chain(src, targets=None) -> list:

@@ -80,9 +80,10 @@ def restrict_to_Y(m: SignMatrix, p: LinePartition) -> SignMatrix:
     lines of p, relabeled 0..m-1 in vertex order.  For p =
     line_classes(m, omega, c) each vector at (omega, c) is ± a
     representative's, so the representatives' vectors are a reduced
-    representation of Gamma_Y, with distinct lines."""
+    representation of Gamma_Y, with distinct lines.  A principal
+    submatrix of a sign matrix is one, so it is not checked again."""
     reps = np.flatnonzero(p.rep == np.arange(len(p.rep)))
-    return SignMatrix(m.entries[np.ix_(reps, reps)])
+    return SignMatrix._of_valid(m.entries[np.ix_(reps, reps)])
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from gerbe.fixtures import SQUARE
 from gerbe.graph import epsilon_matrix
 from oracles import csv_text, format_graph, json_text, matrices_text, sign_compatible
 from test_autgroup import clebsch, latin_square_graph, petersen, triangular
+from test_exactpoly import half_edge_square
 
 SQUARE_TXT = "4\n1 2\n2 3\n3 4\n1 4\n"
 PENTAGON_TXT = "5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
@@ -97,7 +98,10 @@ class TestPoly:
             '  "factors": [],\n  "n": 1,\n  "roots": [],\n  "text": "1"\n}\n'
         )
 
-    def test_corrupted_chi_residue_exits_one(self, square_file, capsys, monkeypatch):
+    def test_corrupted_chi_residue_exits_one(self, tmp_path, capsys, monkeypatch):
+        # T(8), n = 28, takes the primes; the square would take the integers
+        t8 = tmp_path / "t8.txt"
+        t8.write_text(format_graph(triangular(8)))
         real = exactpoly._chi_residues
 
         def corrupted(m, primes):
@@ -106,10 +110,19 @@ class TestPoly:
             return rows
 
         monkeypatch.setattr(exactpoly, "_chi_residues", corrupted)
-        code, out, err = run(["poly", square_file], capsys)
+        code, out, err = run(["poly", str(t8)], capsys)
         assert code == 1
         assert out == ""
         assert "internal invariant violated" in err and "check prime" in err
+        assert "Traceback" not in err
+
+    def test_inexact_chi_division_exits_one(self, square_file, capsys, monkeypatch):
+        # the square's trace at step 2 of Faddeev-LeVerrier over Z is 10.5
+        monkeypatch.setattr(cli, "parse_graph", lambda text: half_edge_square())
+        code, out, err = run(["poly", square_file], capsys)
+        assert code == 1
+        assert out == ""
+        assert "internal invariant violated" in err and "step 2" in err
         assert "Traceback" not in err
 
 

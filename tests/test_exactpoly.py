@@ -348,8 +348,32 @@ def paley_point(q):
 
 
 # 150 graphs: every n = 3..32 four or five times, then the largest n that
-# five and six primes serve, and the vertex bound
-ORACLE_SIZES = [3 + i % 30 for i in range(146)] + [37, 47, 57, 64]
+# two, three and four primes serve, and the vertex bound
+ORACLE_SIZES = [3 + i % 30 for i in range(146)] + [34, 47, 59, 64]
+
+
+def float_exact(n):
+    """Whether every partial sum of Faddeev-LeVerrier over Z stays below
+    2^53: n (n - 1) max_s C(n - 1, s) s^(s/2) < 2^53, as squares."""
+    return max((n * (n - 1) * math.comb(n - 1, s)) ** 2 * s ** s for s in range(n)) < 2 ** 106
+
+
+def crt_primes(n):
+    """The fewest primes of the table, one kept back as the check, whose
+    product exceeds twice the principal-minor bound C(n, k) (k - 1)^(k/2)
+    on chi's coefficients (as squares), or None."""
+    bound_sq = max(math.comb(n, k) ** 2 * (k - 1) ** k for k in range(n + 1))
+    primes = exactpoly._CHI_PRIMES
+    return next((k for k in range(1, len(primes)) if math.prod(primes[:k]) ** 2 > 4 * bound_sq),
+                None)
+
+
+def half_edge_square():
+    """The square's entries with one linked pair at -1/2: not a sign
+    matrix, so the trace at step 2 of Faddeev-LeVerrier is 10.5."""
+    entries = SQUARE.graph.entries.astype(float)
+    entries[0, 1] = entries[1, 0] = -0.5
+    return types.SimpleNamespace(n=4, entries=entries)
 
 
 class TestMultimodularChi:
@@ -378,18 +402,22 @@ class TestMultimodularChi:
         primes = exactpoly._CHI_PRIMES
         assert len(set(primes)) == len(primes)
         assert all(is_prime(p) and p < 2**45 for p in primes)
-        # all but the check prime exceed twice Hadamard's bound 2^n n^(n/2) ...
+        # all but the check prime exceed twice the principal-minor bound ...
         n = config.MAX_VERTICES
-        assert math.prod(primes[:-1]) ** 2 > 4 ** (n + 1) * n ** n
+        assert crt_primes(n) is not None
         # ... and the stacked float product stays exact: n * 2p < 2^53
         assert n * 2 * max(primes) < 2**53
 
     def test_beyond_the_prime_table_is_refused(self):
+        first = next(n for n in itertools.count(config.MAX_VERTICES) if crt_primes(n) is None)
+        assert char_poly(epsilon_matrix(first - 1, [])) == reconstruct(
+            [(P(1, -1), first - 2), (P(1, first - 2), 1)], 1)
         with pytest.raises(BoundExceededError):
-            char_poly(epsilon_matrix(67, []))
+            char_poly(epsilon_matrix(first, []))
 
     @pytest.mark.parametrize("column", [0, -1], ids=["crt-prime", "check-prime"])
     def test_corrupted_residue_is_caught(self, column, monkeypatch):
+        # T(8), n = 28, takes the primes; the square would take the integers
         real = exactpoly._chi_residues
 
         def corrupted(m, primes):
@@ -399,7 +427,47 @@ class TestMultimodularChi:
 
         monkeypatch.setattr(exactpoly, "_chi_residues", corrupted)
         with pytest.raises(InvariantError):
-            char_poly(SQUARE.graph)
+            char_poly(triangular(8))
+
+
+class TestIntegerChi:
+    @pytest.mark.parametrize("g", [
+        paley_point(17),
+        *(graph(n) for n in (19, 20) for graph in (
+            lambda n: random_sign_matrix(random.Random(n), n),
+            lambda n: epsilon_matrix(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                         if (i * j + i + j) % 7]))),
+        epsilon_matrix(20, []),
+        random_sign_matrix(random.Random(21), 21),
+    ], ids=["paley-17+pt", "random-19", "dense-19", "random-20", "dense-20", "edgeless-20",
+            "random-21"])
+    def test_cut_graphs_match_big_int_oracle(self, g):
+        # Paley(17) + point: a conference matrix, whose minors meet
+        # Hadamard's bound; n = 21 is the first size off the integers
+        assert char_poly(g) == faddeev_leverrier(g)
+
+    def test_arithmetic_follows_the_bounds(self, monkeypatch):
+        calls = []
+        real = exactpoly._chi_residues
+
+        def recording(m, primes):
+            calls.append((m.n, len(primes)))
+            return real(m, primes)
+
+        monkeypatch.setattr(exactpoly, "_chi_residues", recording)
+        assert max(n for n in range(1, 40) if float_exact(n)) == 20
+        assert not float_exact(21)
+        rng = random.Random(4)
+        for n in [*range(1, 23), 28, 64]:
+            char_poly(random_sign_matrix(rng, n))
+        # the integers (no primes) through n = 20; then the CRT primes and a check
+        assert calls == [(n, 0) for n in range(1, 21)] + [
+            (n, crt_primes(n) + 1) for n in (21, 22, 28, 64)]
+        assert [crt_primes(n) for n in (28, 64)] == [2, 5]
+
+    def test_inexact_division_is_caught(self):
+        with pytest.raises(InvariantError, match="step 2"):
+            char_poly(half_edge_square())
 
 
 def roots_of(m):
