@@ -23,56 +23,47 @@ from .errors import BoundExceededError
 _CHUNK = 1 << 12
 
 
-def signed_stabilizer(src, dst=None, prefix=(), first=False, budget=None):
-    """All permutations sigma, as sorted tuples of images, with src[i][j] =
-    dst[sigma(i)][sigma(j)] for all i, j: the isomorphisms from the graph
-    of the row bitmasks ``src`` to that of ``dst`` (``src`` itself when
-    omitted, which gives its automorphisms).
+def signed_stabilizer(src, dst, t, b, budget):
+    """The first isomorphism sigma found from the graph of the row bitmasks
+    ``src`` to that of ``dst`` (src[i][j] = dst[sigma(i)][sigma(j)] for all
+    i, j) that fixes 0..t-1 and sends t to b, as [sigma] with sigma a tuple
+    of images, or [] when there is none.  At t > 0, ``dst`` is ``src``.
 
     Backtracking with forward checking.  Every vertex of src not yet placed
     keeps the mask of the vertices of dst it may still go to: at first
-    those of its degree, and of its links to 0..k-1 when the search is one
-    of automorphisms whose prefix fixes 0..k-1.  Each node places the vertex
-    with the fewest candidates, narrows every other mask to the unused
-    vertices whose link to the new image matches, and gives up the branch
-    as soon as a mask is empty.  Only maps with sigma[i] = prefix[i] for
-    i < len(prefix) are searched; ``first`` stops at the first solution
-    found.  ``budget``, a one-element list shared by the searches of one
-    chain, holds the nodes left of ``config.MAX_SEARCH_NODES``; each node
-    takes one, and the search raises BoundExceededError when none is left.
+    those of its degree and of its links to the fixed 0..t-1, t itself only
+    b.  Each node places the vertex with the fewest candidates, narrows
+    every other mask to the unused vertices whose link to the new image
+    matches, and gives up the branch as soon as a mask is empty.
+    ``budget``, a one-element list shared by the searches of one chain,
+    holds the nodes left of ``config.MAX_SEARCH_NODES``; each node takes
+    one, and the search raises BoundExceededError when none is left.
     """
     n = len(src)
-    dst = src if dst is None else dst
-    k = 0
-    while dst is src and k < len(prefix) and prefix[k] == k:
-        k += 1
-    fixed = (1 << k) - 1
+    fixed = (1 << t) - 1
 
     def key(row):
         return row.bit_count(), row & fixed
 
-    if any(key(src[p]) != key(dst[prefix[p]]) for p in range(k, len(prefix))):
+    if key(src[t]) != key(dst[b]):
         return []  # before any node
     classes = {}
-    for v in range(k, n):
+    for v in range(t, n):
         classes[key(dst[v])] = classes.get(key(dst[v]), 0) | 1 << v
-    cand = {p: classes.get(key(src[p]), 0) for p in range(k, n)}
-    cand.update((p, 1 << prefix[p]) for p in range(k, len(prefix)))
+    cand = {p: classes.get(key(src[p]), 0) for p in range(t, n)}
+    cand[t] = 1 << b
     if not all(cand.values()):
         return []
     sigma = list(range(n))
-    out = []
 
     def rec(cand):
-        if budget is not None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BoundExceededError("group search passed its budget of "
-                                         f"{config.MAX_SEARCH_NODES:,} backtracking "
-                                         "nodes (config.MAX_SEARCH_NODES)")
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BoundExceededError("group search passed its budget of "
+                                     f"{config.MAX_SEARCH_NODES:,} backtracking "
+                                     "nodes (config.MAX_SEARCH_NODES)")
         if not cand:
-            out.append(tuple(sigma))
-            return first
+            return [tuple(sigma)]
         p = min(cand, key=lambda q: cand[q].bit_count())
         options = cand.pop(p)
         row = src[p]
@@ -89,12 +80,12 @@ def signed_stabilizer(src, dst=None, prefix=(), first=False, budget=None):
                 narrowed[q] = mask
             else:
                 sigma[p] = v
-                if rec(narrowed):
-                    return True
-        return False
+                found = rec(narrowed)
+                if found:
+                    return found
+        return []
 
-    rec(cand)
-    return sorted(out)
+    return rec(cand)
 
 
 @functools.cache

@@ -307,8 +307,6 @@ def cmd_represent(args) -> int:
 def cmd_classes(args) -> int:
     eps = _read_graph(args.file)
     c, _ = _pick_c(args, eps)
-    if float(c) == 0.0:
-        raise InputError("c must be nonzero")
     p = line_classes(eps, 1, c)
     # the linking rules hold where line_classes took the sign-matrix partition
     report = check_class_linking(eps, p, int(float(c))) if abs(float(c)) == 1.0 else None
@@ -348,8 +346,6 @@ def cmd_group(args) -> int:
         raise InputError("--csv writes the realized matrices; it needs --realize")
     eps = _read_graph(args.file)
     c, degree = _pick_c(args, eps)
-    if float(c) == 0.0:
-        raise InputError("c must be nonzero")
     p = line_classes(eps, 1, c)
     y = restrict_to_Y(eps, p)
     if args.realize:  # before the search: an S that overflows is refused first
@@ -462,16 +458,15 @@ def cmd_analyze(args) -> int:
             entry["linking_ok"] = lr.ok
         report["roots"].append(entry)
     report["aut_graph_order"] = automorphism_order(eps)
-    if eps.n >= 3:
-        grp = enumerate_group(eps)
-        orbit_info = orbits_on_lines(grp)
-        report["group"] = {
-            "order": grp.order,
-            "n_sigma": grp.n_sigma,
-            "orbits": [[j + 1 for j in orb] for orb in orbit_info.orbits],
-            "is_transitive": orbit_info.is_transitive,
-            "is_2_transitive": orbit_info.is_2_transitive,
-        }
+    grp = enumerate_group(eps)
+    orbit_info = orbits_on_lines(grp)
+    report["group"] = {
+        "order": grp.order,
+        "n_sigma": grp.n_sigma,
+        "orbits": [[j + 1 for j in orb] for orb in orbit_info.orbits],
+        "is_transitive": orbit_info.is_transitive,
+        "is_2_transitive": orbit_info.is_2_transitive,
+    }
     if args.json:
         _print_json(report)
     else:
@@ -482,25 +477,20 @@ def cmd_analyze(args) -> int:
             val = entry["exact"] if entry["exact"] else f"{entry['value']:.12g}"
             print(f"root {val}: multiplicity {entry['multiplicity']}, rank {entry['rank']}")
         print(f"|H(graph)| = {report['aut_graph_order']}")
-        if "group" in report:
-            grp_sec = report["group"]
-            print(f"|G| = {grp_sec['order']} (N_sigma = {grp_sec['n_sigma']})")
-            print(f"transitive: {grp_sec['is_transitive']}  "
-                  f"2-transitive: {grp_sec['is_2_transitive']}")
+        print(f"|G| = {grp.order} (N_sigma = {grp.n_sigma})")
+        print(f"transitive: {orbit_info.is_transitive}  "
+              f"2-transitive: {orbit_info.is_2_transitive}")
     return EXIT_OK
 
 
-def run_demo(corrupt=None):
+def run_demo():
     """Check the built-in fixtures; returns (rows, all_ok)."""
     rows = []
     ok_all = True
     for fx in fixtures.ALL:
         eps = fx.graph
         chi, _, roots = chi_and_roots(eps)
-        expected_chi = fx.chi_coeffs
-        if corrupt == fx.name:
-            expected_chi = tuple(c + 1 for c in expected_chi)
-        chi_ok = chi.coeffs == expected_chi
+        chi_ok = chi.coeffs == fx.chi_coeffs
         roots_ok = len(roots) == len(fx.roots)
         ranks_ok = True
         for rec, (val, mult, expected_rank) in zip(roots, fx.roots):
@@ -538,7 +528,7 @@ def run_demo(corrupt=None):
 
 
 def cmd_demo(args) -> int:
-    rows, ok_all = run_demo(corrupt=args.corrupt)
+    rows, ok_all = run_demo()
     if args.json:
         _print_json({"fixtures": rows, "ok": ok_all})
     else:
@@ -593,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("demo", help="run the built-in regression fixtures")
     pd.add_argument("--json", action="store_true")
-    pd.add_argument("--corrupt", help=argparse.SUPPRESS)  # negative-control hook
     pd.set_defaults(fn=cmd_demo)
     return ap
 

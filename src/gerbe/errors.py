@@ -15,8 +15,9 @@ class ParseError(GerbeError):
 
 
 class InputError(GerbeError, ValueError):
-    """A refused command-line value or undecodable file (no other
-    ValueError is an input error)."""
+    """A refused input value: a command-line value, an undecodable file, or
+    c = 0, where the line partition is undefined (no other ValueError is
+    an input error)."""
 
 
 class BoundExceededError(GerbeError):
@@ -31,7 +32,3 @@ class GramMismatchError(GerbeError):
 
 class DeficientSpanError(GerbeError):
     """Vectors do not span their ambient space (input not reduced)."""
-
-
-class TrivialRepresentationError(GerbeError):
-    """Operation undefined for a trivial (c = 0) representation."""

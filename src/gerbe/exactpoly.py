@@ -61,12 +61,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def pretty(self, var: str = "x") -> str:
         """Canonical text form: descending powers, explicit signs."""
         if self.is_zero():

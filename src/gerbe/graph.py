@@ -165,12 +165,12 @@ def stabilizer_chain(src, targets=None) -> list:
     levels are built from t = n-1 down to 0.  At level t the orbit of t is
     closed under the representatives found so far, which generate a
     subgroup of the stabilizer of 0..t-1, and each b outside it costs one
-    exhaustive first-solution search (``_backend.signed_stabilizer``) into
-    src or, at level 0, into targets[b]; a b that targets leaves out has
-    no element.  The identity stands for b = t, and the group order is
-    prod |Delta_t|.  The searches share a budget of
-    ``config.MAX_SEARCH_NODES`` backtracking nodes; past it the chain
-    raises BoundExceededError.
+    search ``_backend.signed_stabilizer(src, dst, t, b, budget)`` for the
+    first map that fixes 0..t-1 and sends t to b, into dst = src or, at
+    level 0, into targets[b]; a b that targets leaves out has no element.
+    The identity stands for b = t, and the group order is prod |Delta_t|.
+    The searches share a budget of ``config.MAX_SEARCH_NODES`` backtracking
+    nodes; past it the chain raises BoundExceededError.
     """
     n = len(src)
     budget = [config.MAX_SEARCH_NODES]
@@ -182,8 +182,7 @@ def stabilizer_chain(src, targets=None) -> list:
             dst = src if t or targets is None else targets.get(b)
             if b in reps or dst is None or dst[b].bit_count() != src[t].bit_count():
                 continue  # in the orbit already, or no element sends t to b
-            found = _backend.signed_stabilizer(
-                src, dst, tuple(range(t)) + (b,), first=True, budget=budget)
+            found = _backend.signed_stabilizer(src, dst, t, b, budget)
             if found:
                 reps[b] = found[0]
                 gens.append(found[0])

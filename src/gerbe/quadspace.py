@@ -228,14 +228,6 @@ class Representation:
         vectors in the frame of their pivot rows."""
         return cls(graph, omega, c, *gram_factorize(build_S(graph, omega, c), degree))
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def degree(self) -> int:
-        return self.space.dim
-
 
 def isometry_between(u_vectors, v_vectors, space: QuadraticSpace, pivots) -> np.ndarray:
     """The linear map f with f(u_i) = v_i, given equal Gram matrices.

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels_py import (_batch_all_or_nothing, _batch_partition, _batch_rules, _row_bits,
                           _switched)
-from .errors import TrivialRepresentationError
+from .errors import InputError
 from .graph import SignMatrix
 
 
@@ -48,11 +48,11 @@ def line_classes(m: SignMatrix, omega, c) -> LinePartition:
     omega = s*epsilon_ij*c, so the lines are all distinct unless
     |omega| = |c|, and then they are the sign-matrix partition at c/omega.
     omega and c are compared as the floats S is built from.  The trivial
-    representation, c = 0, is refused.
+    representation, c = 0, is refused as an InputError.
     """
     omega, c = float(omega), float(c)
     if c == 0.0:
-        raise TrivialRepresentationError("line classes undefined for c = 0")
+        raise InputError("c must be nonzero")
     if abs(c) != abs(omega):
         return LinePartition(np.arange(m.n), np.ones(m.n, dtype=int))
     return partition_from_sign_matrix(m, int(c / omega))

@@ -7,7 +7,9 @@ S(1, c) in integers (the package runs the bitmask kernels of
 ``gerbe._kernels_py``), the sheaf group by trying every signed
 permutation (the package builds a stabilizer chain) and its group law on
 (sigma, nu) rows, the fraction-free
-determinant (the package's chi is multimodular), the degree of a gcd
+determinant (the package's chi is multimodular), the value of a
+polynomial by Horner in Fractions (the package only takes the signs of
+chi's factors, at dyadic points), the degree of a gcd
 modulo a prime (the package's factors come from exact divisions and
 Yun's scheme over the integers), the signature of
 S(omega, c) by counting the signs of its float eigenvalues (the package
@@ -283,6 +285,14 @@ def bareiss_determinant(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def evaluate(coeffs, x):
+    """f(x) in Fraction arithmetic, by Horner, for the ascending coefficients of f."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def reconstruct(factors, lead: Fraction) -> IntPolynomial:

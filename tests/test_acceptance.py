@@ -20,7 +20,7 @@ from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE
 from gerbe.graph import epsilon_matrix, graph_automorphisms
 from gerbe.quadspace import Representation, build_S, gram_factorize, rank
-from oracles import naive_group_elements, signed_product
+from oracles import evaluate, naive_group_elements, signed_product
 
 
 @pytest.fixture()
@@ -44,7 +44,7 @@ def test_01_exact_char_polynomials(report):
     for fx in ALL:
         chi = char_poly(fx.graph)
         assert chi.coeffs == fx.chi_coeffs
-        assert chi(0) == 1
+        assert evaluate(chi.coeffs, 0) == 1
     assert time.perf_counter() - t0 < 1.0
     report["ok"] = True
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerbe import _kernels_py, cli, fixtures
+from gerbe import _kernels_py, cli, config, fixtures
 from gerbe.autgroup import (
     REALIZE_CHUNK,
     SheafGroup,
@@ -247,11 +247,11 @@ class TestRealizeBatched:
         sigma, nu = grp.listing
         mats = realize_isometry(sigma, nu, u)
         single = np.array([
-            isometry_between(u.vectors, [v[i] * u.vectors[s[i]] for i in range(u.n)],
+            isometry_between(u.vectors, [v[i] * u.vectors[s[i]] for i in range(u.graph.n)],
                              u.space, u.pivots)
             for s, v in zip(sigma, nu)
         ])
-        assert mats.shape == (grp.order, u.degree, u.degree)
+        assert mats.shape == (grp.order, u.space.dim, u.space.dim)
         assert mats.tobytes() == single.tobytes()
         assert realize_isometry(sigma[-1:], nu[-1:], u).tobytes() == mats[-1].tobytes()
 
@@ -262,7 +262,7 @@ class TestRealizeBatched:
         mats = realize_isometry(sigma, nu, u)
         j = np.diag(u.space.signs).astype(float)
         for s, v, f in zip(sigma, nu, mats):
-            targets = np.array([v[i] * u.vectors[s[i]] for i in range(u.n)])
+            targets = np.array([v[i] * u.vectors[s[i]] for i in range(u.graph.n)])
             assert np.abs(u.vectors @ f.T - targets).max() < 1e-8
             assert np.abs(f.T @ j @ f - j).max() < 1e-8
 
@@ -426,10 +426,10 @@ class TestStabilizerChain:
         assert info.is_2_transitive
 
     def test_kernel_modes(self):
-        # every sigma with src[i][j] = dst[sigma(i)][sigma(j)], sorted, against
-        # brute force: into a relabelled copy, into an unrelated graph and
-        # into src itself, under prefixes that fix a start of the base and
-        # those that do not; ``first`` gives one of them
+        # the search's one map, sigma with src[i][j] = dst[sigma(i)][sigma(j)]
+        # that fixes 0..t-1 and sends t to b, against brute force: into a
+        # relabelled copy and into an unrelated graph at t = 0, and into src
+        # itself at every t; [] exactly when brute force finds none
         rng = random.Random(23)
         for _ in range(24):
             n = rng.randint(1, 6)
@@ -440,16 +440,13 @@ class TestStabilizerChain:
             for i in range(n):
                 copy[images[i]] = sum(1 << images[j] for j in range(n) if src[i] >> j & 1)
             other = random_graph(rng, n).linked_masks()
-            prefixes = ([()] + list(itertools.permutations(range(n), min(n, 2)))
-                        + [tuple(range(k)) + (b,) for k in range(n) for b in range(k, n)])
-            for dst in (copy, other, None):
-                full = naive_isomorphisms(src, src if dst is None else dst)
-                assert _kernels_py.signed_stabilizer(src, dst) == full
-                for prefix in prefixes:
-                    want = [s for s in full if s[:len(prefix)] == prefix]
-                    assert _kernels_py.signed_stabilizer(src, dst, prefix) == want
-                    one = _kernels_py.signed_stabilizer(src, dst, prefix, first=True)
-                    assert len(one) == min(1, len(want)) and set(one) <= set(want)
+            for dst, t in [(copy, 0), (other, 0), *((src, t) for t in range(n))]:
+                full = naive_isomorphisms(src, dst)
+                for b in range(t, n):
+                    want = [s for s in full if s[:t] == tuple(range(t)) and s[t] == b]
+                    found = _kernels_py.signed_stabilizer(src, dst, t, b,
+                                                          [config.MAX_SEARCH_NODES])
+                    assert len(found) == min(1, len(want)) and set(found) <= set(want)
 
     def test_membership_and_listing(self):
         grp = enumerate_group(triangular(4))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -735,6 +736,20 @@ class TestAnalyze:
                  for path in (square_file, str(p))]
         assert edges == [[[1, 2], [1, 4], [2, 3], [3, 4]]] * 2
 
+    @pytest.mark.parametrize("text, order", [("1\n", 2), ("2\n1 2\n", 4), ("2\n", 4),
+                                             ("3\n1 2\n", 12)],
+                             ids=["point", "edge", "pair", "path"])
+    def test_group_at_every_n(self, text, order, tmp_path, capsys):
+        # analyze reports the sheaf group at every n, and its |G| is that of
+        # group at a c where no lines coincide
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        analyzed = json.loads(run(["analyze", str(p), "--json"], capsys)[1])["group"]
+        grouped = json.loads(run(["group", str(p), "--c=1/2", "--json"], capsys)[1])
+        assert analyzed["order"] == grouped["group_order"] == order
+        assert analyzed["n_sigma"] == grouped["n_sigma"]
+        assert f"|G| = {order} " in run(["analyze", str(p)], capsys)[1]
+
     @pytest.mark.parametrize("q", [13, 17, 37])
     def test_paley_two_graph(self, q, tmp_path, capsys):
         # Paley(q) plus an isolated point: q + 1 equiangular lines in
@@ -813,11 +828,15 @@ class TestDemo:
         assert payload["ok"] is True
         assert len(payload["fixtures"]) == 4
 
-    def test_corrupt_negative_control(self, capsys):
+    def test_corrupt_negative_control(self, capsys, monkeypatch):
         # deliberately falsified expectation must be caught, exit code 1
-        code, out, _ = run(["demo", "--corrupt", "triangle"], capsys)
+        wrong = [dataclasses.replace(fx, chi_coeffs=tuple(c + 1 for c in fx.chi_coeffs))
+                 if fx.name == "triangle" else fx for fx in fixtures.ALL]
+        monkeypatch.setattr(fixtures, "ALL", wrong)
+        code, out, _ = run(["demo"], capsys)
         assert code == 1
-        assert "FAIL" in out
+        assert [line.split()[-1] for line in out.splitlines()[1:5]] == [
+            "FAIL", "pass", "pass", "pass"]
 
 
 class TestInputErrors:
@@ -937,7 +956,7 @@ class TestJsonWriter:
 
     def test_non_finite_isometry_exits_one(self, square_file, capsys, monkeypatch):
         def nan_matrices(sigma, nu, u):
-            return np.full((len(sigma), u.degree, u.degree), np.nan)
+            return np.full((len(sigma), u.space.dim, u.space.dim), np.nan)
 
         monkeypatch.setattr(cli, "realize_isometry", nan_matrices)
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)

@@ -40,7 +40,7 @@ def test_library_example_runs():
     names = {}
     exec(library_block(), names)
     assert [r.exact for r in names["roots"]] == [Fraction(-1, 3), Fraction(1)]
-    assert names["dim"] == 3 and names["u"].degree == 3
+    assert names["dim"] == 3 and names["u"].space.dim == 3
     assert names["grp"].order == 48
     assert gerbe.orbits_on_lines(names["grp"]).is_2_transitive
     assert names["sigma"].shape == names["nu"].shape == (48, 4)
@@ -70,6 +70,14 @@ def test_every_definition_has_a_reader():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert len(defined) > 50
     assert [(module, name) for module, name in defined if name not in read] == []
+
+
+def test_numpy_floor_serves_bitwise_count():
+    # enumerate_group counts the descendants' degrees with np.bitwise_count,
+    # which first appeared in NumPy 2.0, so the declared floor is 2.0
+    [floor] = re.findall(r'"numpy>=([\d.]+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "np.bitwise_count" in (PACKAGE / "autgroup.py").read_text(encoding="utf-8")
+    assert tuple(map(int, floor.split("."))) >= (2, 0)
 
 
 def test_one_json_writer():

@@ -8,7 +8,9 @@ partition, the linking rules and the sheaf group, all decided in integers,
 so no float of an eigendecomposition enters them.  It also holds ``poly``
 and ``analyze``, as text and as ``--json``, on the graphs whose roots are
 all rational (triangle, square, Petersen and K3,4): chi, its factored
-form and its roots, each exact.
+form and its roots, each exact; ``analyze`` on the 1- and 2-vertex
+graphs; and the refusal of c = 0 by ``classes`` and ``group`` on the
+triangle.
 
 ``PYTHONPATH=src python tests/test_golden_exact.py`` writes the file again
 from the current code.
@@ -27,6 +29,10 @@ from oracles import format_graph
 from test_autgroup import petersen
 
 GOLDEN = Path(__file__).with_name("golden_exact.json")
+
+
+SMALL = {"point": epsilon_matrix(1, []), "edge": epsilon_matrix(2, [(0, 1)]),
+         "pair": epsilon_matrix(2, [])}
 
 
 def _graphs():
@@ -50,6 +56,12 @@ def _cases():
                                             ("poly", "analyze"), ("", "--json")):
         cases["-".join([name, cmd, *(["json"] if fmt else [])])] = (
             name, [cmd, *([fmt] if fmt else [])])
+    for cmd, fmt in itertools.product(("classes", "group"), ("", "--json")):
+        cases["-".join(["triangle", cmd, "c=0", *(["json"] if fmt else [])])] = (
+            "triangle", [cmd, "--c=0", *([fmt] if fmt else [])])
+    for name, fmt in itertools.product(SMALL, ("", "--json")):
+        cases["-".join([name, "analyze", *(["json"] if fmt else [])])] = (
+            name, ["analyze", *([fmt] if fmt else [])])
     return cases
 
 
@@ -60,7 +72,7 @@ def _argv(tmp_dir, name, argv):
     """The command line of a case, its graph written to a file in tmp_dir."""
     path = Path(tmp_dir) / f"{name}.txt"
     if not path.exists():
-        path.write_text(format_graph(_graphs()[name]))
+        path.write_text(format_graph({**_graphs(), **SMALL}[name]))
     return [argv[0], str(path), *argv[1:]]
 
 

@@ -215,9 +215,9 @@ class TestAutomorphisms:
         # the whole budget
         spent = []
 
-        def kernel(*args, budget, **kwargs):
+        def kernel(src, dst, t, b, budget):
             spent.append(budget)
-            return signed_stabilizer(*args, budget=budget, **kwargs)
+            return signed_stabilizer(src, dst, t, b, budget)
 
         signed_stabilizer = _backend.signed_stabilizer
         monkeypatch.setattr(_backend, "signed_stabilizer", kernel)

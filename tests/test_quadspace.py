@@ -243,8 +243,8 @@ class TestGramFactorize:
 class TestRepresentation:
     def test_build_validates_gram(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        assert np.linalg.matrix_rank(u.vectors) == u.degree
-        assert u.degree == 2
+        assert np.linalg.matrix_rank(u.vectors) == u.space.dim
+        assert u.space.dim == 2
 
     def test_mismatched_vectors_rejected(self):
         space = QuadraticSpace((1, 1, 1))
@@ -270,9 +270,9 @@ class TestRepresentation:
 
     def test_null_representation(self):
         u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
-        assert u.degree == 0
+        assert u.space.dim == 0
         assert u.c == 0.0
-        assert np.linalg.matrix_rank(u.vectors) == u.degree
+        assert np.linalg.matrix_rank(u.vectors) == u.space.dim
 
 
 class TestSum:
@@ -281,7 +281,7 @@ class TestSum:
     def test_null_summand_is_neutral(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         w = Representation(TRIANGLE.graph, 1.0, 0.5, u.space, np.hstack([u.vectors, np.zeros((3, 0))]))
-        assert w.degree == u.degree
+        assert w.space.dim == u.space.dim
         assert np.abs(w.gram - u.gram).max() < 1e-12
 
     def test_parameters_and_gram_add(self):
@@ -293,7 +293,7 @@ class TestSum:
             w = Representation(TRIANGLE.graph, 3.0, c1 + c2, QuadraticSpace(u.space.signs + v.space.signs),
                                np.hstack([u.vectors, v.vectors]))
             assert np.abs(w.gram - (u.gram + v.gram)).max() < 1e-9
-            assert w.degree == u.degree + v.degree
+            assert w.space.dim == u.space.dim + v.space.dim
 
     def test_triangle_positive_combination(self):
         # rank-1 piece at c=-1 plus rank-2 piece at c=1/2 gives a rank-3 rep
@@ -301,7 +301,7 @@ class TestSum:
         v = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         w = Representation(TRIANGLE.graph, 2.0, -0.5, QuadraticSpace(u.space.signs + v.space.signs),
                            np.hstack([u.vectors, v.vectors]))
-        assert w.degree == 3 and np.linalg.matrix_rank(w.vectors) == w.degree
+        assert w.space.dim == 3 and np.linalg.matrix_rank(w.vectors) == w.space.dim
 
 
 class TestReduce:
@@ -310,7 +310,7 @@ class TestReduce:
     def test_idempotent_on_reduced(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
         space, vectors, _ = gram_factorize(u.gram, rank(u.gram))
-        assert space.dim == u.degree
+        assert space.dim == u.space.dim
         assert np.abs(space.gram(vectors) - u.gram).max() < 1e-9
 
     def test_padding_removed(self):
@@ -318,9 +318,9 @@ class TestReduce:
         padded_space = QuadraticSpace(u.space.signs + (1, -1))
         padded_vectors = np.hstack([u.vectors, np.zeros((3, 2))])
         padded = Representation(TRIANGLE.graph, 1.0, 0.5, padded_space, padded_vectors)
-        assert np.linalg.matrix_rank(padded.vectors) < padded.degree
+        assert np.linalg.matrix_rank(padded.vectors) < padded.space.dim
         v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(padded.gram, rank(padded.gram)))
-        assert v.degree == 2 and np.linalg.matrix_rank(v.vectors) == v.degree
+        assert v.space.dim == 2 and np.linalg.matrix_rank(v.vectors) == v.space.dim
         assert np.abs(v.gram - u.gram).max() < 1e-9
 
     def test_square_at_one_reduces_to_line(self):
@@ -332,9 +332,9 @@ class TestReduce:
         line = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, 1))
         padded = Representation(SQUARE.graph, 1.0, 1.0, QuadraticSpace((1, 1, -1, -1)),
                                 np.hstack([line.vectors, np.zeros((4, 3))]))
-        assert np.linalg.matrix_rank(padded.vectors) < padded.degree
+        assert np.linalg.matrix_rank(padded.vectors) < padded.space.dim
         assert rank(padded.gram) == 1
-        assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).degree == 1
+        assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).space.dim == 1
 
 
 class TestIsometry:
@@ -384,7 +384,7 @@ class TestIsometryStack:
         stack = isometry_between(u.vectors, targets, u.space, u.pivots)
         single = np.array([isometry_between(u.vectors, t, u.space, u.pivots)
                            for t in targets])
-        assert stack.shape == single.shape == (len(targets), u.degree, u.degree)
+        assert stack.shape == single.shape == (len(targets), u.space.dim, u.space.dim)
         assert stack.tobytes() == single.tobytes()
 
     def test_single_call_keeps_its_shape(self):

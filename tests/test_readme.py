@@ -1,10 +1,15 @@
-"""The README's library example runs, and gives the values its comments state."""
+"""The README's library example runs, and gives the values its comments
+state, and its export list is what the package exports."""
 
+import ast
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+import gerbe
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,7 +20,7 @@ def test_library_example():
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
     assert [r.exact for r in ns["roots"]] == [Fraction(-1, 3), Fraction(1, 1)]
-    assert ns["dim"] == 3 == ns["u"].degree
+    assert ns["dim"] == 3 == ns["u"].space.dim
     assert ns["grp"].order == 48
     assert ns["orbits_on_lines"](ns["grp"]).is_2_transitive is True
     assert ns["sigma"].shape == ns["nu"].shape == (48, 4)
@@ -23,3 +28,18 @@ def test_library_example():
     g = ns["u"].gram
     for s, v in zip(ns["sigma"], ns["nu"]):
         assert np.array_equal(g, np.outer(v, v) * g[np.ix_(s, s)])
+
+
+def test_export_list():
+    # the Library section names gerbe's public names: those its example
+    # imports and those its export sentence adds
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    [imports] = [node for node in ast.walk(ast.parse(block))
+                 if isinstance(node, ast.ImportFrom) and node.module == "gerbe"]
+    [sentence] = re.findall(r"The package exports the names this example imports, and (.*?)\.",
+                            text, re.S)
+    listed = {alias.name for alias in imports.names} | set(re.findall(r"`(\w+)`", sentence))
+    public = {name for name, value in vars(gerbe).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert listed == public

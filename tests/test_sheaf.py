@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gerbe.errors import TrivialRepresentationError
+from gerbe.errors import InputError
 from gerbe.fixtures import PENTAGON, SQUARE, TRIANGLE
 from gerbe.exactpoly import degree_at
 from gerbe.graph import epsilon_matrix
@@ -39,7 +39,7 @@ def assert_lines_of_vectors(u, p, tol=1e-8):
     the exact rule: every vertex is sign times its representative, and no
     two representatives span the same line."""
     vecs = u.vectors
-    for i in range(u.n):
+    for i in range(u.graph.n):
         r = p.rep[i]
         assert np.abs(vecs[i] - p.sign[i] * vecs[r]).max() <= tol, (i, r)
     reps = representative_vertices(p)
@@ -53,7 +53,7 @@ def assert_lines_of_vectors(u, p, tol=1e-8):
 def representatives(u, p):
     """The representation of Gamma_Y at u's parameters, as ``gerbe group
     --realize`` builds it: S of Gamma_Y has the rank of S of Gamma."""
-    return Representation.build(restrict_to_Y(u.graph, p), u.omega, u.c, u.degree)
+    return Representation.build(restrict_to_Y(u.graph, p), u.omega, u.c, u.space.dim)
 
 
 class TestLineClasses:
@@ -82,7 +82,7 @@ class TestLineClasses:
 
     def test_trivial_rejected(self):
         for c in (0.0, -0.0, Fraction(0)):
-            with pytest.raises(TrivialRepresentationError):
+            with pytest.raises(InputError, match="c must be nonzero"):
                 line_classes(SQUARE.graph, 1.0, c)
 
     def test_distinct_lines_when_moduli_differ(self):
@@ -153,15 +153,15 @@ class TestRestrictToY:
     def test_square_at_one(self):
         u = Representation.build(SQUARE.graph, 1.0, 1.0, 1)
         v = representatives(u, line_classes(SQUARE.graph, 1.0, 1.0))
-        assert v.n == 1
-        assert v.degree == 1
-        assert np.linalg.matrix_rank(v.vectors) == v.degree
+        assert v.graph.n == 1
+        assert v.space.dim == 1
+        assert np.linalg.matrix_rank(v.vectors) == v.space.dim
 
     def test_triangle_collapsed(self):
         y = restrict_to_Y(TRIANGLE.graph, line_classes(TRIANGLE.graph, 1.0, -1.0))
         assert y.entries.tolist() == [[1]]
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
-        assert representatives(u, line_classes(TRIANGLE.graph, 1.0, -1.0)).degree == 1
+        assert representatives(u, line_classes(TRIANGLE.graph, 1.0, -1.0)).space.dim == 1
 
     def test_result_has_distinct_lines(self):
         rng = random.Random(59)
@@ -176,8 +176,8 @@ class TestRestrictToY:
             assert np.array_equal(y.entries, g.entries[np.ix_(reps, reps)])
             assert np.array_equal(line_classes(y, 1.0, c), trivial(y.n))
             v = representatives(u, p)
-            assert np.linalg.matrix_rank(v.vectors) == v.degree
-            assert_lines_of_vectors(v, trivial(v.n))
+            assert np.linalg.matrix_rank(v.vectors) == v.space.dim
+            assert_lines_of_vectors(v, trivial(v.graph.n))
 
     @pytest.mark.parametrize("c", [1, -1])
     def test_gamma_y_factors_as_gamma_at_the_representatives(self, c):
@@ -201,7 +201,7 @@ class TestRestrictToY:
 
     def test_trivial_rejected(self):
         # c = 0 has no partition to restrict by
-        with pytest.raises(TrivialRepresentationError):
+        with pytest.raises(InputError, match="c must be nonzero"):
             restrict_to_Y(SQUARE.graph, line_classes(SQUARE.graph, 1.0, 0.0))
 
     @pytest.mark.parametrize("c, degree, p", [
