@@ -83,8 +83,8 @@ def enumerate_group(m: SignMatrix) -> SheafGroup:
     return SheafGroup(m, stabilizer_chain(targets[0], targets))
 
 
-# elements realized per batched solve: the k x n x n Gram stack of a chunk
-# stays under 1 MB at n = 10 and near 34 MB at n = 64
+# elements realized per batched solve: a chunk's k x n x r float targets stay
+# under 1 MB at n = 10, r = 5 and near 34 MB at n = r = 64
 REALIZE_CHUNK = 1024
 
 
@@ -95,19 +95,17 @@ def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     --realize`` passes the nu_0 = +1 row of each pair of the listing and
     takes the other matrix of the pair by negation.
 
-    The targets of a chunk of REALIZE_CHUNK elements are built by fancy
-    indexing and solved on the pivot rows of u with one batched
-    ``numpy.linalg.solve`` (``isometry_between`` on a stack), so the
-    matrices are written in u's pivot frame; raises GramMismatchError if
-    an element is not an isometry of u, and DeficientSpanError if u is not
-    reduced.
+    Each chunk of REALIZE_CHUNK rows is one ``isometry_between`` call: the
+    rows are checked against the sign matrix of u in integers, and their
+    targets solved on the pivot rows of u with one batched
+    ``numpy.linalg.solve``, so the matrices are written in u's pivot frame;
+    raises GramMismatchError if a row is not an isometry of u.
     """
     r = u.space.dim
     out = np.empty((len(sigma), r, r))
     for start in range(0, len(sigma), REALIZE_CHUNK):
         stop = start + REALIZE_CHUNK
-        targets = nu[start:stop, :, None] * u.vectors[sigma[start:stop]]
-        out[start:stop] = isometry_between(u.vectors, targets, u.space, u.pivots)
+        out[start:stop] = isometry_between(u, sigma[start:stop], nu[start:stop])
     return out
 
 

@@ -5,7 +5,7 @@ Subcommands: analyze, poly, represent, classes, group, demo.  Only
 Exit codes: 0 success, 1 verification/fixture failure or internal
 invariant violated (also any ValueError but an InputError), 2 input
 error, 3 a bound of ``config`` exceeded: vertices, search nodes or listed
-group order.
+group order, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -24,7 +25,6 @@ from . import config, fixtures
 from .autgroup import enumerate_group, orbits_on_lines, realize_isometry
 from .errors import (
     BoundExceededError,
-    DeficientSpanError,
     GerbeError,
     GramMismatchError,
     InputError,
@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
+EXIT_PIPE = 141
 
 
 def _read_graph(path: str):
@@ -410,7 +411,7 @@ def _realize_listing(grp, v):
         raise InvariantError("the group listing does not come in pairs (sigma, -nu), (sigma, nu)")
     try:
         half = realize_isometry(sigma[1::2], nu[1::2], v)
-    except (GramMismatchError, DeficientSpanError) as exc:
+    except GramMismatchError as exc:
         # the elements come from the group's own chain: a failure here
         # is a defect, not bad input
         raise InvariantError(f"sheaf group element is not an isometry: {exc}") from exc
@@ -591,7 +592,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone (``| head``): the rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,8 +5,8 @@ width of certified root intervals and the resource bounds live here.  The
 exact stages need no tolerance: chi, its roots (the Seidel spectrum only
 proposes them), every degree (rank law), the line partition and the group
 are decided in integers, the Gram factorization stops at that exact
-degree, and the span test of the pivot rows in isometry recovery takes
-numpy's ``matrix_rank`` cut.  None of these values is read from the
+degree, and isometry recovery checks each signed permutation against the
+sign matrix in integers.  None of these values is read from the
 environment.
 """
 

@@ -27,8 +27,5 @@ class BoundExceededError(GerbeError):
 
 
 class GramMismatchError(GerbeError):
-    """Two vector systems were expected to share a Gram matrix but do not."""
+    """Vectors, or their signed permutation, do not keep the stated Gram matrix."""
 
-
-class DeficientSpanError(GerbeError):
-    """Vectors do not span their ambient space (input not reduced)."""

@@ -3,15 +3,15 @@
 Gram factorization of a symmetric matrix of given rank into a diagonal ±1
 form (the rank law fixes it exactly; ``rank``, under RANK_TOL, serves where
 no exact rank is known), representations of graphs, each given by its sign
-matrix, at parameters (omega, c), and the recovery of the isometries of
-one space that carry a representation's vectors to given targets.
+matrix, at parameters (omega, c), and the isometries of a representation
+that signed permutations of its vectors induce.
 
 The factorization is a symmetric LDL^T that pivots on vertices (Bunch &
 Parlett 1971; Golub & Van Loan, *Matrix Computations*, §4.4), so the
 vectors are written in the frame of their pivot rows, fixed by (Gamma,
 omega, c) and continuous in c away from a change of pivot.  Isometry
-recovery solves on those pivot rows (``numpy.linalg.solve``) after checking
-that they span, by numpy's ``matrix_rank`` cut on their singular values.
+recovery checks each signed permutation against the sign matrix in
+integers and then solves on those pivot rows (``numpy.linalg.solve``).
 Only ``rank`` takes an eigendecomposition (LAPACK's ``numpy.linalg.eigh``).
 The lines and the sheaf group need no representation: they come from the
 sign matrix.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import DeficientSpanError, GramMismatchError, InputError
+from .errors import GramMismatchError, InputError
 from .graph import SignMatrix
 
 
@@ -165,39 +165,27 @@ def gram_factorize(s, rank: int):
             pivots[order])
 
 
-def _span(sigma, shape) -> int:
-    """The dimension spanned by the rows of a matrix of this shape with
-    singular values sigma: those above numpy's ``matrix_rank`` cut,
-    sigma_max * max(shape) * machine epsilon."""
-    return int(np.sum(sigma > sigma.max(initial=0.0) * max(shape) * np.finfo(float).eps))
-
-
 class Representation:
     """Vectors u_1..u_n realizing a graph, given as its sign matrix, at
     parameters (omega, c): their Gram matrix matches ``gram``, S(omega, c).
-    ``pivots`` names the rows that span the space, one per column (as
-    ``gram_factorize`` returns them), or is None for a system given by its
-    vectors alone."""
+    ``pivots`` names the rows that span the space, one per column, as
+    ``gram_factorize`` returns them."""
 
     __slots__ = ("graph", "omega", "c", "space", "vectors", "gram", "pivots")
 
-    def __init__(self, graph: SignMatrix, omega, c, space: QuadraticSpace, vectors,
-                 pivots=None):
-        vectors = np.asarray(vectors, dtype=float)
+    def __init__(self, graph: SignMatrix, omega, c, space: QuadraticSpace, vectors, pivots):
+        vectors = np.array(vectors, dtype=float)  # a copy, made read-only
         if vectors.shape != (graph.n, space.dim):
-            raise ValueError(
-                f"vectors must be {graph.n} x {space.dim}, got {vectors.shape}"
-            )
-        if pivots is not None and len(pivots) != space.dim:
+            raise ValueError(f"vectors must be {graph.n} x {space.dim}, got {vectors.shape}")
+        if len(pivots) != space.dim:
             raise ValueError(f"{len(pivots)} pivots for {space.dim} columns")
-        vectors = vectors.copy()
         vectors.setflags(write=False)
         self.graph = graph
         self.omega = float(omega)
         self.c = float(c)
         self.space = space
         self.vectors = vectors
-        self.pivots = None if pivots is None else tuple(int(p) for p in pivots)
+        self.pivots = tuple(int(p) for p in pivots)
         self._validate()
 
     def _validate(self):
@@ -229,57 +217,38 @@ class Representation:
         return cls(graph, omega, c, *gram_factorize(build_S(graph, omega, c), degree))
 
 
-def isometry_between(u_vectors, v_vectors, space: QuadraticSpace, pivots) -> np.ndarray:
-    """The linear map f with f(u_i) = v_i, given equal Gram matrices.
+def isometry_between(u: Representation, sigma, nu) -> np.ndarray:
+    """The matrices, in u's pivot frame, of the isometries sending each u_i
+    to nu_i * u_{sigma(i)}, one per row of the k x n integer arrays
+    ``sigma`` and ``nu``: a k x r x r array.
 
-    Both systems must be reduced (their vectors span ``space``).
-    ``u_vectors`` is n x r, and ``pivots`` names r of its rows that span
-    R^r (a representation's ``pivots``), by ``_span``'s cut on their
-    singular values.  ``v_vectors`` is one n x r target system, or a stack
-    of k of them (k x n x r); a stack shares the Gram matrix of u and one
-    ``numpy.linalg.solve`` of the pivot rows of u against those of every
-    target, and each of its targets passes the same checks as a single
-    one: the Gram matrices must agree to ISOMETRY_TOL relative to
-    max(1, max|G_u|), a non-finite entry failing the comparison, and f must
-    map every u_i, not only the pivots, to v_i.  Returns the r x r matrix of
-    f, or the k x r x r stack of them; raises GramMismatchError or
-    DeficientSpanError if any target fails.
+    For c != 0 a signed permutation preserves S(omega, c) exactly when
+    nu_i nu_j e[sigma(i), sigma(j)] = e[i, j] (Seidel, *A survey of
+    two-graphs*, 1976), so that is checked in integers, with sigma a
+    permutation and nu in {-1, +1}.  The targets are then solved on the
+    pivot rows of u, invertible by construction, with one
+    ``numpy.linalg.solve``, and each map must send every u_i to its target
+    to ISOMETRY_TOL.  Raises GramMismatchError if any row fails.
     """
-    u_vectors = np.asarray(u_vectors, dtype=float)
-    v_vectors = np.asarray(v_vectors, dtype=float)
-    single = v_vectors.ndim == 2
-    v = v_vectors[None] if single else v_vectors
-    r = space.dim
-    if v.shape[-1] != r:
-        raise DeficientSpanError(f"targets in {v.shape[-1]} dimensions, the space has {r}")
-    gu = space.gram(u_vectors)
-    gv = np.einsum("kis,kjs->kij", v * np.array(space.signs, dtype=float), v)
-    if gv.shape[1:] != gu.shape:
-        raise GramMismatchError("input systems have different Gram matrices")
-    gv -= gu  # in place: the k x n x n stack is the largest array here
-    gram_tol = config.ISOMETRY_TOL * max(1.0, np.abs(gu).max(initial=0.0))
-    if not np.abs(gv, out=gv).max(initial=0.0) <= gram_tol:
-        raise GramMismatchError("input systems have different Gram matrices")
-    pivots = np.asarray(pivots, dtype=np.intp)
-    if pivots.shape != (r,):
-        raise ValueError(f"{pivots.size} pivots for {r} columns")
-    if r == 0:
-        return np.zeros((0, 0) if single else (len(v), 0, 0))
-    basis = u_vectors[pivots]
-    span = _span(np.linalg.svd(basis, compute_uv=False), basis.shape)
-    if span < r:
-        raise DeficientSpanError(f"the pivot rows span only {span} of {r} dimensions")
-    # one LU of the basis against the pivot rows of every target, side by side
+    e = u.graph.entries.astype(np.int8)
+    if not ((np.sort(sigma, axis=1) == np.arange(len(e))).all() and (np.abs(nu) == 1).all()):
+        raise GramMismatchError("a row is not a signed permutation of the vertices")
+    s = nu.astype(np.int8)
+    if not (s[:, :, None] * s[:, None, :] * e[sigma[:, :, None], sigma[:, None, :]] == e).all():
+        raise GramMismatchError("a signed permutation does not preserve the sign matrix")
+    v = nu[:, :, None] * u.vectors[sigma]
+    pivots = list(u.pivots)
+    r = u.space.dim
+    # one LU of the pivot rows of u against those of every target, side by side
     rhs = v[:, pivots, :].transpose(1, 0, 2).reshape(r, -1)
-    sol = np.linalg.solve(basis, rhs).reshape(r, len(v), r).transpose(1, 0, 2)  # k x r x r
+    sol = np.linalg.solve(u.vectors[pivots], rhs).reshape(r, len(v), r).transpose(1, 0, 2)
     # -0.0 + 0.0 is 0.0: a zero entry has one sign, so negated targets give
     # exactly the negated matrix
     sol += 0.0
     scale = np.maximum(1.0, np.abs(v).max(axis=(1, 2), initial=0.0))
-    diff = u_vectors @ sol
+    diff = u.vectors @ sol
     diff -= v
     residual = np.abs(diff, out=diff).max(axis=(1, 2), initial=0.0)
     if not (residual <= config.ISOMETRY_TOL * scale * 10).all():
         raise GramMismatchError(f"isometry residual too large: {residual.max():.3g}")
-    f = sol.transpose(0, 2, 1)
-    return f[0] if single else f
+    return sol.transpose(0, 2, 1)

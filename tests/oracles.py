@@ -339,7 +339,11 @@ def edges_of(m: SignMatrix) -> list:
 def parse_graph_lines(text: str) -> SignMatrix:
     """parse_graph one line at a time: every check on each edge line in
     turn, so the first offending line raises its ParseError."""
-    lines = [s.strip() for s in text.splitlines() if s.strip() and not s.strip().startswith("#")]
+    lines = []
+    for line in text.splitlines():
+        significant = line.partition("#")[0].strip()
+        if significant:
+            lines.append(significant)
     if not lines:
         raise ParseError("empty graph file")
     try:

@@ -246,11 +246,8 @@ class TestRealizeBatched:
         grp, u = group_and_representation(g, c)
         sigma, nu = grp.listing
         mats = realize_isometry(sigma, nu, u)
-        single = np.array([
-            isometry_between(u.vectors, [v[i] * u.vectors[s[i]] for i in range(u.graph.n)],
-                             u.space, u.pivots)
-            for s, v in zip(sigma, nu)
-        ])
+        single = np.array([isometry_between(u, sigma[k:k + 1], nu[k:k + 1])[0]
+                           for k in range(len(sigma))])
         assert mats.shape == (grp.order, u.space.dim, u.space.dim)
         assert mats.tobytes() == single.tobytes()
         assert realize_isometry(sigma[-1:], nu[-1:], u).tobytes() == mats[-1].tobytes()
@@ -287,30 +284,57 @@ class TestRealizeBatched:
             realize_isometry(sigma, nu, u)
         assert len(realize_isometry(sigma[:REALIZE_CHUNK], nu[:REALIZE_CHUNK], u)) == REALIZE_CHUNK
 
+    @pytest.mark.parametrize("kind", ["sign-flipped", "images-swapped", "image-repeated"])
+    def test_negative_controls(self, kind):
+        # one bad row in the second chunk of Petersen's listing fails the call
+        grp, u = group_and_representation(petersen(), 1 / 3)
+        sigma, nu = (a.copy() for a in grp.listing)
+        k = REALIZE_CHUNK + 5
+        if kind == "sign-flipped":
+            nu[k, 3] *= -1
+        elif kind == "images-swapped":
+            sigma[k, [0, 1]] = sigma[k, [1, 0]]
+            nu[k, [0, 1]] = nu[k, [1, 0]]
+        else:
+            sigma[k, 0] = sigma[k, 1]
+        assert not sign_compatible(sigma[k], nu[k], grp.ambient)
+        with pytest.raises(GramMismatchError):
+            realize_isometry(sigma, nu, u)
+
+    @pytest.mark.parametrize("g", [SQUARE.graph, PENTAGON.graph], ids=["square", "pentagon"])
+    def test_small_c_non_isometry_refused(self, g):
+        # at c = 1e-9 S(1, c) is within 1e-9 of the identity, so swapping
+        # vertices 1 and 2 moves the Gram matrix by less than ISOMETRY_TOL;
+        # it is still no isometry, and the integer check sees that at any c
+        sigma, nu = np.array([[0, 2, 1, *range(3, g.n)]]), np.ones((1, g.n), dtype=int)
+        assert not sign_compatible(sigma[0], nu[0], g)
+        for c in (1e-9, 1e-3):
+            u = Representation.build(g, 1.0, c, g.n)
+            moved = np.abs(u.space.gram(u.vectors[sigma[0]]) - u.gram).max()
+            assert (moved < config.ISOMETRY_TOL) == (c == 1e-9)
+            with pytest.raises(GramMismatchError, match="sign matrix"):
+                realize_isometry(sigma, nu, u)
+
     def test_cli_realize_one_solve_per_chunk(self, tmp_path, capsys, monkeypatch):
         # structural guard, not a timing: the pivot rows of u are solved
-        # against a whole chunk of elements at once, not once per element,
-        # and no SVD solves at all.  The span test of the pivot rows takes
-        # singular values alone (compute_uv=False) and is not counted
-        calls = {"solve": 0, "svd": 0}
-        solve, svd = np.linalg.solve, np.linalg.svd
+        # against a whole chunk of elements at once, not once per element;
+        # the elements are checked in integers: no einsum, no SVD
+        calls = dict.fromkeys(("solve", "svd", "einsum"), 0)
 
-        def counted_solve(*args, **kwargs):
-            calls["solve"] += 1
-            return solve(*args, **kwargs)
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
 
-        def counted_svd(*args, **kwargs):
-            calls["svd"] += kwargs.get("compute_uv", True)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for owner, name in ((np.linalg, "solve"), (np.linalg, "svd"), (np, "einsum")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         p = tmp_path / "petersen.txt"
         p.write_text(format_graph(petersen()))
         assert cli.main(["group", str(p), "--c=1/3", "--realize", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["isometries"]) == 1440
         assert 1 <= calls["solve"] <= math.ceil(1440 / REALIZE_CHUNK)
-        assert calls["svd"] == 0
+        assert calls["svd"] == calls["einsum"] == 0
 
 
 class TestOrbits:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gerbe
-from gerbe import cli, config, exactpoly, fixtures, graph, quadspace, sheaf
+from gerbe import autgroup, cli, config, exactpoly, fixtures, graph, quadspace, sheaf
 from gerbe.autgroup import SheafGroup, enumerate_group, forced_signs
 from gerbe.errors import InvariantError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
@@ -409,26 +409,26 @@ class TestGroup:
     def test_no_float_representation(self, cmd, graph_name, sel, tmp_path, capsys,
                                      monkeypatch):
         # the lines and Gamma_Y are read off (epsilon, c): no degree, no
-        # eigh, no Gram factorization, no span test (SVD), no Representation
+        # eigh, no Gram factorization, no Representation, no isometry
         g = {"t8": triangular(8), "square": SQUARE.graph}[graph_name]
         path = tmp_path / "g.txt"
         path.write_text(format_graph(g))
         calls = counting(monkeypatch, (cli, "degree_at"), (quadspace, "jacobi_eigh"),
-                         (quadspace, "gram_factorize"), (quadspace, "_span"),
-                         (quadspace.Representation, "_validate"))
+                         (quadspace, "gram_factorize"), (quadspace.Representation, "_validate"),
+                         (autgroup, "isometry_between"))
         code, out, _ = run([cmd, str(path), sel, "--json"], capsys)
         assert code == 0
         assert calls == dict.fromkeys(calls, 0)
 
-    def test_realize_spans_once(self, square_file, capsys, monkeypatch):
-        # at c = 1 the four vertices share one line: --realize factors S,
-        # checks the representative's vector, and isometry_between's span
-        # test is the only SVD
-        calls = counting(monkeypatch, (quadspace, "_span"), (quadspace, "gram_factorize"))
+    def test_realize_factors_once(self, square_file, capsys, monkeypatch):
+        # at c = 1 the four vertices share one line: --realize factors S of
+        # Gamma_Y once and realizes its group in one isometry_between call
+        calls = counting(monkeypatch, (quadspace, "gram_factorize"),
+                         (autgroup, "isometry_between"))
         code, out, _ = run(["group", square_file, "--c=1", "--realize", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["lines"] == 1
-        assert calls == {"_span": 1, "gram_factorize": 1}
+        assert calls == {"gram_factorize": 1, "isometry_between": 1}
 
     def test_realize_json(self, square_file, capsys):
         code, out, _ = run(
@@ -528,7 +528,7 @@ class TestGroup:
 
     def test_realize_non_isometry_pair_exits_one(self, square_file, capsys, monkeypatch):
         # a non-isometry appended as a pair (sigma, -nu), (sigma, nu) passes
-        # the pair check, and its realization fails the Gram check
+        # the pair check, and its realization fails the integer sign check
         sigma, nu = enumerate_group(SQUARE.graph).listing
         bad = np.array([1, 0, 2, 3]), np.array([1, 1, 1, 1])
         assert not sign_compatible(*bad, SQUARE.graph)
@@ -537,8 +537,8 @@ class TestGroup:
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("internal invariant violated: sheaf group element is not an "
-                              "isometry: ")
+        assert err == ("internal invariant violated: sheaf group element is not an isometry: "
+                       "a signed permutation does not preserve the sign matrix\n")
         assert "Traceback" not in err
 
     def test_realize_csv_and_text_match_the_oracles(self, square_file, tmp_path, capsys):
@@ -911,6 +911,26 @@ class TestInputErrors:
         assert "outside the range of a float" in err
         assert "Traceback" not in err
 
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["poly"], ["group", "--c=1/3", "--realize"]],
+                             ids=["at-flush", "mid-output"])
+    def test_closed_stdout_exits_pipe(self, tmp_path, argv):
+        # the reader closes its end before the child writes, so every write
+        # fails: poly's few lines at the final flush, Petersen's 1440
+        # matrices inside the command.  Neither is an input error, and
+        # neither leaves a message or a traceback
+        path = tmp_path / "petersen.txt"
+        path.write_text(format_graph(petersen()))
+        env = dict(os.environ, PYTHONPATH=str(Path(gerbe.__file__).parents[1]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gerbe.cli", argv[0], str(path), *argv[1:]],
+                                  env=env, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, b"")
 
 
 class TestJsonWriter:

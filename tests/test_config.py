@@ -1,6 +1,5 @@
 import ast
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import gerbe
@@ -33,17 +32,6 @@ def library_block():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     [library] = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
     return library
-
-
-def test_library_example_runs():
-    # the README's library example does what its comments say
-    names = {}
-    exec(library_block(), names)
-    assert [r.exact for r in names["roots"]] == [Fraction(-1, 3), Fraction(1)]
-    assert names["dim"] == 3 and names["u"].space.dim == 3
-    assert names["grp"].order == 48
-    assert gerbe.orbits_on_lines(names["grp"]).is_2_transitive
-    assert names["sigma"].shape == names["nu"].shape == (48, 4)
 
 
 def test_every_definition_has_a_reader():

@@ -89,7 +89,7 @@ EDGE_LINES = st.one_of(
         "1 2", "2 1", "1\t3", "  4   1 ", "1", "1 2 3", "1 2 3 3 4", "x 2", "1 y", "1 ;",
         "; 1 2", "1;2 3", "+1 2", "-1 2", "1_0 2", "2 0x1", "99999999999999999999 1",
         "-9223372036854775808 1", "1 1", "3 3", "# a comment", "", "   ", "\u00a01 2",
-        "1\u00a02"]))
+        "1\u00a02", "1 2 # an edge", "3 4#", "# 1 2", "1 # 2", "x # 1 2"]))
 
 
 def parse_outcome(parse, text):
@@ -103,7 +103,8 @@ class TestParseAgainstLines:
     """parse_graph reads the edges as one array, and line by line only
     after a check fails; the per-line parser is the oracle."""
 
-    @given(n=st.sampled_from(["1", "2", "4", " 3 "]), lines=st.lists(EDGE_LINES, max_size=8))
+    @given(n=st.sampled_from(["1", "2", "4", " 3 ", "4 # n"]),
+           lines=st.lists(EDGE_LINES, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_same_matrix_or_same_first_error(self, n, lines):
         text = "\n".join([n, *lines])
@@ -113,13 +114,20 @@ class TestParseAgainstLines:
         ("3\n1 2\n2 1\n1 x\n", "duplicate edge 2 1"),
         ("4\n1 2 3 3 4\n", "expected two vertex indices, got '1 2 3 3 4'"),
         ("4\n1 2 3\n4\n", "expected two vertex indices, got '1 2 3'"),
-        ("4\n1 ;\n", "non-integer vertex index in '1 ;'")],
-        ids=["duplicate-first", "five-tokens", "three-then-one", "semicolon"])
+        ("4\n1 ;\n", "non-integer vertex index in '1 ;'"),
+        ("4 # n\n1 2 # an edge\n1 x # a bad one\n", "non-integer vertex index in '1 x'")],
+        ids=["duplicate-first", "five-tokens", "three-then-one", "semicolon", "comments"])
     def test_first_error_in_line_order(self, text, error):
         # a duplicate wins over a later malformed line, and lines whose
         # tokens would pair up across line ends are still refused
         assert parse_outcome(parse_graph, text) == ("ParseError", error)
         assert parse_outcome(parse_graph_lines, text) == ("ParseError", error)
+
+    def test_comment_ends_any_line(self):
+        # a '#' cuts its line, the vertex count's and an edge's alike
+        text = "4   # the 4-cycle\n1 2 # an edge\n2 3#\n3 4 ## two\n  # none\n1 4\n"
+        want = ("ok", parse_graph(SQUARE).entries.tolist())
+        assert parse_outcome(parse_graph, text) == parse_outcome(parse_graph_lines, text) == want
 
     @given(edge_lists(max_n=12))
     @settings(max_examples=50, deadline=None)

@@ -183,16 +183,26 @@ def test_sweep_enumeration_against_integer_oracle(c, monkeypatch):
 
 @pytest.mark.parametrize("c", [1, -1])
 def test_partitions_and_verdicts_match_sheaf(c):
+    # every graph against the batched integer oracles; the per-graph
+    # reference and sheaf itself on every graph with n <= 5 and on a seeded
+    # sample of 200 at each of n = 6 and 7
     cbit = 0 if c == 1 else 1
     for graphs in graph_sets():
         a = adjacency(graphs)
         rep, sbit = partition(a, cbit)
+        want_rep, want_sbit = oracles.proportional_lines(a, c)
+        assert np.array_equal(rep, want_rep) and np.array_equal(sbit, want_sbit)
+        ok, _ = oracles.proportional_verdicts(a, c, rep, sbit)
+        assert sweep_ok(a, rep, sbit, cbit) == ok.tolist()
+        n = graphs[0].n
+        sample = range(len(graphs)) if n <= 5 else random.Random(n).sample(range(len(graphs)), 200)
+        graphs = [graphs[i] for i in sample]
         parts = [oracles.partition_from_sign_matrix(g, c) for g in graphs]
         want_rep, want_sbit = stacked(parts)
-        assert np.array_equal(rep, want_rep) and np.array_equal(sbit, want_sbit)
+        assert np.array_equal(rep[sample], want_rep) and np.array_equal(sbit[sample], want_sbit)
         assert all(map(np.array_equal, (sheaf.partition_from_sign_matrix(g, c) for g in graphs),
                        parts))
-        assert sweep_ok(a, rep, sbit, cbit) == [
+        assert ok[sample].tolist() == [
             oracles.check_class_linking(g, p, c).ok for g, p in zip(graphs, parts)]
 
 

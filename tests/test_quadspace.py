@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from gerbe.autgroup import enumerate_group, realize_isometry
-from gerbe.errors import DeficientSpanError, GramMismatchError
+from gerbe.errors import GramMismatchError
 from gerbe.exactpoly import (
     char_poly,
     chi_and_roots,
     real_roots_with_multiplicity,
     squarefree_decomposition,
 )
-from gerbe.fixtures import ALL, POINTED_HEXAGON, SQUARE, TRIANGLE
+from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import epsilon_matrix
 from gerbe.quadspace import (
     QuadraticSpace,
@@ -23,7 +23,7 @@ from gerbe.quadspace import (
     jacobi_eigh,
     rank,
 )
-from oracles import eigenvalue_sign_counts
+from oracles import eigenvalue_sign_counts, sign_compatible
 
 
 def random_graph(rng, n):
@@ -82,13 +82,22 @@ def random_roots(seed, count, max_n):
     return cases
 
 
-def group_targets(g, c):
-    """The representation of g at (1, c) and the stack of its images
-    nu_i * u_{sigma(i)} under every element of the sheaf group.  c is a
-    float near a root, so its degree is the numeric rank of S(1, c)."""
+def group_rows(g, c):
+    """The representation of g at (1, c) and the rows (sigma, nu) of every
+    element of the sheaf group.  c is a float near a root, so its degree is
+    the numeric rank of S(1, c)."""
     u = Representation.build(g, 1.0, c, rank(build_S(g, 1.0, c)))
-    sigma, nu = enumerate_group(g).listing
-    return u, nu[:, :, None] * u.vectors[sigma]
+    return u, *enumerate_group(g).listing
+
+
+def identity(n, sign=1):
+    return np.arange(n)[None], np.full((1, n), sign)
+
+
+def summed(u, v):
+    """The orthogonal sum of two systems: their spaces joined, their vectors
+    side by side."""
+    return QuadraticSpace(u.space.signs + v.space.signs), np.hstack([u.vectors, v.vectors])
 
 
 class TestJacobi:
@@ -249,27 +258,25 @@ class TestRepresentation:
     def test_mismatched_vectors_rejected(self):
         space = QuadraticSpace((1, 1, 1))
         with pytest.raises(GramMismatchError):
-            Representation(TRIANGLE.graph, 1.0, 0.5, space, np.eye(3))
+            Representation(TRIANGLE.graph, 1.0, 0.5, space, np.eye(3), (0, 1, 2))
 
     def test_large_c_perturbation_rejected(self):
         # the Gram tolerance is relative to max|S| = 10^7, not lost in it
         u = Representation.build(SQUARE.graph, 1.0, 1e7, 4)
         with pytest.raises(GramMismatchError):
-            Representation(SQUARE.graph, 1.0, 1e7, u.space, u.vectors * (1 + 1e-6))
-        targets = np.stack([u.vectors, -u.vectors, u.vectors * (1 + 1e-6)])
-        assert isometry_between(u.vectors, targets[:2], u.space, u.pivots).shape == (2, 4, 4)
-        with pytest.raises(GramMismatchError, match="Gram"):
-            isometry_between(u.vectors, targets, u.space, u.pivots)
+            Representation(SQUARE.graph, 1.0, 1e7, u.space, u.vectors * (1 + 1e-6), u.pivots)
+        f = isometry_between(u, *map(np.vstack, zip(identity(4), identity(4, -1))))
+        assert np.abs(f - [np.eye(4), -np.eye(4)]).max() < 1e-9
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_vectors_rejected(self, value):
         # a NaN deviation is not larger than the tolerance, yet fails it
         with pytest.raises(GramMismatchError, match="max deviation"):
             Representation(epsilon_matrix(3, []), 1.0, 0.5, QuadraticSpace((1, 1)),
-                           np.full((3, 2), value))
+                           np.full((3, 2), value), (0, 1))
 
     def test_null_representation(self):
-        u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)))
+        u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)), ())
         assert u.space.dim == 0
         assert u.c == 0.0
         assert np.linalg.matrix_rank(u.vectors) == u.space.dim
@@ -277,11 +284,13 @@ class TestRepresentation:
 
 class TestSum:
     # the orthogonal sum of realizations at (omega_k, c_k), its vectors side
-    # by side, realizes the summed parameters: Representation checks its Gram
+    # by side, realizes the summed parameters: its Gram matrix is their S
     def test_null_summand_is_neutral(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        w = Representation(TRIANGLE.graph, 1.0, 0.5, u.space, np.hstack([u.vectors, np.zeros((3, 0))]))
-        assert w.space.dim == u.space.dim
+        null = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)), ())
+        space, vectors = summed(u, null)
+        assert space == u.space
+        w = Representation(TRIANGLE.graph, 1.0, 0.5, space, vectors, u.pivots)
         assert np.abs(w.gram - u.gram).max() < 1e-12
 
     def test_parameters_and_gram_add(self):
@@ -290,18 +299,18 @@ class TestSum:
             c1, c2 = rng.uniform(-1, 1, size=2)
             u = Representation.build(TRIANGLE.graph, 1.0, c1, 3)
             v = Representation.build(TRIANGLE.graph, 2.0, c2, 3)
-            w = Representation(TRIANGLE.graph, 3.0, c1 + c2, QuadraticSpace(u.space.signs + v.space.signs),
-                               np.hstack([u.vectors, v.vectors]))
-            assert np.abs(w.gram - (u.gram + v.gram)).max() < 1e-9
-            assert w.space.dim == u.space.dim + v.space.dim
+            space, vectors = summed(u, v)
+            assert np.abs(space.gram(vectors) - (u.gram + v.gram)).max() < 1e-9
+            assert np.abs(space.gram(vectors) - build_S(TRIANGLE.graph, 3.0, c1 + c2)).max() < 1e-9
+            assert space.dim == u.space.dim + v.space.dim
 
     def test_triangle_positive_combination(self):
         # rank-1 piece at c=-1 plus rank-2 piece at c=1/2 gives a rank-3 rep
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         v = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        w = Representation(TRIANGLE.graph, 2.0, -0.5, QuadraticSpace(u.space.signs + v.space.signs),
-                           np.hstack([u.vectors, v.vectors]))
-        assert w.space.dim == 3 and np.linalg.matrix_rank(w.vectors) == w.space.dim
+        space, vectors = summed(u, v)
+        assert np.abs(space.gram(vectors) - build_S(TRIANGLE.graph, 2.0, -0.5)).max() < 1e-9
+        assert space.dim == 3 and np.linalg.matrix_rank(vectors) == space.dim
 
 
 class TestReduce:
@@ -317,9 +326,10 @@ class TestReduce:
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
         padded_space = QuadraticSpace(u.space.signs + (1, -1))
         padded_vectors = np.hstack([u.vectors, np.zeros((3, 2))])
-        padded = Representation(TRIANGLE.graph, 1.0, 0.5, padded_space, padded_vectors)
-        assert np.linalg.matrix_rank(padded.vectors) < padded.space.dim
-        v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(padded.gram, rank(padded.gram)))
+        assert np.linalg.matrix_rank(padded_vectors) < padded_space.dim
+        gram = padded_space.gram(padded_vectors)
+        assert np.abs(gram - u.gram).max() < 1e-12
+        v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(gram, rank(gram)))
         assert v.space.dim == 2 and np.linalg.matrix_rank(v.vectors) == v.space.dim
         assert np.abs(v.gram - u.gram).max() < 1e-9
 
@@ -330,48 +340,43 @@ class TestReduce:
         with pytest.raises(ValueError, match="rank below 4"):
             gram_factorize(s, 4)
         line = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, 1))
-        padded = Representation(SQUARE.graph, 1.0, 1.0, QuadraticSpace((1, 1, -1, -1)),
-                                np.hstack([line.vectors, np.zeros((4, 3))]))
-        assert np.linalg.matrix_rank(padded.vectors) < padded.space.dim
-        assert rank(padded.gram) == 1
+        padded_space = QuadraticSpace((1, 1, -1, -1))
+        padded_vectors = np.hstack([line.vectors, np.zeros((4, 3))])
+        assert np.linalg.matrix_rank(padded_vectors) < padded_space.dim
+        assert np.abs(padded_space.gram(padded_vectors) - line.gram).max() < 1e-12
+        assert rank(padded_space.gram(padded_vectors)) == 1
         assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).space.dim == 1
 
 
 class TestIsometry:
     def test_identity(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        f = isometry_between(u.vectors, u.vectors, u.space, u.pivots)
+        [f] = isometry_between(u, *identity(4))
         assert np.abs(f - np.eye(3)).max() < 1e-9
 
     def test_global_sign(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        f = isometry_between(u.vectors, -u.vectors, u.space, u.pivots)
+        [f] = isometry_between(u, *identity(4, -1))
         assert np.abs(f + np.eye(3)).max() < 1e-9
 
     def test_recovers_orthogonal_shuffle(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            v = u.vectors @ q.T
-            f = isometry_between(u.vectors, v, u.space, u.pivots)
-            assert np.abs(f - q).max() < 1e-8
-            assert np.abs(u.vectors @ f.T - v).max() < 1e-8
+        # S(1, -1/3) of the square is positive semidefinite: each element
+        # shuffles the cube's diagonals by an orthogonal map
+        u, sigma, nu = group_rows(SQUARE.graph, -1 / 3)
+        assert u.space.signs == (1, 1, 1)
+        for f, s, v in zip(isometry_between(u, sigma, nu), sigma, nu):
+            assert np.abs(f @ f.T - np.eye(3)).max() < 1e-9
+            assert np.abs(u.vectors @ f.T - v[:, None] * u.vectors[s]).max() < 1e-9
 
     def test_gram_mismatch_rejected(self):
-        # two positive definite systems in one space, S(1, 1/2) and S(1, 1/4)
-        u = Representation.build(SQUARE.graph, 1.0, 0.5, 4)
-        v = Representation.build(SQUARE.graph, 1.0, 0.25, 4)
-        assert u.space == v.space
-        with pytest.raises(GramMismatchError):
-            isometry_between(u.vectors, v.vectors, u.space, u.pivots)
-
-    def test_deficient_span_rejected(self):
-        # vectors confined to a plane inside a 3-dim space
-        space = QuadraticSpace((1, 1, 1))
-        vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
-        with pytest.raises(DeficientSpanError):
-            isometry_between(vecs, vecs, space, (0, 1, 2))
+        # the group of the pentagon acts on its lines as D5, which holds no
+        # transposition: swapping vertices 0 and 1 fails with every sign row
+        u = Representation.build(PENTAGON.graph, 1.0, 0.5, 5)
+        swap = np.array([[1, 0, 2, 3, 4]])
+        for nu in itertools.product((1, -1), repeat=5):
+            assert not sign_compatible(swap[0], nu, PENTAGON.graph)
+            with pytest.raises(GramMismatchError, match="sign matrix"):
+                isometry_between(u, swap, np.array([nu]))
 
 
 class TestIsometryStack:
@@ -380,71 +385,64 @@ class TestIsometryStack:
         (POINTED_HEXAGON.graph, -1 / 5 ** 0.5),  # the smallest root of chi
     ])
     def test_stack_equals_single_calls_bitwise(self, g, c):
-        u, targets = group_targets(g, c)
-        stack = isometry_between(u.vectors, targets, u.space, u.pivots)
-        single = np.array([isometry_between(u.vectors, t, u.space, u.pivots)
-                           for t in targets])
-        assert stack.shape == single.shape == (len(targets), u.space.dim, u.space.dim)
+        u, sigma, nu = group_rows(g, c)
+        stack = isometry_between(u, sigma, nu)
+        single = np.array([isometry_between(u, sigma[k:k + 1], nu[k:k + 1])[0]
+                           for k in range(len(sigma))])
+        assert stack.shape == single.shape == (len(sigma), u.space.dim, u.space.dim)
         assert stack.tobytes() == single.tobytes()
 
     def test_single_call_keeps_its_shape(self):
+        # one row is a stack of one matrix
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        assert isometry_between(u.vectors, u.vectors, u.space, u.pivots).shape == (3, 3)
-        stack = isometry_between(u.vectors, np.stack([u.vectors, -u.vectors]),
-                                 u.space, u.pivots)
+        assert isometry_between(u, *identity(4)).shape == (1, 3, 3)
+        stack = isometry_between(u, *map(np.vstack, zip(identity(4), identity(4, -1))))
         assert np.abs(stack - [np.eye(3), -np.eye(3)]).max() < 1e-9
 
     def test_one_bad_target_fails_the_stack(self):
-        u, targets = group_targets(SQUARE.graph, -1 / 3)
-        bad = targets.copy()
-        bad[7, [0, 1]] = bad[7, [1, 0]]  # swap two images: not an isometry
-        with pytest.raises(GramMismatchError):
-            isometry_between(u.vectors, bad, u.space, u.pivots)
-        # a linear map that is no isometry leaves no residual: only the
-        # Gram check of that target sees it
-        scaled = targets.copy()
-        scaled[7] *= 1.5
-        with pytest.raises(GramMismatchError, match="Gram"):
-            isometry_between(u.vectors, scaled, u.space, u.pivots)
-        isometry_between(u.vectors, targets, u.space, u.pivots)
+        u, sigma, nu = group_rows(SQUARE.graph, -1 / 3)
+        isometry_between(u, sigma, nu)
+        swapped = sigma.copy(), nu.copy()
+        for a in swapped:
+            a[7, [0, 1]] = a[7, [1, 0]]  # swap the signed images of 0 and 1
+        flipped = nu.copy()
+        flipped[7, 2] *= -1  # flip one sign
+        assert not sign_compatible(swapped[0][7], swapped[1][7], SQUARE.graph)
+        assert not sign_compatible(sigma[7], flipped[7], SQUARE.graph)
+        repeated = sigma.copy()
+        repeated[7, 0] = repeated[7, 1]  # not a permutation
+        for bad, message in [(swapped, "sign matrix"), ((sigma, flipped), "sign matrix"),
+                             ((repeated, nu), "not a signed permutation")]:
+            with pytest.raises(GramMismatchError, match=message):
+                isometry_between(u, *bad)
 
     def test_non_finite_target_fails_the_stack(self):
-        u, targets = group_targets(SQUARE.graph, -1 / 3)
-        for value in (np.nan, np.inf):
-            bad = targets.copy()
-            bad[7, 2, 1] = value
-            with pytest.raises(GramMismatchError, match="Gram"):
-                isometry_between(u.vectors, bad, u.space, u.pivots)
-            with pytest.raises(GramMismatchError, match="Gram"):
-                isometry_between(u.vectors, bad[7], u.space, u.pivots)
+        # a sign that is not ±1, a non-finite one among them, would give a
+        # target off the system: the integer check refuses it
+        u, sigma, nu = group_rows(SQUARE.graph, -1 / 3)
+        for value in (np.nan, np.inf, 0, 2):
+            bad = nu.astype(float)
+            bad[7, 2] = value
+            with pytest.raises(GramMismatchError, match="not a signed permutation"):
+                isometry_between(u, sigma, bad)
+            with pytest.raises(GramMismatchError, match="not a signed permutation"):
+                isometry_between(u, sigma[7:8], bad[7:8])
 
-    def test_residual_check_per_target(self):
-        # three nearly parallel vectors in the plane: moving the third by 1e-6
-        # orthogonally to the others keeps every inner product within the
-        # Gram tolerance, and only the residual check sees it
-        space = QuadraticSpace((1, 1))
-        u = np.array([[1.0, 0.0], [1.0, 1e-3], [1.0, -1e-3]])
-        moved = u.copy()
-        moved[2, 1] += 1e-6
-        stack = np.stack([u, -u, moved])
-        gram_dev = np.abs(space.gram(moved) - space.gram(u)).max()
-        assert gram_dev < 1e-8  # below ISOMETRY_TOL: the Gram check passes
-        assert isometry_between(u, stack[:2], space, (0, 1)).shape == (2, 2, 2)
-        with pytest.raises(GramMismatchError, match="residual"):
-            isometry_between(u, stack, space, (0, 1))
-        with pytest.raises(GramMismatchError, match="residual"):
-            isometry_between(u, moved, space, (0, 1))
+    def test_residual_check_per_target(self, monkeypatch):
+        # a solve that is off for one target, by far less than the rows'
+        # integer check could see, fails the stack on that target's residual
+        u, sigma, nu = group_rows(SQUARE.graph, -1 / 3)
+        solve = np.linalg.solve
 
-    def test_deficient_span_on_a_stack(self):
-        space = QuadraticSpace((1, 1, 1))
-        vecs = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]])
-        with pytest.raises(DeficientSpanError):
-            isometry_between(vecs, np.stack([vecs, -vecs]), space, (0, 1, 2))
-        # targets with the same Gram matrix in a space of one more dimension
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        with pytest.raises(DeficientSpanError):
-            isometry_between(u.vectors, np.stack([np.hstack([u.vectors, np.zeros((4, 1))])] * 2),
-                             u.space, u.pivots)
+        def off_at_seven(a, b):
+            x = solve(a, b)
+            x[:, 7 * 3:8 * 3] *= 1 + 1e-6  # target 7's matrix, if the stack has it
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", off_at_seven)
+        assert isometry_between(u, sigma[:7], nu[:7]).shape == (7, 3, 3)
+        with pytest.raises(GramMismatchError, match="residual"):
+            isometry_between(u, sigma, nu)
 
 
 class TestPivotFrame:

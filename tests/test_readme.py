@@ -1,5 +1,6 @@
 """The README's library example runs, and gives the values its comments
-state, and its export list is what the package exports."""
+state, its export list is what the package exports, and the graph file of
+its CLI section parses as the graph it names."""
 
 import ast
 import re
@@ -28,6 +29,15 @@ def test_library_example():
     g = ns["u"].gram
     for s, v in zip(ns["sigma"], ns["nu"]):
         assert np.array_equal(g, np.outer(v, v) * g[np.ix_(s, s)])
+
+
+def test_cli_graph_file():
+    # the CLI section's graph file, its comment included, is the 4-cycle
+    text = README.read_text(encoding="utf-8")
+    [block] = re.findall(r"^## CLI\n.*?^```\n(.*?)^```$", text, re.M | re.S)
+    assert block.startswith("4       # the 4-cycle\n")
+    g = gerbe.parse_graph(block)
+    assert np.array_equal(g.entries, gerbe.epsilon_matrix(4, [(0, 1), (1, 2), (2, 3), (0, 3)]).entries)
 
 
 def test_export_list():
