@@ -12,7 +12,7 @@ stabilizer chain of these isomorphisms on the base 0..n-1 (Sims 1970): one
 coset representative per point of each basic orbit.  The order, the orbits
 and 2-transitivity on lines come from the chain; the elements are listed
 only on request, as arrays of rows (sigma, nu), and realized as isometry
-matrices in batches.
+matrices in batches, once per permutation.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class SheafGroup:
     S_n on the base 0..n-1 (``levels``, as returned by
     ``graph.stabilizer_chain``), permutations only: each carries the signs
     of ``forced_signs`` and their negatives.  The group always contains
-    ±id, the kernel of its map to S_n, so |G| = 2 * n_sigma.
+    ±id, the kernel of its map to S_n, so |G| = 2 * n_sigma.  ``listing``
+    and ``isometries`` give the elements as rows and as matrices, in one order.
     """
 
     def __init__(self, ambient: SignMatrix, levels):
@@ -68,6 +69,18 @@ class SheafGroup:
         nu = forced_signs(sigma, self.ambient)
         return np.repeat(sigma, 2, axis=0), np.stack([-nu, nu], axis=1).reshape(-1, self.ambient.n)
 
+    def isometries(self, u: Representation) -> np.ndarray:
+        """The matrices on u, a representation of ``ambient``, of the rows
+        of ``listing`` in its order: 2 n_sigma x r x r.  Each permutation is
+        realized once, with its forced signs; the matrix of (sigma, -nu) is
+        then 0 - M for the matrix M of (sigma, nu), bit for bit its own
+        realization: IEEE arithmetic negates each product and sum of negated
+        operands exactly, and a sum that cancels to zero is +0.0 in both,
+        which 0 - M keeps and -M would not."""
+        sigma = chain_products(self.levels)
+        half = realize_isometry(sigma, forced_signs(sigma, self.ambient), u)
+        return np.stack([0.0 - half, half], axis=1).reshape(-1, *half.shape[1:])
+
 
 def enumerate_group(m: SignMatrix) -> SheafGroup:
     """The sheaf group of the given matrix, without listing it: the
@@ -91,9 +104,8 @@ REALIZE_CHUNK = 1024
 def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     """Matrices of the isometries sending each u_i to nu_i * u_{sigma(i)},
     one per row of the k x n arrays of images ``sigma`` and signs ``nu``
-    (rows of ``SheafGroup.listing``), as a k x r x r array.  ``gerbe group
-    --realize`` passes the nu_0 = +1 row of each pair of the listing and
-    takes the other matrix of the pair by negation.
+    (rows of ``SheafGroup.listing``), as a k x r x r array.
+    ``SheafGroup.isometries`` passes the nu_0 = +1 row of each pair.
 
     Each chunk of REALIZE_CHUNK rows is one ``isometry_between`` call: the
     rows are checked against the sign matrix of u in integers, and their
@@ -101,7 +113,7 @@ def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     ``numpy.linalg.solve``, so the matrices are written in u's pivot frame;
     raises GramMismatchError if a row is not an isometry of u.
     """
-    r = u.space.dim
+    r = len(u.signs)
     out = np.empty((len(sigma), r, r))
     for start in range(0, len(sigma), REALIZE_CHUNK):
         stop = start + REALIZE_CHUNK

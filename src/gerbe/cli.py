@@ -3,9 +3,11 @@
 Subcommands: analyze, poly, represent, classes, group, demo.  Only
 ``represent`` and ``group --realize``, which print vectors, factor S.
 Exit codes: 0 success, 1 verification/fixture failure or internal
-invariant violated (also any ValueError but an InputError), 2 input
-error, 3 a bound of ``config`` exceeded: vertices, search nodes or listed
-group order, 141 (128 + SIGPIPE) stdout closed by its reader.
+invariant violated (also any ValueError but an InputError, and a Gram
+mismatch: the CLI checks only vectors of its own factorization and
+isometries of its own group), 2 input error, 3 a bound of ``config``
+exceeded: vertices, search nodes or listed group order, 141 (128 +
+SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config, fixtures
-from .autgroup import enumerate_group, orbits_on_lines, realize_isometry
+from .autgroup import enumerate_group, orbits_on_lines
 from .errors import (
     BoundExceededError,
     GerbeError,
@@ -292,15 +294,15 @@ def cmd_represent(args) -> int:
         payload = {
             "omega": float(omega),
             "c": float(c),
-            "dim": u.space.dim,
-            "signs": list(u.space.signs),
+            "dim": len(u.signs),
+            "signs": list(u.signs),
             "pivots": [q + 1 for q in u.pivots],
             "vectors": u.vectors,
         }
         _print_json(payload)
     else:
-        print(f"# omega={float(omega):.12g} c={float(c):.12g} dim={u.space.dim} "
-              f"signs={''.join('+' if s > 0 else '-' for s in u.space.signs)}")
+        print(f"# omega={float(omega):.12g} c={float(c):.12g} dim={len(u.signs)} "
+              f"signs={''.join('+' if s > 0 else '-' for s in u.signs)}")
         sys.stdout.write(text)
     return EXIT_OK
 
@@ -375,7 +377,7 @@ def cmd_group(args) -> int:
         # the pivots as vertices of Gamma: vertex j of y is the j-th representative
         reps = np.flatnonzero(p.rep == np.arange(eps.n))
         payload["pivots"] = (reps[list(v.pivots)] + 1).tolist()
-        mats = _realize_listing(grp, v)
+        mats = grp.isometries(v)
         if args.csv:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.writelines(_csv_text(mats))
@@ -394,31 +396,6 @@ def cmd_group(args) -> int:
         if "isometries" in payload:
             _print_matrices(payload["isometries"])
     return EXIT_OK
-
-
-def _realize_listing(grp, v):
-    """The isometry matrices of every element of the listing of ``grp``,
-    realized once per pair.  The listing holds (sigma, -nu) and then
-    (sigma, nu) in rows 2k and 2k + 1, and the matrix of the first is
-    0 - M for the matrix M of the second, bit for bit: its targets are
-    negated, IEEE arithmetic negates each product and sum of negated
-    operands exactly, and a sum that cancels to zero is +0.0 in both,
-    which 0 - M keeps and -M would not.  The checks of one element of a
-    pair therefore hold for the other."""
-    sigma, nu = grp.listing
-    signed = (sigma + 1) * nu  # sigma and nu in one integer
-    if not np.array_equal(signed[0::2], -signed[1::2]):
-        raise InvariantError("the group listing does not come in pairs (sigma, -nu), (sigma, nu)")
-    try:
-        half = realize_isometry(sigma[1::2], nu[1::2], v)
-    except GramMismatchError as exc:
-        # the elements come from the group's own chain: a failure here
-        # is a defect, not bad input
-        raise InvariantError(f"sheaf group element is not an isometry: {exc}") from exc
-    mats = np.empty((len(sigma), *half.shape[1:]))
-    mats[1::2] = half
-    np.subtract(0.0, half, out=mats[0::2])
-    return mats
 
 
 def _print_matrices(mats):
@@ -604,7 +581,7 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except InvariantError as exc:
+    except (InvariantError, GramMismatchError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (OSError, GerbeError) as exc:  # an InputError among them

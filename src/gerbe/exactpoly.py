@@ -61,7 +61,7 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         """Canonical text form: descending powers, explicit signs."""
         if self.is_zero():
             return "0"
@@ -75,7 +75,7 @@ class IntPolynomial:
             if k == 0:
                 body = str(mag)
             else:
-                xpow = var if k == 1 else f"{var}^{k}"
+                xpow = "x" if k == 1 else f"x^{k}"
                 body = xpow if mag == 1 else f"{mag}{xpow}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
@@ -408,11 +408,15 @@ def _sturm_cells(f: IntPolynomial) -> list:
     return cells
 
 
-def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootRecord:
+# the width below which _refine stops, as a ratio of integers
+_WIDTH = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
+
+
+def _refine(f: IntPolynomial, mult: int, cell, window) -> RootRecord:
     """The root of the square-free factor f of chi in the cell (lo, hi, k,
     sign): between lo / 2^k and hi / 2^k, neither a root, f of that sign at
     the first; exact when rational, else in a dyadic interval narrower than
-    width.  A linear f's root is read off it.  Bisection keeps the ends
+    ``_WIDTH``.  A linear f's root is read off it.  Bisection keeps the ends
     over one power of two and takes every
     sign in integers; its first two cuts are the window's ends (integers
     over 2^k around the root's seed).  If they bracket the root, the cell
@@ -428,7 +432,7 @@ def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootR
         return RootRecord(float(x), mult, exact=x)
     lo, hi, k, sign = cell
     guesses = list(window or ())
-    while (hi - lo) * width.denominator >= width.numerator << k:
+    while (hi - lo) * _WIDTH.denominator >= _WIDTH.numerator << k:
         if guesses:
             x = guesses.pop()
             if not lo < x < hi:
@@ -446,10 +450,6 @@ def _refine(f: IntPolynomial, mult: int, cell, window, width: Fraction) -> RootR
             return RootRecord(-1 / q, mult, exact=Fraction(-1, q))
     return RootRecord((lo + hi) / (2 * one), mult,
                       interval=(Fraction(lo, one), Fraction(hi, one)))
-
-
-# the width below which _refine stops, as a ratio of integers
-_WIDTH = Fraction(config.ROOT_INTERVAL_WIDTH).limit_denominator(10**18)
 
 
 def _seidel_spectrum(m: SignMatrix) -> np.ndarray:
@@ -525,7 +525,7 @@ def _refine_cells(cells, distinct: int, index):
     gaps = [cell[0] for cell in cells]
     if index is not None and set(gaps) == set(range(distinct)):
         cells, index = [cells[gaps.index(index)]], 0
-    records = sorted((_refine(*cell[1:], _WIDTH) for cell in cells), key=lambda rec: rec.value)
+    records = sorted((_refine(*cell[1:]) for cell in cells), key=lambda rec: rec.value)
     return records if index is None else [records[index]]
 
 

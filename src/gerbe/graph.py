@@ -78,13 +78,15 @@ def _check_diagonal(a):
 def parse_graph(text: str) -> SignMatrix:
     """Parse the text graph format into the graph's sign matrix.
 
-    A '#' starts a comment, to the end of its line.  The first significant
-    line is the vertex count n, at most ``config.MAX_VERTICES``; every
+    One leading byte-order mark (U+FEFF) is skipped, and a '#' starts a
+    comment, to the end of its line.  The first significant line is the
+    vertex count n, at most ``config.MAX_VERTICES``; every
     following significant line is an edge "i j" with 1-based endpoints.
     The edge lines are read and checked as one integer array; only when a
     check fails are they read again line by line, so that the error names
     the first offending line.
     """
+    text = text.removeprefix("\ufeff")
     lines = [s for s in (line.split("#", 1)[0].strip() for line in text.splitlines()) if s]
     if not lines:
         raise ParseError("empty graph file")

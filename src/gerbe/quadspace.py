@@ -1,10 +1,11 @@
 """Numeric quadratic-space machinery.
 
 Gram factorization of a symmetric matrix of given rank into a diagonal ±1
-form (the rank law fixes it exactly; ``rank``, under RANK_TOL, serves where
-no exact rank is known), representations of graphs, each given by its sign
-matrix, at parameters (omega, c), and the isometries of a representation
-that signed permutations of its vectors induce.
+form, held as its tuple of signs (the rank law fixes the rank exactly;
+``rank``, under RANK_TOL, serves where no exact rank is known),
+representations of graphs, each given by its sign matrix, at parameters
+(omega, c), and the isometries of a representation that signed
+permutations of its vectors induce.
 
 The factorization is a symmetric LDL^T that pivots on vertices (Bunch &
 Parlett 1971; Golub & Van Loan, *Matrix Computations*, §4.4), so the
@@ -20,33 +21,12 @@ sign matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
 from .errors import GramMismatchError, InputError
 from .graph import SignMatrix
-
-
-@dataclass(frozen=True)
-class QuadraticSpace:
-    """R^dim with the diagonal bilinear form given by ``signs``."""
-
-    signs: tuple  # entries in {-1, +1}
-
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be -1 or +1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.signs)
-
-    def gram(self, vectors) -> np.ndarray:
-        """Gram matrix of row-vectors under the diagonal form."""
-        v = np.asarray(vectors, dtype=float)
-        return (v * np.array(self.signs, dtype=float)) @ v.T
 
 
 def jacobi_eigh(s):
@@ -89,8 +69,8 @@ ALPHA = (1 + 17 ** 0.5) / 8
 
 def gram_factorize(s, rank: int):
     """Realize a symmetric matrix of the given rank as the Gram matrix of
-    the rows of an n x rank array in a diagonal ±1 form; returns (space,
-    vectors, pivots).
+    the rows of an n x rank array in a diagonal ±1 form; returns (signs,
+    vectors, pivots), the form as a tuple of ±1.
 
     A symmetric LDL^T with diagonal pivoting, run on the Schur complement
     a in place for exactly ``rank`` columns.  Each step takes the vertex p
@@ -161,53 +141,56 @@ def gram_factorize(s, rank: int):
             columns[k:k + 2], signs[k:k + 2], pivots[k:k + 2] = cols, (1, -1), (p, q)
             k += 2
     order = np.argsort(-signs, kind="stable")
-    return (QuadraticSpace(tuple(signs[order].tolist())), np.ldexp(columns[order].T, scale // 2),
-            pivots[order])
+    return tuple(signs[order].tolist()), np.ldexp(columns[order].T, scale // 2), pivots[order]
 
 
 class Representation:
     """Vectors u_1..u_n realizing a graph, given as its sign matrix, at
-    parameters (omega, c): their Gram matrix matches ``gram``, S(omega, c).
-    ``pivots`` names the rows that span the space, one per column, as
-    ``gram_factorize`` returns them."""
+    parameters (omega, c) in the diagonal form ``signs`` (a tuple of ±1):
+    their Gram matrix is S(omega, c).  ``pivots`` names the rows that span
+    the space, one distinct vertex per column, as ``gram_factorize``
+    returns them.  Signs, shapes and pivots that break this are a
+    ValueError, and vectors that do not realize S a GramMismatchError."""
 
-    __slots__ = ("graph", "omega", "c", "space", "vectors", "gram", "pivots")
+    __slots__ = ("graph", "omega", "c", "signs", "vectors", "pivots")
 
-    def __init__(self, graph: SignMatrix, omega, c, space: QuadraticSpace, vectors, pivots):
+    def __init__(self, graph: SignMatrix, omega, c, signs, vectors, pivots):
+        signs = tuple(signs)
+        if any(s not in (-1, 1) for s in signs):
+            raise ValueError("signs must be -1 or +1")
         vectors = np.array(vectors, dtype=float)  # a copy, made read-only
-        if vectors.shape != (graph.n, space.dim):
-            raise ValueError(f"vectors must be {graph.n} x {space.dim}, got {vectors.shape}")
-        if len(pivots) != space.dim:
-            raise ValueError(f"{len(pivots)} pivots for {space.dim} columns")
+        if vectors.shape != (graph.n, len(signs)):
+            raise ValueError(f"vectors must be {graph.n} x {len(signs)}, got {vectors.shape}")
+        pivots = tuple(int(p) for p in pivots)
+        if len(pivots) != len(signs) or len(set(pivots) & set(range(graph.n))) != len(pivots):
+            raise ValueError(f"pivots {pivots} are not {len(signs)} distinct vertices of the graph")
         vectors.setflags(write=False)
         self.graph = graph
         self.omega = float(omega)
         self.c = float(c)
-        self.space = space
+        self.signs = signs
         self.vectors = vectors
-        self.pivots = tuple(int(p) for p in pivots)
+        self.pivots = pivots
         self._validate()
 
     def _validate(self):
         """The vectors' Gram matrix must match S(omega, c) to GRAM_TOL
         relative to max(1, max|S|): the error of a factorization grows with
-        the norm.  A non-finite deviation fails too.  Where the vectors are
-        finite it comes from products that overflow: near the top of the
-        float range the vectors of an indefinite S can be longer than its
-        entries are large, and the parameters are refused as an
-        InputError.  S is kept as ``gram``."""
-        expected = build_S(self.graph, self.omega, self.c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            deviation = np.abs(self.space.gram(self.vectors) - expected).max(initial=0.0)
-        if not np.isfinite(deviation) and np.isfinite(self.vectors).all():
-            raise InputError("the inner products of the vectors overflow the range of a float")
-        if not deviation <= config.GRAM_TOL * max(1.0, np.abs(expected).max(initial=0.0)):
+        the norm.  Both sides are compared times 2^-2e, where 2^e brings
+        max|v| below 1, so no inner product overflows; a power of two
+        scales exactly, so the verdict is that of the unscaled comparison.
+        A non-finite deviation fails."""
+        v = self.vectors
+        e = max(0, math.frexp(np.abs(v).max(initial=0.0))[1])
+        w = np.ldexp(v, -e)
+        expected = np.ldexp(build_S(self.graph, self.omega, self.c), -2 * e)
+        deviation = np.abs((w * self.signs) @ w.T - expected).max(initial=0.0)
+        if not deviation <= config.GRAM_TOL * max(math.ldexp(1.0, -2 * e),
+                                                   np.abs(expected).max(initial=0.0)):
+            with np.errstate(over="ignore"):  # a deviation past the float range shows as inf
+                deviation = np.ldexp(deviation, 2 * e)
             raise GramMismatchError(
-                "vectors do not realize the stated parameters: "
-                f"max deviation {deviation:.3g}"
-            )
-        expected.setflags(write=False)
-        self.gram = expected
+                f"vectors do not realize the stated parameters: max deviation {deviation:.3g}")
 
     @classmethod
     def build(cls, graph: SignMatrix, omega, c, degree: int) -> "Representation":
@@ -238,7 +221,7 @@ def isometry_between(u: Representation, sigma, nu) -> np.ndarray:
         raise GramMismatchError("a signed permutation does not preserve the sign matrix")
     v = nu[:, :, None] * u.vectors[sigma]
     pivots = list(u.pivots)
-    r = u.space.dim
+    r = len(u.signs)
     # one LU of the pivot rows of u against those of every target, side by side
     rhs = v[:, pivots, :].transpose(1, 0, 2).reshape(r, -1)
     sol = np.linalg.solve(u.vectors[pivots], rhs).reshape(r, len(v), r).transpose(1, 0, 2)

@@ -98,7 +98,6 @@ class LinkingReport:
     names the rules that failed; no partition of a real graph reaches it.
     """
 
-    c: int
     all_or_nothing_ok: bool
     cross_class_ok: bool
     within_class_ok: bool
@@ -133,4 +132,4 @@ def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingRepor
     cross = aon and across
     failures = tuple(f"{rule} rule broken" for rule, ok in (
         ("all-or-nothing", aon), ("cross-class", cross), ("within-class", within)) if not ok)
-    return LinkingReport(c, aon, cross, within, failures)
+    return LinkingReport(aon, cross, within, failures)

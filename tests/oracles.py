@@ -150,7 +150,7 @@ def check_class_linking(m: SignMatrix, p: LinePartition, c: int) -> LinkingRepor
             within_ok = False
             failures.append(f"between-sign rule broken for class {j}")
 
-    return LinkingReport(c, aon_ok, cross_ok, within_ok, tuple(failures))
+    return LinkingReport(aon_ok, cross_ok, within_ok, tuple(failures))
 
 
 def unit_gram(a, c: int) -> np.ndarray:
@@ -340,7 +340,7 @@ def parse_graph_lines(text: str) -> SignMatrix:
     """parse_graph one line at a time: every check on each edge line in
     turn, so the first offending line raises its ParseError."""
     lines = []
-    for line in text.splitlines():
+    for line in text.removeprefix("\ufeff").splitlines():
         significant = line.partition("#")[0].strip()
         if significant:
             lines.append(significant)

@@ -248,7 +248,7 @@ class TestRealizeBatched:
         mats = realize_isometry(sigma, nu, u)
         single = np.array([isometry_between(u, sigma[k:k + 1], nu[k:k + 1])[0]
                            for k in range(len(sigma))])
-        assert mats.shape == (grp.order, u.space.dim, u.space.dim)
+        assert mats.shape == (grp.order, len(u.signs), len(u.signs))
         assert mats.tobytes() == single.tobytes()
         assert realize_isometry(sigma[-1:], nu[-1:], u).tobytes() == mats[-1].tobytes()
 
@@ -257,7 +257,7 @@ class TestRealizeBatched:
         grp, u = group_and_representation(g, c)
         sigma, nu = grp.listing
         mats = realize_isometry(sigma, nu, u)
-        j = np.diag(u.space.signs).astype(float)
+        j = np.diag(u.signs).astype(float)
         for s, v, f in zip(sigma, nu, mats):
             targets = np.array([v[i] * u.vectors[s[i]] for i in range(u.graph.n)])
             assert np.abs(u.vectors @ f.T - targets).max() < 1e-8
@@ -310,7 +310,8 @@ class TestRealizeBatched:
         assert not sign_compatible(sigma[0], nu[0], g)
         for c in (1e-9, 1e-3):
             u = Representation.build(g, 1.0, c, g.n)
-            moved = np.abs(u.space.gram(u.vectors[sigma[0]]) - u.gram).max()
+            v = u.vectors[sigma[0]]
+            moved = np.abs((v * u.signs) @ v.T - build_S(g, 1.0, c)).max()
             assert (moved < config.ISOMETRY_TOL) == (c == 1e-9)
             with pytest.raises(GramMismatchError, match="sign matrix"):
                 realize_isometry(sigma, nu, u)
@@ -590,14 +591,14 @@ class TestSignPairs:
     @pytest.mark.parametrize("g, c", PAIRED,
                              ids=["petersen", "switched", "hexagon", "square", "one-edge"])
     def test_half_realization_is_the_full_one_bitwise(self, g, c):
-        # the CLI realizes the nu_0 = +1 rows and takes 0 - M for their
+        # the group realizes the nu_0 = +1 rows and takes 0 - M for their
         # partners: the same bytes as realizing every row
         # the representation of Gamma_Y, as group --realize builds it
         v = Representation.build(restrict_to_Y(g, line_classes(g, 1.0, c)), 1.0, c,
                                  rank(build_S(g, 1.0, c)))
         grp = enumerate_group(v.graph)
         full = realize_isometry(*grp.listing, v)
-        assert full.tobytes() == cli._realize_listing(grp, v).tobytes()
+        assert full.tobytes() == grp.isometries(v).tobytes()
         if c == -1.0:  # -M would write -0.0 at these zeros of the full realization
             assert not np.signbit(full[0::2][full[0::2] == 0]).any()
             assert (full[0::2] == 0).any()

@@ -14,7 +14,7 @@ import pytest
 
 import gerbe
 from gerbe import autgroup, cli, config, exactpoly, fixtures, graph, quadspace, sheaf
-from gerbe.autgroup import SheafGroup, enumerate_group, forced_signs
+from gerbe.autgroup import enumerate_group, forced_signs
 from gerbe.errors import InvariantError
 from gerbe.exactpoly import char_poly, real_roots_with_multiplicity, squarefree_decomposition
 from gerbe.fixtures import SQUARE
@@ -88,6 +88,19 @@ class TestPoly:
         assert code == 0
         assert "-2x^3" in out
 
+    def test_byte_order_mark(self, square_file, tmp_path, capsys, monkeypatch):
+        # a graph file saved as UTF-8 with a byte-order mark is the same
+        # graph, read from a file or from stdin
+        import io
+        p = tmp_path / "bom.txt"
+        p.write_text(SQUARE_TXT, encoding="utf-8-sig")
+        assert p.read_bytes() == b"\xef\xbb\xbf" + SQUARE_TXT.encode()
+        want = run(["poly", square_file], capsys)
+        assert want[0] == 0
+        assert run(["poly", str(p)], capsys) == want
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + SQUARE_TXT))
+        assert run(["poly", "-"], capsys) == want
+
     def test_one_vertex_json(self, tmp_path, capsys):
         # chi = 1 has no factors, and its factored text is the lead alone
         p = tmp_path / "point.txt"
@@ -138,6 +151,24 @@ class TestRepresent:
         # unit vectors with pairwise inner products +-1/3
         assert np.abs(np.linalg.norm(vecs, axis=1) - 1).max() < 1e-9
         assert abs(abs(vecs[0] @ vecs[1]) - 1 / 3) < 1e-9
+
+    @pytest.mark.parametrize("argv", [["represent"], ["group", "--realize"]],
+                             ids=["represent", "group"])
+    def test_gram_mismatch_is_a_defect(self, argv, square_file, capsys, monkeypatch):
+        # the CLI checks only the vectors of its own factorization, so
+        # vectors that miss S exit 1 as a defect, not 2 as bad input
+        factorize = quadspace.gram_factorize
+
+        def perturbed(s, rank):
+            signs, vectors, pivots = factorize(s, rank)
+            return signs, vectors * (1 + 1e-6), pivots
+
+        monkeypatch.setattr(quadspace, "gram_factorize", perturbed)
+        code, out, err = run([argv[0], square_file, "--c=-1/3", *argv[1:]], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("internal invariant violated: "
+                              "vectors do not realize the stated parameters: max deviation ")
+        assert err.count("\n") == 1
 
     def test_csv_output(self, square_file, tmp_path, capsys):
         csv = tmp_path / "vecs.csv"
@@ -512,34 +543,43 @@ class TestGroup:
             assert m.shape == (3, 3)
             assert np.abs(m.T @ m - np.eye(3)).max() < 1e-10
 
+    @staticmethod
+    def flip_last_sign(monkeypatch, value=-1):
+        """Make the forced signs of the group's last permutation wrong in
+        their last entry (times ``value``): that element, and its partner
+        of the opposite sign, are then no isometry."""
+        forced = autgroup.forced_signs
+
+        def flipped(sigma, m):
+            nu = forced(sigma, m).copy()
+            nu[-1, -1] *= value
+            assert not sign_compatible(sigma[-1], nu[-1], m)
+            assert not sign_compatible(sigma[-1], -nu[-1], m)
+            return nu
+
+        monkeypatch.setattr(autgroup, "forced_signs", flipped)
+
     def test_realize_failure_exits_one(self, square_file, capsys, monkeypatch):
-        # an element of the group's own listing that is not an isometry is a
+        # an element of the group's own chain that is not an isometry is a
         # defect in gerbe, not bad input
-        sigma, nu = enumerate_group(SQUARE.graph).listing
-        bad = (1, 0, 2, 3), (1, 1, 1, 1)
-        assert not sign_compatible(*bad, SQUARE.graph)
-        listing = (np.vstack([sigma, bad[0]]), np.vstack([nu, bad[1]]))
-        monkeypatch.setattr(SheafGroup, "listing", property(lambda self: listing))
+        self.flip_last_sign(monkeypatch)
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("internal invariant violated: ")
-        assert "Traceback" not in err
+        assert err == ("internal invariant violated: "
+                       "a signed permutation does not preserve the sign matrix\n")
 
     def test_realize_non_isometry_pair_exits_one(self, square_file, capsys, monkeypatch):
-        # a non-isometry appended as a pair (sigma, -nu), (sigma, nu) passes
-        # the pair check, and its realization fails the integer sign check
-        sigma, nu = enumerate_group(SQUARE.graph).listing
-        bad = np.array([1, 0, 2, 3]), np.array([1, 1, 1, 1])
-        assert not sign_compatible(*bad, SQUARE.graph)
-        listing = np.vstack([sigma, bad[0], bad[0]]), np.vstack([nu, -bad[1], bad[1]])
-        monkeypatch.setattr(SheafGroup, "listing", property(lambda self: listing))
+        # forced signs that are not ±1 give no signed permutation: the
+        # pair they would form is refused before any solve
+        self.flip_last_sign(monkeypatch, 0)
+        calls = counting(monkeypatch, (np.linalg, "solve"))
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
         assert code == 1
         assert out == ""
-        assert err == ("internal invariant violated: sheaf group element is not an isometry: "
-                       "a signed permutation does not preserve the sign matrix\n")
-        assert "Traceback" not in err
+        assert err == ("internal invariant violated: "
+                       "a row is not a signed permutation of the vertices\n")
+        assert calls == {"solve": 0}
 
     def test_realize_csv_and_text_match_the_oracles(self, square_file, tmp_path, capsys):
         code, out, _ = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
@@ -659,20 +699,29 @@ class TestExactDegree:
         assert out == ""
         assert err == "error: the eigenvalues of the matrix overflow the range of a float\n"
 
-    @pytest.mark.parametrize("argv", [["represent"], ["group", "--realize"]],
-                             ids=["represent", "group"])
-    def test_overflowing_inner_products_refused(self, pentagon_file, argv, capsys):
-        # the 5-cycle's S(1, 4e307) and its spectrum are floats, but the
-        # pivot-frame vectors of this indefinite S are long enough that
-        # their inner products overflow: the parameters are refused, and
-        # the message names the float range, not the vectors
-        code, out, err = run([argv[0], pentagon_file, *argv[1:], "--c", "4e307", "--approx"],
-                             capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: the inner products of the vectors overflow the range of a float\n"
-        code, out, _ = run([argv[0], pentagon_file, *argv[1:], "--c", "3e307", "--approx"],
-                           capsys)
-        assert code == 0 and out
+    @pytest.mark.parametrize("c", ["4e307", "3e307"])
+    def test_long_vectors_realized(self, pentagon_file, c, capsys):
+        # the 5-cycle's S(1, 4e307) and its spectrum are floats, and so are
+        # the pivot-frame vectors of this indefinite S (entries near 1e154),
+        # though some of their inner products are not: the Gram check
+        # compares both sides scaled by a power of two, and accepts them
+        argv = [pentagon_file, "--c", c, "--approx", "--json"]
+        code, out, err = run(["represent", *argv], capsys)
+        assert (code, err) == (0, "")
+        u = json.loads(out)
+        # S(1, c) has eigenvalues 1 ± 5^0.5 c twice each, and 1, which is
+        # below the rounding of entries near c: its sign is not decided
+        assert u["dim"] == 5 and min(u["signs"].count(1), u["signs"].count(-1)) >= 2
+        v = np.ldexp(np.array(u["vectors"]), -512)
+        s = np.ldexp(quadspace.build_S(epsilon_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                                           (0, 4)]), 1.0, float(c)), -1024)
+        assert np.abs((v * u["signs"]) @ v.T - s).max() <= config.GRAM_TOL * np.abs(s).max()
+        code, out, err = run(["group", *argv, "--realize"], capsys)
+        assert (code, err) == (0, "")
+        mats = np.array(json.loads(out)["isometries"])
+        j = np.diag(u["signs"])
+        assert len(mats) == 20
+        assert np.abs(mats.transpose(0, 2, 1) @ j @ mats - j).max() < 1e-6
 
     def test_row_sums_bound_the_spectrum(self, tmp_path, capsys, monkeypatch):
         # the refusal is decided by the row sums of |S|, which bound its
@@ -976,9 +1025,9 @@ class TestJsonWriter:
 
     def test_non_finite_isometry_exits_one(self, square_file, capsys, monkeypatch):
         def nan_matrices(sigma, nu, u):
-            return np.full((len(sigma), u.space.dim, u.space.dim), np.nan)
+            return np.full((len(sigma), len(u.signs), len(u.signs)), np.nan)
 
-        monkeypatch.setattr(cli, "realize_isometry", nan_matrices)
+        monkeypatch.setattr(autgroup, "realize_isometry", nan_matrices)
         code, out, err = run(["group", square_file, "--c=-1/3", "--realize", "--json"], capsys)
         assert code == 1
         assert out == ""

@@ -60,6 +60,33 @@ def test_every_definition_has_a_reader():
     assert [(module, name) for module, name in defined if name not in read] == []
 
 
+def test_every_import_is_read():
+    # a name a module imports and never reads is a leftover of a removed
+    # caller.  The re-export modules are exempt, and so is a name on a line
+    # marked "# noqa: F401" under a comment that gives the reason
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("__init__.py", "_backend.py"):
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if ("# noqa: F401" in lines[node.end_lineno - 1]
+                    and lines[node.lineno - 2].lstrip().startswith("#")):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append((path.name, name))
+    assert unread == []
+
+
 def test_numpy_floor_serves_bitwise_count():
     # enumerate_group counts the descendants' degrees with np.bitwise_count,
     # which first appeared in NumPy 2.0, so the declared floor is 2.0

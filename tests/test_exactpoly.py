@@ -544,13 +544,12 @@ class TestRealRoots:
 
     def test_sturm_cells_agree_with_seeded_cells(self):
         rng = random.Random(43)
-        width = Fraction(1, 10**12)
         for _ in range(10):
             m = random_sign_matrix(rng, rng.randint(6, 16))
             factors = squarefree_decomposition(char_poly(m))
             via_seeds = real_roots_with_multiplicity(m, factors)
             via_sturm = sorted(
-                (exactpoly._refine(f, e, cell, None, width)
+                (exactpoly._refine(f, e, cell, None)
                  for f, e in factors for cell in exactpoly._sturm_cells(f)),
                 key=lambda r: r.value)
             assert [(r.exact, r.multiplicity) for r in via_seeds] == [

@@ -129,6 +129,16 @@ class TestParseAgainstLines:
         want = ("ok", parse_graph(SQUARE).entries.tolist())
         assert parse_outcome(parse_graph, text) == parse_outcome(parse_graph_lines, text) == want
 
+    def test_byte_order_mark_skipped(self):
+        # an editor may save UTF-8 with a leading U+FEFF: one is skipped,
+        # and a second is part of the vertex count
+        text = "\ufeff" + SQUARE
+        want = ("ok", parse_graph(SQUARE).entries.tolist())
+        assert parse_outcome(parse_graph, text) == parse_outcome(parse_graph_lines, text) == want
+        twice = "\ufeff" + text
+        error = ("ParseError", "vertex count is not an integer: '\\ufeff4'")
+        assert parse_outcome(parse_graph, twice) == parse_outcome(parse_graph_lines, twice) == error
+
     @given(edge_lists(max_n=12))
     @settings(max_examples=50, deadline=None)
     def test_valid_files_take_no_line_loop(self, edge_list):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from gerbe import config
 from gerbe.autgroup import enumerate_group, realize_isometry
 from gerbe.errors import GramMismatchError
 from gerbe.exactpoly import (
@@ -15,7 +16,6 @@ from gerbe.exactpoly import (
 from gerbe.fixtures import ALL, PENTAGON, POINTED_HEXAGON, SQUARE, TRIANGLE
 from gerbe.graph import epsilon_matrix
 from gerbe.quadspace import (
-    QuadraticSpace,
     Representation,
     build_S,
     gram_factorize,
@@ -94,10 +94,21 @@ def identity(n, sign=1):
     return np.arange(n)[None], np.full((1, n), sign)
 
 
+def gram(signs, vectors):
+    """Gram matrix of row-vectors under the diagonal form ``signs``."""
+    v = np.asarray(vectors, dtype=float)
+    return (v * np.array(signs, dtype=float)) @ v.T
+
+
+def s_of(u):
+    """S(omega, c) of a representation, the matrix its vectors realize."""
+    return build_S(u.graph, u.omega, u.c)
+
+
 def summed(u, v):
-    """The orthogonal sum of two systems: their spaces joined, their vectors
+    """The orthogonal sum of two systems: their forms joined, their vectors
     side by side."""
-    return QuadraticSpace(u.space.signs + v.space.signs), np.hstack([u.vectors, v.vectors])
+    return u.signs + v.signs, np.hstack([u.vectors, v.vectors])
 
 
 class TestJacobi:
@@ -168,33 +179,33 @@ class TestRank:
 
 class TestGramFactorize:
     def test_identity(self):
-        space, vectors, _ = gram_factorize(np.eye(3), 3)
-        assert space.signs == (1, 1, 1)
-        assert np.abs(space.gram(vectors) - np.eye(3)).max() < 1e-12
+        signs, vectors, _ = gram_factorize(np.eye(3), 3)
+        assert signs == (1, 1, 1)
+        assert np.abs(gram(signs, vectors) - np.eye(3)).max() < 1e-12
 
     def test_equilateral_triangle(self):
         s = build_S(TRIANGLE.graph, 1.0, 0.5)
-        space, vectors, _ = gram_factorize(s, rank(s))
-        assert space.dim == 2
-        assert space.signs == (1, 1)
+        signs, vectors, _ = gram_factorize(s, rank(s))
+        assert len(signs) == 2
+        assert signs == (1, 1)
         for i in range(3):
             assert np.linalg.norm(vectors[i]) == pytest.approx(1.0)
         assert vectors[0] @ vectors[1] == pytest.approx(-0.5)
 
     def test_cube_diagonals(self):
         s = build_S(SQUARE.graph, 1.0, -1 / 3)
-        space, vectors, _ = gram_factorize(s, rank(s))
-        assert space.dim == 3 and space.signs == (1, 1, 1)
-        g = space.gram(vectors)
+        signs, vectors, _ = gram_factorize(s, rank(s))
+        assert len(signs) == 3 and signs == (1, 1, 1)
+        g = gram(signs, vectors)
         assert np.abs(g - s).max() < 1e-12
 
     def test_indefinite_signature(self):
         s = build_S(TRIANGLE.graph, 1.0, 2.0)
-        space, vectors, _ = gram_factorize(s, rank(s))
+        signs, vectors, _ = gram_factorize(s, rank(s))
         # chi(2) != 0 so full rank; the form cannot be definite at c = 2
-        assert space.dim == 3
-        assert -1 in space.signs
-        assert np.abs(space.gram(vectors) - s).max() < 1e-9
+        assert len(signs) == 3
+        assert -1 in signs
+        assert np.abs(gram(signs, vectors) - s).max() < 1e-9
 
     def test_round_trip_random(self):
         rng = random.Random(31)
@@ -203,68 +214,67 @@ class TestGramFactorize:
             g = random_graph(rng, rng.randint(1, 6))
             c = float(nprng.uniform(-1, 1))
             s = build_S(g, 1.0, c)
-            space, vectors, _ = gram_factorize(s, rank(s))
-            assert np.abs(space.gram(vectors) - s).max() < 1e-9
+            signs, vectors, _ = gram_factorize(s, rank(s))
+            assert np.abs(gram(signs, vectors) - s).max() < 1e-9
 
     def test_signature_stable_under_orthogonal_shuffle(self):
         s = build_S(SQUARE.graph, 1.0, 2.0)
-        space, _, _ = gram_factorize(s, rank(s))
-        base = sorted(space.signs)
+        signs, _, _ = gram_factorize(s, rank(s))
+        base = sorted(signs)
         rng = np.random.default_rng(8)
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-            space2, _, _ = gram_factorize(q @ s @ q.T, rank(q @ s @ q.T))
+            signs2, _, _ = gram_factorize(q @ s @ q.T, rank(q @ s @ q.T))
             # signature is a congruence invariant; q s qT is congruent to s
-            assert sorted(space2.signs) == base
+            assert sorted(signs2) == base
 
     def test_triangular_graph_roots(self):
         # chi of T(8) is (9x - 1)^7 (3x + 1)^21: 28 lines in R^7 at c = -1/3
         m = triangular_graph(8)
         for c, dim in ((-1 / 3, 7), (1 / 9, 21)):
             s = build_S(m, 1.0, c)
-            space, vectors, _ = gram_factorize(s, dim)
-            assert space.dim == dim and space.signs == (1,) * dim
-            assert np.abs(space.gram(vectors) - s).max() < 1e-12
+            signs, vectors, _ = gram_factorize(s, dim)
+            assert len(signs) == dim and signs == (1,) * dim
+            assert np.abs(gram(signs, vectors) - s).max() < 1e-12
 
     def test_keeps_the_largest_moduli(self):
         # 10^-9 above the square's triple root 1, the three eigenvalues
         # 1 - c are small but not zero: all four are kept, the positive
         # one first, and the Gram matrix is reproduced
         s = build_S(SQUARE.graph, 1.0, 1 + 1e-9)
-        space, vectors, _ = gram_factorize(s, 4)
-        assert space.signs == (1, -1, -1, -1)
-        assert np.abs(space.gram(vectors) - s).max() < 1e-12
-        assert gram_factorize(s, 1)[0].signs == (1,)
+        signs, vectors, _ = gram_factorize(s, 4)
+        assert signs == (1, -1, -1, -1)
+        assert np.abs(gram(signs, vectors) - s).max() < 1e-12
+        assert gram_factorize(s, 1)[0] == (1,)
 
     def test_overflowing_spectrum_refused(self):
         # the entries are floats, but the eigenvalue 4e308 is not
         s = build_S(SQUARE.graph, 1e308, 1e308)
         with pytest.raises(ValueError, match="range of a float"):
             gram_factorize(s, 1)
-        assert gram_factorize(s / 4, 1)[0].dim == 1
+        assert len(gram_factorize(s / 4, 1)[0]) == 1
 
     def test_rank_zero(self):
-        space, vectors, _ = gram_factorize(np.zeros((3, 3)), 0)
-        assert space.dim == 0
+        signs, vectors, _ = gram_factorize(np.zeros((3, 3)), 0)
+        assert len(signs) == 0
         assert vectors.shape == (3, 0)
 
 
 class TestRepresentation:
     def test_build_validates_gram(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        assert np.linalg.matrix_rank(u.vectors) == u.space.dim
-        assert u.space.dim == 2
+        assert np.linalg.matrix_rank(u.vectors) == len(u.signs)
+        assert len(u.signs) == 2
 
     def test_mismatched_vectors_rejected(self):
-        space = QuadraticSpace((1, 1, 1))
         with pytest.raises(GramMismatchError):
-            Representation(TRIANGLE.graph, 1.0, 0.5, space, np.eye(3), (0, 1, 2))
+            Representation(TRIANGLE.graph, 1.0, 0.5, (1, 1, 1), np.eye(3), (0, 1, 2))
 
     def test_large_c_perturbation_rejected(self):
         # the Gram tolerance is relative to max|S| = 10^7, not lost in it
         u = Representation.build(SQUARE.graph, 1.0, 1e7, 4)
         with pytest.raises(GramMismatchError):
-            Representation(SQUARE.graph, 1.0, 1e7, u.space, u.vectors * (1 + 1e-6), u.pivots)
+            Representation(SQUARE.graph, 1.0, 1e7, u.signs, u.vectors * (1 + 1e-6), u.pivots)
         f = isometry_between(u, *map(np.vstack, zip(identity(4), identity(4, -1))))
         assert np.abs(f - [np.eye(4), -np.eye(4)]).max() < 1e-9
 
@@ -272,14 +282,52 @@ class TestRepresentation:
     def test_non_finite_vectors_rejected(self, value):
         # a NaN deviation is not larger than the tolerance, yet fails it
         with pytest.raises(GramMismatchError, match="max deviation"):
-            Representation(epsilon_matrix(3, []), 1.0, 0.5, QuadraticSpace((1, 1)),
+            Representation(epsilon_matrix(3, []), 1.0, 0.5, (1, 1),
                            np.full((3, 2), value), (0, 1))
 
+    @pytest.mark.parametrize("pivots", [(0, 0, 1), (0, 1, 4), (-1, 0, 1), (0, 1), (0, 1, 2, 3)],
+                             ids=["repeated", "past-n", "negative", "too-few", "too-many"])
+    def test_pivots_are_distinct_vertices(self, pivots):
+        # isometry_between solves on the pivot rows: pivots that are not
+        # dim distinct vertices are refused when the system is built
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+        with pytest.raises(ValueError, match="distinct vertices"):
+            Representation(SQUARE.graph, 1.0, -1 / 3, u.signs, u.vectors, pivots)
+
+    @pytest.mark.parametrize("signs", [(1, 1, 0), (1, 1, 2), (1, 1)])
+    def test_signs_are_a_form(self, signs):
+        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+        with pytest.raises(ValueError):
+            Representation(SQUARE.graph, 1.0, -1 / 3, signs, u.vectors, u.pivots)
+
+    @pytest.mark.parametrize("g, c", [(SQUARE.graph, 1e7), (PENTAGON.graph, 3.0),
+                                      (petersen_graph(), -1e150)])
+    def test_scaled_check_keeps_the_unscaled_verdict(self, g, c):
+        # the check compares both sides times a power of two, which is
+        # exact: around its threshold it accepts what the unscaled
+        # comparison accepts, on vectors longer than 1
+        s = build_S(g, 1.0, c)
+        u = Representation.build(g, 1.0, c, rank(s))
+        assert np.abs(u.vectors).max() > 1
+
+        def accepted(v):
+            try:
+                Representation(g, 1.0, c, u.signs, v, u.pivots)
+            except GramMismatchError:
+                return False
+            return True
+
+        bound = config.GRAM_TOL * max(1.0, np.abs(s).max())
+        verdicts = [(accepted(v), bool(np.abs(gram(u.signs, v) - s).max() <= bound))
+                    for v in (u.vectors * (1 + t) for t in np.geomspace(1e-13, 1e-7, 60))]
+        assert all(a == b for a, b in verdicts)
+        assert {a for a, _ in verdicts} == {True, False}
+
     def test_null_representation(self):
-        u = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)), ())
-        assert u.space.dim == 0
+        u = Representation(TRIANGLE.graph, 0.0, 0.0, (), np.zeros((3, 0)), ())
+        assert len(u.signs) == 0
         assert u.c == 0.0
-        assert np.linalg.matrix_rank(u.vectors) == u.space.dim
+        assert np.linalg.matrix_rank(u.vectors) == len(u.signs)
 
 
 class TestSum:
@@ -287,11 +335,11 @@ class TestSum:
     # by side, realizes the summed parameters: its Gram matrix is their S
     def test_null_summand_is_neutral(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        null = Representation(TRIANGLE.graph, 0.0, 0.0, QuadraticSpace(()), np.zeros((3, 0)), ())
-        space, vectors = summed(u, null)
-        assert space == u.space
-        w = Representation(TRIANGLE.graph, 1.0, 0.5, space, vectors, u.pivots)
-        assert np.abs(w.gram - u.gram).max() < 1e-12
+        null = Representation(TRIANGLE.graph, 0.0, 0.0, (), np.zeros((3, 0)), ())
+        signs, vectors = summed(u, null)
+        assert signs == u.signs
+        w = Representation(TRIANGLE.graph, 1.0, 0.5, signs, vectors, u.pivots)
+        assert np.abs(gram(w.signs, w.vectors) - s_of(u)).max() < 1e-12
 
     def test_parameters_and_gram_add(self):
         rng = np.random.default_rng(13)
@@ -299,18 +347,18 @@ class TestSum:
             c1, c2 = rng.uniform(-1, 1, size=2)
             u = Representation.build(TRIANGLE.graph, 1.0, c1, 3)
             v = Representation.build(TRIANGLE.graph, 2.0, c2, 3)
-            space, vectors = summed(u, v)
-            assert np.abs(space.gram(vectors) - (u.gram + v.gram)).max() < 1e-9
-            assert np.abs(space.gram(vectors) - build_S(TRIANGLE.graph, 3.0, c1 + c2)).max() < 1e-9
-            assert space.dim == u.space.dim + v.space.dim
+            signs, vectors = summed(u, v)
+            assert np.abs(gram(signs, vectors) - (s_of(u) + s_of(v))).max() < 1e-9
+            assert np.abs(gram(signs, vectors) - build_S(TRIANGLE.graph, 3.0, c1 + c2)).max() < 1e-9
+            assert len(signs) == len(u.signs) + len(v.signs)
 
     def test_triangle_positive_combination(self):
         # rank-1 piece at c=-1 plus rank-2 piece at c=1/2 gives a rank-3 rep
         u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
         v = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        space, vectors = summed(u, v)
-        assert np.abs(space.gram(vectors) - build_S(TRIANGLE.graph, 2.0, -0.5)).max() < 1e-9
-        assert space.dim == 3 and np.linalg.matrix_rank(vectors) == space.dim
+        signs, vectors = summed(u, v)
+        assert np.abs(gram(signs, vectors) - build_S(TRIANGLE.graph, 2.0, -0.5)).max() < 1e-9
+        assert len(signs) == 3 and np.linalg.matrix_rank(vectors) == len(signs)
 
 
 class TestReduce:
@@ -318,20 +366,21 @@ class TestReduce:
     # null summand: same Gram, minimal degree
     def test_idempotent_on_reduced(self):
         u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        space, vectors, _ = gram_factorize(u.gram, rank(u.gram))
-        assert space.dim == u.space.dim
-        assert np.abs(space.gram(vectors) - u.gram).max() < 1e-9
+        s = s_of(u)
+        signs, vectors, _ = gram_factorize(s, rank(s))
+        assert len(signs) == len(u.signs)
+        assert np.abs(gram(signs, vectors) - s).max() < 1e-9
 
     def test_padding_removed(self):
         u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        padded_space = QuadraticSpace(u.space.signs + (1, -1))
+        padded_signs = u.signs + (1, -1)
         padded_vectors = np.hstack([u.vectors, np.zeros((3, 2))])
-        assert np.linalg.matrix_rank(padded_vectors) < padded_space.dim
-        gram = padded_space.gram(padded_vectors)
-        assert np.abs(gram - u.gram).max() < 1e-12
-        v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(gram, rank(gram)))
-        assert v.space.dim == 2 and np.linalg.matrix_rank(v.vectors) == v.space.dim
-        assert np.abs(v.gram - u.gram).max() < 1e-9
+        assert np.linalg.matrix_rank(padded_vectors) < len(padded_signs)
+        padded = gram(padded_signs, padded_vectors)
+        assert np.abs(padded - s_of(u)).max() < 1e-12
+        v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(padded, rank(padded)))
+        assert len(v.signs) == 2 and np.linalg.matrix_rank(v.vectors) == len(v.signs)
+        assert np.abs(gram(v.signs, v.vectors) - s_of(u)).max() < 1e-9
 
     def test_square_at_one_reduces_to_line(self):
         m = SQUARE.graph
@@ -340,12 +389,12 @@ class TestReduce:
         with pytest.raises(ValueError, match="rank below 4"):
             gram_factorize(s, 4)
         line = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, 1))
-        padded_space = QuadraticSpace((1, 1, -1, -1))
+        padded_signs = (1, 1, -1, -1)
         padded_vectors = np.hstack([line.vectors, np.zeros((4, 3))])
-        assert np.linalg.matrix_rank(padded_vectors) < padded_space.dim
-        assert np.abs(padded_space.gram(padded_vectors) - line.gram).max() < 1e-12
-        assert rank(padded_space.gram(padded_vectors)) == 1
-        assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).space.dim == 1
+        assert np.linalg.matrix_rank(padded_vectors) < len(padded_signs)
+        assert np.abs(gram(padded_signs, padded_vectors) - s_of(line)).max() < 1e-12
+        assert rank(gram(padded_signs, padded_vectors)) == 1
+        assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).signs == (1,)
 
 
 class TestIsometry:
@@ -363,7 +412,7 @@ class TestIsometry:
         # S(1, -1/3) of the square is positive semidefinite: each element
         # shuffles the cube's diagonals by an orthogonal map
         u, sigma, nu = group_rows(SQUARE.graph, -1 / 3)
-        assert u.space.signs == (1, 1, 1)
+        assert u.signs == (1, 1, 1)
         for f, s, v in zip(isometry_between(u, sigma, nu), sigma, nu):
             assert np.abs(f @ f.T - np.eye(3)).max() < 1e-9
             assert np.abs(u.vectors @ f.T - v[:, None] * u.vectors[s]).max() < 1e-9
@@ -389,7 +438,7 @@ class TestIsometryStack:
         stack = isometry_between(u, sigma, nu)
         single = np.array([isometry_between(u, sigma[k:k + 1], nu[k:k + 1])[0]
                            for k in range(len(sigma))])
-        assert stack.shape == single.shape == (len(sigma), u.space.dim, u.space.dim)
+        assert stack.shape == single.shape == (len(sigma), len(u.signs), len(u.signs))
         assert stack.tobytes() == single.tobytes()
 
     def test_single_call_keeps_its_shape(self):
@@ -459,7 +508,7 @@ class TestPivotFrame:
             for b in blocks:
                 assert abs(np.linalg.det(rows[np.ix_(b, b)])) > 0
                 if len(b) == 2:  # an indefinite block: one column of each sign
-                    assert sorted(u.space.signs[j] for j in b) == [-1, 1]
+                    assert sorted(u.signs[j] for j in b) == [-1, 1]
             two_by_two += any(len(b) == 2 for b in blocks)
         assert two_by_two  # both kinds of pivot ran
 
@@ -478,8 +527,8 @@ class TestPivotFrame:
             s = build_S(g, 1.0, c)
             if np.abs(np.linalg.eigvalsh(s)).min() < 1e-6:
                 continue  # near a root: tests/test_rank_law.py covers roots
-            space, vectors, _ = gram_factorize(s, g.n)
-            signs = space.signs
+            signs, vectors, _ = gram_factorize(s, g.n)
+            signs = signs
             assert (signs.count(1), signs.count(-1)) == eigenvalue_sign_counts(g, 1.0, c, 1e-9)
             assert list(signs) == sorted(signs, reverse=True)  # positive columns first
             checked += 1

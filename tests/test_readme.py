@@ -21,12 +21,13 @@ def test_library_example():
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
     assert [r.exact for r in ns["roots"]] == [Fraction(-1, 3), Fraction(1, 1)]
-    assert ns["dim"] == 3 == ns["u"].space.dim
+    assert ns["dim"] == 3 == len(ns["u"].signs)
+    assert ns["u"].signs == (1, 1, 1)
     assert ns["grp"].order == 48
     assert ns["orbits_on_lines"](ns["grp"]).is_2_transitive is True
     assert ns["sigma"].shape == ns["nu"].shape == (48, 4)
     # u_i -> nu_i u_sigma(i) preserves the Gram matrix of the cube's diagonals
-    g = ns["u"].gram
+    g = gerbe.quadspace.build_S(ns["eps"], 1.0, -1 / 3)
     for s, v in zip(ns["sigma"], ns["nu"]):
         assert np.array_equal(g, np.outer(v, v) * g[np.ix_(s, s)])
 
