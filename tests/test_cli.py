@@ -700,13 +700,12 @@ class TestExactDegree:
         assert err == "error: the eigenvalues of the matrix overflow the range of a float\n"
 
     @pytest.mark.parametrize("c", ["4e307", "3e307"])
-    def test_long_vectors_realized(self, pentagon_file, c, capsys):
+    def test_long_vectors_represented(self, pentagon_file, c, capsys):
         # the 5-cycle's S(1, 4e307) and its spectrum are floats, and so are
         # the pivot-frame vectors of this indefinite S (entries near 1e154),
         # though some of their inner products are not: the Gram check
         # compares both sides scaled by a power of two, and accepts them
-        argv = [pentagon_file, "--c", c, "--approx", "--json"]
-        code, out, err = run(["represent", *argv], capsys)
+        code, out, err = run(["represent", pentagon_file, "--c", c, "--approx", "--json"], capsys)
         assert (code, err) == (0, "")
         u = json.loads(out)
         # S(1, c) has eigenvalues 1 ± 5^0.5 c twice each, and 1, which is
@@ -716,10 +715,17 @@ class TestExactDegree:
         s = np.ldexp(quadspace.build_S(epsilon_matrix(5, [(0, 1), (1, 2), (2, 3), (3, 4),
                                                            (0, 4)]), 1.0, float(c)), -1024)
         assert np.abs((v * u["signs"]) @ v.T - s).max() <= config.GRAM_TOL * np.abs(s).max()
+
+    @pytest.mark.parametrize("c", ["4e307", "3e307"])
+    def test_long_vectors_realized(self, pentagon_file, c, capsys):
+        # group --realize builds its isometries from the same long vectors
+        argv = [pentagon_file, "--c", c, "--approx", "--json"]
+        code, out, _ = run(["represent", *argv], capsys)
+        assert code == 0
+        j = np.diag(json.loads(out)["signs"])
         code, out, err = run(["group", *argv, "--realize"], capsys)
         assert (code, err) == (0, "")
         mats = np.array(json.loads(out)["isometries"])
-        j = np.diag(u["signs"])
         assert len(mats) == 20
         assert np.abs(mats.transpose(0, 2, 1) @ j @ mats - j).max() < 1e-6
 
