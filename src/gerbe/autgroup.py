@@ -110,8 +110,9 @@ def realize_isometry(sigma, nu, u: Representation) -> np.ndarray:
     Each chunk of REALIZE_CHUNK rows is one ``isometry_between`` call: the
     rows are checked against the sign matrix of u in integers, and their
     targets solved on the pivot rows of u with one batched
-    ``numpy.linalg.solve``, so the matrices are written in u's pivot frame;
-    raises GramMismatchError if a row is not an isometry of u.
+    ``numpy.linalg.solve``, so the matrices are written in u's pivot frame.
+    A row that is not an isometry of u is a ValueError, and a solve that
+    misses its targets an InvariantError.
     """
     r = len(u.signs)
     out = np.empty((len(sigma), r, r))

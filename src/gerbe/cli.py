@@ -3,9 +3,10 @@
 Subcommands: analyze, poly, represent, classes, group, demo.  Only
 ``represent`` and ``group --realize``, which print vectors, factor S.
 Exit codes: 0 success, 1 verification/fixture failure or internal
-invariant violated (also any ValueError but an InputError, and a Gram
-mismatch: the CLI checks only vectors of its own factorization and
-isometries of its own group), 2 input error, 3 a bound of ``config``
+invariant violated (an InvariantError, and any ValueError but an
+InputError: the CLI factors its own S and realizes its own group, so
+vectors that miss S and rows that are no isometry are its own defects),
+2 input error, 3 a bound of ``config``
 exceeded: vertices, search nodes or listed group order, 141 (128 +
 SIGPIPE) stdout closed by its reader.
 """
@@ -25,14 +26,7 @@ import numpy as np
 
 from . import config, fixtures
 from .autgroup import enumerate_group, orbits_on_lines
-from .errors import (
-    BoundExceededError,
-    GerbeError,
-    GramMismatchError,
-    InputError,
-    InvariantError,
-    ParseError,
-)
+from .errors import BoundExceededError, GerbeError, InputError, InvariantError, ParseError
 # char_poly is bound here for the benchmark's tracer test (perfbench), which
 # checks that the tracer rebinds cli.char_poly and restores it
 from .exactpoly import char_poly, chi_and_roots, degree_at  # noqa: F401
@@ -284,7 +278,7 @@ def cmd_represent(args) -> int:
     eps = _read_graph(args.file)
     omega = parse_rational(args.omega, args.approx)
     c, degree = _pick_c(args, eps, omega)
-    u = Representation.build(eps, float(omega), float(c), degree())
+    u = Representation(eps, float(omega), float(c), degree())
     if args.csv or not args.json:
         text = "".join(_csv_text(u.vectors))
     if args.csv:
@@ -310,7 +304,7 @@ def cmd_represent(args) -> int:
 def cmd_classes(args) -> int:
     eps = _read_graph(args.file)
     c, _ = _pick_c(args, eps)
-    p = line_classes(eps, 1, c)
+    p = line_classes(eps, c)
     # the linking rules hold where line_classes took the sign-matrix partition
     report = check_class_linking(eps, p, int(float(c))) if abs(float(c)) == 1.0 else None
     partition = _partition_json(p)
@@ -349,11 +343,11 @@ def cmd_group(args) -> int:
         raise InputError("--csv writes the realized matrices; it needs --realize")
     eps = _read_graph(args.file)
     c, degree = _pick_c(args, eps)
-    p = line_classes(eps, 1, c)
+    p = line_classes(eps, c)
     y = restrict_to_Y(eps, p)
     if args.realize:  # before the search: an S that overflows is refused first
         # S_Y has the rank of S: each row it drops is ± a row it keeps
-        v = Representation.build(y, 1.0, float(c), degree())
+        v = Representation(y, 1.0, float(c), degree())
     grp = enumerate_group(y)
     if args.realize and grp.order > config.MAX_LISTED_ORDER:
         raise BoundExceededError(
@@ -581,7 +575,7 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (InvariantError, GramMismatchError) as exc:
+    except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (OSError, GerbeError) as exc:  # an InputError among them

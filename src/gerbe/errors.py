@@ -24,8 +24,3 @@ class BoundExceededError(GerbeError):
     """A resource bound was passed: the vertex bound, the sizes chi's prime
     table serves, the group search's node budget, the cap on a listed group
     order, or n > 8 for the brute-force group oracle."""
-
-
-class GramMismatchError(GerbeError):
-    """Vectors, or their signed permutation, do not keep the stated Gram matrix."""
-

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from . import config
-from .errors import GramMismatchError, InputError
+from .errors import InputError, InvariantError
 from .graph import SignMatrix
 
 
@@ -141,36 +141,27 @@ def gram_factorize(s, rank: int):
             columns[k:k + 2], signs[k:k + 2], pivots[k:k + 2] = cols, (1, -1), (p, q)
             k += 2
     order = np.argsort(-signs, kind="stable")
-    return tuple(signs[order].tolist()), np.ldexp(columns[order].T, scale // 2), pivots[order]
+    return (tuple(signs[order].tolist()), np.ldexp(columns[order].T, scale // 2),
+            tuple(pivots[order].tolist()))
 
 
 class Representation:
     """Vectors u_1..u_n realizing a graph, given as its sign matrix, at
-    parameters (omega, c) in the diagonal form ``signs`` (a tuple of ±1):
-    their Gram matrix is S(omega, c).  ``pivots`` names the rows that span
-    the space, one distinct vertex per column, as ``gram_factorize``
-    returns them.  Signs, shapes and pivots that break this are a
-    ValueError, and vectors that do not realize S a GramMismatchError."""
+    parameters (omega, c): ``gram_factorize`` of S(omega, c) at ``degree``,
+    the rank of S, which the caller knows by the rank law.  Their Gram
+    matrix in the diagonal form ``signs`` (a tuple of ±1) is S, and
+    ``pivots`` names the vertices whose rows span the space, one per
+    column.  Vectors that do not realize S are an InvariantError."""
 
     __slots__ = ("graph", "omega", "c", "signs", "vectors", "pivots")
 
-    def __init__(self, graph: SignMatrix, omega, c, signs, vectors, pivots):
-        signs = tuple(signs)
-        if any(s not in (-1, 1) for s in signs):
-            raise ValueError("signs must be -1 or +1")
-        vectors = np.array(vectors, dtype=float)  # a copy, made read-only
-        if vectors.shape != (graph.n, len(signs)):
-            raise ValueError(f"vectors must be {graph.n} x {len(signs)}, got {vectors.shape}")
-        pivots = tuple(int(p) for p in pivots)
-        if len(pivots) != len(signs) or len(set(pivots) & set(range(graph.n))) != len(pivots):
-            raise ValueError(f"pivots {pivots} are not {len(signs)} distinct vertices of the graph")
-        vectors.setflags(write=False)
+    def __init__(self, graph: SignMatrix, omega, c, degree: int):
         self.graph = graph
         self.omega = float(omega)
         self.c = float(c)
-        self.signs = signs
-        self.vectors = vectors
-        self.pivots = pivots
+        self.signs, self.vectors, self.pivots = gram_factorize(
+            build_S(graph, self.omega, self.c), degree)
+        self.vectors.setflags(write=False)
         self._validate()
 
     def _validate(self):
@@ -189,15 +180,8 @@ class Representation:
                                                    np.abs(expected).max(initial=0.0)):
             with np.errstate(over="ignore"):  # a deviation past the float range shows as inf
                 deviation = np.ldexp(deviation, 2 * e)
-            raise GramMismatchError(
+            raise InvariantError(
                 f"vectors do not realize the stated parameters: max deviation {deviation:.3g}")
-
-    @classmethod
-    def build(cls, graph: SignMatrix, omega, c, degree: int) -> "Representation":
-        """Construct the reduced representation at (omega, c), whose degree
-        (the rank of S(omega, c)) the caller knows, by factorizing S: the
-        vectors in the frame of their pivot rows."""
-        return cls(graph, omega, c, *gram_factorize(build_S(graph, omega, c), degree))
 
 
 def isometry_between(u: Representation, sigma, nu) -> np.ndarray:
@@ -211,14 +195,16 @@ def isometry_between(u: Representation, sigma, nu) -> np.ndarray:
     permutation and nu in {-1, +1}.  The targets are then solved on the
     pivot rows of u, invertible by construction, with one
     ``numpy.linalg.solve``, and each map must send every u_i to its target
-    to ISOMETRY_TOL.  Raises GramMismatchError if any row fails.
+    to ISOMETRY_TOL.  A row that is not a signed permutation preserving
+    the sign matrix is a ValueError, and a residual past the tolerance an
+    InvariantError.
     """
     e = u.graph.entries.astype(np.int8)
     if not ((np.sort(sigma, axis=1) == np.arange(len(e))).all() and (np.abs(nu) == 1).all()):
-        raise GramMismatchError("a row is not a signed permutation of the vertices")
+        raise ValueError("a row is not a signed permutation of the vertices")
     s = nu.astype(np.int8)
     if not (s[:, :, None] * s[:, None, :] * e[sigma[:, :, None], sigma[:, None, :]] == e).all():
-        raise GramMismatchError("a signed permutation does not preserve the sign matrix")
+        raise ValueError("a signed permutation does not preserve the sign matrix")
     v = nu[:, :, None] * u.vectors[sigma]
     pivots = list(u.pivots)
     r = len(u.signs)
@@ -233,5 +219,5 @@ def isometry_between(u: Representation, sigma, nu) -> np.ndarray:
     diff -= v
     residual = np.abs(diff, out=diff).max(axis=(1, 2), initial=0.0)
     if not (residual <= config.ISOMETRY_TOL * scale * 10).all():
-        raise GramMismatchError(f"isometry residual too large: {residual.max():.3g}")
+        raise InvariantError(f"isometry residual too large: {residual.max():.3g}")
     return sol.transpose(0, 2, 1)

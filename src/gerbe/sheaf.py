@@ -1,11 +1,11 @@
 """Line coincidence structure of a representation.
 
 A representation's sheaf is the set of lines spanned by its vectors.  For
-the reduced system at (omega, c) the partition into lines is exact: vertices
-i and j share a line only if omega = ±epsilon_ij*c, so the lines are all
-distinct unless |omega| = |c|, and then they are read off the sign matrix
-at c/omega.  No float tolerance and no vector enters.  This module computes
-that partition from (epsilon, omega, c), restricts the sign matrix to one
+the reduced system at (1, c) the partition into lines is exact: vertices
+i and j share a line only if 1 = ±epsilon_ij*c, so the lines are all
+distinct unless |c| = 1, and then they are read off the sign matrix at c.
+No float tolerance and no vector enters.  This module computes that
+partition from (epsilon, c), restricts the sign matrix to one
 vertex per line (the graph Gamma_Y the sheaf group acts on), and verifies
 the all-or-nothing linking rules that govern the signed blocks of the
 partition.  The partition and the rules are the batched kernels of
@@ -38,24 +38,24 @@ class LinePartition(NamedTuple):
     sign: np.ndarray
 
 
-def line_classes(m: SignMatrix, omega, c) -> LinePartition:
-    """The vertices of the reduced representation of m at (omega, c),
-    grouped by the lines their vectors span, read off exactly.
+def line_classes(m: SignMatrix, c) -> LinePartition:
+    """The vertices of the reduced representation of m at (1, c), grouped
+    by the lines their vectors span, read off exactly.
 
     In a reduced system the form is nondegenerate on the span of the
     vectors, so u_i = s*u_j exactly when rows i and j of the Gram matrix
-    S(omega, c) agree up to the factor s.  At entries i and j that forces
-    omega = s*epsilon_ij*c, so the lines are all distinct unless
-    |omega| = |c|, and then they are the sign-matrix partition at c/omega.
-    omega and c are compared as the floats S is built from.  The trivial
-    representation, c = 0, is refused as an InputError.
+    S(1, c) agree up to the factor s.  At entries i and j that forces
+    1 = s*epsilon_ij*c, so the lines are all distinct unless |c| = 1, and
+    then they are the sign-matrix partition at c.  c is compared as the
+    float S is built from.  The trivial representation, c = 0, is refused
+    as an InputError.
     """
-    omega, c = float(omega), float(c)
+    c = float(c)
     if c == 0.0:
         raise InputError("c must be nonzero")
-    if abs(c) != abs(omega):
+    if abs(c) != 1.0:
         return LinePartition(np.arange(m.n), np.ones(m.n, dtype=int))
-    return partition_from_sign_matrix(m, int(c / omega))
+    return partition_from_sign_matrix(m, int(c))
 
 
 def _rows(m: SignMatrix) -> np.ndarray:
@@ -78,10 +78,10 @@ def partition_from_sign_matrix(m: SignMatrix, c: int) -> LinePartition:
 def restrict_to_Y(m: SignMatrix, p: LinePartition) -> SignMatrix:
     """Gamma_Y: the sign matrix induced on the representatives of the
     lines of p, relabeled 0..m-1 in vertex order.  For p =
-    line_classes(m, omega, c) each vector at (omega, c) is ± a
-    representative's, so the representatives' vectors are a reduced
-    representation of Gamma_Y, with distinct lines.  A principal
-    submatrix of a sign matrix is one, so it is not checked again."""
+    line_classes(m, c) each vector at (1, c) is ± a representative's, so
+    the representatives' vectors are a reduced representation of Gamma_Y,
+    with distinct lines.  A principal submatrix of a sign matrix is one,
+    so it is not checked again."""
     reps = np.flatnonzero(p.rep == np.arange(len(p.rep)))
     return SignMatrix._of_valid(m.entries[np.ix_(reps, reps)])
 

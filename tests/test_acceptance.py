@@ -110,7 +110,7 @@ def test_06_gram_round_trip(report):
 
 
 def test_07_realized_cube_group(report):
-    u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+    u = Representation(SQUARE.graph, 1.0, -1 / 3, 3)
     grp = enumerate_group(SQUARE.graph)
     sigma, nu = grp.listing
     mats = realize_isometry(sigma, nu, u)

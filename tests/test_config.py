@@ -27,6 +27,21 @@ def test_every_constant_has_a_reader():
     assert unread == []
 
 
+def test_every_error_is_raised():
+    # an error type that only an except clause still names is dead: each
+    # class of errors.py but the base GerbeError is raised in the package
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    errors = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert "GerbeError" in errors and len(errors) > 1
+    assert [name for name in errors if name != "GerbeError" and name not in raised] == []
+
+
 def library_block():
     """The code of the README's "Library" section."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -1,15 +1,17 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gerbe import config
+from gerbe import config, quadspace
 from gerbe.autgroup import enumerate_group, realize_isometry
-from gerbe.errors import GramMismatchError
+from gerbe.errors import InvariantError
 from gerbe.exactpoly import (
     char_poly,
     chi_and_roots,
+    degree_at,
     real_roots_with_multiplicity,
     squarefree_decomposition,
 )
@@ -23,6 +25,7 @@ from gerbe.quadspace import (
     jacobi_eigh,
     rank,
 )
+from gerbe.sheaf import line_classes, restrict_to_Y
 from oracles import eigenvalue_sign_counts, sign_compatible
 
 
@@ -68,6 +71,13 @@ def pivot_blocks(square):
     return blocks
 
 
+def labelled_graphs(n):
+    """Every graph on n labelled vertices."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return [epsilon_matrix(n, list(itertools.compress(pairs, bits)))
+            for bits in itertools.product((0, 1), repeat=len(pairs))]
+
+
 def random_roots(seed, count, max_n):
     """(graph, root, degree) at a seeded root of each of count random
     graphs, the degree n - mu by the rank law."""
@@ -86,7 +96,7 @@ def group_rows(g, c):
     """The representation of g at (1, c) and the rows (sigma, nu) of every
     element of the sheaf group.  c is a float near a root, so its degree is
     the numeric rank of S(1, c)."""
-    u = Representation.build(g, 1.0, c, rank(build_S(g, 1.0, c)))
+    u = Representation(g, 1.0, c, rank(build_S(g, 1.0, c)))
     return u, *enumerate_group(g).listing
 
 
@@ -103,6 +113,12 @@ def gram(signs, vectors):
 def s_of(u):
     """S(omega, c) of a representation, the matrix its vectors realize."""
     return build_S(u.graph, u.omega, u.c)
+
+
+def factored_as(monkeypatch, signs, vectors, pivots):
+    """Make the constructor's factorization return the given system, so
+    its Gram check judges vectors that no factorization gave."""
+    monkeypatch.setattr(quadspace, "gram_factorize", lambda s, rank: (signs, vectors, pivots))
 
 
 def summed(u, v):
@@ -262,58 +278,46 @@ class TestGramFactorize:
 
 class TestRepresentation:
     def test_build_validates_gram(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
+        u = Representation(TRIANGLE.graph, 1.0, 0.5, 2)
         assert np.linalg.matrix_rank(u.vectors) == len(u.signs)
         assert len(u.signs) == 2
 
-    def test_mismatched_vectors_rejected(self):
-        with pytest.raises(GramMismatchError):
-            Representation(TRIANGLE.graph, 1.0, 0.5, (1, 1, 1), np.eye(3), (0, 1, 2))
+    def test_mismatched_vectors_rejected(self, monkeypatch):
+        factored_as(monkeypatch, (1, 1, 1), np.eye(3), (0, 1, 2))
+        with pytest.raises(InvariantError):
+            Representation(TRIANGLE.graph, 1.0, 0.5, 2)
 
-    def test_large_c_perturbation_rejected(self):
+    def test_large_c_perturbation_rejected(self, monkeypatch):
         # the Gram tolerance is relative to max|S| = 10^7, not lost in it
-        u = Representation.build(SQUARE.graph, 1.0, 1e7, 4)
-        with pytest.raises(GramMismatchError):
-            Representation(SQUARE.graph, 1.0, 1e7, u.signs, u.vectors * (1 + 1e-6), u.pivots)
+        u = Representation(SQUARE.graph, 1.0, 1e7, 4)
+        factored_as(monkeypatch, u.signs, u.vectors * (1 + 1e-6), u.pivots)
+        with pytest.raises(InvariantError):
+            Representation(SQUARE.graph, 1.0, 1e7, 4)
         f = isometry_between(u, *map(np.vstack, zip(identity(4), identity(4, -1))))
         assert np.abs(f - [np.eye(4), -np.eye(4)]).max() < 1e-9
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_vectors_rejected(self, value):
+    def test_non_finite_vectors_rejected(self, value, monkeypatch):
         # a NaN deviation is not larger than the tolerance, yet fails it
-        with pytest.raises(GramMismatchError, match="max deviation"):
-            Representation(epsilon_matrix(3, []), 1.0, 0.5, (1, 1),
-                           np.full((3, 2), value), (0, 1))
-
-    @pytest.mark.parametrize("pivots", [(0, 0, 1), (0, 1, 4), (-1, 0, 1), (0, 1), (0, 1, 2, 3)],
-                             ids=["repeated", "past-n", "negative", "too-few", "too-many"])
-    def test_pivots_are_distinct_vertices(self, pivots):
-        # isometry_between solves on the pivot rows: pivots that are not
-        # dim distinct vertices are refused when the system is built
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        with pytest.raises(ValueError, match="distinct vertices"):
-            Representation(SQUARE.graph, 1.0, -1 / 3, u.signs, u.vectors, pivots)
-
-    @pytest.mark.parametrize("signs", [(1, 1, 0), (1, 1, 2), (1, 1)])
-    def test_signs_are_a_form(self, signs):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
-        with pytest.raises(ValueError):
-            Representation(SQUARE.graph, 1.0, -1 / 3, signs, u.vectors, u.pivots)
+        factored_as(monkeypatch, (1, 1), np.full((3, 2), value), (0, 1))
+        with pytest.raises(InvariantError, match="max deviation"):
+            Representation(epsilon_matrix(3, []), 1.0, 0.5, 2)
 
     @pytest.mark.parametrize("g, c", [(SQUARE.graph, 1e7), (PENTAGON.graph, 3.0),
                                       (petersen_graph(), -1e150)])
-    def test_scaled_check_keeps_the_unscaled_verdict(self, g, c):
+    def test_scaled_check_keeps_the_unscaled_verdict(self, g, c, monkeypatch):
         # the check compares both sides times a power of two, which is
         # exact: around its threshold it accepts what the unscaled
         # comparison accepts, on vectors longer than 1
         s = build_S(g, 1.0, c)
-        u = Representation.build(g, 1.0, c, rank(s))
+        u = Representation(g, 1.0, c, rank(s))
         assert np.abs(u.vectors).max() > 1
 
         def accepted(v):
+            factored_as(monkeypatch, u.signs, v, u.pivots)
             try:
-                Representation(g, 1.0, c, u.signs, v, u.pivots)
-            except GramMismatchError:
+                Representation(g, 1.0, c, len(u.signs))
+            except InvariantError:
                 return False
             return True
 
@@ -324,7 +328,7 @@ class TestRepresentation:
         assert {a for a, _ in verdicts} == {True, False}
 
     def test_null_representation(self):
-        u = Representation(TRIANGLE.graph, 0.0, 0.0, (), np.zeros((3, 0)), ())
+        u = Representation(TRIANGLE.graph, 0.0, 0.0, 0)
         assert len(u.signs) == 0
         assert u.c == 0.0
         assert np.linalg.matrix_rank(u.vectors) == len(u.signs)
@@ -334,19 +338,18 @@ class TestSum:
     # the orthogonal sum of realizations at (omega_k, c_k), its vectors side
     # by side, realizes the summed parameters: its Gram matrix is their S
     def test_null_summand_is_neutral(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
-        null = Representation(TRIANGLE.graph, 0.0, 0.0, (), np.zeros((3, 0)), ())
+        u = Representation(TRIANGLE.graph, 1.0, 0.5, 2)
+        null = Representation(TRIANGLE.graph, 0.0, 0.0, 0)
         signs, vectors = summed(u, null)
         assert signs == u.signs
-        w = Representation(TRIANGLE.graph, 1.0, 0.5, signs, vectors, u.pivots)
-        assert np.abs(gram(w.signs, w.vectors) - s_of(u)).max() < 1e-12
+        assert np.abs(gram(signs, vectors) - s_of(u)).max() < 1e-12
 
     def test_parameters_and_gram_add(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             c1, c2 = rng.uniform(-1, 1, size=2)
-            u = Representation.build(TRIANGLE.graph, 1.0, c1, 3)
-            v = Representation.build(TRIANGLE.graph, 2.0, c2, 3)
+            u = Representation(TRIANGLE.graph, 1.0, c1, 3)
+            v = Representation(TRIANGLE.graph, 2.0, c2, 3)
             signs, vectors = summed(u, v)
             assert np.abs(gram(signs, vectors) - (s_of(u) + s_of(v))).max() < 1e-9
             assert np.abs(gram(signs, vectors) - build_S(TRIANGLE.graph, 3.0, c1 + c2)).max() < 1e-9
@@ -354,8 +357,8 @@ class TestSum:
 
     def test_triangle_positive_combination(self):
         # rank-1 piece at c=-1 plus rank-2 piece at c=1/2 gives a rank-3 rep
-        u = Representation.build(TRIANGLE.graph, 1.0, -1.0, 1)
-        v = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
+        u = Representation(TRIANGLE.graph, 1.0, -1.0, 1)
+        v = Representation(TRIANGLE.graph, 1.0, 0.5, 2)
         signs, vectors = summed(u, v)
         assert np.abs(gram(signs, vectors) - build_S(TRIANGLE.graph, 2.0, -0.5)).max() < 1e-9
         assert len(signs) == 3 and np.linalg.matrix_rank(vectors) == len(signs)
@@ -365,22 +368,22 @@ class TestReduce:
     # factorizing the Gram matrix of a system at its numeric rank drops the
     # null summand: same Gram, minimal degree
     def test_idempotent_on_reduced(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+        u = Representation(SQUARE.graph, 1.0, -1 / 3, 3)
         s = s_of(u)
         signs, vectors, _ = gram_factorize(s, rank(s))
         assert len(signs) == len(u.signs)
         assert np.abs(gram(signs, vectors) - s).max() < 1e-9
 
     def test_padding_removed(self):
-        u = Representation.build(TRIANGLE.graph, 1.0, 0.5, 2)
+        u = Representation(TRIANGLE.graph, 1.0, 0.5, 2)
         padded_signs = u.signs + (1, -1)
         padded_vectors = np.hstack([u.vectors, np.zeros((3, 2))])
         assert np.linalg.matrix_rank(padded_vectors) < len(padded_signs)
         padded = gram(padded_signs, padded_vectors)
         assert np.abs(padded - s_of(u)).max() < 1e-12
-        v = Representation(TRIANGLE.graph, 1.0, 0.5, *gram_factorize(padded, rank(padded)))
-        assert len(v.signs) == 2 and np.linalg.matrix_rank(v.vectors) == len(v.signs)
-        assert np.abs(gram(v.signs, v.vectors) - s_of(u)).max() < 1e-9
+        signs, vectors, _ = gram_factorize(padded, rank(padded))
+        assert len(signs) == 2 and np.linalg.matrix_rank(vectors) == len(signs)
+        assert np.abs(gram(signs, vectors) - s_of(u)).max() < 1e-9
 
     def test_square_at_one_reduces_to_line(self):
         m = SQUARE.graph
@@ -388,23 +391,24 @@ class TestReduce:
         # one pivot leaves a zero Schur complement: S has no rank 4 to factor
         with pytest.raises(ValueError, match="rank below 4"):
             gram_factorize(s, 4)
-        line = Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, 1))
+        signs, vectors, _ = gram_factorize(s, 1)
+        assert np.abs(gram(signs, vectors) - s).max() < 1e-12
         padded_signs = (1, 1, -1, -1)
-        padded_vectors = np.hstack([line.vectors, np.zeros((4, 3))])
+        padded_vectors = np.hstack([vectors, np.zeros((4, 3))])
         assert np.linalg.matrix_rank(padded_vectors) < len(padded_signs)
-        assert np.abs(gram(padded_signs, padded_vectors) - s_of(line)).max() < 1e-12
+        assert np.abs(gram(padded_signs, padded_vectors) - s).max() < 1e-12
         assert rank(gram(padded_signs, padded_vectors)) == 1
-        assert Representation(SQUARE.graph, 1.0, 1.0, *gram_factorize(s, rank(s))).signs == (1,)
+        assert gram_factorize(s, rank(s))[0] == (1,)
 
 
 class TestIsometry:
     def test_identity(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+        u = Representation(SQUARE.graph, 1.0, -1 / 3, 3)
         [f] = isometry_between(u, *identity(4))
         assert np.abs(f - np.eye(3)).max() < 1e-9
 
     def test_global_sign(self):
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+        u = Representation(SQUARE.graph, 1.0, -1 / 3, 3)
         [f] = isometry_between(u, *identity(4, -1))
         assert np.abs(f + np.eye(3)).max() < 1e-9
 
@@ -420,11 +424,11 @@ class TestIsometry:
     def test_gram_mismatch_rejected(self):
         # the group of the pentagon acts on its lines as D5, which holds no
         # transposition: swapping vertices 0 and 1 fails with every sign row
-        u = Representation.build(PENTAGON.graph, 1.0, 0.5, 5)
+        u = Representation(PENTAGON.graph, 1.0, 0.5, 5)
         swap = np.array([[1, 0, 2, 3, 4]])
         for nu in itertools.product((1, -1), repeat=5):
             assert not sign_compatible(swap[0], nu, PENTAGON.graph)
-            with pytest.raises(GramMismatchError, match="sign matrix"):
+            with pytest.raises(ValueError, match="sign matrix"):
                 isometry_between(u, swap, np.array([nu]))
 
 
@@ -443,7 +447,7 @@ class TestIsometryStack:
 
     def test_single_call_keeps_its_shape(self):
         # one row is a stack of one matrix
-        u = Representation.build(SQUARE.graph, 1.0, -1 / 3, 3)
+        u = Representation(SQUARE.graph, 1.0, -1 / 3, 3)
         assert isometry_between(u, *identity(4)).shape == (1, 3, 3)
         stack = isometry_between(u, *map(np.vstack, zip(identity(4), identity(4, -1))))
         assert np.abs(stack - [np.eye(3), -np.eye(3)]).max() < 1e-9
@@ -462,7 +466,7 @@ class TestIsometryStack:
         repeated[7, 0] = repeated[7, 1]  # not a permutation
         for bad, message in [(swapped, "sign matrix"), ((sigma, flipped), "sign matrix"),
                              ((repeated, nu), "not a signed permutation")]:
-            with pytest.raises(GramMismatchError, match=message):
+            with pytest.raises(ValueError, match=message):
                 isometry_between(u, *bad)
 
     def test_non_finite_target_fails_the_stack(self):
@@ -472,9 +476,9 @@ class TestIsometryStack:
         for value in (np.nan, np.inf, 0, 2):
             bad = nu.astype(float)
             bad[7, 2] = value
-            with pytest.raises(GramMismatchError, match="not a signed permutation"):
+            with pytest.raises(ValueError, match="not a signed permutation"):
                 isometry_between(u, sigma, bad)
-            with pytest.raises(GramMismatchError, match="not a signed permutation"):
+            with pytest.raises(ValueError, match="not a signed permutation"):
                 isometry_between(u, sigma[7:8], bad[7:8])
 
     def test_residual_check_per_target(self, monkeypatch):
@@ -490,8 +494,35 @@ class TestIsometryStack:
 
         monkeypatch.setattr(np.linalg, "solve", off_at_seven)
         assert isometry_between(u, sigma[:7], nu[:7]).shape == (7, 3, 3)
-        with pytest.raises(GramMismatchError, match="residual"):
+        with pytest.raises(InvariantError, match="residual"):
             isometry_between(u, sigma, nu)
+
+
+class TestPivotsSpan:
+    # the constructor factors S itself, so the pivot rows always span and
+    # the identity row solves on them to I
+    def test_pivot_rows_have_full_rank(self):
+        rng = random.Random(29)
+        graphs = [g for n in range(1, 5) for g in labelled_graphs(n)]
+        graphs += [random_graph(rng, n) for n in (5, 6) for _ in range(20)]
+        graphs.append(epsilon_matrix(4, [(0, 2)]))  # vertices 0 and 2 share a line at -1
+        units = [Fraction(1), Fraction(-1)]
+        for g in graphs:
+            cases = [(g, c) for c in units + [Fraction(s, q) for q in (3, 2) for s in (1, -1)]]
+            cases += [(restrict_to_Y(g, line_classes(g, c)), c) for c in units]
+            for h, c in cases:
+                u = Representation(h, 1.0, c, degree_at(g, 1, c))  # S of Gamma_Y has S's rank
+                assert np.linalg.matrix_rank(u.vectors[list(u.pivots)]) == len(u.signs)
+                [f] = isometry_between(u, *identity(h.n))
+                assert np.abs(f - np.eye(len(u.signs))).max() < 1e-9
+
+    def test_no_assembled_system(self):
+        # the constructor takes no vectors or pivots of the caller's, so
+        # dependent pivot rows cannot be passed in
+        g = epsilon_matrix(4, [(0, 2)])
+        u = Representation(g, 1.0, -1.0, degree_at(g, 1, -1))
+        with pytest.raises(TypeError):
+            Representation(g, 1.0, -1.0, u.signs, u.vectors, (0, 1, 2))
 
 
 class TestPivotFrame:
@@ -500,7 +531,7 @@ class TestPivotFrame:
     def test_pivot_rows_block_lower_triangular(self):
         two_by_two = 0
         for g, c, degree in random_roots(17, 60, 18):
-            u = Representation.build(g, 1.0, c, degree)
+            u = Representation(g, 1.0, c, degree)
             assert len(u.pivots) == len(set(u.pivots)) == degree
             rows = u.vectors[list(u.pivots)]
             blocks = pivot_blocks(rows)
@@ -514,7 +545,7 @@ class TestPivotFrame:
 
     def test_pivot_ties_go_to_the_lowest_vertex(self):
         # S(1, 1/3) of Petersen has unit diagonal: the first pivot is vertex 0
-        u = Representation.build(petersen_graph(), 1.0, 1 / 3, 5)
+        u = Representation(petersen_graph(), 1.0, 1 / 3, 5)
         assert u.pivots[0] == 0
         assert np.array_equal(u.vectors[0], [1.0, 0, 0, 0, 0])
 
@@ -547,7 +578,7 @@ class TestPivotFrame:
         listing = enumerate_group(g).listing
         near = []
         for x in (c, c * (1 + 2 ** -40)):
-            u = Representation.build(g, 1.0, x, degree)
+            u = Representation(g, 1.0, x, degree)
             near.append((u.vectors, realize_isometry(*listing, u)))
         (v0, m0), (v1, m1) = near
         assert np.abs(v0 - v1).max() <= 1e-9
